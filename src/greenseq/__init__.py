@@ -10,7 +10,7 @@ from .errors import (GateError, InvariantViolation, SpecError,
 from .green import (EquivClass, ExchangePair, GreenEngine, HNLayer, HNResult,
                     MGS, SiltingSummand)
 from .modcat import (Indec, ModuleCategory, ModuleSum, SesRecord,
-                     TorsionClass, TorsionLattice, module_category)
+                     TorsionClass, TorsionLattice)
 from .orders import (ClassPoset, build_order, check_extrema, hasse_dot,
                      iepd_cover_pairs, orders_equal_report, verify_phi)
 
@@ -20,5 +20,5 @@ __all__ = [
     "MGS", "ModuleCategory", "ModuleSum", "SesRecord", "SiltingSummand",
     "SpecError", "TheoremViolation", "TorsionClass", "TorsionLattice",
     "UsageError", "build_order", "check_extrema", "hasse_dot",
-    "iepd_cover_pairs", "module_category", "orders_equal_report", "verify_phi",
+    "iepd_cover_pairs", "orders_equal_report", "verify_phi",
 ]

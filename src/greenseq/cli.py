@@ -40,7 +40,7 @@ def load_algebra(path: str) -> AlgebraSpec:
 def _context(args) -> tuple[ModuleCategory, GreenEngine]:
     spec = load_algebra(args.algebra)
     cat = ModuleCategory(spec, exact=args.exact)
-    engine = GreenEngine(cat, brick_gate=args.brick_gate, workers=args.parallel)
+    engine = GreenEngine(cat, brick_gate=args.brick_gate)
     return cat, engine
 
 
@@ -191,8 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--subset-gate", type=int, default=DEFAULT_SUBSET_GATE,
                         help="refuse torsion-lattice enumeration beyond this "
                              "many subsets")
-    parser.add_argument("--parallel", type=int, default=None, metavar="N",
-                        help="fan enumeration out over N workers (same output)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, func, help_text):

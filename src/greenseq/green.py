@@ -12,7 +12,6 @@ functions); any disagreement raises instead of being reconciled.
 from __future__ import annotations
 
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .errors import GateError, InvariantViolation, TheoremViolation, UsageError
@@ -68,11 +67,9 @@ class EquivClass:
 
 
 class GreenEngine:
-    def __init__(self, cat: ModuleCategory, brick_gate: int = DEFAULT_BRICK_GATE,
-                 workers: int | None = None):
+    def __init__(self, cat: ModuleCategory, brick_gate: int = DEFAULT_BRICK_GATE):
         self.cat = cat
         self.brick_gate = brick_gate
-        self.workers = workers
         self.bricks = cat.bricks
         self._bpos = {b: k for k, b in enumerate(self.bricks)}
         nb = len(self.bricks)
@@ -81,12 +78,13 @@ class GreenEngine:
         # before_ok[b]: bricks y that may sit before b (hom(b, y) = 0).
         self._after_ok = {}
         self._before_ok = {}
+        hom = cat.hom_table
         for b in self.bricks:
             after = before = 0
             for k, y in enumerate(self.bricks):
-                if cat.hom(y, b) == 0:
+                if hom[y][b] == 0:
                     after |= 1 << k
-                if cat.hom(b, y) == 0:
+                if hom[b][y] == 0:
                     before |= 1 << k
             self._after_ok[b] = after
             self._before_ok[b] = before
@@ -139,26 +137,16 @@ class GreenEngine:
             raise GateError(
                 f"{len(self.bricks)} bricks exceed the enumeration gate of "
                 f"{self.brick_gate}; raise the gate to force it")
-
-        def from_first(b: int) -> list[MGS]:
-            acc: list[MGS] = []
-            self._dfs([b], self._full & self._after_ok[b], acc)
-            return acc
-
-        if self.workers and self.workers > 1:
-            with ThreadPoolExecutor(max_workers=self.workers) as pool:
-                chunks = list(pool.map(from_first, self.bricks))
-            result = [g for chunk in chunks for g in chunk]
-        else:
-            result = []
-            for b in self.bricks:
-                result.extend(from_first(b))
+        result: list[MGS] = []
+        for b in self.bricks:
+            self._dfs([b], self._full & self._after_ok[b], result)
         self._all_mgs = result
         self._index = {g.bricks: k for k, g in enumerate(result)}
         return list(result)
 
     def index_of(self, seq: tuple[int, ...]) -> int:
-        self.enumerate_mgs()
+        if self._all_mgs is None:
+            self.enumerate_mgs()
         return self._index[tuple(seq)]
 
     # -- validity --------------------------------------------------------------
@@ -172,12 +160,16 @@ class GreenEngine:
                 return f"{self.cat.display(b)} is not a brick"
         if len(set(seq)) != len(seq):
             return "sequence repeats a brick"
-        for j in range(len(seq)):
-            for i in range(j):
-                if self.cat.hom(seq[j], seq[i]) != 0:
-                    return (f"hom({self.cat.display(seq[j])}, "
-                            f"{self.cat.display(seq[i])}) != 0 for positions "
-                            f"{i + 1} < {j + 1}")
+        # allowed: bricks y with hom(y, B_i) = 0 for every earlier B_i
+        allowed = self._full
+        for j, b in enumerate(seq):
+            if not allowed >> self._bpos[b] & 1:
+                hom = self.cat.hom_table[b]
+                i = next(i for i in range(j) if hom[seq[i]] != 0)
+                return (f"hom({self.cat.display(b)}, "
+                        f"{self.cat.display(seq[i])}) != 0 for positions "
+                        f"{i + 1} < {j + 1}")
+            allowed &= self._after_ok[b]
         open_mask = self._insertion_maximal(seq)
         if open_mask is not None:
             b = self.bricks[(open_mask & -open_mask).bit_length() - 1]
@@ -217,7 +209,7 @@ class GreenEngine:
         shifts = set()
         for v in range(self.cat.n):
             pv = self.cat.projectives[v]
-            if all(self.cat.hom(pv, t) == 0 for t in tors.members):
+            if all(self.cat.hom_table[pv][t] == 0 for t in tors.members):
                 shifts.add(SiltingSummand(True, v))
         result = frozenset(mods | shifts)
         if len(result) != self.cat.n:
@@ -269,7 +261,7 @@ class GreenEngine:
         if not 1 <= i < len(g.bricks):
             raise UsageError(f"swap position {i} out of range 1..{len(g.bricks) - 1}")
         a, b = g.bricks[i - 1], g.bricks[i]
-        if self.cat.hom(a, b) != 0 or self.cat.ext1(a, b) != 0:
+        if self.cat.hom_table[a][b] != 0 or self.cat.ext1(a, b) != 0:
             return None
         seq = g.bricks[:i - 1] + (b, a) + g.bricks[i + 1:]
         reason = self.explain_invalid(seq)
@@ -380,7 +372,8 @@ class GreenEngine:
         return list(classes)
 
     def class_of(self, mgs_index: int) -> int:
-        self.equivalence_classes()
+        if self._classes is None:
+            self.equivalence_classes()
         return self._class_of[mgs_index]
 
     def _swap_components(self, all_mgs: list[MGS]) -> set[frozenset[int]]:

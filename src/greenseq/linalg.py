@@ -1,10 +1,11 @@
 """Exact rank computation for the morphism constraint systems.
 
-All catalog matrices have entries in {0, 1}, so ranks are independent of
-the ground field for the supported backends.  The default path eliminates
-over the prime field F_p with p = 1000003, which keeps every intermediate
-value an exact machine-sized integer.  A Fraction-based elimination is
-available for paranoia runs.
+One Gaussian elimination serves two fields: the prime field F_p with
+p = 1000003 by default, which keeps every intermediate value an exact
+machine-sized integer, and the rationals (Fraction pivots) for paranoia
+runs.  The catalog matrices have entries in {0, 1}; the tests check
+that both fields give equal dim Hom for every catalog pair of the test
+battery.
 """
 
 from fractions import Fraction
@@ -12,9 +13,13 @@ from fractions import Fraction
 DEFAULT_PRIME = 1000003
 
 
-def rank_mod_p(rows: list[list[int]], p: int = DEFAULT_PRIME) -> int:
-    """Rank of an integer matrix over F_p (row-major, rows may be ragged-free)."""
-    rows = [[x % p for x in row] for row in rows if any(row)]
+def rank_over(rows: list[list[int]], p: int | None) -> int:
+    """Rank of an integer matrix over F_p, or over the rationals when p
+    is None."""
+    if p is None:
+        rows = [[Fraction(x) for x in row] for row in rows if any(row)]
+    else:
+        rows = [[x % p for x in row] for row in rows if any(row)]
     if not rows:
         return 0
     ncols = len(rows[0])
@@ -28,42 +33,30 @@ def rank_mod_p(rows: list[list[int]], p: int = DEFAULT_PRIME) -> int:
         if piv is None:
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = pow(rows[rank][col], p - 2, p)
-        prow = [(x * inv) % p for x in rows[rank]]
+        if p is None:
+            prow = [x / rows[rank][col] for x in rows[rank]]
+        else:
+            inv = pow(rows[rank][col], p - 2, p)
+            prow = [(x * inv) % p for x in rows[rank]]
         rows[rank] = prow
         for r in range(rank + 1, len(rows)):
             f = rows[r][col]
             if f:
-                rows[r] = [(a - f * b) % p for a, b in zip(rows[r], prow)]
+                if p is None:
+                    rows[r] = [a - f * b for a, b in zip(rows[r], prow)]
+                else:
+                    rows[r] = [(a - f * b) % p for a, b in zip(rows[r], prow)]
         rank += 1
         if rank == len(rows):
             break
     return rank
+
+
+def rank_mod_p(rows: list[list[int]], p: int = DEFAULT_PRIME) -> int:
+    """Rank of an integer matrix over F_p."""
+    return rank_over(rows, p)
 
 
 def rank_exact(rows: list[list[int]]) -> int:
-    """Rank over the rationals, via Fraction-pivoted Gaussian elimination."""
-    rows = [[Fraction(x) for x in row] for row in rows if any(row)]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(rank, len(rows)):
-            if rows[r][col]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        prow = [x / rows[rank][col] for x in rows[rank]]
-        rows[rank] = prow
-        for r in range(rank + 1, len(rows)):
-            f = rows[r][col]
-            if f:
-                rows[r] = [a - f * b for a, b in zip(rows[r], prow)]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
+    """Rank over the rationals."""
+    return rank_over(rows, None)

@@ -3,7 +3,8 @@
 Everything is computed over a fixed catalog of indecomposable modules
 produced by a backend (Nakayama or type A).  Hom spaces are solved as
 commuting-square constraint systems on the explicit arrow matrices, with
-exact arithmetic; Ext^1 comes from the hereditary Euler form (type A) or
+exact arithmetic, once per catalog pair into a table that every later
+Hom query reads; Ext^1 comes from the hereditary Euler form (type A) or
 from the explicit projective cover sequence (Nakayama), cross-checkable
 against the presentation-based computation in both cases.
 
@@ -17,7 +18,6 @@ sequence machinery.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .algebra import AlgebraSpec
 from .errors import GateError, InvariantViolation, UsageError
@@ -160,11 +160,14 @@ class ModuleCategory:
         self.catalog: list[Indec] = self.backend.catalog
         self._by_descriptor = {m.descriptor: m.ident for m in self.catalog}
         self._by_display = {m.display: m.ident for m in self.catalog}
-        self._hom_cache: dict[tuple[int, int], int] = {}
         self._closure_cache: dict[frozenset, TorsionClass] = {}
         self._relproj_cache: dict[frozenset, frozenset] = {}
         self._filt_cache: dict[frozenset, frozenset] = {}
         self._lattice: TorsionLattice | None = None
+        # hom_table[a][b] = dim Hom(a, b) for every pair of catalog ids
+        size = len(self.catalog)
+        self.hom_table: tuple[tuple[int, ...], ...] = tuple(
+            tuple(self._hom_dim(a, b) for b in range(size)) for a in range(size))
 
     # -- catalog ----------------------------------------------------------
 
@@ -217,11 +220,7 @@ class ModuleCategory:
     def _rank(self, rows) -> int:
         return rank_exact(rows) if self.exact else rank_mod_p(rows)
 
-    def _hom_ii(self, a: int, b: int) -> int:
-        key = (a, b)
-        cached = self._hom_cache.get(key)
-        if cached is not None:
-            return cached
+    def _hom_dim(self, a: int, b: int) -> int:
         M, N = self.catalog[a], self.catalog[b]
         offs, total = [], 0
         for v in range(self.n):
@@ -239,9 +238,7 @@ class ModuleCategory:
                         row[offs[s] + t * M.spaces[s] + j] -= TN[i][t]
                     if any(row):
                         rows.append(row)
-        val = total - self._rank(rows)
-        self._hom_cache[key] = val
-        return val
+        return total - self._rank(rows)
 
     def _as_sum(self, m) -> ModuleSum:
         if isinstance(m, ModuleSum):
@@ -268,7 +265,7 @@ class ModuleCategory:
     def hom(self, a, b) -> int:
         """dim Hom(a, b); additive over direct sums in both arguments."""
         sa, sb = self._as_sum(a), self._as_sum(b)
-        return sum(self._hom_ii(x, y) for x in sa.ids for y in sb.ids)
+        return sum(self.hom_table[x][y] for x in sa.ids for y in sb.ids)
 
     def ext1(self, a, b) -> int:
         """dim Ext^1(a, b) for an indecomposable a."""
@@ -277,7 +274,7 @@ class ModuleCategory:
         if self.backend.hereditary:
             total = 0
             for y in sb.ids:
-                total += self._hom_ii(a, y) - self._euler(a, y)
+                total += self.hom_table[a][y] - self._euler(a, y)
             if total < 0:
                 raise InvariantViolation(
                     f"negative Ext dimension for ({a}, {b}); Euler form broken")
@@ -307,7 +304,7 @@ class ModuleCategory:
         return val
 
     def is_brick(self, i: int) -> bool:
-        return self._hom_ii(i, i) == 1
+        return self.hom_table[i][i] == 1
 
     @property
     def bricks(self) -> tuple[int, ...]:
@@ -515,7 +512,7 @@ class ModuleCategory:
         """[T, U] = T intersected with the right-hom-perpendicular of U."""
         return frozenset(
             m for m in upper
-            if all(self._hom_ii(u, m) == 0 for u in lower))
+            if all(self.hom_table[u][m] == 0 for u in lower))
 
     def _cover_label(self, upper: frozenset[int], lower: frozenset[int]) -> int:
         interval = self.interval_members(upper, lower)
@@ -574,8 +571,3 @@ def _parse_descriptor(token: str):
     if m:
         return ("I", int(m.group(1)), int(m.group(2)))
     return None
-
-
-@lru_cache(maxsize=None)
-def module_category(spec: AlgebraSpec, exact: bool = False) -> ModuleCategory:
-    return ModuleCategory(spec, exact=exact)

@@ -42,17 +42,19 @@ class ClassPoset:
 def iepd_cover_pairs(engine: GreenEngine) -> frozenset[tuple[int, int]]:
     """Class pairs (long, short) related by an increasing elementary
     polygonal deformation: drop the strictly-between bricks of a valid
-    pattern and swap its endpoints."""
+    pattern and swap its endpoints.  Every valid sequence is enumerated,
+    so a candidate is valid exactly when the sequence index holds it."""
     all_mgs = engine.enumerate_mgs()
     engine.equivalence_classes()
+    index = engine._index
     pairs = set()
     for k, g in enumerate(all_mgs):
         r = len(g.bricks)
         for p in range(r):
             for q in range(p + 2, r):
                 seq = g.bricks[:p] + (g.bricks[q], g.bricks[p]) + g.bricks[q + 1:]
-                if engine.is_valid_mgs(seq):
-                    j = engine.index_of(seq)
+                j = index.get(seq)
+                if j is not None:
                     lo, hi = engine.class_of(k), engine.class_of(j)
                     if lo == hi:
                         raise InvariantViolation(
@@ -270,7 +272,7 @@ def polygon_deformation_pairs(engine: GreenEngine) -> list[dict]:
     """Pairs of green sequences that differ exactly by a deformation across
     one finite polygon, with the two side lengths."""
     all_mgs = engine.enumerate_mgs()
-    chains = [tuple(t.members for t in engine.torsion_chain(g)) for g in all_mgs]
+    chains = [engine.torsion_chain(g) for g in all_mgs]
     found = []
     for k in range(len(all_mgs)):
         for l in range(k + 1, len(all_mgs)):
@@ -290,18 +292,12 @@ def polygon_deformation_pairs(engine: GreenEngine) -> list[dict]:
                 continue
             top, bottom = ck[a - 1], ck[len(ck) - b]
             sides = (len(ck) - b - a + 1, len(cl) - b - a + 1)
-            shared = (engine.silting_summands(_tc(top))
-                      & engine.silting_summands(_tc(bottom)))
+            shared = (engine.silting_summands(top)
+                      & engine.silting_summands(bottom))
             if len(shared) != engine.cat.n - 2:
                 continue
             found.append({"first": k, "second": l, "sides": sides})
     return found
-
-
-def _tc(members):
-    from .modcat import TorsionClass
-
-    return TorsionClass(members)
 
 
 def hasse_dot(poset: ClassPoset, engine: GreenEngine) -> str:

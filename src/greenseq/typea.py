@@ -37,7 +37,6 @@ class TypeABackend:
         self.simples = tuple(self._by_interval[(v, v)] for v in range(self.n))
         self.projectives = tuple(
             self._by_interval[self._projective_interval(v)] for v in range(self.n))
-        self._cartan_solve = None
 
     # -- catalog ------------------------------------------------------------
 

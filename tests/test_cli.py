@@ -188,12 +188,6 @@ def test_json_roundtrip_identity(capsys, example_file):
         assert json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n" == out
 
 
-def test_parallel_flag_same_output(capsys, example_file):
-    _, out1, _ = run(capsys, "mgs", example_file)
-    _, out2, _ = run(capsys, "--parallel", "4", "mgs", example_file)
-    assert out1 == out2
-
-
 def test_exact_flag_same_output(capsys, example_file):
     _, out1, _ = run(capsys, "bricks", example_file)
     _, out2, _ = run(capsys, "--exact", "bricks", example_file)

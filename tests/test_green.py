@@ -58,12 +58,6 @@ def test_enumeration_gate(example_cat):
         eng.enumerate_mgs()
 
 
-def test_parallel_enumeration_identical(example_cat):
-    seq = GreenEngine(example_cat).enumerate_mgs()
-    par = GreenEngine(example_cat, workers=4).enumerate_mgs()
-    assert seq == par
-
-
 @pytest.mark.parametrize("spec", full_battery(), ids=lambda s: s.label())
 def test_first_and_last_brick_simple(spec):
     cat, eng = category_for(spec), engine_for(spec)
@@ -96,6 +90,42 @@ def test_non_brick_rejected():
     cat, eng = category_for(spec), engine_for(spec)
     reason = eng.explain_invalid((cat.resolve_token("121"),))
     assert reason is not None and "brick" in reason
+
+
+def _explain_invalid_pairwise(eng, seq):
+    """Oracle: explain_invalid with the O(r^2) pairwise hom scan."""
+    cat = eng.cat
+    for b in seq:
+        if not (0 <= b < len(cat.catalog)):
+            return f"id {b} is outside the catalog"
+        if b not in eng.bricks:
+            return f"{cat.display(b)} is not a brick"
+    if len(set(seq)) != len(seq):
+        return "sequence repeats a brick"
+    for j in range(len(seq)):
+        for i in range(j):
+            if cat.hom(seq[j], seq[i]) != 0:
+                return (f"hom({cat.display(seq[j])}, "
+                        f"{cat.display(seq[i])}) != 0 for positions "
+                        f"{i + 1} < {j + 1}")
+    open_mask = eng._insertion_maximal(seq)
+    if open_mask is not None:
+        b = eng.bricks[(open_mask & -open_mask).bit_length() - 1]
+        return f"not maximal: brick {cat.display(b)} can be inserted"
+    return None
+
+
+@pytest.mark.parametrize("spec", full_battery(), ids=lambda s: s.label())
+def test_explain_invalid_matches_pairwise_scan(spec):
+    eng = engine_for(spec)
+    for g in eng.enumerate_mgs():
+        seq = g.bricks
+        candidates = [seq, seq[::-1]]
+        candidates += [seq[:i] + (seq[i + 1], seq[i]) + seq[i + 2:]
+                       for i in range(len(seq) - 1)]
+        candidates += [seq[:i] + seq[i + 1:] for i in range(len(seq))]
+        for cand in candidates:
+            assert eng.explain_invalid(cand) == _explain_invalid_pairwise(eng, cand)
 
 
 # -- torsion chains ---------------------------------------------------------------

@@ -9,7 +9,7 @@ from greenseq.orders import (build_order, check_extrema, exchange_persistence,
                              hasse_dot, iepd_cover_pairs, orders_equal_report,
                              polygon_deformation_pairs, verify_phi)
 
-from conftest import category_for, engine_for, ids_of
+from conftest import category_for, engine_for, full_battery, ids_of
 
 
 def class_of_names(cat, engine, names):
@@ -39,6 +39,18 @@ def test_squares_are_not_deformation_covers(example_cat, example_engine):
         classes = example_engine.equivalence_classes()
         assert len(classes[lo].representative.bricks) \
             > len(classes[hi].representative.bricks)
+
+
+@pytest.mark.parametrize("spec", full_battery(), ids=lambda s: s.label())
+def test_deformation_candidates_valid_iff_enumerated(spec):
+    # iepd_cover_pairs trusts the sequence index instead of is_valid_mgs
+    eng = engine_for(spec)
+    for g in eng.enumerate_mgs():
+        r = len(g.bricks)
+        for p in range(r):
+            for q in range(p + 2, r):
+                seq = g.bricks[:p] + (g.bricks[q], g.bricks[p]) + g.bricks[q + 1:]
+                assert (eng._index.get(seq) is not None) == eng.is_valid_mgs(seq)
 
 
 # -- the three orders ----------------------------------------------------------
