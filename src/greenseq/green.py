@@ -4,9 +4,13 @@ classes, and Harder-Narasimhan filtrations.
 
 A maximal green sequence is held as its maximal backward Hom-orthogonal
 sequence of bricks: hom(B_j, B_i) = 0 whenever i < j, and no brick can
-be inserted anywhere.  Equivalence classes are computed four ways at
-once (square-swap closure, summand sets, exchange pairs, stable-factor
-functions); any disagreement raises instead of being reconciled.
+be inserted anywhere.  These are the cover labels of the maximal chains
+of the torsion lattice, so the sequences are read off the lattice that
+`ModuleCategory.generated_lattice` builds from its covers; the validity
+of a given brick list is decided by bitmask Hom tests.  Equivalence
+classes are computed four ways at once (square-swap closure, summand
+sets, exchange pairs, stable-factor functions); any disagreement raises
+instead of being reconciled.
 """
 
 from __future__ import annotations
@@ -116,33 +120,36 @@ class GreenEngine:
                 prefix &= self._after_ok[seq[p]]
         return None
 
-    def _dfs(self, prefix: list[int], cand: int, out: list[MGS]) -> None:
-        if cand == 0:
-            if self._insertion_maximal(tuple(prefix)) is None:
-                out.append(MGS(tuple(prefix)))
-            return
-        m = cand
-        while m:
-            low = m & -m
-            m ^= low
-            b = self.bricks[low.bit_length() - 1]
-            prefix.append(b)
-            self._dfs(prefix, cand & self._after_ok[b], out)
-            prefix.pop()
-
     def enumerate_mgs(self) -> list[MGS]:
+        """Every maximal green sequence, in lexicographic order of brick
+        ids: the maximal chains of the generated torsion lattice, read as
+        their cover labels."""
         if self._all_mgs is not None:
             return list(self._all_mgs)
         if len(self.bricks) > self.brick_gate:
             raise GateError(
                 f"{len(self.bricks)} bricks exceed the enumeration gate of "
                 f"{self.brick_gate}; raise the gate to force it")
+        lattice = self.cat.generated_lattice()
+        # the lower covers of a class carry distinct labels, so walking
+        # them in label order lists the sequences lexicographically
+        children = {up: sorted((lab, lo) for lo, lab in downs)
+                    for up, downs in lattice.lower_covers.items()}
         result: list[MGS] = []
-        for b in self.bricks:
-            self._dfs([b], self._full & self._after_ok[b], result)
+        self._walk(children, lattice.top, lattice.bottom, [], result)
         self._all_mgs = result
         self._index = {g.bricks: k for k, g in enumerate(result)}
         return list(result)
+
+    def _walk(self, children, idx: int, bottom: int, prefix: list[int],
+              out: list[MGS]) -> None:
+        if idx == bottom:
+            out.append(MGS(tuple(prefix)))
+            return
+        for lab, lo in children[idx]:
+            prefix.append(lab)
+            self._walk(children, lo, bottom, prefix, out)
+            prefix.pop()
 
     def index_of(self, seq: tuple[int, ...]) -> int:
         if self._all_mgs is None:

@@ -10,14 +10,17 @@ against the presentation-based computation in both cases.
 
 Torsion classes are membership sets over the catalog, closed under
 indecomposable quotients and under extensions with indecomposable middle
-term.  A brute-force enumeration of all torsion classes, with brick
-labels on the covering relations, serves as the oracle for the green
-sequence machinery.
+term.  The torsion lattice is generated from its brick-labelled covers
+on first use (`generated_lattice`); the green sequence machinery reads
+it.  A brute-force enumeration over all subsets of the catalog
+(`torsion_lattice`) stays as the independent oracle that the
+verification suites and tests compare against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .algebra import AlgebraSpec
 from .errors import GateError, InvariantViolation, UsageError
@@ -100,23 +103,37 @@ class TorsionLattice:
     top: int
     bottom: int
 
+    @cached_property
+    def _positions(self) -> dict[frozenset[int], int]:
+        return {c: k for k, c in enumerate(self.classes)}
+
+    @cached_property
+    def lower_covers(self) -> dict[int, list[tuple[int, int]]]:
+        """upper index -> its (lower, label) pairs in increasing order."""
+        below: dict[int, list[tuple[int, int]]] = {}
+        for up, lo, lab in sorted(self.covers):
+            below.setdefault(up, []).append((lo, lab))
+        return below
+
     def index_of(self, members: frozenset[int]) -> int:
-        return self.classes.index(members)
+        try:
+            return self._positions[members]
+        except KeyError:
+            raise ValueError(
+                f"{sorted(members)} is not a class of the lattice") from None
 
     def covers_of(self, idx: int) -> list[tuple[int, int]]:
         """(lower, label) pairs below `idx`."""
-        return [(lo, lab) for up, lo, lab in self.covers if up == idx]
+        return list(self.lower_covers.get(idx, ()))
 
     def maximal_chain_count(self) -> int:
-        below = {}
-        for up, lo, _ in self.covers:
-            below.setdefault(up, []).append(lo)
         counts = {self.bottom: 1}
         order = sorted(range(len(self.classes)), key=lambda i: len(self.classes[i]))
         for idx in order:
             if idx == self.bottom:
                 continue
-            counts[idx] = sum(counts[lo] for lo in below.get(idx, []))
+            counts[idx] = sum(counts[lo]
+                              for lo, _ in self.lower_covers.get(idx, ()))
         return counts[self.top]
 
     def maximal_chains(self, start: int | None = None, end: int | None = None):
@@ -124,21 +141,26 @@ class TorsionLattice:
         (class index, label) steps."""
         start = self.top if start is None else start
         end = self.bottom if end is None else end
-        below = {}
-        for up, lo, lab in self.covers:
-            below.setdefault(up, []).append((lo, lab))
+        if start == end:
+            return [[]]
+        floor = self.classes[end]
+        below = self.lower_covers
         chains = []
-
-        def walk(idx, acc):
-            if idx == end:
-                chains.append(list(acc))
-                return
-            for lo, lab in sorted(below.get(idx, [])):
-                acc.append((lo, lab))
-                walk(lo, acc)
-                acc.pop()
-
-        walk(start, [])
+        # depth-first, lower covers in increasing index order; a path that
+        # leaves the classes containing `end` never reaches it
+        acc: list[tuple[int, int]] = []
+        stack = [iter(below.get(start, ()))]
+        while stack:
+            step = next(stack[-1], None)
+            if step is None:
+                stack.pop()
+                if acc:
+                    acc.pop()
+            elif step[0] == end:
+                chains.append(acc + [step])
+            elif floor < self.classes[step[0]]:
+                acc.append(step)
+                stack.append(iter(below.get(step[0], ())))
         return chains
 
 
@@ -163,7 +185,10 @@ class ModuleCategory:
         self._closure_cache: dict[frozenset, TorsionClass] = {}
         self._relproj_cache: dict[frozenset, frozenset] = {}
         self._filt_cache: dict[frozenset, frozenset] = {}
+        self._torsub_cache: dict[tuple[int, frozenset],
+                                 tuple[ModuleSum, ModuleSum]] = {}
         self._lattice: TorsionLattice | None = None
+        self._generated: TorsionLattice | None = None
         # hom_table[a][b] = dim Hom(a, b) for every pair of catalog ids
         size = len(self.catalog)
         self.hom_table: tuple[tuple[int, ...], ...] = tuple(
@@ -371,6 +396,10 @@ class ModuleCategory:
     def torsion_sub_with_quotient(self, i: int, tors: TorsionClass
                                   ) -> tuple[ModuleSum, ModuleSum]:
         """Torsion submodule of an indecomposable and the matching quotient."""
+        key = (i, tors.members)
+        cached = self._torsub_cache.get(key)
+        if cached is not None:
+            return cached
         candidates: list[tuple[ModuleSum, ModuleSum]] = [(ZERO, ModuleSum((i,)))]
         if i in tors:
             candidates.append((ModuleSum((i,)), ZERO))
@@ -390,6 +419,7 @@ class ModuleCategory:
                 raise InvariantViolation(
                     f"torsion submodule of {self.display(i)} fails to dominate "
                     f"{self.display_sum(sub)}")
+        self._torsub_cache[key] = best
         return best
 
     def torsion_submodule(self, m, tors: TorsionClass) -> ModuleSum:
@@ -488,24 +518,58 @@ class ModuleCategory:
                         break
             if ok:
                 valid.append(s)
-        classes = tuple(sorted(
-            (frozenset(i for i in range(count) if s >> i & 1) for s in valid),
-            key=lambda f: (len(f), tuple(sorted(f)))))
-        idx = {c: k for k, c in enumerate(classes)}
+        classes = [_members(s, count) for s in valid]
         covers = []
         for ci in classes:
             for cj in classes:
                 if cj < ci and not any(cj < ck < ci for ck in classes):
-                    label = self._cover_label(ci, cj)
-                    covers.append((idx[ci], idx[cj], label))
-        lattice = TorsionLattice(
-            classes=classes,
-            covers=tuple(sorted(covers)),
-            top=idx[frozenset(range(count))],
-            bottom=idx[frozenset()],
-        )
-        self._lattice = lattice
-        return lattice
+                    covers.append((ci, cj, self._cover_label(ci, cj)))
+        self._lattice = _sorted_lattice(count, classes, covers)
+        return self._lattice
+
+    # -- the lattice generated from its covers --------------------------------
+
+    def generated_lattice(self) -> TorsionLattice:
+        """The torsion lattice, generated from its covers by a search down
+        from the whole category.  The lower covers of a class T are the
+        inclusion-maximal sets among T intersected with the left
+        hom-perpendicular of B, over the bricks B in T, and such a B labels
+        its cover (brick labelling: Demonet, Iyama, Reading, Reiten, Thomas,
+        "Lattice theory of torsion classes", arXiv:1711.01785).  Built on the
+        first call; equal to `torsion_lattice()` wherever both run."""
+        if self._generated is not None:
+            return self._generated
+        size = len(self.catalog)
+        hom = self.hom_table
+        # (brick, bitmask of the catalog members x with hom(x, brick) = 0)
+        perps = [(b, sum(1 << x for x in range(size) if hom[x][b] == 0))
+                 for b in self.bricks]
+        top = (1 << size) - 1
+        seen = {top}
+        todo = [top]
+        covers = []
+        while todo:
+            upper = todo.pop()
+            candidates: dict[int, list[int]] = {}
+            for b, perp in perps:
+                if upper >> b & 1:
+                    candidates.setdefault(upper & perp, []).append(b)
+            for lower, labels in candidates.items():
+                if any(lower != other and lower & ~other == 0
+                       for other in candidates):
+                    continue
+                if len(labels) != 1:
+                    raise InvariantViolation(
+                        f"cover below {_members(upper, size)} has "
+                        f"{len(labels)} brick labels: {labels}")
+                covers.append((upper, lower, labels[0]))
+                if lower not in seen:
+                    seen.add(lower)
+                    todo.append(lower)
+        self._generated = _sorted_lattice(
+            size, [_members(m, size) for m in seen],
+            [(_members(u, size), _members(lo, size), b) for u, lo, b in covers])
+        return self._generated
 
     def interval_members(self, upper: frozenset[int], lower: frozenset[int]
                          ) -> frozenset[int]:
@@ -559,6 +623,23 @@ class ModuleCategory:
         if not ids:
             raise UsageError(f"empty module expression {expr!r}")
         return ModuleSum(tuple(ids))
+
+
+def _members(mask: int, size: int) -> frozenset[int]:
+    return frozenset(i for i in range(size) if mask >> i & 1)
+
+
+def _sorted_lattice(size: int, classes, covers) -> TorsionLattice:
+    """The lattice with classes sorted by (size, ids) and (upper, lower,
+    label) cover triples, given as member sets, sorted by index."""
+    ordered = tuple(sorted(classes, key=lambda c: (len(c), tuple(sorted(c)))))
+    idx = {c: k for k, c in enumerate(ordered)}
+    return TorsionLattice(
+        classes=ordered,
+        covers=tuple(sorted((idx[up], idx[lo], lab) for up, lo, lab in covers)),
+        top=idx[frozenset(range(size))],
+        bottom=idx[frozenset()],
+    )
 
 
 def _parse_descriptor(token: str):

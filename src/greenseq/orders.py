@@ -5,16 +5,22 @@ generated by increasing elementary polygonal deformations, reverse
 inclusion of silting summand sets, and refinement of Harder-Narasimhan
 stable factors.  Reverse inclusion of brick sets is a fourth order that
 is only antisymmetric over Nakayama algebras, so it is refused elsewhere.
+
+The deformations across polygons that theorem B checks are read off the
+polygons of the generated torsion lattice rather than found by comparing
+every pair of green sequences; that all-pairs search is kept in the tests
+as the oracle.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import combinations
 
 from .errors import InvariantViolation, UsageError
 from .green import GreenEngine, MGS, SiltingSummand
-from .modcat import ModuleCategory
+from .modcat import ModuleCategory, TorsionClass
 
 ORDER_TAGS = ("pentagon", "summand", "hn", "brick")
 
@@ -270,34 +276,64 @@ def exchange_persistence(engine: GreenEngine, pentagon: ClassPoset) -> dict:
 
 def polygon_deformation_pairs(engine: GreenEngine) -> list[dict]:
     """Pairs of green sequences that differ exactly by a deformation across
-    one finite polygon, with the two side lengths."""
-    all_mgs = engine.enumerate_mgs()
-    chains = [engine.torsion_chain(g) for g in all_mgs]
+    one finite polygon, with the two side lengths, sorted by (first,
+    second) sequence index.
+
+    The polygons are read off the generated torsion lattice: for a class T
+    and two of its lower covers T1, T2, the interval [T1 & T2, T] has
+    exactly two maximal chains, its sides (the lattice is polygonal:
+    Demonet, Iyama, Reading, Reiten, Thomas, arXiv:1711.01785), and its
+    top and bottom share n-2 silting summands.  Each pair is a chain from
+    the top down to T, then one side or the other, then a chain from
+    T1 & T2 down to zero."""
+    engine.enumerate_mgs()
+    index = engine._index
+    lattice = engine.cat.generated_lattice()
+    classes = lattice.classes
+
+    def labels(chains):
+        return [tuple(lab for _, lab in chain) for chain in chains]
+
+    suffixes: dict[int, list[tuple[int, ...]]] = {}
     found = []
-    for k in range(len(all_mgs)):
-        for l in range(k + 1, len(all_mgs)):
-            ck, cl = chains[k], chains[l]
-            a = 0
-            while a < min(len(ck), len(cl)) and ck[a] == cl[a]:
-                a += 1
-            b = 0
-            while (b < min(len(ck), len(cl))
-                   and ck[len(ck) - 1 - b] == cl[len(cl) - 1 - b]):
-                b += 1
-            if a == 0 or b == 0 or a + b > min(len(ck), len(cl)):
-                continue
-            mid_k = set(ck[a:len(ck) - b])
-            mid_l = set(cl[a:len(cl) - b])
-            if mid_k & mid_l:
-                continue
-            top, bottom = ck[a - 1], ck[len(ck) - b]
-            sides = (len(ck) - b - a + 1, len(cl) - b - a + 1)
-            shared = (engine.silting_summands(top)
-                      & engine.silting_summands(bottom))
+    for top in range(len(classes)):
+        downs = lattice.covers_of(top)
+        if len(downs) < 2:
+            continue
+        prefixes = labels(lattice.maximal_chains(end=top))
+        for (t1, _), (t2, _) in combinations(downs, 2):
+            bottom = lattice.index_of(classes[t1] & classes[t2])
+            sides = labels(lattice.maximal_chains(start=top, end=bottom))
+            if len(sides) != 2:
+                raise InvariantViolation(
+                    f"interval [{sorted(classes[bottom])}, {sorted(classes[top])}] "
+                    f"has {len(sides)} sides, not two")
+            shared = (engine.silting_summands(TorsionClass(classes[top]))
+                      & engine.silting_summands(TorsionClass(classes[bottom])))
             if len(shared) != engine.cat.n - 2:
-                continue
-            found.append({"first": k, "second": l, "sides": sides})
+                raise InvariantViolation(
+                    f"polygon [{sorted(classes[bottom])}, {sorted(classes[top])}] "
+                    f"shares {len(shared)} silting summands, not "
+                    f"{engine.cat.n - 2}")
+            if bottom not in suffixes:
+                suffixes[bottom] = labels(lattice.maximal_chains(start=bottom))
+            for pre in prefixes:
+                for suf in suffixes[bottom]:
+                    (k, side_k), (l, side_l) = sorted(
+                        (_sequence_index(index, pre + side + suf), len(side))
+                        for side in sides)
+                    found.append({"first": k, "second": l,
+                                  "sides": (side_k, side_l)})
+    found.sort(key=lambda p: (p["first"], p["second"]))
     return found
+
+
+def _sequence_index(index: dict[tuple[int, ...], int], seq: tuple[int, ...]) -> int:
+    k = index.get(seq)
+    if k is None:
+        raise InvariantViolation(
+            f"polygon chain {list(seq)} is not an enumerated green sequence")
+    return k
 
 
 def hasse_dot(poset: ClassPoset, engine: GreenEngine) -> str:

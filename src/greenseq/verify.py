@@ -33,6 +33,15 @@ class CheckResult:
 # the orders theoremB compares, in the order its checks read them
 THEOREM_B_ORDERS = ("pentagon", "summand", "hn")
 
+# the lemma checks that need the subset-oracle lattice; each is reported
+# as skipped when its gate refuses the lattice
+LATTICE_CHECKS = (
+    "torsion-lattice-degree-n-regular",
+    "mgs-count-matches-lattice-chains",
+    "chain-steps-are-labelled-lattice-covers",
+    "interval-equals-filtration-of-chain-labels",
+)
+
 
 def build_posets(engine: GreenEngine, include_brick: bool) -> dict[str, orders_mod.ClassPoset]:
     tags = THEOREM_B_ORDERS + (("brick",) if include_brick else ())
@@ -232,34 +241,11 @@ def suite_lemmas(cat: ModuleCategory, engine: GreenEngine,
 
     try:
         lattice = cat.torsion_lattice(subset_gate)
-        degree = Counter()
-        for up, lo, _ in lattice.covers:
-            degree[up] += 1
-            degree[lo] += 1
-        bad = [i for i in range(len(lattice.classes)) if degree[i] != cat.n]
-        checks.append(CheckResult("torsion-lattice-degree-n-regular", not bad,
-                                  {"violations": bad,
-                                   "classes": len(lattice.classes)}))
-        count = lattice.maximal_chain_count()
-        checks.append(CheckResult("mgs-count-matches-lattice-chains",
-                                  count == len(all_mgs),
-                                  {"chains": count, "sequences": len(all_mgs)}))
-        bad = []
-        for g in all_mgs:
-            chain = engine.torsion_chain(g)
-            for pos, (up, lo) in enumerate(zip(chain, chain[1:]), start=1):
-                ui = lattice.index_of(up.members)
-                li = lattice.index_of(lo.members)
-                labelled = dict(lattice.covers_of(ui))
-                if labelled.get(li) != g.bricks[pos - 1]:
-                    bad.append({"mgs": [cat.display(b) for b in g.bricks],
-                                "position": pos})
-        checks.append(CheckResult("chain-steps-are-labelled-lattice-covers",
-                                  not bad, {"violations": bad}))
-        checks.append(_filt_interval_check(cat, lattice))
     except GateError as exc:
-        checks.append(CheckResult("torsion-lattice-degree-n-regular", True,
-                                  {"skipped": str(exc)}))
+        checks += [CheckResult(name, True, {"skipped": str(exc)})
+                   for name in LATTICE_CHECKS]
+    else:
+        checks += _lattice_checks(cat, engine, lattice)
 
     bad = []
     for a in range(len(cat.catalog)):
@@ -301,6 +287,39 @@ def suite_lemmas(cat: ModuleCategory, engine: GreenEngine,
         checks.append(CheckResult("interval-hom-dimensions-at-most-one",
                                   not bad, {"violations": bad}))
         checks.append(_representation_directed_check(cat))
+    return checks
+
+
+def _lattice_checks(cat: ModuleCategory, engine: GreenEngine,
+                    lattice) -> list[CheckResult]:
+    """The LATTICE_CHECKS, in that order, against the subset oracle."""
+    checks: list[CheckResult] = []
+    all_mgs = engine.enumerate_mgs()
+    degree = Counter()
+    for up, lo, _ in lattice.covers:
+        degree[up] += 1
+        degree[lo] += 1
+    bad = [i for i in range(len(lattice.classes)) if degree[i] != cat.n]
+    checks.append(CheckResult("torsion-lattice-degree-n-regular", not bad,
+                              {"violations": bad,
+                               "classes": len(lattice.classes)}))
+    count = lattice.maximal_chain_count()
+    checks.append(CheckResult("mgs-count-matches-lattice-chains",
+                              count == len(all_mgs),
+                              {"chains": count, "sequences": len(all_mgs)}))
+    bad = []
+    for g in all_mgs:
+        chain = engine.torsion_chain(g)
+        for pos, (up, lo) in enumerate(zip(chain, chain[1:]), start=1):
+            ui = lattice.index_of(up.members)
+            li = lattice.index_of(lo.members)
+            labelled = dict(lattice.covers_of(ui))
+            if labelled.get(li) != g.bricks[pos - 1]:
+                bad.append({"mgs": [cat.display(b) for b in g.bricks],
+                            "position": pos})
+    checks.append(CheckResult("chain-steps-are-labelled-lattice-covers",
+                              not bad, {"violations": bad}))
+    checks.append(_filt_interval_check(cat, lattice))
     return checks
 
 

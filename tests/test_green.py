@@ -1,12 +1,14 @@
 """Green-sequence engine: enumeration, summands, swaps, HN filtrations."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from greenseq import AlgebraSpec, GreenEngine, ModuleSum
+from greenseq import AlgebraSpec, GreenEngine, ModuleCategory, ModuleSum
 from greenseq.errors import GateError, UsageError
 from greenseq.green import MGS, SiltingSummand
 
-from conftest import category_for, engine_for, full_battery, ids_of, names_of
+from conftest import (EXAMPLE_QUIVER, category_for, engine_for, full_battery,
+                      ids_of, names_of)
 
 
 def mgs_of(cat, names):
@@ -52,10 +54,74 @@ def test_example_ten_sequences(example_cat, example_engine):
     ]
 
 
-def test_enumeration_gate(example_cat):
-    eng = GreenEngine(example_cat, brick_gate=3)
-    with pytest.raises(GateError, match="gate"):
+def test_enumeration_gate(monkeypatch):
+    # the gate fires before the lattice is generated, and neither the
+    # category nor the engine generates it at construction
+    def refuse(self):
+        raise AssertionError("torsion lattice generated")
+
+    monkeypatch.setattr(ModuleCategory, "generated_lattice", refuse)
+    eng = GreenEngine(ModuleCategory(EXAMPLE_QUIVER), brick_gate=3)
+    with pytest.raises(GateError) as exc:
         eng.enumerate_mgs()
+    assert str(exc.value) == ("6 bricks exceed the enumeration gate of 3; "
+                              "raise the gate to force it")
+
+
+def _insertion_dfs(eng):
+    """Oracle: every backward Hom-orthogonal brick sequence, built brick
+    by brick in increasing id order and kept when no brick can be
+    inserted anywhere."""
+    out = []
+
+    def dfs(prefix, cand):
+        if cand == 0:
+            if eng._insertion_maximal(tuple(prefix)) is None:
+                out.append(MGS(tuple(prefix)))
+            return
+        m = cand
+        while m:
+            low = m & -m
+            m ^= low
+            b = eng.bricks[low.bit_length() - 1]
+            prefix.append(b)
+            dfs(prefix, cand & eng._after_ok[b])
+            prefix.pop()
+
+    for b in eng.bricks:
+        dfs([b], eng._full & eng._after_ok[b])
+    return out
+
+
+@pytest.mark.parametrize(
+    "spec", full_battery() + [AlgebraSpec.type_a("<<<<"),
+                              AlgebraSpec.nakayama([3, 3, 3, 2, 1])],
+    ids=lambda s: s.label())
+def test_enumeration_matches_insertion_dfs(spec):
+    eng = GreenEngine(ModuleCategory(spec))
+    assert eng.enumerate_mgs() == _insertion_dfs(eng)
+
+
+@st.composite
+def _small_algebra(draw):
+    """A type-A orientation word or an admissible linear Kupisch series
+    (c_n = 1, 2 <= c_i <= c_{i+1} + 1) on at most five vertices."""
+    n = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        return AlgebraSpec.type_a(draw(st.text("<>", min_size=n - 1,
+                                               max_size=n - 1)))
+    series = [1]
+    while len(series) < n:
+        series.insert(0, draw(st.integers(2, series[0] + 1)))
+    return AlgebraSpec.nakayama(series)
+
+
+# derandomized: a five-vertex type-A draw costs the oracle up to 4.5 s
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(_small_algebra())
+def test_enumeration_matches_insertion_dfs_on_drawn_algebras(spec):
+    eng = GreenEngine(ModuleCategory(spec))
+    assert eng.enumerate_mgs() == _insertion_dfs(eng)
 
 
 @pytest.mark.parametrize("spec", full_battery(), ids=lambda s: s.label())

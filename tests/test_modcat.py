@@ -290,6 +290,46 @@ def test_lattice_n_regular(spec):
     assert all(d == cat.n for d in degree.values())
 
 
+@pytest.mark.parametrize("spec", full_battery(), ids=lambda s: s.label())
+def test_generated_lattice_equals_subset_oracle(spec):
+    cat = category_for(spec)
+    assert cat.generated_lattice() == cat.torsion_lattice()
+
+
+def _maximal_chains_by_recursion(lat, start, end):
+    """Oracle: every cover path from start, kept when it ends at end."""
+    below = {}
+    for up, lo, lab in lat.covers:
+        below.setdefault(up, []).append((lo, lab))
+    chains = []
+
+    def walk(idx, acc):
+        if idx == end:
+            chains.append(list(acc))
+            return
+        for lo, lab in sorted(below.get(idx, [])):
+            acc.append((lo, lab))
+            walk(lo, acc)
+            acc.pop()
+
+    walk(start, [])
+    return chains
+
+
+@pytest.mark.parametrize("spec", [AlgebraSpec.type_a("<>"),
+                                  AlgebraSpec.nakayama([3, 3], cyclic=True)],
+                         ids=lambda s: s.label())
+def test_maximal_chains_between_every_two_classes(spec):
+    lat = category_for(spec).torsion_lattice()
+    for start in range(len(lat.classes)):
+        for end in range(len(lat.classes)):
+            assert (lat.maximal_chains(start=start, end=end)
+                    == _maximal_chains_by_recursion(lat, start, end))
+    assert lat.maximal_chains() == _maximal_chains_by_recursion(
+        lat, lat.top, lat.bottom)
+    assert len(lat.maximal_chains()) == lat.maximal_chain_count()
+
+
 @pytest.mark.parametrize("label", ["typeA-<>", "typeA-<", "nak-2,2-cyclic", "nak-2,2,1"])
 def test_filt_interval_decomposition(label):
     spec = {

@@ -2,8 +2,8 @@
 
 import pytest
 
-from greenseq import AlgebraSpec
-from greenseq.errors import UsageError
+from greenseq import AlgebraSpec, GreenEngine, ModuleCategory
+from greenseq.errors import InvariantViolation, UsageError
 from greenseq.green import MGS
 from greenseq.orders import (build_order, check_extrema, exchange_persistence,
                              hasse_dot, iepd_cover_pairs, orders_equal_report,
@@ -213,6 +213,58 @@ def test_example_polygon_sides(example_engine):
     # square (2,2) or pentagon-like (2,k); no unoriented ones
     for p in polygon_deformation_pairs(example_engine):
         assert min(p["sides"]) == 2
+
+
+def _all_pairs_polygons(engine):
+    """Oracle: compare every two sequences; keep those whose torsion chains
+    split at one class, meet again at the first shared class below, and
+    whose top and bottom there share n-2 silting summands."""
+    all_mgs = engine.enumerate_mgs()
+    chains = [engine.torsion_chain(g) for g in all_mgs]
+    found = []
+    for k in range(len(all_mgs)):
+        for l in range(k + 1, len(all_mgs)):
+            ck, cl = chains[k], chains[l]
+            a = 0
+            while a < min(len(ck), len(cl)) and ck[a] == cl[a]:
+                a += 1
+            b = 0
+            while (b < min(len(ck), len(cl))
+                   and ck[len(ck) - 1 - b] == cl[len(cl) - 1 - b]):
+                b += 1
+            if a == 0 or b == 0 or a + b > min(len(ck), len(cl)):
+                continue
+            if set(ck[a:len(ck) - b]) & set(cl[a:len(cl) - b]):
+                continue
+            top, bottom = ck[a - 1], ck[len(ck) - b]
+            shared = (engine.silting_summands(top)
+                      & engine.silting_summands(bottom))
+            if len(shared) != engine.cat.n - 2:
+                continue
+            found.append({"first": k, "second": l,
+                          "sides": (len(ck) - b - a + 1, len(cl) - b - a + 1)})
+    return found
+
+
+@pytest.mark.parametrize("spec", full_battery(), ids=lambda s: s.label())
+def test_polygon_pairs_match_all_pairs_search(spec):
+    eng = engine_for(spec)
+    assert polygon_deformation_pairs(eng) == _all_pairs_polygons(eng)
+
+
+def test_polygon_chain_missing_from_the_index_is_a_violation():
+    eng = GreenEngine(ModuleCategory(AlgebraSpec.type_a("<")))
+    eng.enumerate_mgs()
+    del eng._index[eng.enumerate_mgs()[0].bricks]
+    with pytest.raises(InvariantViolation, match="not an enumerated"):
+        polygon_deformation_pairs(eng)
+
+
+def test_polygon_without_shared_summands_is_a_violation(monkeypatch):
+    eng = GreenEngine(ModuleCategory(AlgebraSpec.type_a("<>")))
+    monkeypatch.setattr(eng, "silting_summands", lambda tors: frozenset())
+    with pytest.raises(InvariantViolation, match="silting summands"):
+        polygon_deformation_pairs(eng)
 
 
 # -- DOT emission ------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 
 from greenseq import AlgebraSpec, GreenEngine, ModuleCategory
 from greenseq import orders
-from greenseq.verify import _filt_interval_check, run_suite
+from greenseq.verify import LATTICE_CHECKS, _filt_interval_check, run_suite
 
 from conftest import category_for
 
@@ -47,3 +47,20 @@ def test_filt_interval_check_runs_beyond_twenty_classes():
     check = _filt_interval_check(cat, lattice)
     assert check.passed
     assert check.detail == {"violations": []}
+
+
+def test_gated_lemmas_report_each_lattice_check_as_skipped():
+    def lemmas(**gate):
+        cat = ModuleCategory(AlgebraSpec.type_a("<>"))
+        return run_suite("lemmas", cat, GreenEngine(cat), **gate)
+
+    gated = lemmas(subset_gate=4)
+    full = lemmas()
+    assert [c.name for c in gated] == [c.name for c in full]
+    for before, after in zip(full, gated):
+        if after.name in LATTICE_CHECKS:
+            assert after.passed
+            assert "gate of 4" in after.detail["skipped"]
+        else:
+            assert after.to_dict() == before.to_dict()
+    assert sum(c.name in LATTICE_CHECKS for c in full) == len(LATTICE_CHECKS)

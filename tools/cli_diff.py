@@ -1,0 +1,142 @@
+"""Compare the command-line output of two greenseq source trees.
+
+Runs the same CLI calls, each in a fresh process, once with each tree's
+`src/` on PYTHONPATH, and reports every call whose stdout bytes or exit
+code differ.  Standard library only.
+
+    python3 tools/cli_diff.py OLD/src NEW/src
+
+The battery: every type-A orientation word and every admissible linear
+Kupisch series on at most four vertices, the cyclic series 2,2 / 3,3 /
+2,2,2 / 3,2,2, typeA <<<<, Nakayama 3,3,3,2,1 and cyclic 3,3,3, each with
+`catalog`, `bricks`, `mgs`, `classes`, `poset --format json` for every
+order that applies and `verify --suite all`; and `mgs` on typeA <><>.
+Exit code 0 when every call matches, 1 when some call differs or times
+out.
+"""
+
+from __future__ import annotations
+
+import argparse
+import itertools
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+CALL_TIMEOUT_S = 3600
+# CLI processes at once: the two trees' runs of one call go side by side
+JOBS = 2
+
+
+def type_a(word: str) -> dict:
+    return {"type": "typeA", "orientation": word}
+
+
+def nakayama(kupisch, cyclic: bool = False) -> dict:
+    return {"type": "nakayama", "cyclic": cyclic, "kupisch": list(kupisch)}
+
+
+def linear_kupisch(max_n: int):
+    """Admissible linear series: c_n = 1 and 2 <= c_i <= c_{i+1} + 1."""
+    out = []
+    for n in range(1, max_n + 1):
+        seqs = [(1,)]
+        while len(seqs[0]) < n:
+            seqs = [(c,) + s for s in seqs for c in range(2, s[0] + 2)]
+        out += seqs
+    return out
+
+
+def battery() -> list[tuple[dict, bool]]:
+    """(algebra, every command or `mgs` only)."""
+    specs = [type_a("".join(w)) for n in range(1, 5)
+             for w in itertools.product("<>", repeat=n - 1)]
+    specs += [nakayama(s) for s in linear_kupisch(4)]
+    specs += [nakayama(s, cyclic=True)
+              for s in ([2, 2], [3, 3], [2, 2, 2], [3, 2, 2])]
+    specs += [type_a("<<<<"), nakayama([3, 3, 3, 2, 1]),
+              nakayama([3, 3, 3], cyclic=True)]
+    return [(spec, True) for spec in specs] + [(type_a("<><>"), False)]
+
+
+def label(spec: dict) -> str:
+    if spec["type"] == "typeA":
+        return f"typeA {spec['orientation'] or 'A1'}"
+    kind = "cyclic" if spec["cyclic"] else "linear"
+    return f"nakayama {kind} {','.join(map(str, spec['kupisch']))}"
+
+
+def commands(spec: dict, full: bool) -> list[list[str]]:
+    if not full:
+        return [["mgs"]]
+    orders = ["pentagon", "summand", "hn"]
+    if spec["type"] == "nakayama":
+        orders.append("brick")
+    return ([["catalog"], ["bricks"], ["mgs"], ["classes"]]
+            + [["poset", "--order", o, "--format", "json"] for o in orders]
+            + [["verify", "--suite", "all"]])
+
+
+def run(src: Path, command: list[str], path: Path, cwd: Path):
+    """(exit code, stdout bytes) of one fresh CLI process; exit code None
+    on timeout."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    argv = [sys.executable, "-m", "greenseq", command[0], str(path), *command[1:]]
+    try:
+        proc = subprocess.run(argv, cwd=cwd, env=env, capture_output=True,
+                              timeout=CALL_TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return None, b""
+    return proc.returncode, proc.stdout
+
+
+def first_difference(old: bytes, new: bytes) -> str:
+    a, b = old.splitlines(), new.splitlines()
+    for k, (x, y) in enumerate(zip(a, b), start=1):
+        if x != y:
+            return (f"line {k}: {x[:160].decode(errors='replace')!r} -> "
+                    f"{y[:160].decode(errors='replace')!r}")
+    return f"{len(a)} lines -> {len(b)} lines"
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("old", type=Path, help="the first tree's src/ directory")
+    parser.add_argument("new", type=Path, help="the second tree's src/ directory")
+    args = parser.parse_args(argv)
+    for src in (args.old, args.new):
+        if not (src / "greenseq" / "__init__.py").is_file():
+            parser.error(f"{src} holds no greenseq package")
+    srcs = (args.old.resolve(), args.new.resolve())
+
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        calls = []
+        for k, (spec, full) in enumerate(battery()):
+            path = tmp / f"algebra{k}.json"
+            path.write_text(json.dumps(spec), encoding="utf-8")
+            calls += [(label(spec), cmd, path) for cmd in commands(spec, full)]
+        with ThreadPoolExecutor(max_workers=JOBS) as pool:
+            futures = [[pool.submit(run, src, cmd, path, tmp) for src in srcs]
+                       for _, cmd, path in calls]
+            results = [[f.result() for f in pair] for pair in futures]
+
+    differing = 0
+    for (name, cmd, _), ((old_code, old_out), (new_code, new_out)) in zip(
+            calls, results):
+        if (None not in (old_code, new_code) and old_code == new_code
+                and old_out == new_out):
+            continue
+        differing += 1
+        print(f"DIFF {name}: {' '.join(cmd)}: exit {old_code} -> {new_code}; "
+              f"{first_difference(old_out, new_out)}")
+    print(f"{len(calls)} calls, {differing} differ")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
