@@ -7,10 +7,19 @@ sequence of bricks: hom(B_j, B_i) = 0 whenever i < j, and no brick can
 be inserted anywhere.  These are the cover labels of the maximal chains
 of the torsion lattice, so the sequences are read off the lattice that
 `ModuleCategory.generated_lattice` builds from its covers; the validity
-of a given brick list is decided by bitmask Hom tests.  Equivalence
-classes are computed four ways at once (square-swap closure, summand
-sets, exchange pairs, stable-factor functions); any disagreement raises
-instead of being reconciled.
+of a given brick list is decided by bitmask Hom tests.
+
+The torsion chain of a sequence is read from one bitmask per brick:
+T_0 is the whole catalog and T_i = T_{i-1} & perp[B_i], the cover of
+T_{i-1} labelled B_i (`ModuleCategory.perp_masks`); each distinct class
+is built and checked once.  The exchange pair and the Harder-Narasimhan
+layer t_U(x)/t_L(x) of each module x are tabled per cover (upper class
+U, label) and shared by every sequence through it; HN filtrations and
+stable-factor functions are assembled from those layers.
+
+Equivalence classes are computed four ways at once (square-swap closure,
+summand sets, exchange pairs, stable-factor functions); any disagreement
+raises instead of being reconciled.
 """
 
 from __future__ import annotations
@@ -95,10 +104,17 @@ class GreenEngine:
         self._all_mgs: list[MGS] | None = None
         self._index: dict[tuple[int, ...], int] = {}
         self._chain_cache: dict[tuple[int, ...], list[TorsionClass]] = {}
+        self._classes_by_mask: dict[int, TorsionClass] = {}
         self._silting_cache: dict[frozenset, frozenset] = {}
         self._summand_cache: dict[tuple[int, ...], frozenset] = {}
         self._exchange_cache: dict[tuple[int, ...], tuple] = {}
+        # per cover, keyed by (upper class members, label)
+        self._cover_exchange_cache: dict[tuple[frozenset, int], ExchangePair] = {}
+        self._layer_cache: dict[tuple[int, frozenset, int], tuple | None] = {}
+        self._cover_mult_cache: dict[tuple[frozenset, int], tuple] = {}
         self._sff_cache: dict[tuple[int, ...], tuple] = {}
+        # (a, b) -> hom(a, b) = ext^1(a, b) = 0, filled by square_swap
+        self._commutes: dict[tuple[int, int], bool] = {}
         self._classes: list[EquivClass] | None = None
         self._class_of: dict[int, int] = {}
 
@@ -189,12 +205,22 @@ class GreenEngine:
     # -- torsion chain and silting summands --------------------------------------
 
     def torsion_chain(self, g: MGS) -> list[TorsionClass]:
+        """T_0 = the whole catalog and T_i = T_{i-1} & perp[B_i]: each step
+        is the cover of T_{i-1} labelled B_i."""
         key = g.bricks
         cached = self._chain_cache.get(key)
         if cached is not None:
             return list(cached)
-        chain = [self.cat.torsion_closure(frozenset(key[i:]))
-                 for i in range(len(key) + 1)]
+        perp = self.cat.perp_masks
+        mask = (1 << len(self.cat.catalog)) - 1
+        chain = [self._torsion_class(mask)]
+        for b in key:
+            if not mask >> b & 1:
+                raise InvariantViolation(
+                    f"brick {self.cat.display(b)} lies outside the torsion "
+                    f"class it should label a cover of")
+            mask &= perp[b]
+            chain.append(self._torsion_class(mask))
         if chain[0].members != frozenset(range(len(self.cat.catalog))):
             raise InvariantViolation(
                 "green sequence does not generate the whole module category")
@@ -205,6 +231,19 @@ class GreenEngine:
                 raise InvariantViolation("green sequence chain is not strictly decreasing")
         self._chain_cache[key] = chain
         return list(chain)
+
+    def _torsion_class(self, mask: int) -> TorsionClass:
+        """The one shared TorsionClass of a member bitmask, checked to be
+        closed on first use."""
+        tors = self._classes_by_mask.get(mask)
+        if tors is None:
+            members = frozenset(x for x in range(len(self.cat.catalog))
+                                if mask >> x & 1)
+            if not self.cat.is_torsion_class(members):
+                raise InvariantViolation(
+                    f"chain step {sorted(members)} is not a torsion class")
+            tors = self._classes_by_mask[mask] = TorsionClass(members)
+        return tors
 
     def silting_summands(self, tors: TorsionClass) -> frozenset[SiltingSummand]:
         key = tors.members
@@ -248,17 +287,25 @@ class GreenEngine:
         if cached is not None:
             return cached
         chain = self.torsion_chain(g)
-        pairs = []
-        for up, lo in zip(chain, chain[1:]):
+        result = tuple(self._cover_exchange(up, lo, b)
+                       for up, lo, b in zip(chain, chain[1:], key))
+        self._exchange_cache[key] = result
+        return result
+
+    def _cover_exchange(self, up: TorsionClass, lo: TorsionClass,
+                        b: int) -> ExchangePair:
+        """The exchange pair of the cover of `up` labelled b."""
+        key = (up.members, b)
+        pair = self._cover_exchange_cache.get(key)
+        if pair is None:
             su, sl = self.silting_summands(up), self.silting_summands(lo)
             gone, came = su - sl, sl - su
             if len(gone) != 1 or len(came) != 1:
                 raise InvariantViolation(
                     f"mutation step changes {len(gone)}+{len(came)} summands")
-            pairs.append(ExchangePair(next(iter(gone)), next(iter(came))))
-        result = tuple(pairs)
-        self._exchange_cache[key] = result
-        return result
+            pair = self._cover_exchange_cache[key] = ExchangePair(
+                next(iter(gone)), next(iter(came)))
+        return pair
 
     # -- square deformations -------------------------------------------------------
 
@@ -268,7 +315,11 @@ class GreenEngine:
         if not 1 <= i < len(g.bricks):
             raise UsageError(f"swap position {i} out of range 1..{len(g.bricks) - 1}")
         a, b = g.bricks[i - 1], g.bricks[i]
-        if self.cat.hom_table[a][b] != 0 or self.cat.ext1(a, b) != 0:
+        commutes = self._commutes.get((a, b))
+        if commutes is None:
+            commutes = self._commutes[(a, b)] = (
+                self.cat.hom_table[a][b] == 0 and self.cat.ext1(a, b) == 0)
+        if not commutes:
             return None
         seq = g.bricks[:i - 1] + (b, a) + g.bricks[i + 1:]
         reason = self.explain_invalid(seq)
@@ -281,38 +332,48 @@ class GreenEngine:
     def hn_filtration(self, module, g: MGS) -> HNResult:
         msum = module if isinstance(module, ModuleSum) else ModuleSum((module,))
         chain = self.torsion_chain(g)
-        steps: dict[int, list[int]] = {}
-
-        def peel(x: int) -> None:
-            j = max(k for k, tors in enumerate(chain) if x in tors)
-            sub, quot = self.cat.torsion_sub_with_quotient(x, chain[j + 1])
-            steps.setdefault(j + 1, []).extend(quot.ids)
-            for y in sub.ids:
-                peel(y)
-
-        for x in msum.ids:
-            peel(x)
         layers = []
-        for pos in sorted(steps):
-            factor = ModuleSum(tuple(steps[pos]))
-            brick = g.bricks[pos - 1]
-            filt = self.cat.filt_indecs(frozenset((brick,)))
-            if not set(factor.ids) <= filt:
-                raise InvariantViolation(
-                    f"layer {self.cat.display_sum(factor)} escapes the "
-                    f"filtration category of {self.cat.display(brick)}")
-            fdim, bdim = self.cat.dim_sum(factor), self.cat.indec(brick).dim
-            if fdim % bdim != 0:
-                raise InvariantViolation(
-                    f"layer dimension {fdim} not a multiple of brick "
-                    f"dimension {bdim}")
-            layers.append(HNLayer(position=pos, brick=brick, factor=factor,
-                                  multiplicity=fdim // bdim))
+        for pos, (up, lo, b) in enumerate(zip(chain, chain[1:], g.bricks), 1):
+            parts = [self._cover_layer(x, up, lo, b) for x in msum.ids]
+            parts = [p for p in parts if p is not None]
+            if parts:
+                layers.append(HNLayer(
+                    position=pos, brick=b,
+                    factor=ModuleSum(tuple(i for ids, _ in parts for i in ids)),
+                    multiplicity=sum(mult for _, mult in parts)))
         total = self.cat.dimvec_sum(ModuleSum(tuple(
             i for layer in layers for i in layer.factor.ids)))
         if total != self.cat.dimvec_sum(msum):
             raise InvariantViolation("layer dimension vectors do not sum up")
         return HNResult(layers=tuple(layers))
+
+    def _cover_layer(self, x: int, up: TorsionClass, lo: TorsionClass,
+                     b: int) -> tuple[tuple[int, ...], int] | None:
+        """t_up(x)/t_lo(x) for the cover of `up` labelled b, as (factor
+        ids, multiplicity of b), or None when it is zero."""
+        key = (x, up.members, b)
+        try:
+            return self._layer_cache[key]
+        except KeyError:
+            pass
+        cat = self.cat
+        sub, _ = cat.torsion_sub_with_quotient(x, up)
+        ids = tuple(sorted(i for y in sub.ids
+                           for i in cat.torsion_sub_with_quotient(y, lo)[1].ids))
+        layer = None
+        if ids:
+            if not set(ids) <= cat.filt_indecs(frozenset((b,))):
+                raise InvariantViolation(
+                    f"layer {cat.display_sum(ModuleSum(ids))} escapes the "
+                    f"filtration category of {cat.display(b)}")
+            fdim, bdim = cat.dim_sum(ModuleSum(ids)), cat.indec(b).dim
+            if fdim % bdim != 0:
+                raise InvariantViolation(
+                    f"layer dimension {fdim} not a multiple of brick "
+                    f"dimension {bdim}")
+            layer = (ids, fdim // bdim)
+        self._layer_cache[key] = layer
+        return layer
 
     def stable_factors(self, module, g: MGS) -> Counter:
         """Multiset of bricks occurring as stable factors of the module."""
@@ -326,10 +387,37 @@ class GreenEngine:
         cached = self._sff_cache.get(key)
         if cached is not None:
             return dict(cached)
-        table = {x: tuple(sorted(self.stable_factors(x, g).items()))
-                 for x in range(len(self.cat.catalog))}
-        self._sff_cache[key] = tuple(sorted(table.items()))
+        catalog = self.cat.catalog
+        rows: dict[int, list[tuple[int, int]]] = {x: [] for x in range(len(catalog))}
+        dims = [0] * len(catalog)
+        chain = self.torsion_chain(g)
+        for up, lo, b in zip(chain, chain[1:], key):
+            bdim = catalog[b].dim
+            for x, mult in self._cover_multiplicities(up, lo, b):
+                rows[x].append((b, mult))
+                dims[x] += mult * bdim
+        # the factors lie in Filt(b), so the layers of x add up to dim x
+        for x, dim in enumerate(dims):
+            if dim != catalog[x].dim:
+                raise InvariantViolation(
+                    f"layer dimensions of {self.cat.display(x)} sum to {dim}, "
+                    f"not {catalog[x].dim}")
+        table = {x: tuple(sorted(row)) for x, row in rows.items()}
+        self._sff_cache[key] = tuple(table.items())
         return table
+
+    def _cover_multiplicities(self, up: TorsionClass, lo: TorsionClass,
+                              b: int) -> tuple[tuple[int, int], ...]:
+        """(x, multiplicity of b) for every catalog module x with a
+        non-zero layer at the cover of `up` labelled b."""
+        key = (up.members, b)
+        found = self._cover_mult_cache.get(key)
+        if found is None:
+            layers = ((x, self._cover_layer(x, up, lo, b))
+                      for x in range(len(self.cat.catalog)))
+            found = self._cover_mult_cache[key] = tuple(
+                (x, layer[1]) for x, layer in layers if layer is not None)
+        return found
 
     def sff_key(self, g: MGS) -> tuple:
         self.stable_factor_function(g)

@@ -11,8 +11,10 @@ against the presentation-based computation in both cases.
 Torsion classes are membership sets over the catalog, closed under
 indecomposable quotients and under extensions with indecomposable middle
 term.  The torsion lattice is generated from its brick-labelled covers
-on first use (`generated_lattice`); the green sequence machinery reads
-it.  A brute-force enumeration over all subsets of the catalog
+on first use (`generated_lattice`): the cover labelled B below T is T
+intersected with the bitmask of B's left Hom-perpendicular
+(`perp_masks`), which the torsion chains of green sequences read too.
+A brute-force enumeration over all subsets of the catalog
 (`torsion_lattice`) stays as the independent oracle that the
 verification suites and tests compare against.
 """
@@ -478,13 +480,13 @@ class ModuleCategory:
     # -- the brute-force lattice oracle -------------------------------------
 
     def torsion_lattice(self, size_gate: int = DEFAULT_SUBSET_GATE) -> TorsionLattice:
-        if self._lattice is not None:
-            return self._lattice
         count = len(self.catalog)
         if (1 << count) > size_gate:
             raise GateError(
                 f"torsion lattice needs 2^{count} subset checks, above the "
                 f"gate of {size_gate}; raise the gate to force it")
+        if self._lattice is not None:
+            return self._lattice
         qmask = []
         for i in range(count):
             m = 0
@@ -529,6 +531,16 @@ class ModuleCategory:
 
     # -- the lattice generated from its covers --------------------------------
 
+    @cached_property
+    def perp_masks(self) -> dict[int, int]:
+        """brick -> bitmask of the catalog members x with hom(x, brick) = 0.
+        The cover labelled B below a torsion class T is T intersected with
+        this mask; built on first use."""
+        size = len(self.catalog)
+        hom = self.hom_table
+        return {b: sum(1 << x for x in range(size) if hom[x][b] == 0)
+                for b in self.bricks}
+
     def generated_lattice(self) -> TorsionLattice:
         """The torsion lattice, generated from its covers by a search down
         from the whole category.  The lower covers of a class T are the
@@ -540,10 +552,7 @@ class ModuleCategory:
         if self._generated is not None:
             return self._generated
         size = len(self.catalog)
-        hom = self.hom_table
-        # (brick, bitmask of the catalog members x with hom(x, brick) = 0)
-        perps = [(b, sum(1 << x for x in range(size) if hom[x][b] == 0))
-                 for b in self.bricks]
+        perps = list(self.perp_masks.items())
         top = (1 << size) - 1
         seen = {top}
         todo = [top]

@@ -279,6 +279,14 @@ def test_lattice_gate():
         cat.torsion_lattice(size_gate=4)
 
 
+def test_lattice_gate_holds_after_the_lattice_is_cached():
+    cat = ModuleCategory(AlgebraSpec.type_a("<>"))
+    lattice = cat.torsion_lattice()
+    with pytest.raises(GateError, match="gate"):
+        cat.torsion_lattice(size_gate=4)
+    assert cat.torsion_lattice() is lattice
+
+
 @pytest.mark.parametrize("spec", full_battery(), ids=lambda s: s.label())
 def test_lattice_n_regular(spec):
     cat = category_for(spec)

@@ -64,3 +64,14 @@ def test_gated_lemmas_report_each_lattice_check_as_skipped():
         else:
             assert after.to_dict() == before.to_dict()
     assert sum(c.name in LATTICE_CHECKS for c in full) == len(LATTICE_CHECKS)
+
+
+def test_gated_lemmas_skip_after_an_ungated_lattice_call():
+    # the lattice cached by the first call must not slip past the gate
+    cat = ModuleCategory(AlgebraSpec.type_a("<>"))
+    cat.torsion_lattice()
+    checks = run_suite("lemmas", cat, GreenEngine(cat), subset_gate=4)
+    skipped = [c.name for c in checks if "skipped" in c.detail]
+    assert skipped == list(LATTICE_CHECKS)
+    assert all("gate of 4" in c.detail["skipped"]
+               for c in checks if c.name in LATTICE_CHECKS)

@@ -11,8 +11,13 @@ Kupisch series on at most four vertices, the cyclic series 2,2 / 3,3 /
 2,2,2 / 3,2,2, typeA <<<<, Nakayama 3,3,3,2,1 and cyclic 3,3,3, each with
 `catalog`, `bricks`, `mgs`, `classes`, `poset --format json` for every
 order that applies and `verify --suite all`; and `mgs` on typeA <><>.
-Exit code 0 when every call matches, 1 when some call differs or times
-out.
+Then, on each of those algebras with every command, `hn` along the first
+and the last sequence of the first tree's `mgs` output, given as a brick
+list, once with `--module` the sum of every catalog module (#0+#1+...)
+and once for each single module.  A call that both trees reject with a
+usage error (exit 2) is reported too: the battery should make none.
+Exit code 0 when every call matches, 1 when some call differs, times
+out or is rejected.
 """
 
 from __future__ import annotations
@@ -81,6 +86,18 @@ def commands(spec: dict, full: bool) -> list[list[str]]:
             + [["verify", "--suite", "all"]])
 
 
+def hn_commands(catalog_out: bytes, mgs_out: bytes) -> list[list[str]]:
+    """`hn` calls along the first and the last listed sequence, read from
+    the `catalog` and `mgs` outputs of one algebra."""
+    size = len(json.loads(catalog_out)["modules"])
+    seqs = json.loads(mgs_out)["sequences"]
+    modules = ["+".join(f"#{i}" for i in range(size))]
+    modules += [f"#{i}" for i in range(size)]
+    return [["hn", "--mgs", ",".join(f"#{i}" for i in seq["ids"]),
+             "--module", m]
+            for seq in (seqs[0], seqs[-1]) for m in modules]
+
+
 def run(src: Path, command: list[str], path: Path, cwd: Path):
     """(exit code, stdout bytes) of one fresh CLI process; exit code None
     on timeout."""
@@ -113,29 +130,46 @@ def main(argv=None) -> int:
             parser.error(f"{src} holds no greenseq package")
     srcs = (args.old.resolve(), args.new.resolve())
 
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, \
+            ThreadPoolExecutor(max_workers=JOBS) as pool:
         tmp = Path(tmp)
-        calls = []
+
+        def run_both(batch):
+            futures = [[pool.submit(run, src, cmd, path, tmp) for src in srcs]
+                       for _, cmd, path in batch]
+            return [[f.result() for f in pair] for pair in futures]
+
+        calls, paths = [], []
         for k, (spec, full) in enumerate(battery()):
             path = tmp / f"algebra{k}.json"
             path.write_text(json.dumps(spec), encoding="utf-8")
             calls += [(label(spec), cmd, path) for cmd in commands(spec, full)]
-        with ThreadPoolExecutor(max_workers=JOBS) as pool:
-            futures = [[pool.submit(run, src, cmd, path, tmp) for src in srcs]
-                       for _, cmd, path in calls]
-            results = [[f.result() for f in pair] for pair in futures]
+            if full:
+                paths.append((label(spec), path))
+        results = run_both(calls)
+        # the old tree's catalog and mgs outputs name the hn calls
+        first_out = {(name, cmd[0]): res[0][1]
+                   for (name, cmd, _), res in zip(calls, results)}
+        hn_calls = [(name, cmd, path) for name, path in paths
+                    for cmd in hn_commands(first_out[name, "catalog"],
+                                           first_out[name, "mgs"])]
+        calls += hn_calls
+        results += run_both(hn_calls)
 
-    differing = 0
+    differing = rejected = 0
     for (name, cmd, _), ((old_code, old_out), (new_code, new_out)) in zip(
             calls, results):
         if (None not in (old_code, new_code) and old_code == new_code
                 and old_out == new_out):
+            if old_code == 2:
+                rejected += 1
+                print(f"REJECTED {name}: {' '.join(cmd)}: exit 2 in both trees")
             continue
         differing += 1
         print(f"DIFF {name}: {' '.join(cmd)}: exit {old_code} -> {new_code}; "
               f"{first_difference(old_out, new_out)}")
-    print(f"{len(calls)} calls, {differing} differ")
-    return 1 if differing else 0
+    print(f"{len(calls)} calls, {differing} differ, {rejected} rejected")
+    return 1 if differing or rejected else 0
 
 
 if __name__ == "__main__":
