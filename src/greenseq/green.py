@@ -19,13 +19,22 @@ stable-factor functions are assembled from those layers.
 
 Equivalence classes are computed four ways at once (square-swap closure,
 summand sets, exchange pairs, stable-factor functions); any disagreement
-raises instead of being reconciled.
+raises instead of being reconciled.  The last three keys come from one
+walk of the generated lattice in label order: every silting summand,
+exchange pair and (module, brick, multiplicity) HN entry is numbered,
+each class and cover contributes a bitmask, and a sequence's key is the
+OR of the masks along its chain, so shared prefixes are computed once.
+The swap closure swaps each commuting adjacent pair (hom = ext^1 = 0)
+and looks the result up in the sequence index.  The per-sequence
+methods (`summand_set`, `exchange_pairs`, `stable_factor_function`,
+`square_swap`) stay for the orders, the lemma battery and the tests.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import combinations
 
 from .errors import GateError, InvariantViolation, TheoremViolation, UsageError
 from .modcat import ModuleCategory, ModuleSum, TorsionClass
@@ -113,7 +122,7 @@ class GreenEngine:
         self._layer_cache: dict[tuple[int, frozenset, int], tuple | None] = {}
         self._cover_mult_cache: dict[tuple[frozenset, int], tuple] = {}
         self._sff_cache: dict[tuple[int, ...], tuple] = {}
-        # (a, b) -> hom(a, b) = ext^1(a, b) = 0, filled by square_swap
+        # (a, b) -> hom(a, b) = ext^1(a, b) = 0, filled by _commute
         self._commutes: dict[tuple[int, int], bool] = {}
         self._classes: list[EquivClass] | None = None
         self._class_of: dict[int, int] = {}
@@ -315,17 +324,21 @@ class GreenEngine:
         if not 1 <= i < len(g.bricks):
             raise UsageError(f"swap position {i} out of range 1..{len(g.bricks) - 1}")
         a, b = g.bricks[i - 1], g.bricks[i]
-        commutes = self._commutes.get((a, b))
-        if commutes is None:
-            commutes = self._commutes[(a, b)] = (
-                self.cat.hom_table[a][b] == 0 and self.cat.ext1(a, b) == 0)
-        if not commutes:
+        if not self._commute(a, b):
             return None
         seq = g.bricks[:i - 1] + (b, a) + g.bricks[i + 1:]
         reason = self.explain_invalid(seq)
         if reason is not None:
             raise InvariantViolation(f"square swap broke the sequence: {reason}")
         return MGS(seq)
+
+    def _commute(self, a: int, b: int) -> bool:
+        """hom(a, b) = ext^1(a, b) = 0, memoised per ordered pair."""
+        commutes = self._commutes.get((a, b))
+        if commutes is None:
+            commutes = self._commutes[(a, b)] = (
+                self.cat.hom_table[a][b] == 0 and self.cat.ext1(a, b) == 0)
+        return commutes
 
     # -- Harder-Narasimhan filtrations ------------------------------------------------
 
@@ -426,39 +439,37 @@ class GreenEngine:
     # -- equivalence --------------------------------------------------------------------
 
     def equivalence_classes(self) -> list[EquivClass]:
+        """The classes of the sequences, in order of their first member,
+        each with its sorted summand key.  The relation is read four ways
+        (square-swap closure, summand sets, exchange pairs, stable-factor
+        functions) and the four partitions must agree."""
         if self._classes is not None:
             return list(self._classes)
         all_mgs = self.enumerate_mgs()
-        count = len(all_mgs)
-        by_swap = self._swap_components(all_mgs)
-        by_summ = _partition(range(count),
-                             lambda k: tuple(sorted(self.summand_set(all_mgs[k]))))
-        by_exch = _partition(range(count),
-                             lambda k: frozenset(self.exchange_pairs(all_mgs[k])))
-        by_sff = _partition(range(count), lambda k: self.sff_key(all_mgs[k]))
+        summands, keys = self._path_keys(all_mgs)
         partitions = {
-            "square-swap closure": by_swap,
-            "summand sets": by_summ,
-            "exchange pairs": by_exch,
-            "stable-factor functions": by_sff,
+            "square-swap closure": self._swap_labels(all_mgs),
+            "summand sets": _labels(key[0] for key in keys),
+            "exchange pairs": _labels(key[1] for key in keys),
+            "stable-factor functions": _labels(key[2] for key in keys),
         }
-        names = list(partitions)
-        for a in range(len(names)):
-            for b in range(a + 1, len(names)):
-                pa, pb = partitions[names[a]], partitions[names[b]]
-                if pa != pb:
-                    witness = _partition_witness(pa, pb)
-                    raise TheoremViolation(
-                        f"equivalence by {names[a]} disagrees with {names[b]}: "
-                        f"sequences "
-                        f"{[self.cat.display(x) for x in all_mgs[witness[0]].bricks]} and "
-                        f"{[self.cat.display(x) for x in all_mgs[witness[1]].bricks]}")
+        for a, b in combinations(partitions, 2):
+            if partitions[a] != partitions[b]:
+                # the block sets are built in order of least member, as
+                # the witness search has always read them
+                x, y = _partition_witness(
+                    {frozenset(block) for block in _blocks(partitions[a])},
+                    {frozenset(block) for block in _blocks(partitions[b])})
+                raise TheoremViolation(
+                    f"equivalence by {a} disagrees with {b}: sequences "
+                    f"{[self.cat.display(i) for i in all_mgs[x].bricks]} and "
+                    f"{[self.cat.display(i) for i in all_mgs[y].bricks]}")
         classes = []
-        for block in sorted(by_summ, key=min):
-            members = tuple(sorted(block))
+        for members in _blocks(partitions["summand sets"]):
+            mask = keys[members[0]][0]
             classes.append(EquivClass(
-                key=tuple(sorted(self.summand_set(all_mgs[members[0]]))),
-                members=members,
+                key=tuple(s for i, s in enumerate(summands) if mask >> i & 1),
+                members=tuple(members),
                 representative=all_mgs[members[0]],
             ))
         self._classes = classes
@@ -471,41 +482,148 @@ class GreenEngine:
             self.equivalence_classes()
         return self._class_of[mgs_index]
 
-    def _swap_components(self, all_mgs: list[MGS]) -> set[frozenset[int]]:
-        adj: dict[int, set[int]] = {k: set() for k in range(len(all_mgs))}
+    def _cover_steps(self, lattice) -> tuple[list[SiltingSummand], list[int], dict]:
+        """The bit-numbered contributions of the generated lattice's
+        classes and covers to the three keys.
+
+        Returns the silting summands in sorted order (bit i is the i-th),
+        the summand mask of each class, and for each class its lower covers
+        in label order as (label, lower class, summand mask of the lower
+        class, exchange-pair bit, stable-factor mask); each distinct
+        exchange pair and each (module, brick, multiplicity) triple of an
+        HN layer has a bit of its own.  Every class and cover is checked
+        once, and the layer dimensions of each module summed down to a
+        class must not depend on the chain taken, and must give dim x at
+        the bottom."""
+        cat = self.cat
+        catalog = cat.catalog
+        tors = [self._torsion_class(sum(1 << x for x in members))
+                for members in lattice.classes]
+        silting = [self.silting_summands(t) for t in tors]
+        summands = sorted(set().union(*silting))
+        bit = {s: 1 << i for i, s in enumerate(summands)}
+        summ = [sum(bit[s] for s in found) for found in silting]
+        exch_bits: dict[ExchangePair, int] = {}
+        sff_bits: dict[tuple[int, int, int], int] = {}
+        dims = {lattice.top: [0] * len(catalog)}
+        steps: dict[int, list[tuple[int, int, int, int, int]]] = {}
+        # classes are sorted by size, so every upper cover of a class
+        # comes later and has its dimensions by the time the class is read
+        for up in range(len(tors) - 1, -1, -1):
+            row = steps[up] = []
+            for lo, b in sorted(lattice.lower_covers.get(up, ()),
+                                key=lambda step: step[1]):
+                upper, lower = tors[up], tors[lo]
+                if b not in upper.members:
+                    raise InvariantViolation(
+                        f"brick {cat.display(b)} lies outside the torsion "
+                        f"class it should label a cover of")
+                if not lower.members < upper.members:
+                    raise InvariantViolation(
+                        f"cover {sorted(upper.members)} > "
+                        f"{sorted(lower.members)} is not strictly decreasing")
+                pair = self._cover_exchange(upper, lower, b)
+                exch = exch_bits.setdefault(pair, 1 << len(exch_bits))
+                sff = 0
+                dim = list(dims[up])
+                bdim = catalog[b].dim
+                for x, mult in self._cover_multiplicities(upper, lower, b):
+                    sff |= sff_bits.setdefault((x, b, mult), 1 << len(sff_bits))
+                    dim[x] += mult * bdim
+                known = dims.setdefault(lo, dim)
+                if known != dim:
+                    x = next(x for x in range(len(catalog)) if known[x] != dim[x])
+                    raise InvariantViolation(
+                        f"layer dimensions of {cat.display(x)} down to "
+                        f"{sorted(lower.members)} depend on the chain: "
+                        f"{known[x]} and {dim[x]}")
+                row.append((b, lo, summ[lo], exch, sff))
+        for x, dim in enumerate(dims[lattice.bottom]):
+            if dim != catalog[x].dim:
+                raise InvariantViolation(
+                    f"layer dimensions of {cat.display(x)} sum to {dim}, "
+                    f"not {catalog[x].dim}")
+        return summands, summ, steps
+
+    def _path_keys(self, all_mgs: list[MGS]) -> tuple[list[SiltingSummand], list]:
+        """(summand mask, exchange mask, stable-factor mask) of every
+        sequence, in enumeration order, from one walk of the generated
+        lattice that ORs the contributions of `_cover_steps` down each
+        path; with the silting summands that number the summand bits."""
+        lattice = self.cat.generated_lattice()
+        summands, summ, steps = self._cover_steps(lattice)
+        n, bottom = self.cat.n, lattice.bottom
+        keys: list[tuple[int, int, int]] = []
+        path: list[int] = []
+
+        def walk(c: int, s: int, e: int, f: int) -> None:
+            if c == bottom:
+                k = len(keys)
+                if k >= len(all_mgs) or all_mgs[k].bricks != tuple(path):
+                    raise InvariantViolation(
+                        f"lattice walk reached {list(path)} where the "
+                        f"enumeration has sequence {k}")
+                if s.bit_count() != n + len(path):
+                    raise InvariantViolation(
+                        f"summand set has size {s.bit_count()}, expected "
+                        f"{n}+{len(path)}")
+                keys.append((s, e, f))
+                return
+            for b, lo, ls, le, lf in steps[c]:
+                path.append(b)
+                walk(lo, s | ls, e | le, f | lf)
+                path.pop()
+
+        walk(lattice.top, summ[lattice.top], 0, 0)
+        if len(keys) != len(all_mgs):
+            raise InvariantViolation(
+                f"lattice walk found {len(keys)} sequences, the enumeration "
+                f"{len(all_mgs)}")
+        return summands, keys
+
+    def _swap_labels(self, all_mgs: list[MGS]) -> list[int]:
+        """The square-swap closure as a labelling of the sequences: every
+        commuting adjacent pair is swapped and the result, which must be
+        an enumerated sequence, joined to the original."""
+        index, commute = self._index, self._commute
+        parent = list(range(len(all_mgs)))
+
+        def find(x: int) -> int:
+            while parent[x] != x:
+                parent[x] = x = parent[parent[x]]
+            return x
+
         for k, g in enumerate(all_mgs):
-            for i in range(1, len(g.bricks)):
-                swapped = self.square_swap(g, i)
-                if swapped is None:
+            seq = g.bricks
+            for i in range(len(seq) - 1):
+                a, b = seq[i], seq[i + 1]
+                if not commute(a, b):
                     continue
-                j = self._index.get(swapped.bricks)
+                j = index.get(seq[:i] + (b, a) + seq[i + 2:])
                 if j is None:
                     raise InvariantViolation(
                         "square swap produced an unenumerated sequence")
-                adj[k].add(j)
-                adj[j].add(k)
-        seen: set[int] = set()
-        blocks = set()
-        for k in range(len(all_mgs)):
-            if k in seen:
-                continue
-            stack, comp = [k], set()
-            while stack:
-                x = stack.pop()
-                if x in comp:
-                    continue
-                comp.add(x)
-                stack.extend(adj[x] - comp)
-            seen |= comp
-            blocks.add(frozenset(comp))
-        return blocks
+                ra, rb = find(k), find(j)
+                if ra != rb:
+                    parent[max(ra, rb)] = min(ra, rb)
+        return _labels(find(k) for k in range(len(all_mgs)))
 
 
-def _partition(indices, keyfunc) -> set[frozenset[int]]:
-    groups: dict = {}
-    for k in indices:
-        groups.setdefault(keyfunc(k), set()).add(k)
-    return {frozenset(v) for v in groups.values()}
+def _labels(keys) -> list[int]:
+    """A partition as a labelling: equal keys get equal labels, numbered
+    by first appearance, so two partitions are equal iff their labellings
+    are."""
+    ids: dict = {}
+    return [ids.setdefault(key, len(ids)) for key in keys]
+
+
+def _blocks(labels: list[int]) -> list[list[int]]:
+    """The blocks of a labelling in order of their least member, each in
+    increasing order."""
+    blocks: list[list[int]] = [[] for _ in range(max(labels, default=-1) + 1)]
+    for k, label in enumerate(labels):
+        blocks[label].append(k)
+    return blocks
 
 
 def _partition_witness(pa: set[frozenset[int]], pb: set[frozenset[int]]) -> tuple[int, int]:

@@ -69,47 +69,66 @@ def iepd_cover_pairs(engine: GreenEngine) -> frozenset[tuple[int, int]]:
     return frozenset(pairs)
 
 
-def _transitive_reflexive_closure(size: int, pairs) -> list[list[bool]]:
-    leq = [[i == j for j in range(size)] for i in range(size)]
+# Relations on classes are built as int rows: bit j of rows[i] is set
+# when class i lies below class j (leq[i][j]).
+
+def _transitive_reflexive_closure(size: int, pairs) -> list[int]:
+    rows = [1 << i for i in range(size)]
     for i, j in pairs:
-        leq[i][j] = True
+        rows[i] |= 1 << j
     for k in range(size):
+        bit, row_k = 1 << k, rows[k]
         for i in range(size):
-            if leq[i][k]:
-                row_k = leq[k]
-                row_i = leq[i]
-                for j in range(size):
-                    if row_k[j]:
-                        row_i[j] = True
-    return leq
+            if rows[i] & bit:
+                rows[i] |= row_k
+    return rows
 
 
-def _check_partial_order(tag: str, leq: list[list[bool]]) -> None:
-    size = len(leq)
-    for i in range(size):
-        if not leq[i][i]:
+def _check_partial_order(tag: str, rows: list[int]) -> None:
+    """Raise at the first (i, j, k), in lexicographic order, that breaks
+    reflexivity at i, antisymmetry on i, j or transitivity on i, j, k."""
+    for i, row_i in enumerate(rows):
+        if not row_i >> i & 1:
             raise InvariantViolation(f"{tag} order is not reflexive at {i}")
-        for j in range(size):
-            if i != j and leq[i][j] and leq[j][i]:
+        for j in _bits(row_i):
+            if j != i and rows[j] >> i & 1:
                 raise InvariantViolation(
                     f"{tag} order fails antisymmetry on classes {i}, {j}")
-            for k in range(size):
-                if leq[i][j] and leq[j][k] and not leq[i][k]:
-                    raise InvariantViolation(
-                        f"{tag} order fails transitivity on {i}, {j}, {k}")
+            missing = rows[j] & ~row_i
+            if missing:
+                k = (missing & -missing).bit_length() - 1
+                raise InvariantViolation(
+                    f"{tag} order fails transitivity on {i}, {j}, {k}")
 
 
-def _covers_from_leq(leq) -> tuple[tuple[int, int], ...]:
-    size = len(leq)
+def _covers_from_leq(rows: list[int]) -> tuple[tuple[int, int], ...]:
+    """The (greater, lesser) pairs (j, i): i lies below j, i != j, and no
+    k other than i and j lies between them."""
+    strict = [row & ~(1 << i) for i, row in enumerate(rows)]
     covers = []
-    for i in range(size):
-        for j in range(size):
-            if i == j or not leq[i][j]:
-                continue
-            if not any(k != i and k != j and leq[i][k] and leq[k][j]
-                       for k in range(size)):
-                covers.append((j, i))  # greater -> lesser
+    for i, above in enumerate(strict):
+        between = 0
+        for k in _bits(above):
+            between |= strict[k]
+        covers.extend((j, i) for j in _bits(above & ~between))
     return tuple(sorted(covers))
+
+
+def _containment_rows(sets: list[frozenset]) -> list[int]:
+    """Reverse inclusion: class i lies below class j when its set
+    contains the set of j."""
+    bit: dict = {}
+    masks = [sum(bit.setdefault(x, 1 << len(bit)) for x in s) for s in sets]
+    return [sum(1 << j for j, m in enumerate(masks) if not m & ~mask)
+            for mask in masks]
+
+
+def _bits(mask: int):
+    """The positions of the set bits of mask, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _hn_leq(engine: GreenEngine, rep_lo: MGS, rep_hi: MGS) -> bool:
@@ -131,26 +150,26 @@ def build_order(tag: str, engine: GreenEngine) -> ClassPoset:
     classes = engine.equivalence_classes()
     size = len(classes)
     if tag == "pentagon":
-        leq = _transitive_reflexive_closure(size, iepd_cover_pairs(engine))
+        rows = _transitive_reflexive_closure(size, iepd_cover_pairs(engine))
     elif tag == "summand":
-        keys = [frozenset(c.key) for c in classes]
-        leq = [[keys[i] >= keys[j] for j in range(size)] for i in range(size)]
+        rows = _containment_rows([frozenset(c.key) for c in classes])
     elif tag == "hn":
-        leq = [[i == j or _hn_leq(engine, classes[i].representative,
-                                  classes[j].representative)
-                for j in range(size)] for i in range(size)]
+        rows = [sum(1 << j for j in range(size)
+                    if i == j or _hn_leq(engine, classes[i].representative,
+                                         classes[j].representative))
+                for i in range(size)]
     elif tag == "brick":
         if not engine.cat.spec.is_nakayama:
             raise UsageError(BRICK_ORDER_REFUSAL)
-        bricksets = [frozenset(c.representative.bricks) for c in classes]
-        leq = [[bricksets[i] >= bricksets[j] for j in range(size)]
-               for i in range(size)]
+        rows = _containment_rows([frozenset(c.representative.bricks)
+                                  for c in classes])
     else:
         raise UsageError(f"unknown order tag {tag!r}; pick one of {ORDER_TAGS}")
-    _check_partial_order(tag, leq)
+    _check_partial_order(tag, rows)
     return ClassPoset(tag=tag, size=size,
-                      leq=tuple(tuple(row) for row in leq),
-                      covers=_covers_from_leq(leq))
+                      leq=tuple(tuple(bool(row >> j & 1) for j in range(size))
+                                for row in rows),
+                      covers=_covers_from_leq(rows))
 
 
 def orders_equal_report(posets: list[ClassPoset]) -> dict:

@@ -1,0 +1,267 @@
+"""Equivalence classes from one lattice walk against the per-sequence
+four-way construction they replace.
+
+`GreenEngine.equivalence_classes` ORs per-class and per-cover bitmasks
+down each path of the generated torsion lattice and reads the swap
+closure off the sequence index.  The oracle below builds all four
+partitions sequence by sequence from the public invariants, as the
+engine did before: swap components through `square_swap` (which
+re-checks every swapped sequence with `explain_invalid`), and one key
+per sequence from `summand_set`, `exchange_pairs` and `sff_key`.
+"""
+
+import ast
+import re
+
+import pytest
+from hypothesis import given, settings
+
+from greenseq import AlgebraSpec, GreenEngine, ModuleCategory
+from greenseq.errors import GateError, InvariantViolation, TheoremViolation
+from greenseq.green import (EquivClass, ExchangePair, SiltingSummand,
+                            _partition_witness)
+
+from conftest import EXAMPLE_QUIVER, full_battery, ids_of
+from test_green import _small_algebra
+
+EXTRA_SPECS = [AlgebraSpec.type_a("<<<<"), AlgebraSpec.nakayama([3, 3, 3, 2, 1]),
+               AlgebraSpec.nakayama([3, 3, 3], cyclic=True)]
+
+
+def _swap_components(eng, all_mgs):
+    adj = {k: set() for k in range(len(all_mgs))}
+    for k, g in enumerate(all_mgs):
+        for i in range(1, len(g.bricks)):
+            swapped = eng.square_swap(g, i)
+            if swapped is None:
+                continue
+            j = eng._index.get(swapped.bricks)
+            if j is None:
+                raise InvariantViolation(
+                    "square swap produced an unenumerated sequence")
+            adj[k].add(j)
+            adj[j].add(k)
+    seen = set()
+    blocks = set()
+    for k in range(len(all_mgs)):
+        if k in seen:
+            continue
+        stack, comp = [k], set()
+        while stack:
+            x = stack.pop()
+            if x in comp:
+                continue
+            comp.add(x)
+            stack.extend(adj[x] - comp)
+        seen |= comp
+        blocks.add(frozenset(comp))
+    return blocks
+
+
+def _partition(indices, keyfunc):
+    groups = {}
+    for k in indices:
+        groups.setdefault(keyfunc(k), set()).add(k)
+    return {frozenset(v) for v in groups.values()}
+
+
+def oracle_classes(eng):
+    """The four partitions built sequence by sequence, compared pairwise;
+    the classes are the summand-set blocks in order of their least
+    member."""
+    all_mgs = eng.enumerate_mgs()
+    count = len(all_mgs)
+    partitions = {
+        "square-swap closure": _swap_components(eng, all_mgs),
+        "summand sets": _partition(
+            range(count), lambda k: tuple(sorted(eng.summand_set(all_mgs[k])))),
+        "exchange pairs": _partition(
+            range(count), lambda k: frozenset(eng.exchange_pairs(all_mgs[k]))),
+        "stable-factor functions": _partition(
+            range(count), lambda k: eng.sff_key(all_mgs[k])),
+    }
+    names = list(partitions)
+    for a in range(len(names)):
+        for b in range(a + 1, len(names)):
+            pa, pb = partitions[names[a]], partitions[names[b]]
+            if pa != pb:
+                x, y = _partition_witness(pa, pb)
+                raise TheoremViolation(
+                    f"equivalence by {names[a]} disagrees with {names[b]}: "
+                    f"sequences "
+                    f"{[eng.cat.display(i) for i in all_mgs[x].bricks]} and "
+                    f"{[eng.cat.display(i) for i in all_mgs[y].bricks]}")
+    classes = []
+    for block in sorted(partitions["summand sets"], key=min):
+        members = tuple(sorted(block))
+        classes.append(EquivClass(
+            key=tuple(sorted(eng.summand_set(all_mgs[members[0]]))),
+            members=members, representative=all_mgs[members[0]]))
+    return classes
+
+
+def _fresh(spec):
+    return GreenEngine(ModuleCategory(spec))
+
+
+def _assert_same_classes(spec):
+    eng = _fresh(spec)
+    classes = eng.equivalence_classes()
+    assert classes == oracle_classes(_fresh(spec))
+    for ci, cls in enumerate(classes):
+        for k in cls.members:
+            assert eng.class_of(k) == ci
+
+
+@pytest.mark.parametrize("spec", full_battery() + EXTRA_SPECS,
+                         ids=lambda s: s.label())
+def test_classes_match_per_sequence_oracle(spec):
+    _assert_same_classes(spec)
+
+
+# derandomized: the oracle on a five-vertex type-A draw costs up to 5 s
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(_small_algebra())
+def test_classes_match_per_sequence_oracle_on_drawn_algebras(spec):
+    _assert_same_classes(spec)
+
+
+@pytest.mark.parametrize("spec", full_battery(), ids=lambda s: s.label())
+def test_commuting_swaps_are_valid_and_enumerated(spec):
+    # the closure trusts index membership where square_swap re-checks
+    # the swapped sequence with explain_invalid
+    eng = _fresh(spec)
+    for g in eng.enumerate_mgs():
+        seq = g.bricks
+        for i in range(len(seq) - 1):
+            if eng._commute(seq[i], seq[i + 1]):
+                swapped = seq[:i] + (seq[i + 1], seq[i]) + seq[i + 2:]
+                assert eng.is_valid_mgs(swapped)
+                assert swapped in eng._index
+
+
+# -- fault injection ------------------------------------------------------------
+
+def _patch_last_cover(monkeypatch, field):
+    """Patch the walk's contribution of the cover from the class {1} down
+    to zero in the example: the summand bit that enters there, the
+    exchange bit or the stable-factor mask is replaced by a bit no other
+    cover has.  The summand count stays n + length, since the replaced
+    summand enters at the bottom and nowhere else."""
+    real = GreenEngine._cover_steps
+
+    def patched(self, lattice):
+        summands, summ, steps = real(self, lattice)
+        one = self.cat.resolve_token("1")
+        up = lattice.index_of(frozenset({one}))
+        (b, lo, s, e, f), = steps[up]
+        fresh = 1 << 200
+        if field == "summand":
+            entering = s & ~summ[up]
+            s = s & ~entering | fresh
+        elif field == "exchange":
+            e = fresh
+        else:
+            f |= fresh
+        steps[up] = [(b, lo, s, e, f)]
+        return summands, summ, steps
+
+    monkeypatch.setattr(GreenEngine, "_cover_steps", patched)
+
+
+@pytest.mark.parametrize("field, name", [
+    ("summand", "summand sets"),
+    ("exchange", "exchange pairs"),
+    ("sff", "stable-factor functions"),
+])
+def test_patched_cover_contribution_breaks_agreement(monkeypatch, field, name):
+    _patch_last_cover(monkeypatch, field)
+    eng = _fresh(EXAMPLE_QUIVER)
+    with pytest.raises(TheoremViolation) as exc:
+        eng.equivalence_classes()
+    message = str(exc.value)
+    match = re.fullmatch(
+        rf"equivalence by square-swap closure disagrees with {name}: "
+        r"sequences (\[.*\]) and (\[.*\])", message)
+    assert match, message
+    # the witness: two sequences that differ by swapping the last two
+    # bricks, 1 and 3
+    first, second = (ast.literal_eval(group) for group in match.groups())
+    assert first[:-2] == second[:-2]
+    assert {first[-1], second[-1]} == {"1", "3"}
+
+
+def test_disagreement_witness_matches_oracle(monkeypatch):
+    # a fake exchange pair on the cover from {1} down to zero splits the
+    # same sequences in the walk and in the per-sequence oracle
+    real = GreenEngine._cover_exchange
+    fake = ExchangePair(SiltingSummand(False, 99), SiltingSummand(True, 99))
+
+    def patched(self, up, lo, b):
+        if up.members == {self.cat.resolve_token("1")}:
+            return fake
+        return real(self, up, lo, b)
+
+    monkeypatch.setattr(GreenEngine, "_cover_exchange", patched)
+    messages = []
+    for classes in (lambda eng: eng.equivalence_classes(), oracle_classes):
+        with pytest.raises(TheoremViolation) as exc:
+            classes(_fresh(EXAMPLE_QUIVER))
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+    assert "disagrees with exchange pairs" in messages[0]
+
+
+def test_swapped_sequence_missing_from_index_raises():
+    eng = _fresh(EXAMPLE_QUIVER)
+    eng.enumerate_mgs()
+    del eng._index[ids_of(eng.cat, ["3", "1", "2"])]
+    with pytest.raises(InvariantViolation, match="unenumerated sequence"):
+        eng.equivalence_classes()
+
+
+def test_patched_layer_multiplicity_trips_dimension_check(monkeypatch):
+    real = GreenEngine._cover_multiplicities
+
+    def patched(self, up, lo, b):
+        found = real(self, up, lo, b)
+        if len(up.members) == len(self.cat.catalog) and found:
+            (x, mult), *rest = found
+            found = ((x, mult + 1), *rest)
+        return found
+
+    monkeypatch.setattr(GreenEngine, "_cover_multiplicities", patched)
+    with pytest.raises(InvariantViolation, match="layer dimensions of"):
+        _fresh(EXAMPLE_QUIVER).equivalence_classes()
+
+
+def test_silting_set_of_the_wrong_size_raises(monkeypatch):
+    monkeypatch.setattr(ModuleCategory, "relative_projectives",
+                        lambda self, tors: frozenset())
+    with pytest.raises(InvariantViolation, match="silting summand set"):
+        _fresh(EXAMPLE_QUIVER).equivalence_classes()
+
+
+def test_summand_path_of_the_wrong_size_raises(monkeypatch):
+    real = GreenEngine._cover_steps
+
+    def patched(self, lattice):
+        summands, summ, steps = real(self, lattice)
+        extra = 1 << len(summands)
+        steps = {up: [(b, lo, s | extra, e, f) for b, lo, s, e, f in row]
+                 for up, row in steps.items()}
+        return summands, summ, steps
+
+    monkeypatch.setattr(GreenEngine, "_cover_steps", patched)
+    with pytest.raises(InvariantViolation, match="summand set has size"):
+        _fresh(EXAMPLE_QUIVER).equivalence_classes()
+
+
+def test_class_gate_fires_before_the_lattice(monkeypatch):
+    def refuse(self):
+        raise AssertionError("torsion lattice generated")
+
+    monkeypatch.setattr(ModuleCategory, "generated_lattice", refuse)
+    eng = GreenEngine(ModuleCategory(EXAMPLE_QUIVER), brick_gate=3)
+    with pytest.raises(GateError, match="enumeration gate of 3"):
+        eng.equivalence_classes()

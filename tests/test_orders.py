@@ -1,12 +1,15 @@
 """Partial orders on equivalence classes: deformation, summand, HN, brick."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from greenseq import AlgebraSpec, GreenEngine, ModuleCategory
 from greenseq.errors import InvariantViolation, UsageError
 from greenseq.green import MGS
-from greenseq.orders import (build_order, check_extrema, exchange_persistence,
-                             hasse_dot, iepd_cover_pairs, orders_equal_report,
+from greenseq.orders import (_check_partial_order, _covers_from_leq,
+                             _transitive_reflexive_closure, build_order,
+                             check_extrema, exchange_persistence, hasse_dot,
+                             iepd_cover_pairs, orders_equal_report,
                              polygon_deformation_pairs, verify_phi)
 
 from conftest import category_for, engine_for, full_battery, ids_of
@@ -116,6 +119,123 @@ def test_hn_implies_brick_containment(example_engine):
         blo = set(classes[lo].representative.bricks)
         bhi = set(classes[hi].representative.bricks)
         assert blo > bhi
+
+
+# -- the poset algebra on int rows against boolean-matrix loops -------------------
+
+def _closure_loops(size, pairs):
+    leq = [[i == j for j in range(size)] for i in range(size)]
+    for i, j in pairs:
+        leq[i][j] = True
+    for k in range(size):
+        for i in range(size):
+            if leq[i][k]:
+                row_k = leq[k]
+                row_i = leq[i]
+                for j in range(size):
+                    if row_k[j]:
+                        row_i[j] = True
+    return leq
+
+
+def _check_loops(tag, leq):
+    size = len(leq)
+    for i in range(size):
+        if not leq[i][i]:
+            raise InvariantViolation(f"{tag} order is not reflexive at {i}")
+        for j in range(size):
+            if i != j and leq[i][j] and leq[j][i]:
+                raise InvariantViolation(
+                    f"{tag} order fails antisymmetry on classes {i}, {j}")
+            for k in range(size):
+                if leq[i][j] and leq[j][k] and not leq[i][k]:
+                    raise InvariantViolation(
+                        f"{tag} order fails transitivity on {i}, {j}, {k}")
+
+
+def _covers_loops(leq):
+    size = len(leq)
+    covers = []
+    for i in range(size):
+        for j in range(size):
+            if i == j or not leq[i][j]:
+                continue
+            if not any(k != i and k != j and leq[i][k] and leq[k][j]
+                       for k in range(size)):
+                covers.append((j, i))
+    return tuple(sorted(covers))
+
+
+def _rows(leq):
+    return [sum(1 << j for j, x in enumerate(row) if x) for row in leq]
+
+
+def _check_message(check, tag, relation):
+    try:
+        check(tag, relation)
+    except InvariantViolation as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("spec", full_battery() + [AlgebraSpec.type_a("<<<<")],
+                         ids=lambda s: s.label())
+def test_poset_algebra_matches_loops(spec):
+    eng = engine_for(spec)
+    size = len(eng.equivalence_classes())
+    pairs = iepd_cover_pairs(eng)
+    assert (_transitive_reflexive_closure(size, pairs)
+            == _rows(_closure_loops(size, pairs)))
+    tags = ["pentagon", "summand", "hn"] + (["brick"] if spec.is_nakayama else [])
+    for tag in tags:
+        poset = build_order(tag, eng)
+        leq = [list(row) for row in poset.leq]
+        _check_loops(tag, leq)
+        _check_partial_order(tag, _rows(leq))
+        assert _covers_from_leq(_rows(leq)) == _covers_loops(leq) == poset.covers
+
+
+BROKEN_RELATIONS = [
+    # 1 not below itself
+    ([[1, 0], [0, 0]], "t order is not reflexive at 1"),
+    # 0 <= 1 <= 0
+    ([[1, 1], [1, 1]], "t order fails antisymmetry on classes 0, 1"),
+    # 0 <= 1 <= 2 but not 0 <= 2
+    ([[1, 1, 0], [0, 1, 1], [0, 0, 1]], "t order fails transitivity on 0, 1, 2"),
+    # row 0 breaks transitivity before row 1 breaks reflexivity
+    ([[1, 1, 0], [0, 0, 1], [0, 0, 1]], "t order fails transitivity on 0, 1, 2"),
+    # at (0, 2) antisymmetry is tested before transitivity through 2
+    ([[1, 0, 1, 0], [0, 1, 0, 0], [1, 0, 1, 1], [0, 0, 0, 1]],
+     "t order fails antisymmetry on classes 0, 2"),
+    # the least k is reported: 0 <= 1 reaches both 2 and 3
+    ([[1, 1, 0, 0], [0, 1, 1, 1], [0, 0, 1, 0], [0, 0, 0, 1]],
+     "t order fails transitivity on 0, 1, 2"),
+]
+
+
+@pytest.mark.parametrize("leq, message", BROKEN_RELATIONS)
+def test_broken_relation_same_message_as_loops(leq, message):
+    leq = [[bool(x) for x in row] for row in leq]
+    assert _check_message(_check_loops, "t", leq) == message
+    assert _check_message(_check_partial_order, "t", _rows(leq)) == message
+    assert _covers_from_leq(_rows(leq)) == _covers_loops(leq)
+
+
+@st.composite
+def _relation(draw):
+    size = draw(st.integers(1, 6))
+    return [[draw(st.booleans()) for _ in range(size)] for _ in range(size)]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_relation())
+def test_poset_algebra_matches_loops_on_drawn_relations(leq):
+    size = len(leq)
+    pairs = [(i, j) for i in range(size) for j in range(size) if leq[i][j]]
+    assert _transitive_reflexive_closure(size, pairs) == _rows(_closure_loops(size, pairs))
+    assert (_check_message(_check_partial_order, "t", _rows(leq))
+            == _check_message(_check_loops, "t", leq))
+    assert _covers_from_leq(_rows(leq)) == _covers_loops(leq)
 
 
 # -- socle-quotient correspondence ------------------------------------------------

@@ -10,11 +10,13 @@ The battery: every type-A orientation word and every admissible linear
 Kupisch series on at most four vertices, the cyclic series 2,2 / 3,3 /
 2,2,2 / 3,2,2, typeA <<<<, Nakayama 3,3,3,2,1 and cyclic 3,3,3, each with
 `catalog`, `bricks`, `mgs`, `classes`, `poset --format json` for every
-order that applies and `verify --suite all`; and `mgs` on typeA <><>.
-Then, on each of those algebras with every command, `hn` along the first
-and the last sequence of the first tree's `mgs` output, given as a brick
-list, once with `--module` the sum of every catalog module (#0+#1+...)
-and once for each single module.  A call that both trees reject with a
+order that applies and `verify --suite all`; `mgs` on typeA <><>; and
+`classes` and `poset --format json` for the pentagon, summand and hn
+orders on all 16 five-vertex type-A orientations.  Then, on each of the
+algebras with every command, `hn` along the first and the last sequence
+of the first tree's `mgs` output, given as a brick list, once with
+`--module` the sum of every catalog module (#0+#1+...) and once for each
+single module: 844 calls in all.  A call that both trees reject with a
 usage error (exit 2) is reported too: the battery should make none.
 Exit code 0 when every call matches, 1 when some call differs, times
 out or is rejected.
@@ -56,8 +58,8 @@ def linear_kupisch(max_n: int):
     return out
 
 
-def battery() -> list[tuple[dict, bool]]:
-    """(algebra, every command or `mgs` only)."""
+def battery() -> list[tuple[dict, str]]:
+    """(algebra, which commands: "all", "mgs" or "classes")."""
     specs = [type_a("".join(w)) for n in range(1, 5)
              for w in itertools.product("<>", repeat=n - 1)]
     specs += [nakayama(s) for s in linear_kupisch(4)]
@@ -65,7 +67,9 @@ def battery() -> list[tuple[dict, bool]]:
               for s in ([2, 2], [3, 3], [2, 2, 2], [3, 2, 2])]
     specs += [type_a("<<<<"), nakayama([3, 3, 3, 2, 1]),
               nakayama([3, 3, 3], cyclic=True)]
-    return [(spec, True) for spec in specs] + [(type_a("<><>"), False)]
+    five = [type_a("".join(w)) for w in itertools.product("<>", repeat=4)]
+    return ([(spec, "all") for spec in specs] + [(type_a("<><>"), "mgs")]
+            + [(spec, "classes") for spec in five])
 
 
 def label(spec: dict) -> str:
@@ -75,14 +79,16 @@ def label(spec: dict) -> str:
     return f"nakayama {kind} {','.join(map(str, spec['kupisch']))}"
 
 
-def commands(spec: dict, full: bool) -> list[list[str]]:
-    if not full:
+def commands(spec: dict, kind: str) -> list[list[str]]:
+    if kind == "mgs":
         return [["mgs"]]
     orders = ["pentagon", "summand", "hn"]
     if spec["type"] == "nakayama":
         orders.append("brick")
-    return ([["catalog"], ["bricks"], ["mgs"], ["classes"]]
-            + [["poset", "--order", o, "--format", "json"] for o in orders]
+    posets = [["poset", "--order", o, "--format", "json"] for o in orders]
+    if kind == "classes":
+        return [["classes"]] + posets
+    return ([["catalog"], ["bricks"], ["mgs"], ["classes"]] + posets
             + [["verify", "--suite", "all"]])
 
 
@@ -140,11 +146,11 @@ def main(argv=None) -> int:
             return [[f.result() for f in pair] for pair in futures]
 
         calls, paths = [], []
-        for k, (spec, full) in enumerate(battery()):
+        for k, (spec, kind) in enumerate(battery()):
             path = tmp / f"algebra{k}.json"
             path.write_text(json.dumps(spec), encoding="utf-8")
-            calls += [(label(spec), cmd, path) for cmd in commands(spec, full)]
-            if full:
+            calls += [(label(spec), cmd, path) for cmd in commands(spec, kind)]
+            if kind == "all":
                 paths.append((label(spec), path))
         results = run_both(calls)
         # the old tree's catalog and mgs outputs name the hn calls
