@@ -12,7 +12,7 @@ from .green import (EquivClass, ExchangePair, GreenEngine, HNLayer, HNResult,
 from .modcat import (Indec, ModuleCategory, ModuleSum, SesRecord,
                      TorsionClass, TorsionLattice)
 from .orders import (ClassPoset, build_order, check_extrema, hasse_dot,
-                     iepd_cover_pairs, orders_equal_report, verify_phi)
+                     iepd_cover_pairs, orders_equal_report)
 
 __all__ = [
     "AlgebraSpec", "ClassPoset", "EquivClass", "ExchangePair", "GateError",
@@ -20,5 +20,5 @@ __all__ = [
     "MGS", "ModuleCategory", "ModuleSum", "SesRecord", "SiltingSummand",
     "SpecError", "TheoremViolation", "TorsionClass", "TorsionLattice",
     "UsageError", "build_order", "check_extrema", "hasse_dot",
-    "iepd_cover_pairs", "orders_equal_report", "verify_phi",
+    "iepd_cover_pairs", "orders_equal_report",
 ]

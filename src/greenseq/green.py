@@ -23,11 +23,13 @@ raises instead of being reconciled.  The last three keys come from one
 walk of the generated lattice in label order: every silting summand,
 exchange pair and (module, brick, multiplicity) HN entry is numbered,
 each class and cover contributes a bitmask, and a sequence's key is the
-OR of the masks along its chain, so shared prefixes are computed once.
-The swap closure swaps each commuting adjacent pair (hom = ext^1 = 0)
-and looks the result up in the sequence index.  The per-sequence
-methods (`summand_set`, `exchange_pairs`, `stable_factor_function`,
-`square_swap`) stay for the orders, the lemma battery and the tests.
+OR of the masks along its chain, so shared prefixes are computed once;
+the lemma checks that hold per sequence (PATH_CHECKS) are folded on the
+same walk.  The swap closure swaps each commuting adjacent pair (hom =
+ext^1 = 0) and looks the result up in the sequence index.  The uncached
+per-sequence methods (`torsion_chain`, `summand_set`, `exchange_pairs`,
+`stable_factor_function`, `square_swap`) serve the `hn` command, the
+orders' one representative per class, and the tests as oracles.
 """
 
 from __future__ import annotations
@@ -40,6 +42,14 @@ from .errors import GateError, InvariantViolation, TheoremViolation, UsageError
 from .modcat import ModuleCategory, ModuleSum, TorsionClass
 
 DEFAULT_BRICK_GATE = 24
+
+# the lemma checks folded along the lattice walk of `_path_keys`
+PATH_CHECKS = (
+    "chain-relative-simples-equal-brick-set",
+    "exchange-components-never-repeat",
+    "summand-count-is-n-plus-length",
+    "socle-quotient-matches-summand-modules",
+)
 
 
 @dataclass(frozen=True)
@@ -112,20 +122,16 @@ class GreenEngine:
             self._before_ok[b] = before
         self._all_mgs: list[MGS] | None = None
         self._index: dict[tuple[int, ...], int] = {}
-        self._chain_cache: dict[tuple[int, ...], list[TorsionClass]] = {}
         self._classes_by_mask: dict[int, TorsionClass] = {}
         self._silting_cache: dict[frozenset, frozenset] = {}
-        self._summand_cache: dict[tuple[int, ...], frozenset] = {}
-        self._exchange_cache: dict[tuple[int, ...], tuple] = {}
         # per cover, keyed by (upper class members, label)
         self._cover_exchange_cache: dict[tuple[frozenset, int], ExchangePair] = {}
         self._layer_cache: dict[tuple[int, frozenset, int], tuple | None] = {}
         self._cover_mult_cache: dict[tuple[frozenset, int], tuple] = {}
-        self._sff_cache: dict[tuple[int, ...], tuple] = {}
-        # (a, b) -> hom(a, b) = ext^1(a, b) = 0, filled by _commute
-        self._commutes: dict[tuple[int, int], bool] = {}
+        self._cover_table: tuple | None = None
         self._classes: list[EquivClass] | None = None
         self._class_of: dict[int, int] = {}
+        self._path_failures: dict[str, list[int]] | None = None
 
     # -- enumeration ---------------------------------------------------------
 
@@ -216,14 +222,10 @@ class GreenEngine:
     def torsion_chain(self, g: MGS) -> list[TorsionClass]:
         """T_0 = the whole catalog and T_i = T_{i-1} & perp[B_i]: each step
         is the cover of T_{i-1} labelled B_i."""
-        key = g.bricks
-        cached = self._chain_cache.get(key)
-        if cached is not None:
-            return list(cached)
         perp = self.cat.perp_masks
         mask = (1 << len(self.cat.catalog)) - 1
         chain = [self._torsion_class(mask)]
-        for b in key:
+        for b in g.bricks:
             if not mask >> b & 1:
                 raise InvariantViolation(
                     f"brick {self.cat.display(b)} lies outside the torsion "
@@ -238,8 +240,7 @@ class GreenEngine:
         for up, lo in zip(chain, chain[1:]):
             if not lo.members < up.members:
                 raise InvariantViolation("green sequence chain is not strictly decreasing")
-        self._chain_cache[key] = chain
-        return list(chain)
+        return chain
 
     def _torsion_class(self, mask: int) -> TorsionClass:
         """The one shared TorsionClass of a member bitmask, checked to be
@@ -275,10 +276,6 @@ class GreenEngine:
         return result
 
     def summand_set(self, g: MGS) -> frozenset[SiltingSummand]:
-        key = g.bricks
-        cached = self._summand_cache.get(key)
-        if cached is not None:
-            return cached
         out: set[SiltingSummand] = set()
         for tors in self.torsion_chain(g):
             out |= self.silting_summands(tors)
@@ -287,19 +284,12 @@ class GreenEngine:
             raise InvariantViolation(
                 f"summand set has size {len(result)}, expected "
                 f"{self.cat.n}+{len(g.bricks)}")
-        self._summand_cache[key] = result
         return result
 
     def exchange_pairs(self, g: MGS) -> tuple[ExchangePair, ...]:
-        key = g.bricks
-        cached = self._exchange_cache.get(key)
-        if cached is not None:
-            return cached
         chain = self.torsion_chain(g)
-        result = tuple(self._cover_exchange(up, lo, b)
-                       for up, lo, b in zip(chain, chain[1:], key))
-        self._exchange_cache[key] = result
-        return result
+        return tuple(self._cover_exchange(up, lo, b)
+                     for up, lo, b in zip(chain, chain[1:], g.bricks))
 
     def _cover_exchange(self, up: TorsionClass, lo: TorsionClass,
                         b: int) -> ExchangePair:
@@ -333,12 +323,8 @@ class GreenEngine:
         return MGS(seq)
 
     def _commute(self, a: int, b: int) -> bool:
-        """hom(a, b) = ext^1(a, b) = 0, memoised per ordered pair."""
-        commutes = self._commutes.get((a, b))
-        if commutes is None:
-            commutes = self._commutes[(a, b)] = (
-                self.cat.hom_table[a][b] == 0 and self.cat.ext1(a, b) == 0)
-        return commutes
+        """hom(a, b) = ext^1(a, b) = 0."""
+        return self.cat.hom_table[a][b] == 0 and self.cat.ext1_table[a][b] == 0
 
     # -- Harder-Narasimhan filtrations ------------------------------------------------
 
@@ -396,15 +382,11 @@ class GreenEngine:
         return out
 
     def stable_factor_function(self, g: MGS) -> dict[int, tuple[tuple[int, int], ...]]:
-        key = g.bricks
-        cached = self._sff_cache.get(key)
-        if cached is not None:
-            return dict(cached)
         catalog = self.cat.catalog
         rows: dict[int, list[tuple[int, int]]] = {x: [] for x in range(len(catalog))}
         dims = [0] * len(catalog)
         chain = self.torsion_chain(g)
-        for up, lo, b in zip(chain, chain[1:], key):
+        for up, lo, b in zip(chain, chain[1:], g.bricks):
             bdim = catalog[b].dim
             for x, mult in self._cover_multiplicities(up, lo, b):
                 rows[x].append((b, mult))
@@ -415,9 +397,7 @@ class GreenEngine:
                 raise InvariantViolation(
                     f"layer dimensions of {self.cat.display(x)} sum to {dim}, "
                     f"not {catalog[x].dim}")
-        table = {x: tuple(sorted(row)) for x, row in rows.items()}
-        self._sff_cache[key] = tuple(table.items())
-        return table
+        return {x: tuple(sorted(row)) for x, row in rows.items()}
 
     def _cover_multiplicities(self, up: TorsionClass, lo: TorsionClass,
                               b: int) -> tuple[tuple[int, int], ...]:
@@ -433,8 +413,7 @@ class GreenEngine:
         return found
 
     def sff_key(self, g: MGS) -> tuple:
-        self.stable_factor_function(g)
-        return self._sff_cache[g.bricks]
+        return tuple(self.stable_factor_function(g).items())
 
     # -- equivalence --------------------------------------------------------------------
 
@@ -446,7 +425,7 @@ class GreenEngine:
         if self._classes is not None:
             return list(self._classes)
         all_mgs = self.enumerate_mgs()
-        summands, keys = self._path_keys(all_mgs)
+        summands, keys, self._path_failures = self._path_keys(all_mgs)
         partitions = {
             "square-swap closure": self._swap_labels(all_mgs),
             "summand sets": _labels(key[0] for key in keys),
@@ -481,6 +460,19 @@ class GreenEngine:
         if self._classes is None:
             self.equivalence_classes()
         return self._class_of[mgs_index]
+
+    def path_failures(self) -> dict[str, list[int]]:
+        """For each of the PATH_CHECKS, the indices of the sequences that
+        fail it, found on the lattice walk of `equivalence_classes`."""
+        if self._path_failures is None:
+            self.equivalence_classes()
+        return self._path_failures
+
+    def cover_table(self) -> tuple[list[SiltingSummand], list[int], dict]:
+        """`_cover_steps` of the generated lattice, built on first use."""
+        if self._cover_table is None:
+            self._cover_table = self._cover_steps(self.cat.generated_lattice())
+        return self._cover_table
 
     def _cover_steps(self, lattice) -> tuple[list[SiltingSummand], list[int], dict]:
         """The bit-numbered contributions of the generated lattice's
@@ -545,18 +537,23 @@ class GreenEngine:
                     f"not {catalog[x].dim}")
         return summands, summ, steps
 
-    def _path_keys(self, all_mgs: list[MGS]) -> tuple[list[SiltingSummand], list]:
+    def _path_keys(self, all_mgs: list[MGS]) -> tuple[list[SiltingSummand], list, dict]:
         """(summand mask, exchange mask, stable-factor mask) of every
         sequence, in enumeration order, from one walk of the generated
-        lattice that ORs the contributions of `_cover_steps` down each
-        path; with the silting summands that number the summand bits."""
+        lattice that ORs the contributions of `cover_table` down each
+        path; with the silting summands that number the summand bits, and
+        the sequences that fail each of the PATH_CHECKS (`_path_rows`)."""
         lattice = self.cat.generated_lattice()
-        summands, summ, steps = self._cover_steps(lattice)
+        summands, summ, steps = self.cover_table()
+        rows, start = self._path_rows(lattice, steps)
+        modules = sum(1 << i for i, s in enumerate(summands) if not s.shifted)
         n, bottom = self.cat.n, lattice.bottom
         keys: list[tuple[int, int, int]] = []
+        failures: dict[str, list[int]] = {name: [] for name in PATH_CHECKS}
         path: list[int] = []
 
-        def walk(c: int, s: int, e: int, f: int) -> None:
+        def walk(c: int, s: int, e: int, f: int, r: int, x: int, q: int,
+                 m: int) -> None:
             if c == bottom:
                 k = len(keys)
                 if k >= len(all_mgs) or all_mgs[k].bricks != tuple(path):
@@ -568,18 +565,55 @@ class GreenEngine:
                         f"summand set has size {s.bit_count()}, expected "
                         f"{n}+{len(path)}")
                 keys.append((s, e, f))
+                held = (r == sum(1 << b for b in path),
+                        x.bit_count() == 2 * len(path),
+                        (s & modules).bit_count() == len(path), q == m)
+                for name, ok in zip(PATH_CHECKS, held):
+                    if not ok:
+                        failures[name].append(k)
                 return
-            for b, lo, ls, le, lf in steps[c]:
+            for b, lo, ls, le, lf, lr, lx, lq, lm in rows[c]:
                 path.append(b)
-                walk(lo, s | ls, e | le, f | lf)
+                walk(lo, s | ls, e | le, f | lf, r | lr, x | lx, q | lq, m | lm)
                 path.pop()
 
-        walk(lattice.top, summ[lattice.top], 0, 0)
+        walk(lattice.top, summ[lattice.top], 0, 0, *start)
         if len(keys) != len(all_mgs):
             raise InvariantViolation(
                 f"lattice walk found {len(keys)} sequences, the enumeration "
                 f"{len(all_mgs)}")
-        return summands, keys
+        return summands, keys, failures
+
+    def _path_rows(self, lattice, steps: dict) -> tuple[dict, tuple]:
+        """The rows of `steps` with four masks of each cover appended, and
+        their values at the top: the relative simples of the lower class; a
+        bit each for the exchange pair's outgoing and incoming summand, so a
+        path of length r sets 2r of these exactly when none repeats; and,
+        over a Nakayama algebra, the socle quotient of a non-simple label
+        and the non-projective module summands of the lower class."""
+        cat = self.cat
+        tors = [TorsionClass(members) for members in lattice.classes]
+        simples = [sum(1 << x for x in cat.relative_simples(t)) for t in tors]
+        socle, nonproj = {}, [0] * len(tors)
+        if cat.spec.is_nakayama:
+            socle = {b: 1 << cat.backend.socle_quotient(b)
+                     for b in set(cat.bricks) - set(cat.simples)}
+            nonproj = [sum(1 << s.value for s in self.silting_summands(t)
+                           if not s.shifted and s.value not in cat.projectives)
+                       for t in tors]
+        components: dict[tuple[bool, SiltingSummand], int] = {}
+        rows = {}
+        for up, row in steps.items():
+            rows[up] = []
+            for b, lo, *masks in row:
+                pair = self._cover_exchange(tors[up], tors[lo], b)
+                x = 0
+                for key in ((False, pair.out), (True, pair.in_)):
+                    x |= components.setdefault(key, 1 << len(components))
+                rows[up].append((b, lo, *masks, simples[lo], x,
+                                 socle.get(b, 0), nonproj[lo]))
+        top = lattice.top
+        return rows, (simples[top], 0, 0, nonproj[top])
 
     def _swap_labels(self, all_mgs: list[MGS]) -> list[int]:
         """The square-swap closure as a labelling of the sequences: every

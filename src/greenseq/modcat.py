@@ -6,7 +6,8 @@ commuting-square constraint systems on the explicit arrow matrices, with
 exact arithmetic, once per catalog pair into a table that every later
 Hom query reads; Ext^1 comes from the hereditary Euler form (type A) or
 from the explicit projective cover sequence (Nakayama), cross-checkable
-against the presentation-based computation in both cases.
+against the presentation-based computation in both cases, and is tabled
+per catalog pair on first use (`ext1_table`).
 
 Torsion classes are membership sets over the catalog, closed under
 indecomposable quotients and under extensions with indecomposable middle
@@ -124,10 +125,6 @@ class TorsionLattice:
             raise ValueError(
                 f"{sorted(members)} is not a class of the lattice") from None
 
-    def covers_of(self, idx: int) -> list[tuple[int, int]]:
-        """(lower, label) pairs below `idx`."""
-        return list(self.lower_covers.get(idx, ()))
-
     def maximal_chain_count(self) -> int:
         counts = {self.bottom: 1}
         order = sorted(range(len(self.classes)), key=lambda i: len(self.classes[i]))
@@ -185,7 +182,6 @@ class ModuleCategory:
         self._by_descriptor = {m.descriptor: m.ident for m in self.catalog}
         self._by_display = {m.display: m.ident for m in self.catalog}
         self._closure_cache: dict[frozenset, TorsionClass] = {}
-        self._relproj_cache: dict[frozenset, frozenset] = {}
         self._filt_cache: dict[frozenset, frozenset] = {}
         self._torsub_cache: dict[tuple[int, frozenset],
                                  tuple[ModuleSum, ModuleSum]] = {}
@@ -307,6 +303,14 @@ class ModuleCategory:
                     f"negative Ext dimension for ({a}, {b}); Euler form broken")
             return total
         return self.ext1_presentation(a, sb)
+
+    @cached_property
+    def ext1_table(self) -> tuple[tuple[int, ...], ...]:
+        """ext1_table[a][b] = dim Ext^1(a, b) for every pair of catalog ids,
+        filled through `ext1` on first use."""
+        size = len(self.catalog)
+        return tuple(tuple(self.ext1(a, b) for b in range(size))
+                     for a in range(size))
 
     def _euler(self, a: int, b: int) -> int:
         # <dim a, dim b> = dim Hom - dim Ext^1 for hereditary algebras;
@@ -433,15 +437,9 @@ class ModuleCategory:
         return ModuleSum(tuple(parts))
 
     def relative_projectives(self, tors: TorsionClass) -> frozenset[int]:
-        key = tors.members
-        cached = self._relproj_cache.get(key)
-        if cached is not None:
-            return cached
-        mem = sorted(key)
-        result = frozenset(
-            x for x in mem if all(self.ext1(x, m) == 0 for m in mem))
-        self._relproj_cache[key] = result
-        return result
+        ext = self.ext1_table
+        return frozenset(x for x in tors.members
+                         if not any(ext[x][m] for m in tors.members))
 
     def relative_simples(self, tors: TorsionClass) -> frozenset[int]:
         # A member is relatively simple iff no proper non-zero submodule

@@ -9,7 +9,8 @@ is only antisymmetric over Nakayama algebras, so it is refused elsewhere.
 The deformations across polygons that theorem B checks are read off the
 polygons of the generated torsion lattice rather than found by comparing
 every pair of green sequences; that all-pairs search is kept in the tests
-as the oracle.
+as the oracle.  The hn order and the exchange-persistence check read one
+stable-factor table and one exchange-pair set per class.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import InvariantViolation, UsageError
-from .green import GreenEngine, MGS, SiltingSummand
+from .green import GreenEngine, SiltingSummand
 from .modcat import ModuleCategory, TorsionClass
 
 ORDER_TAGS = ("pentagon", "summand", "hn", "brick")
@@ -131,12 +132,10 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _hn_leq(engine: GreenEngine, rep_lo: MGS, rep_hi: MGS) -> bool:
-    """Do the rep_hi stable factors refine the rep_lo ones on every
+def _hn_leq(f_lo: dict, f_hi: dict) -> bool:
+    """Do the f_hi stable factors refine the f_lo ones on every
     indecomposable?"""
-    f_lo = engine.stable_factor_function(rep_lo)
-    f_hi = engine.stable_factor_function(rep_hi)
-    for x in range(len(engine.cat.catalog)):
+    for x in f_lo:
         expected: Counter = Counter()
         for brick, mult in f_lo[x]:
             for b2, m2 in f_hi[brick]:
@@ -154,9 +153,10 @@ def build_order(tag: str, engine: GreenEngine) -> ClassPoset:
     elif tag == "summand":
         rows = _containment_rows([frozenset(c.key) for c in classes])
     elif tag == "hn":
+        tables = [engine.stable_factor_function(c.representative)
+                  for c in classes]
         rows = [sum(1 << j for j in range(size)
-                    if i == j or _hn_leq(engine, classes[i].representative,
-                                         classes[j].representative))
+                    if i == j or _hn_leq(tables[i], tables[j]))
                 for i in range(size)]
     elif tag == "brick":
         if not engine.cat.spec.is_nakayama:
@@ -189,20 +189,6 @@ def orders_equal_report(posets: list[ClassPoset]) -> dict:
     return {"orders": [p.tag for p in posets],
             "equal": not differences,
             "differences": differences}
-
-
-def verify_phi(cat: ModuleCategory, engine: GreenEngine, g: MGS) -> bool:
-    """Socle quotients of the non-simple bricks = non-projective module
-    summands of the silting summand set (Nakayama only)."""
-    if not cat.spec.is_nakayama:
-        raise UsageError("the socle-quotient correspondence needs a Nakayama algebra")
-    simples = set(cat.simples)
-    left = {cat.backend.socle_quotient(b)
-            for b in g.bricks if b not in simples}
-    projs = set(cat.projectives)
-    right = {s.value for s in engine.summand_set(g)
-             if not s.shifted and s.value not in projs}
-    return left == right
 
 
 def source_order_simples(cat: ModuleCategory) -> list[int]:
@@ -278,18 +264,13 @@ def check_extrema(cat: ModuleCategory, engine: GreenEngine,
 def exchange_persistence(engine: GreenEngine, pentagon: ClassPoset) -> dict:
     """Below a class in the deformation order, every exchange pair keeps a
     partner with the same outgoing summand."""
-    classes = engine.equivalence_classes()
-    failures = []
-    for lo in range(pentagon.size):
-        for hi in range(pentagon.size):
-            if lo == hi or not pentagon.leq[lo][hi]:
-                continue
-            lo_pairs = engine.exchange_pairs(classes[lo].representative)
-            lo_outs = {p.out for p in lo_pairs}
-            for pair in engine.exchange_pairs(classes[hi].representative):
-                if pair.out not in lo_outs:
-                    failures.append({"lower": lo, "upper": hi,
-                                     "missing_out": repr(pair.out)})
+    pairs = [engine.exchange_pairs(c.representative)
+             for c in engine.equivalence_classes()]
+    outs = [{p.out for p in found} for found in pairs]
+    failures = [{"lower": lo, "upper": hi, "missing_out": repr(pair.out)}
+                for lo in range(pentagon.size) for hi in range(pentagon.size)
+                if lo != hi and pentagon.leq[lo][hi]
+                for pair in pairs[hi] if pair.out not in outs[lo]]
     return {"passed": not failures, "failures": failures}
 
 
@@ -316,7 +297,7 @@ def polygon_deformation_pairs(engine: GreenEngine) -> list[dict]:
     suffixes: dict[int, list[tuple[int, ...]]] = {}
     found = []
     for top in range(len(classes)):
-        downs = lattice.covers_of(top)
+        downs = lattice.lower_covers.get(top, ())
         if len(downs) < 2:
             continue
         prefixes = labels(lattice.maximal_chains(end=top))

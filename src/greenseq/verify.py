@@ -3,7 +3,11 @@
 Each suite returns a list of named checks with a pass flag and witnessing
 detail; the CLI maps any failure to a non-zero exit.  Suite names follow
 the command-line interface (theoremA, theoremB, theoremC, lemmas); the
-individual checks are named by the property they exercise.
+individual checks are named by the property they exercise.  The lemma
+battery reads the generated lattice's per-class and per-cover tables:
+one test per cover, pair of consecutive covers or square, and the
+per-sequence checks as masks folded on the walk that computes the
+equivalence classes; it calls no per-sequence method.
 """
 
 from __future__ import annotations
@@ -12,9 +16,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .errors import GateError, TheoremViolation, UsageError
-from .green import GreenEngine
-from .modcat import DEFAULT_SUBSET_GATE, ModuleCategory, ModuleSum
+from .errors import GateError, InvariantViolation, TheoremViolation, UsageError
+from .green import PATH_CHECKS, GreenEngine
+from .modcat import DEFAULT_SUBSET_GATE, ModuleCategory
 from . import orders as orders_mod
 
 SUITES = ("theoremA", "theoremB", "theoremC", "lemmas", "all")
@@ -179,106 +183,57 @@ def suite_lemmas(cat: ModuleCategory, engine: GreenEngine,
     checks.append(CheckResult("extension-of-orthogonal-bricks-is-brick",
                               not bad, {"violations": bad}))
 
+    # every cover, pair of consecutive covers and square lies on a maximal
+    # chain, so the checks below examine what the sequences would
+    lattice = cat.generated_lattice()
+    steps = engine.cover_table()[2]
+
     # Hom-vanishing forward forces Ext-vanishing backward on adjacent bricks.
-    bad = []
-    for g in all_mgs:
-        for a, b in zip(g.bricks, g.bricks[1:]):
-            if cat.hom(a, b) == 0 and cat.ext1(b, a) != 0:
-                bad.append([cat.display(a), cat.display(b)])
+    bad = [[cat.display(a), cat.display(b)]
+           for row in steps.values() for a, mid, *_ in row
+           for b, *_ in steps[mid]
+           if cat.hom_table[a][b] == 0 and cat.ext1_table[b][a] != 0]
     checks.append(CheckResult("adjacent-hom-vanishing-forces-ext-vanishing",
                               not bad, {"violations": bad}))
 
-    bad = []
-    for g in all_mgs:
-        if not (cat.is_simple(g.bricks[0]) and cat.is_simple(g.bricks[-1])):
-            bad.append([cat.display(b) for b in g.bricks])
+    # the labels of the covers below the top and above the bottom
+    ends = [b for b, *_ in steps[lattice.top]]
+    ends += [b for row in steps.values() for b, lo, *_ in row
+             if lo == lattice.bottom]
+    bad = [cat.display(b) for b in ends if not cat.is_simple(b)]
     checks.append(CheckResult("first-and-last-brick-simple", not bad,
                               {"violations": bad}))
 
-    bad = []
-    for g in all_mgs:
-        seen: set[int] = set()
-        for tors in engine.torsion_chain(g):
-            seen |= cat.relative_simples(tors)
-        if seen != set(g.bricks):
-            bad.append([cat.display(b) for b in g.bricks])
-    checks.append(CheckResult("chain-relative-simples-equal-brick-set",
-                              not bad, {"violations": bad}))
+    failures = engine.path_failures()
 
-    bad = []
-    for g in all_mgs:
-        pairs = engine.exchange_pairs(g)
-        outs = [p.out for p in pairs]
-        ins = [p.in_ for p in pairs]
-        if len(set(outs)) != len(outs) or len(set(ins)) != len(ins):
-            bad.append([cat.display(b) for b in g.bricks])
-    checks.append(CheckResult("exchange-components-never-repeat", not bad,
-                              {"violations": bad}))
+    def path_check(name: str) -> CheckResult:
+        bad = [[cat.display(b) for b in all_mgs[k].bricks]
+               for k in failures[name]]
+        return CheckResult(name, not bad, {"violations": bad})
 
-    bad = []
-    for g in all_mgs:
-        summ = engine.summand_set(g)
-        mods = [s for s in summ if not s.shifted]
-        if len(summ) != cat.n + len(g.bricks) or len(mods) != len(g.bricks):
-            bad.append([cat.display(b) for b in g.bricks])
-    checks.append(CheckResult("summand-count-is-n-plus-length", not bad,
-                              {"violations": bad}))
-
-    # exhaustive over module pairs; one representative per class suffices
-    # since stable factors are class invariants (checked further down)
-    bad = []
-    for cls in engine.equivalence_classes():
-        g = cls.representative
-        for x in range(len(cat.catalog)):
-            for y in range(x, len(cat.catalog)):
-                lhs = engine.stable_factors(ModuleSum((x, y)), g)
-                rhs = engine.stable_factors(x, g) + engine.stable_factors(y, g)
-                if lhs != rhs:
-                    bad.append({"mgs": [cat.display(b) for b in g.bricks],
-                                "pair": [cat.display(x), cat.display(y)]})
-    checks.append(CheckResult("hn-stable-factors-additive-over-sums",
-                              not bad, {"violations": bad}))
+    checks += [path_check(name) for name in PATH_CHECKS[:3]]
 
     try:
-        lattice = cat.torsion_lattice(subset_gate)
+        oracle = cat.torsion_lattice(subset_gate)
     except GateError as exc:
         checks += [CheckResult(name, True, {"skipped": str(exc)})
                    for name in LATTICE_CHECKS]
     else:
-        checks += _lattice_checks(cat, engine, lattice)
+        checks += _lattice_checks(cat, engine, oracle)
 
     bad = []
     for a in range(len(cat.catalog)):
         for b in range(len(cat.catalog)):
-            if cat.ext1(a, b) != cat.ext1_presentation(a, b):
+            if cat.ext1_table[a][b] != cat.ext1_presentation(a, b):
                 bad.append([cat.display(a), cat.display(b)])
     checks.append(CheckResult("ext-formula-matches-presentation-oracle",
                               not bad, {"violations": bad}))
 
-    bad = []
-    for g in all_mgs:
-        for i in range(1, len(g.bricks)):
-            swapped = engine.square_swap(g, i)
-            if swapped is None:
-                continue
-            same = (engine.summand_set(g) == engine.summand_set(swapped)
-                    and set(engine.exchange_pairs(g))
-                    == set(engine.exchange_pairs(swapped))
-                    and engine.sff_key(g) == engine.sff_key(swapped))
-            if not same:
-                bad.append({"mgs": [cat.display(b) for b in g.bricks],
-                            "position": i})
-    checks.append(CheckResult("square-swaps-preserve-class-invariants",
-                              not bad, {"violations": bad}))
+    checks.append(_square_check(cat, engine))
 
     if cat.spec.is_nakayama:
         checks.append(_unique_filtration_check(cat))
-        bad = []
-        for g in all_mgs:
-            if not orders_mod.verify_phi(cat, engine, g):
-                bad.append([cat.display(b) for b in g.bricks])
-        checks.append(CheckResult("socle-quotient-matches-summand-modules",
-                                  not bad, {"violations": bad}))
+        checks.append(path_check(PATH_CHECKS[3]))
     else:
         bad = [[cat.display(a), cat.display(b)]
                for a in range(len(cat.catalog))
@@ -307,20 +262,49 @@ def _lattice_checks(cat: ModuleCategory, engine: GreenEngine,
     checks.append(CheckResult("mgs-count-matches-lattice-chains",
                               count == len(all_mgs),
                               {"chains": count, "sequences": len(all_mgs)}))
-    bad = []
-    for g in all_mgs:
-        chain = engine.torsion_chain(g)
-        for pos, (up, lo) in enumerate(zip(chain, chain[1:]), start=1):
-            ui = lattice.index_of(up.members)
-            li = lattice.index_of(lo.members)
-            labelled = dict(lattice.covers_of(ui))
-            if labelled.get(li) != g.bricks[pos - 1]:
-                bad.append({"mgs": [cat.display(b) for b in g.bricks],
-                            "position": pos})
+    # every cover of the generated lattice, with its label, in the oracle
+    labels = {(lattice.classes[up], lattice.classes[lo]): lab
+              for up, lo, lab in lattice.covers}
+    classes = cat.generated_lattice().classes
+    bad = [{"upper": sorted(classes[up]), "lower": sorted(classes[lo])}
+           for up, lo, lab in cat.generated_lattice().covers
+           if labels.get((classes[up], classes[lo])) != lab]
     checks.append(CheckResult("chain-steps-are-labelled-lattice-covers",
                               not bad, {"violations": bad}))
     checks.append(_filt_interval_check(cat, lattice))
     return checks
+
+
+def _square_check(cat: ModuleCategory, engine: GreenEngine) -> CheckResult:
+    """One test per square of the generated lattice: covers labelled a then
+    b below a class, with hom(a, b) = ext^1(a, b) = 0.  The side b then a
+    must exist, and the two sides' summand, exchange and stable-factor
+    contributions, with the square's top and bottom, must be equal; each
+    sequence's invariants are those of its path, so the sequences that
+    differ by the swap then have equal invariants."""
+    lattice = cat.generated_lattice()
+    _, summ, steps = engine.cover_table()
+    below = {up: {row[0]: row for row in rows} for up, rows in steps.items()}
+    bad = []
+    for top, rows in steps.items():
+        for a, mid, s1, e1, f1 in rows:
+            for b, bottom, s2, e2, f2 in steps[mid]:
+                if not engine._commute(a, b):
+                    continue
+                side = below[top].get(b)
+                other = side and below[side[1]].get(a)
+                if not other or other[1] != bottom:
+                    raise InvariantViolation(
+                        f"square swap broke the sequence: below "
+                        f"{sorted(lattice.classes[top])}, {cat.display(b)} "
+                        f"then {cat.display(a)} are not lattice covers")
+                shared = summ[top] | s2
+                if (s1 | shared, e1 | e2, f1 | f2) != (
+                        side[2] | shared, side[3] | other[3], side[4] | other[4]):
+                    bad.append({"class": sorted(lattice.classes[top]),
+                                "swap": [cat.display(a), cat.display(b)]})
+    return CheckResult("square-swaps-preserve-class-invariants",
+                       not bad, {"violations": bad})
 
 
 def _filt_interval_check(cat: ModuleCategory, lattice) -> CheckResult:

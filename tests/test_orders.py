@@ -10,9 +10,10 @@ from greenseq.orders import (_check_partial_order, _covers_from_leq,
                              _transitive_reflexive_closure, build_order,
                              check_extrema, exchange_persistence, hasse_dot,
                              iepd_cover_pairs, orders_equal_report,
-                             polygon_deformation_pairs, verify_phi)
+                             polygon_deformation_pairs)
 
 from conftest import category_for, engine_for, full_battery, ids_of
+from test_verify import verify_phi
 
 
 def class_of_names(cat, engine, names):

@@ -1,13 +1,29 @@
-"""Verification suites: how `all` composes the others, and checks that
-run instead of skipping."""
+"""Verification suites: how `all` composes the others, checks that run
+instead of skipping, and the lemma battery, which reads the generated
+lattice's per-class and per-cover tables, against the per-sequence loops
+it replaces."""
+
+from collections import Counter
+from dataclasses import replace
+from itertools import combinations
 
 import pytest
 
 from greenseq import AlgebraSpec, GreenEngine, ModuleCategory
 from greenseq import orders
-from greenseq.verify import LATTICE_CHECKS, _filt_interval_check, run_suite
+from greenseq.errors import GateError, InvariantViolation, UsageError
+from greenseq.green import ExchangePair, SiltingSummand
+from greenseq.modcat import DEFAULT_SUBSET_GATE
+from greenseq.nakayama import NakayamaBackend
+from greenseq.verify import (LATTICE_CHECKS, CheckResult, _filt_interval_check,
+                             _representation_directed_check, _square_check,
+                             _unique_filtration_check, run_suite)
 
-from conftest import category_for
+from conftest import EXAMPLE_QUIVER, category_for, full_battery
+
+LEMMA_EXTRA_SPECS = [AlgebraSpec.type_a("<<<<"),
+                     AlgebraSpec.nakayama([3, 3, 3, 2, 1]),
+                     AlgebraSpec.nakayama([3, 3, 3], cyclic=True)]
 
 
 def test_all_suite_builds_each_order_once(monkeypatch):
@@ -75,3 +91,335 @@ def test_gated_lemmas_skip_after_an_ungated_lattice_call():
     assert skipped == list(LATTICE_CHECKS)
     assert all("gate of 4" in c.detail["skipped"]
                for c in checks if c.name in LATTICE_CHECKS)
+
+
+# -- the lemma battery against the per-sequence loops it replaces ---------------
+
+def verify_phi(cat, eng, g):
+    """Socle quotients of the non-simple bricks = non-projective module
+    summands of the silting summand set (Nakayama only)."""
+    if not cat.spec.is_nakayama:
+        raise UsageError("the socle-quotient correspondence needs a Nakayama algebra")
+    simples = set(cat.simples)
+    left = {cat.backend.socle_quotient(b)
+            for b in g.bricks if b not in simples}
+    projs = set(cat.projectives)
+    right = {s.value for s in eng.summand_set(g)
+             if not s.shifted and s.value not in projs}
+    return left == right
+
+
+def oracle_lemmas(cat, eng, subset_gate=DEFAULT_SUBSET_GATE):
+    """The lemma battery as it ran sequence by sequence, through
+    `torsion_chain`, `summand_set`, `exchange_pairs`, `sff_key`,
+    `square_swap` and `verify_phi`, less the HN additivity check."""
+    checks = []
+    all_mgs = eng.enumerate_mgs()
+
+    def names(g):
+        return [cat.display(b) for b in g.bricks]
+
+    def add(name, bad):
+        checks.append(CheckResult(name, not bad, {"violations": bad}))
+
+    bad = []
+    for l, n in combinations(cat.bricks, 2):
+        if cat.hom(l, n) or cat.hom(n, l):
+            continue
+        for pair in ((l, n), (n, l)):
+            for e in range(len(cat.catalog)):
+                for rec in cat.sub_quotient_pairs(e):
+                    if rec.sub.ids == (pair[0],) and rec.quot.ids == (pair[1],):
+                        if not cat.is_brick(e):
+                            bad.append(cat.display(e))
+    add("extension-of-orthogonal-bricks-is-brick", bad)
+    add("adjacent-hom-vanishing-forces-ext-vanishing",
+        [[cat.display(a), cat.display(b)] for g in all_mgs
+         for a, b in zip(g.bricks, g.bricks[1:])
+         if cat.hom(a, b) == 0 and cat.ext1(b, a) != 0])
+    add("first-and-last-brick-simple",
+        [names(g) for g in all_mgs
+         if not (cat.is_simple(g.bricks[0]) and cat.is_simple(g.bricks[-1]))])
+    bad = []
+    for g in all_mgs:
+        seen = set()
+        for tors in eng.torsion_chain(g):
+            seen |= cat.relative_simples(tors)
+        if seen != set(g.bricks):
+            bad.append(names(g))
+    add("chain-relative-simples-equal-brick-set", bad)
+    bad = []
+    for g in all_mgs:
+        pairs = eng.exchange_pairs(g)
+        outs = [p.out for p in pairs]
+        ins = [p.in_ for p in pairs]
+        if len(set(outs)) != len(outs) or len(set(ins)) != len(ins):
+            bad.append(names(g))
+    add("exchange-components-never-repeat", bad)
+    bad = []
+    for g in all_mgs:
+        summ = eng.summand_set(g)
+        mods = [s for s in summ if not s.shifted]
+        if len(summ) != cat.n + len(g.bricks) or len(mods) != len(g.bricks):
+            bad.append(names(g))
+    add("summand-count-is-n-plus-length", bad)
+
+    try:
+        lattice = cat.torsion_lattice(subset_gate)
+    except GateError as exc:
+        checks += [CheckResult(name, True, {"skipped": str(exc)})
+                   for name in LATTICE_CHECKS]
+    else:
+        degree = Counter()
+        for up, lo, _ in lattice.covers:
+            degree[up] += 1
+            degree[lo] += 1
+        bad = [i for i in range(len(lattice.classes)) if degree[i] != cat.n]
+        checks.append(CheckResult(
+            "torsion-lattice-degree-n-regular", not bad,
+            {"violations": bad, "classes": len(lattice.classes)}))
+        count = lattice.maximal_chain_count()
+        checks.append(CheckResult(
+            "mgs-count-matches-lattice-chains", count == len(all_mgs),
+            {"chains": count, "sequences": len(all_mgs)}))
+        bad = []
+        for g in all_mgs:
+            chain = eng.torsion_chain(g)
+            for pos, (up, lo) in enumerate(zip(chain, chain[1:]), start=1):
+                ui = lattice.index_of(up.members)
+                li = lattice.index_of(lo.members)
+                if dict(lattice.lower_covers[ui]).get(li) != g.bricks[pos - 1]:
+                    bad.append({"mgs": names(g), "position": pos})
+        add("chain-steps-are-labelled-lattice-covers", bad)
+        checks.append(_filt_interval_check(cat, lattice))
+
+    add("ext-formula-matches-presentation-oracle",
+        [[cat.display(a), cat.display(b)]
+         for a in range(len(cat.catalog)) for b in range(len(cat.catalog))
+         if cat.ext1(a, b) != cat.ext1_presentation(a, b)])
+    bad = []
+    for g in all_mgs:
+        for i in range(1, len(g.bricks)):
+            swapped = eng.square_swap(g, i)
+            if swapped is None:
+                continue
+            if not (eng.summand_set(g) == eng.summand_set(swapped)
+                    and set(eng.exchange_pairs(g))
+                    == set(eng.exchange_pairs(swapped))
+                    and eng.sff_key(g) == eng.sff_key(swapped)):
+                bad.append({"mgs": names(g), "position": i})
+    add("square-swaps-preserve-class-invariants", bad)
+
+    if cat.spec.is_nakayama:
+        checks.append(_unique_filtration_check(cat))
+        add("socle-quotient-matches-summand-modules",
+            [names(g) for g in all_mgs if not verify_phi(cat, eng, g)])
+    else:
+        add("interval-hom-dimensions-at-most-one",
+            [[cat.display(a), cat.display(b)]
+             for a in range(len(cat.catalog)) for b in range(len(cat.catalog))
+             if cat.hom(a, b) > 1])
+        checks.append(_representation_directed_check(cat))
+    return checks
+
+
+def _lemma_dicts(suite_or_oracle, spec):
+    cat = ModuleCategory(spec)
+    return [c.to_dict() for c in suite_or_oracle(cat, GreenEngine(cat))]
+
+
+@pytest.mark.parametrize("spec", full_battery() + LEMMA_EXTRA_SPECS,
+                         ids=lambda s: s.label())
+def test_lemmas_match_per_sequence_oracle(spec):
+    new = _lemma_dicts(lambda cat, eng: run_suite("lemmas", cat, eng), spec)
+    assert new == _lemma_dicts(oracle_lemmas, spec)
+    assert "hn-stable-factors-additive-over-sums" not in {
+        c["check"] for c in new}
+
+
+def test_lemmas_call_no_per_sequence_method(monkeypatch):
+    def refuse(self, *args):
+        raise AssertionError("per-sequence method called")
+
+    for name in ("torsion_chain", "summand_set", "exchange_pairs",
+                 "stable_factor_function", "square_swap", "explain_invalid"):
+        monkeypatch.setattr(GreenEngine, name, refuse)
+    cat = ModuleCategory(AlgebraSpec.nakayama([3, 2, 1]))
+    checks = run_suite("lemmas", cat, GreenEngine(cat))
+    assert checks and all(c.passed for c in checks)
+
+
+def test_orders_read_one_invariant_row_per_class(monkeypatch):
+    calls = Counter()
+    for name in ("stable_factor_function", "exchange_pairs"):
+        real = getattr(GreenEngine, name)
+
+        def counting(self, g, name=name, real=real):
+            calls[name, g.bricks] += 1
+            return real(self, g)
+
+        monkeypatch.setattr(GreenEngine, name, counting)
+    cat = ModuleCategory(AlgebraSpec.type_a("<><"))
+    eng = GreenEngine(cat)
+    assert all(c.passed for c in run_suite("all", cat, eng))
+    reps = {c.representative.bricks for c in eng.equivalence_classes()}
+    assert {g for _, g in calls} == reps
+    assert max(calls.values()) == 1
+
+
+# -- fault injection: each rewritten check reports a planted fault ---------------
+
+def _failed(checks, name):
+    check, = [c for c in checks if c.name == name]
+    assert not check.passed
+    return check.detail["violations"]
+
+
+def test_patched_ext_entry_fails_the_adjacent_check():
+    cat = ModuleCategory(EXAMPLE_QUIVER)
+    eng = GreenEngine(cat)
+    eng.equivalence_classes()
+    a, b = next((a, b) for g in eng.enumerate_mgs()
+                for a, b in zip(g.bricks, g.bricks[1:])
+                if cat.hom_table[a][b] == 0)
+    table = [list(row) for row in cat.ext1_table]
+    table[b][a] += 1
+    cat.ext1_table = tuple(map(tuple, table))
+    checks = run_suite("lemmas", cat, eng)
+    pair = [cat.display(a), cat.display(b)]
+    assert pair in _failed(checks, "adjacent-hom-vanishing-forces-ext-vanishing")
+    assert pair[::-1] in _failed(checks, "ext-formula-matches-presentation-oracle")
+
+
+def test_non_simple_end_label_fails_the_end_check(monkeypatch):
+    cat = ModuleCategory(EXAMPLE_QUIVER)
+    one = cat.resolve_token("1")
+    real = cat.is_simple
+    monkeypatch.setattr(cat, "is_simple", lambda i: i != one and real(i))
+    checks = run_suite("lemmas", cat, GreenEngine(cat))
+    # one cover below the top and one above the bottom carry the label 1
+    assert _failed(checks, "first-and-last-brick-simple") == ["1", "1"]
+
+
+def _assert_fault_matches_oracle(spec, name):
+    new = _lemma_dicts(lambda cat, eng: run_suite("lemmas", cat, eng), spec)
+    old = _lemma_dicts(oracle_lemmas, spec)
+    check, = [c for c in new if c["check"] == name]
+    assert not check["passed"] and check["detail"]["violations"]
+    assert check in old
+
+
+def test_patched_relative_simples_fail_like_the_oracle(monkeypatch):
+    real = ModuleCategory.relative_simples
+
+    def patched(self, tors):
+        found = real(self, tors)
+        return frozenset() if len(tors.members) == len(self.catalog) else found
+
+    monkeypatch.setattr(ModuleCategory, "relative_simples", patched)
+    _assert_fault_matches_oracle(EXAMPLE_QUIVER,
+                                 "chain-relative-simples-equal-brick-set")
+
+
+def test_merged_exchange_components_fail_like_the_oracle(monkeypatch):
+    # two outgoing summands of one sequence are merged; no two exchange
+    # pairs become equal, so the classes do not change
+    eng = GreenEngine(ModuleCategory(EXAMPLE_QUIVER))
+    every = {p for g in eng.enumerate_mgs() for p in eng.exchange_pairs(g)}
+
+    def ins(out):
+        return {p.in_ for p in every if p.out == out}
+
+    keep, merged = next(
+        (p.out, q.out) for g in eng.enumerate_mgs()
+        for p, q in combinations(eng.exchange_pairs(g), 2)
+        if ins(p.out).isdisjoint(ins(q.out)) and p.out not in ins(q.out))
+    real = GreenEngine._cover_exchange
+
+    def patched(self, up, lo, b):
+        pair = real(self, up, lo, b)
+        return ExchangePair(keep, pair.in_) if pair.out == merged else pair
+
+    monkeypatch.setattr(GreenEngine, "_cover_exchange", patched)
+    _assert_fault_matches_oracle(EXAMPLE_QUIVER,
+                                 "exchange-components-never-repeat")
+
+
+def test_shifted_projective_summand_fails_like_the_oracle(monkeypatch):
+    # a projective module summand renamed as a shifted one: the summand
+    # sets keep their sizes and the classes do not change
+    real = GreenEngine.silting_summands
+
+    def patched(self, tors):
+        proj = SiltingSummand(False, self.cat.projectives[0])
+        return frozenset(SiltingSummand(True, 99) if s == proj else s
+                         for s in real(self, tors))
+
+    monkeypatch.setattr(GreenEngine, "silting_summands", patched)
+    _assert_fault_matches_oracle(EXAMPLE_QUIVER,
+                                 "summand-count-is-n-plus-length")
+
+
+def test_patched_socle_quotient_fails_like_the_oracle(monkeypatch):
+    spec = AlgebraSpec.nakayama([3, 2, 1])
+    real = NakayamaBackend.socle_quotient
+
+    def patched(self, i):
+        quot = real(self, i)
+        return None if quot is None else (quot + 1) % len(self.catalog)
+
+    monkeypatch.setattr(NakayamaBackend, "socle_quotient", patched)
+    _assert_fault_matches_oracle(spec, "socle-quotient-matches-summand-modules")
+
+
+def test_mislabelled_oracle_cover_fails_the_cover_check():
+    cat = ModuleCategory(EXAMPLE_QUIVER)
+    oracle = cat.torsion_lattice()
+    (up, lo, lab), *rest = oracle.covers
+    other = next(b for b in cat.bricks if b != lab)
+    cat._lattice = replace(oracle, covers=((up, lo, other), *rest))
+    checks = run_suite("lemmas", cat, GreenEngine(cat))
+    assert _failed(checks, "chain-steps-are-labelled-lattice-covers") == [
+        {"upper": sorted(oracle.classes[up]),
+         "lower": sorted(oracle.classes[lo])}]
+
+
+def _patch_square_side(eng, patch):
+    """Replace, in the cover table, the row list of the first class below
+    which two covers a then b commute by patch(rows, k), k the position of
+    the row of the other side's first cover, labelled b; return the class."""
+    summands, summ, steps = eng.cover_table()
+    for top, rows in steps.items():
+        for a, mid, *_ in rows:
+            for b, *_ in steps[mid]:
+                if eng._commute(a, b):
+                    k = next(j for j, row in enumerate(rows) if row[0] == b)
+                    eng._cover_table = (summands, summ,
+                                        {**steps, top: patch(list(rows), k)})
+                    return top
+    raise AssertionError("no square")
+
+
+def test_patched_square_side_fails_the_square_check():
+    cat = ModuleCategory(EXAMPLE_QUIVER)
+    eng = GreenEngine(cat)
+
+    def patch(rows, k):
+        b, lo, s, e, f = rows[k]
+        rows[k] = (b, lo, s, e, f | 1 << 300)
+        return rows
+
+    top = _patch_square_side(eng, patch)
+    check = _square_check(cat, eng)
+    assert not check.passed
+    assert check.detail["violations"]
+    assert all(v["class"] == sorted(cat.generated_lattice().classes[top])
+               for v in check.detail["violations"])
+
+
+def test_removed_square_side_raises():
+    cat = ModuleCategory(EXAMPLE_QUIVER)
+    eng = GreenEngine(cat)
+    _patch_square_side(eng, lambda rows, k: rows[:k] + rows[k + 1:])
+    with pytest.raises(InvariantViolation, match="square swap broke the sequence"):
+        _square_check(cat, eng)

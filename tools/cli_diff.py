@@ -11,12 +11,12 @@ Kupisch series on at most four vertices, the cyclic series 2,2 / 3,3 /
 2,2,2 / 3,2,2, typeA <<<<, Nakayama 3,3,3,2,1 and cyclic 3,3,3, each with
 `catalog`, `bricks`, `mgs`, `classes`, `poset --format json` for every
 order that applies and `verify --suite all`; `mgs` on typeA <><>; and
-`classes` and `poset --format json` for the pentagon, summand and hn
-orders on all 16 five-vertex type-A orientations.  Then, on each of the
-algebras with every command, `hn` along the first and the last sequence
-of the first tree's `mgs` output, given as a brick list, once with
-`--module` the sum of every catalog module (#0+#1+...) and once for each
-single module: 844 calls in all.  A call that both trees reject with a
+`classes`, `poset --format json` for the pentagon, summand and hn orders
+and `verify --suite all` on all 16 five-vertex type-A orientations.
+Then, on each of the algebras with every command, `hn` along the first
+and the last sequence of the first tree's `mgs` output, given as a brick
+list, once with `--module` the sum of every catalog module (#0+#1+...)
+and once for each single module: 860 calls in all.  A call that both trees reject with a
 usage error (exit 2) is reported too: the battery should make none.
 Exit code 0 when every call matches, 1 when some call differs, times
 out or is rejected.
@@ -59,7 +59,7 @@ def linear_kupisch(max_n: int):
 
 
 def battery() -> list[tuple[dict, str]]:
-    """(algebra, which commands: "all", "mgs" or "classes")."""
+    """(algebra, which commands: "all", "mgs" or "five")."""
     specs = [type_a("".join(w)) for n in range(1, 5)
              for w in itertools.product("<>", repeat=n - 1)]
     specs += [nakayama(s) for s in linear_kupisch(4)]
@@ -69,7 +69,7 @@ def battery() -> list[tuple[dict, str]]:
               nakayama([3, 3, 3], cyclic=True)]
     five = [type_a("".join(w)) for w in itertools.product("<>", repeat=4)]
     return ([(spec, "all") for spec in specs] + [(type_a("<><>"), "mgs")]
-            + [(spec, "classes") for spec in five])
+            + [(spec, "five") for spec in five])
 
 
 def label(spec: dict) -> str:
@@ -86,8 +86,8 @@ def commands(spec: dict, kind: str) -> list[list[str]]:
     if spec["type"] == "nakayama":
         orders.append("brick")
     posets = [["poset", "--order", o, "--format", "json"] for o in orders]
-    if kind == "classes":
-        return [["classes"]] + posets
+    if kind == "five":
+        return [["classes"]] + posets + [["verify", "--suite", "all"]]
     return ([["catalog"], ["bricks"], ["mgs"], ["classes"]] + posets
             + [["verify", "--suite", "all"]])
 
