@@ -412,9 +412,6 @@ class GreenEngine:
                 (x, layer[1]) for x, layer in layers if layer is not None)
         return found
 
-    def sff_key(self, g: MGS) -> tuple:
-        return tuple(self.stable_factor_function(g).items())
-
     # -- equivalence --------------------------------------------------------------------
 
     def equivalence_classes(self) -> list[EquivClass]:

@@ -15,8 +15,9 @@ term.  The torsion lattice is generated from its brick-labelled covers
 on first use (`generated_lattice`): the cover labelled B below T is T
 intersected with the bitmask of B's left Hom-perpendicular
 (`perp_masks`), which the torsion chains of green sequences read too.
-A brute-force enumeration over all subsets of the catalog
-(`torsion_lattice`) stays as the independent oracle that the
+Its maximal chains are counted on the lattice, never listed; the orders
+walk its polygons.  A brute-force enumeration over all subsets of the
+catalog (`torsion_lattice`) stays as the independent oracle that the
 verification suites and tests compare against.
 """
 
@@ -83,10 +84,6 @@ class SesRecord:
 class TorsionClass:
     members: frozenset[int]
 
-    @property
-    def ids_sorted(self) -> tuple[int, ...]:
-        return tuple(sorted(self.members))
-
     def __contains__(self, i: int) -> bool:
         return i in self.members
 
@@ -134,33 +131,6 @@ class TorsionLattice:
             counts[idx] = sum(counts[lo]
                               for lo, _ in self.lower_covers.get(idx, ()))
         return counts[self.top]
-
-    def maximal_chains(self, start: int | None = None, end: int | None = None):
-        """All cover-paths from `start` down to `end`, as lists of
-        (class index, label) steps."""
-        start = self.top if start is None else start
-        end = self.bottom if end is None else end
-        if start == end:
-            return [[]]
-        floor = self.classes[end]
-        below = self.lower_covers
-        chains = []
-        # depth-first, lower covers in increasing index order; a path that
-        # leaves the classes containing `end` never reaches it
-        acc: list[tuple[int, int]] = []
-        stack = [iter(below.get(start, ()))]
-        while stack:
-            step = next(stack[-1], None)
-            if step is None:
-                stack.pop()
-                if acc:
-                    acc.pop()
-            elif step[0] == end:
-                chains.append(acc + [step])
-            elif floor < self.classes[step[0]]:
-                acc.append(step)
-                stack.append(iter(below.get(step[0], ())))
-        return chains
 
 
 class ModuleCategory:

@@ -6,22 +6,22 @@ inclusion of silting summand sets, and refinement of Harder-Narasimhan
 stable factors.  Reverse inclusion of brick sets is a fourth order that
 is only antisymmetric over Nakayama algebras, so it is refused elsewhere.
 
-The deformations across polygons that theorem B checks are read off the
-polygons of the generated torsion lattice rather than found by comparing
-every pair of green sequences; that all-pairs search is kept in the tests
-as the oracle.  The hn order and the exchange-persistence check read one
+The pentagon order and theorem B's polygon check read each polygon of the
+generated torsion lattice once, and find the classes on either side by
+summand-mask lookup, never by listing sequences; the all-pairs polygon
+search and the per-sequence deformation scan stay in the tests as
+oracles.  The hn order and the exchange-persistence check read one
 stable-factor table and one exchange-pair set per class.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import InvariantViolation, UsageError
 from .green import GreenEngine, SiltingSummand
-from .modcat import ModuleCategory, TorsionClass
+from .modcat import ModuleCategory
 
 ORDER_TAGS = ("pentagon", "summand", "hn", "brick")
 
@@ -46,28 +46,25 @@ class ClassPoset:
                          if i != j and self.leq[i][j])
 
 
+@dataclass(frozen=True)
+class Polygon:
+    """A polygon of the torsion lattice: the lengths of its two maximal
+    chains, the longer first; the number of pairs of green sequences that
+    differ by the deformation across it; and their classes, the class
+    through the first side first."""
+
+    sides: tuple[int, int]
+    sequence_pairs: int
+    class_pairs: frozenset[tuple[int, int]]
+
+
 def iepd_cover_pairs(engine: GreenEngine) -> frozenset[tuple[int, int]]:
     """Class pairs (long, short) related by an increasing elementary
-    polygonal deformation: drop the strictly-between bricks of a valid
-    pattern and swap its endpoints.  Every valid sequence is enumerated,
-    so a candidate is valid exactly when the sequence index holds it."""
-    all_mgs = engine.enumerate_mgs()
-    engine.equivalence_classes()
-    index = engine._index
-    pairs = set()
-    for k, g in enumerate(all_mgs):
-        r = len(g.bricks)
-        for p in range(r):
-            for q in range(p + 2, r):
-                seq = g.bricks[:p] + (g.bricks[q], g.bricks[p]) + g.bricks[q + 1:]
-                j = index.get(seq)
-                if j is not None:
-                    lo, hi = engine.class_of(k), engine.class_of(j)
-                    if lo == hi:
-                        raise InvariantViolation(
-                            "polygonal deformation did not change the class")
-                    pairs.add((lo, hi))
-    return frozenset(pairs)
+    polygonal deformation: the class pairs of the polygons with a side of
+    two covers and a longer side."""
+    return frozenset(pair for polygon in polygon_deformation_pairs(engine)
+                     if polygon.sides[1] == 2 < polygon.sides[0]
+                     for pair in polygon.class_pairs)
 
 
 # Relations on classes are built as int rows: bit j of rows[i] is set
@@ -134,13 +131,13 @@ def _bits(mask: int):
 
 def _hn_leq(f_lo: dict, f_hi: dict) -> bool:
     """Do the f_hi stable factors refine the f_lo ones on every
-    indecomposable?"""
-    for x in f_lo:
-        expected: Counter = Counter()
-        for brick, mult in f_lo[x]:
-            for b2, m2 in f_hi[brick]:
-                expected[b2] += mult * m2
-        if Counter(dict(f_hi[x])) != expected:
+    indecomposable?  Each table maps a module to {brick: multiplicity}."""
+    for x, factors in f_lo.items():
+        expected: dict[int, int] = {}
+        for brick, mult in factors.items():
+            for b2, m2 in f_hi[brick].items():
+                expected[b2] = expected.get(b2, 0) + mult * m2
+        if expected != f_hi[x]:
             return False
     return True
 
@@ -153,7 +150,8 @@ def build_order(tag: str, engine: GreenEngine) -> ClassPoset:
     elif tag == "summand":
         rows = _containment_rows([frozenset(c.key) for c in classes])
     elif tag == "hn":
-        tables = [engine.stable_factor_function(c.representative)
+        tables = [{x: dict(row) for x, row in
+                   engine.stable_factor_function(c.representative).items()}
                   for c in classes]
         rows = [sum(1 << j for j in range(size)
                     if i == j or _hn_leq(tables[i], tables[j]))
@@ -199,7 +197,7 @@ def source_order_simples(cat: ModuleCategory) -> list[int]:
     order = []
     while remaining:
         ready = [v for v in remaining
-                 if all(cat.hom(cat.projectives[v], cat.projectives[w]) == 0
+                 if all(cat.hom_table[cat.projectives[v]][cat.projectives[w]] == 0
                         for w in remaining if w != v)]
         if not ready:
             raise InvariantViolation("projectives admit no hom-free ordering")
@@ -274,66 +272,88 @@ def exchange_persistence(engine: GreenEngine, pentagon: ClassPoset) -> dict:
     return {"passed": not failures, "failures": failures}
 
 
-def polygon_deformation_pairs(engine: GreenEngine) -> list[dict]:
-    """Pairs of green sequences that differ exactly by a deformation across
-    one finite polygon, with the two side lengths, sorted by (first,
-    second) sequence index.
+def polygon_deformation_pairs(engine: GreenEngine) -> list[Polygon]:
+    """The polygons of the generated torsion lattice, by top and then by its
+    two lower covers, each with the classes of the pairs of green sequences
+    that differ by a deformation across it.
 
-    The polygons are read off the generated torsion lattice: for a class T
-    and two of its lower covers T1, T2, the interval [T1 & T2, T] has
-    exactly two maximal chains, its sides (the lattice is polygonal:
-    Demonet, Iyama, Reading, Reiten, Thomas, arXiv:1711.01785), and its
-    top and bottom share n-2 silting summands.  Each pair is a chain from
-    the top down to T, then one side or the other, then a chain from
-    T1 & T2 down to zero."""
-    engine.enumerate_mgs()
-    index = engine._index
+    For a class T and two of its lower covers T1, T2, the interval
+    [T1 & T2, T] has exactly two maximal chains, its sides (the lattice is
+    polygonal: Demonet, Iyama, Reading, Reiten, Thomas, arXiv:1711.01785),
+    and its top and bottom share n-2 silting summands.  A sequence across
+    it is a chain down to T, a side and a chain from T1 & T2 down to zero;
+    its class key is the OR of its classes' summand masks (`cover_table`),
+    so each distinct mask of the chains above and below meets each side
+    once."""
+    by_key = _classes_by_key(engine)
     lattice = engine.cat.generated_lattice()
-    classes = lattice.classes
+    _, summ, _ = engine.cover_table()
+    classes, below, n = lattice.classes, lattice.lower_covers, engine.cat.n
+    # the summand masks of the chains from the top down to each class and
+    # from each class down to zero, and their numbers; classes are sorted
+    # by size, so a class comes after its lower covers
+    prefixes, above = {lattice.top: {summ[lattice.top]}}, {lattice.top: 1}
+    for c in range(len(classes) - 1, -1, -1):
+        for lo, _ in below.get(c, ()):
+            prefixes.setdefault(lo, set()).update(m | summ[lo] for m in prefixes[c])
+            above[lo] = above.get(lo, 0) + above[c]
+    suffixes, under = {lattice.bottom: {summ[lattice.bottom]}}, {lattice.bottom: 1}
+    for c in range(lattice.bottom + 1, len(classes)):
+        suffixes[c] = {summ[c] | m for lo, _ in below[c] for m in suffixes[lo]}
+        under[c] = sum(under[lo] for lo, _ in below[c])
 
-    def labels(chains):
-        return [tuple(lab for _, lab in chain) for chain in chains]
-
-    suffixes: dict[int, list[tuple[int, ...]]] = {}
-    found = []
+    polygons = []
     for top in range(len(classes)):
-        downs = lattice.lower_covers.get(top, ())
-        if len(downs) < 2:
-            continue
-        prefixes = labels(lattice.maximal_chains(end=top))
-        for (t1, _), (t2, _) in combinations(downs, 2):
+        for (t1, _), (t2, _) in combinations(below.get(top, ()), 2):
             bottom = lattice.index_of(classes[t1] & classes[t2])
-            sides = labels(lattice.maximal_chains(start=top, end=bottom))
+            name = f"[{sorted(classes[bottom])}, {sorted(classes[top])}]"
+            sides = sorted(_interval_chains(lattice, summ, top, bottom),
+                           reverse=True)
             if len(sides) != 2:
                 raise InvariantViolation(
-                    f"interval [{sorted(classes[bottom])}, {sorted(classes[top])}] "
-                    f"has {len(sides)} sides, not two")
-            shared = (engine.silting_summands(TorsionClass(classes[top]))
-                      & engine.silting_summands(TorsionClass(classes[bottom])))
-            if len(shared) != engine.cat.n - 2:
-                raise InvariantViolation(
-                    f"polygon [{sorted(classes[bottom])}, {sorted(classes[top])}] "
-                    f"shares {len(shared)} silting summands, not "
-                    f"{engine.cat.n - 2}")
-            if bottom not in suffixes:
-                suffixes[bottom] = labels(lattice.maximal_chains(start=bottom))
-            for pre in prefixes:
+                    f"interval {name} has {len(sides)} sides, not two")
+            shared = (summ[top] & summ[bottom]).bit_count()
+            if shared != n - 2:
+                raise InvariantViolation(f"polygon {name} shares {shared} "
+                                         f"silting summands, not {n - 2}")
+            iepd = sides[1][0] == 2 < sides[0][0]
+            pairs = set()
+            for pre in prefixes[top]:
                 for suf in suffixes[bottom]:
-                    (k, side_k), (l, side_l) = sorted(
-                        (_sequence_index(index, pre + side + suf), len(side))
-                        for side in sides)
-                    found.append({"first": k, "second": l,
-                                  "sides": (side_k, side_l)})
-    found.sort(key=lambda p: (p["first"], p["second"]))
-    return found
+                    pair = tuple(by_key.get(pre | mask | suf) for _, mask in sides)
+                    if None in pair:
+                        raise InvariantViolation(
+                            f"a chain across polygon {name} has a summand "
+                            f"mask that is not the key of a class")
+                    if iepd and pair[0] == pair[1]:
+                        raise InvariantViolation(
+                            "polygonal deformation did not change the class")
+                    pairs.add(pair)
+            polygons.append(Polygon(
+                sides=(sides[0][0], sides[1][0]),
+                sequence_pairs=above[top] * under[bottom],
+                class_pairs=frozenset(pairs)))
+    return polygons
 
 
-def _sequence_index(index: dict[tuple[int, ...], int], seq: tuple[int, ...]) -> int:
-    k = index.get(seq)
-    if k is None:
-        raise InvariantViolation(
-            f"polygon chain {list(seq)} is not an enumerated green sequence")
-    return k
+def _classes_by_key(engine: GreenEngine) -> dict[int, int]:
+    """Class index by the summand mask of its key, bit i standing for the
+    i-th silting summand of `GreenEngine.cover_table`."""
+    bit = {s: 1 << i for i, s in enumerate(engine.cover_table()[0])}
+    return {sum(bit[s] for s in cls.key): i
+            for i, cls in enumerate(engine.equivalence_classes())}
+
+
+def _interval_chains(lattice, summ: list[int], top: int, bottom: int
+                     ) -> list[tuple[int, int]]:
+    """The maximal chains of the interval [bottom, top] as (number of
+    covers, OR of the summand masks of the classes below top)."""
+    if top == bottom:
+        return [(0, 0)]
+    return [(length + 1, summ[lo] | mask)
+            for lo, _ in lattice.lower_covers[top]
+            if lattice.classes[bottom] <= lattice.classes[lo]
+            for length, mask in _interval_chains(lattice, summ, lo, bottom)]
 
 
 def hasse_dot(poset: ClassPoset, engine: GreenEngine) -> str:

@@ -98,17 +98,17 @@ def suite_theorem_b(cat: ModuleCategory, engine: GreenEngine,
                               not bad, {"violations": bad}))
 
     unoriented = [p for p in orders_mod.polygon_deformation_pairs(engine)
-                  if min(p["sides"]) >= 3]
-    bad = []
-    for p in unoriented:
-        c1 = engine.class_of(p["first"])
-        c2 = engine.class_of(p["second"])
-        for tag, poset in posets.items():
-            if poset.leq[c1][c2] or poset.leq[c2][c1]:
-                bad.append({"pair": [c1, c2], "order": tag})
-    checks.append(CheckResult("unoriented-polygon-sides-incomparable",
-                              not bad,
-                              {"polygons": len(unoriented), "violations": bad}))
+                  if p.sides[1] >= 3]
+    # each unordered class pair once per order it is comparable in
+    bad = sorted({(min(c1, c2), max(c1, c2), tag) for p in unoriented
+                  for c1, c2 in p.class_pairs
+                  for tag, poset in posets.items()
+                  if poset.leq[c1][c2] or poset.leq[c2][c1]})
+    checks.append(CheckResult(
+        "unoriented-polygon-sides-incomparable", not bad,
+        {"polygons": sum(p.sequence_pairs for p in unoriented),
+         "violations": [{"pair": [c1, c2], "order": tag}
+                        for c1, c2, tag in bad]}))
 
     persistence = orders_mod.exchange_persistence(engine, posets["pentagon"])
     checks.append(CheckResult("exchange-pairs-persist-downward",
@@ -172,7 +172,7 @@ def suite_lemmas(cat: ModuleCategory, engine: GreenEngine,
     # Non-split extensions of doubly hom-orthogonal bricks are bricks.
     bad = []
     for l, n in combinations(bricks, 2):
-        if cat.hom(l, n) or cat.hom(n, l):
+        if cat.hom_table[l][n] or cat.hom_table[n][l]:
             continue
         for pair in ((l, n), (n, l)):
             for e in range(len(cat.catalog)):
@@ -238,7 +238,7 @@ def suite_lemmas(cat: ModuleCategory, engine: GreenEngine,
         bad = [[cat.display(a), cat.display(b)]
                for a in range(len(cat.catalog))
                for b in range(len(cat.catalog))
-               if cat.hom(a, b) > 1]
+               if cat.hom_table[a][b] > 1]
         checks.append(CheckResult("interval-hom-dimensions-at-most-one",
                                   not bad, {"violations": bad}))
         checks.append(_representation_directed_check(cat))
@@ -309,18 +309,27 @@ def _square_check(cat: ModuleCategory, engine: GreenEngine) -> CheckResult:
 
 def _filt_interval_check(cat: ModuleCategory, lattice) -> CheckResult:
     # Filtration category of the labels along any maximal chain between two
-    # comparable classes equals the hom-perpendicular interval.
-    bad = []
-    for ui, upper in enumerate(lattice.classes):
-        for li, lower in enumerate(lattice.classes):
-            if ui == li or not lower < upper:
-                continue
-            expected = cat.interval_members(upper, lower)
-            for chain in lattice.maximal_chains(start=ui, end=li):
-                labels = frozenset(lab for _, lab in chain)
-                got = cat.filt_indecs(labels)
-                if got != expected:
-                    bad.append({"upper": sorted(upper), "lower": sorted(lower)})
+    # comparable classes equals the hom-perpendicular interval.  The chains
+    # down to each lower class are counted per label set, walking up the
+    # classes in order of size; a pair is reported once per failing chain.
+    classes, below = lattice.classes, lattice.lower_covers
+    failing = []
+    for li, lower in enumerate(classes):
+        # upper class -> label set -> number of maximal chains down to li
+        chains = {li: Counter({frozenset(): 1})}
+        for ui in range(li + 1, len(classes)):
+            counts: Counter = Counter()
+            for lo, lab in below.get(ui, ()):
+                for labels, k in chains.get(lo, {}).items():
+                    counts[labels | {lab}] += k
+            if counts:
+                chains[ui] = counts
+                expected = cat.interval_members(classes[ui], lower)
+                failing += [(ui, li)] * sum(
+                    k for labels, k in counts.items()
+                    if cat.filt_indecs(labels) != expected)
+    bad = [{"upper": sorted(classes[ui]), "lower": sorted(classes[li])}
+           for ui, li in sorted(failing)]
     return CheckResult("interval-equals-filtration-of-chain-labels",
                        not bad, {"violations": bad})
 
@@ -340,7 +349,7 @@ def _unique_filtration_check(cat: ModuleCategory) -> CheckResult:
     bad = []
     for r in range(1, len(bricks) + 1):
         for combo in combinations(bricks, r):
-            if any(cat.hom(a, b) or cat.hom(b, a)
+            if any(cat.hom_table[a][b] or cat.hom_table[b][a]
                    for a, b in combinations(combo, 2)):
                 continue
             for x in range(len(cat.catalog)):
@@ -354,7 +363,7 @@ def _unique_filtration_check(cat: ModuleCategory) -> CheckResult:
 def _representation_directed_check(cat: ModuleCategory) -> CheckResult:
     # No cycle of non-zero non-isomorphisms among the indecomposables.
     size = len(cat.catalog)
-    adj = {a: [b for b in range(size) if a != b and cat.hom(a, b)]
+    adj = {a: [b for b in range(size) if a != b and cat.hom_table[a][b]]
            for a in range(size)}
     state = {a: 0 for a in range(size)}
     cycle = []

@@ -7,7 +7,8 @@ closure off the sequence index.  The oracle below builds all four
 partitions sequence by sequence from the public invariants, as the
 engine did before: swap components through `square_swap` (which
 re-checks every swapped sequence with `explain_invalid`), and one key
-per sequence from `summand_set`, `exchange_pairs` and `sff_key`.
+per sequence from `summand_set`, `exchange_pairs` and
+`stable_factor_function`.
 """
 
 import ast
@@ -78,7 +79,8 @@ def oracle_classes(eng):
         "exchange pairs": _partition(
             range(count), lambda k: frozenset(eng.exchange_pairs(all_mgs[k]))),
         "stable-factor functions": _partition(
-            range(count), lambda k: eng.sff_key(all_mgs[k])),
+            range(count), lambda k: tuple(
+                eng.stable_factor_function(all_mgs[k]).items())),
     }
     names = list(partitions)
     for a in range(len(names)):

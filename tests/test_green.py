@@ -308,7 +308,8 @@ def test_swaps_preserve_invariants(example_cat, example_engine):
             assert example_engine.summand_set(g) == example_engine.summand_set(swapped)
             assert (set(example_engine.exchange_pairs(g))
                     == set(example_engine.exchange_pairs(swapped)))
-            assert example_engine.sff_key(g) == example_engine.sff_key(swapped)
+            assert (example_engine.stable_factor_function(g)
+                    == example_engine.stable_factor_function(swapped))
 
 
 # -- equivalence classes -------------------------------------------------------------------

@@ -1,19 +1,29 @@
 """Partial orders on equivalence classes: deformation, summand, HN, brick."""
 
+from collections import Counter
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from greenseq import AlgebraSpec, GreenEngine, ModuleCategory
 from greenseq.errors import InvariantViolation, UsageError
 from greenseq.green import MGS
+from greenseq import orders
+from greenseq.modcat import TorsionLattice
 from greenseq.orders import (_check_partial_order, _covers_from_leq,
                              _transitive_reflexive_closure, build_order,
                              check_extrema, exchange_persistence, hasse_dot,
                              iepd_cover_pairs, orders_equal_report,
                              polygon_deformation_pairs)
+from greenseq.verify import build_posets, suite_theorem_b
 
 from conftest import category_for, engine_for, full_battery, ids_of
+from test_green import _small_algebra
 from test_verify import verify_phi
+
+EXTRA_SPECS = [AlgebraSpec.type_a("<<<<"), AlgebraSpec.nakayama([3, 3, 3, 2, 1]),
+               AlgebraSpec.nakayama([3, 3, 3], cyclic=True)]
 
 
 def class_of_names(cat, engine, names):
@@ -45,9 +55,34 @@ def test_squares_are_not_deformation_covers(example_cat, example_engine):
             > len(classes[hi].representative.bricks)
 
 
+def _iepd_by_swaps(engine):
+    """Oracle: class pairs (long, short) related by an increasing elementary
+    polygonal deformation, found by dropping the strictly-between bricks of
+    every pattern of every sequence and swapping its endpoints.  Every
+    valid sequence is enumerated, so a candidate is valid exactly when the
+    sequence index holds it."""
+    all_mgs = engine.enumerate_mgs()
+    engine.equivalence_classes()
+    index = engine._index
+    pairs = set()
+    for k, g in enumerate(all_mgs):
+        r = len(g.bricks)
+        for p in range(r):
+            for q in range(p + 2, r):
+                seq = g.bricks[:p] + (g.bricks[q], g.bricks[p]) + g.bricks[q + 1:]
+                j = index.get(seq)
+                if j is not None:
+                    lo, hi = engine.class_of(k), engine.class_of(j)
+                    if lo == hi:
+                        raise InvariantViolation(
+                            "polygonal deformation did not change the class")
+                    pairs.add((lo, hi))
+    return frozenset(pairs)
+
+
 @pytest.mark.parametrize("spec", full_battery(), ids=lambda s: s.label())
 def test_deformation_candidates_valid_iff_enumerated(spec):
-    # iepd_cover_pairs trusts the sequence index instead of is_valid_mgs
+    # the swap oracle trusts the sequence index instead of is_valid_mgs
     eng = engine_for(spec)
     for g in eng.enumerate_mgs():
         r = len(g.bricks)
@@ -111,6 +146,31 @@ def test_brick_order_on_nakayama():
     posets = [build_order(tag, eng)
               for tag in ("pentagon", "summand", "hn", "brick")]
     assert orders_equal_report(posets)["equal"]
+
+
+def _hn_leq_by_counters(f_lo, f_hi):
+    """Oracle: the hn relation on two `stable_factor_function` tables, with
+    a Counter of the expected stable factors per module."""
+    for x in f_lo:
+        expected = Counter()
+        for brick, mult in f_lo[x]:
+            for b2, m2 in f_hi[brick]:
+                expected[b2] += mult * m2
+        if Counter(dict(f_hi[x])) != expected:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("spec", full_battery() + EXTRA_SPECS,
+                         ids=lambda s: s.label())
+def test_hn_order_matches_counter_oracle(spec):
+    eng = engine_for(spec)
+    tables = [eng.stable_factor_function(c.representative)
+              for c in eng.equivalence_classes()]
+    leq = tuple(tuple(i == j or _hn_leq_by_counters(tables[i], tables[j])
+                      for j in range(len(tables)))
+                for i in range(len(tables)))
+    assert build_order("hn", eng).leq == leq
 
 
 def test_hn_implies_brick_containment(example_engine):
@@ -318,12 +378,12 @@ def test_exchange_persistence_a2(a2_engine):
 def test_cyclic_2_2_is_an_unoriented_polygon():
     spec = AlgebraSpec.nakayama([2, 2], cyclic=True)
     cat, eng = category_for(spec), engine_for(spec)
-    pairs = polygon_deformation_pairs(eng)
-    assert len(pairs) == 1
-    assert sorted(pairs[0]["sides"]) == [3, 3]
+    polygons = polygon_deformation_pairs(eng)
+    assert len(polygons) == 1
+    assert polygons[0].sides == (3, 3)
+    assert polygons[0].sequence_pairs == 1
+    [(c1, c2)] = polygons[0].class_pairs
     posets = _posets(eng)
-    c1 = eng.class_of(pairs[0]["first"])
-    c2 = eng.class_of(pairs[0]["second"])
     for poset in posets.values():
         assert not poset.leq[c1][c2]
         assert not poset.leq[c2][c1]
@@ -331,61 +391,174 @@ def test_cyclic_2_2_is_an_unoriented_polygon():
 
 def test_example_polygon_sides(example_engine):
     # every detected polygon deformation over the three-vertex quiver is a
-    # square (2,2) or pentagon-like (2,k); no unoriented ones
+    # square (2,2) or pentagon-like (k,2); no unoriented ones
     for p in polygon_deformation_pairs(example_engine):
-        assert min(p["sides"]) == 2
+        assert p.sides[1] == 2
 
 
 def _all_pairs_polygons(engine):
     """Oracle: compare every two sequences; keep those whose torsion chains
     split at one class, meet again at the first shared class below, and
-    whose top and bottom there share n-2 silting summands."""
+    whose top and bottom there share n-2 silting summands.  The classes
+    are numbered by decreasing size, so the numbers increase along a
+    chain, and two chains split once and meet once exactly when no class
+    of both is numbered between the least and the greatest number of a
+    class of one of them only."""
     all_mgs = engine.enumerate_mgs()
     chains = [engine.torsion_chain(g) for g in all_mgs]
+    order = sorted({t for chain in chains for t in chain},
+                   key=lambda t: (-len(t.members), sorted(t.members)))
+    number = {t: i for i, t in enumerate(order)}
+    masks = [sum(1 << number[t] for t in chain) for chain in chains]
+    polygon = {}
     found = []
-    for k in range(len(all_mgs)):
-        for l in range(k + 1, len(all_mgs)):
-            ck, cl = chains[k], chains[l]
-            a = 0
-            while a < min(len(ck), len(cl)) and ck[a] == cl[a]:
-                a += 1
-            b = 0
-            while (b < min(len(ck), len(cl))
-                   and ck[len(ck) - 1 - b] == cl[len(cl) - 1 - b]):
-                b += 1
-            if a == 0 or b == 0 or a + b > min(len(ck), len(cl)):
+    for k, mk in enumerate(masks):
+        for l in range(k + 1, len(masks)):
+            both, one = mk & masks[l], mk ^ masks[l]
+            low, high = one & -one, one.bit_length()
+            if both & ((1 << high) - low):
                 continue
-            if set(ck[a:len(ck) - b]) & set(cl[a:len(cl) - b]):
-                continue
-            top, bottom = ck[a - 1], ck[len(ck) - b]
-            shared = (engine.silting_summands(top)
-                      & engine.silting_summands(bottom))
-            if len(shared) != engine.cat.n - 2:
-                continue
-            found.append({"first": k, "second": l,
-                          "sides": (len(ck) - b - a + 1, len(cl) - b - a + 1)})
+            above, below = both & (low - 1), both >> high
+            ends = (above.bit_length() - 1, high + (below & -below).bit_length() - 1)
+            if ends not in polygon:
+                shared = (engine.silting_summands(order[ends[0]])
+                          & engine.silting_summands(order[ends[1]]))
+                polygon[ends] = len(shared) == engine.cat.n - 2
+            if polygon[ends]:
+                a, b = above.bit_count(), below.bit_count()
+                found.append({"first": k, "second": l,
+                              "sides": (len(chains[k]) - a - b + 1,
+                                        len(chains[l]) - a - b + 1)})
     return found
 
 
-@pytest.mark.parametrize("spec", full_battery(), ids=lambda s: s.label())
+def _by_side_type(rows):
+    """[sequence pairs, class pairs] per (long, short) side lengths, from
+    (side lengths, class pairs, sequence pairs) rows; the class pairs of
+    equal sides are taken in both orientations."""
+    found = {}
+    for sides, pairs, count in rows:
+        entry = found.setdefault(sides, [0, set()])
+        entry[0] += count
+        for c1, c2 in pairs:
+            entry[1] |= {(c1, c2), (c2, c1)} if sides[0] == sides[1] else {(c1, c2)}
+    return found
+
+
+def _polygons_by_side_type(engine):
+    return _by_side_type((p.sides, p.class_pairs, p.sequence_pairs)
+                         for p in polygon_deformation_pairs(engine))
+
+
+def _oracle_by_side_type(engine):
+    rows = []
+    for p in _all_pairs_polygons(engine):
+        first = (p["sides"][0], engine.class_of(p["first"]))
+        second = (p["sides"][1], engine.class_of(p["second"]))
+        (long, c_long), (short, c_short) = sorted((first, second), reverse=True)
+        rows.append(((long, short), [(c_long, c_short)], 1))
+    return _by_side_type(rows)
+
+
+def _assert_polygons_match_oracles(engine):
+    assert _polygons_by_side_type(engine) == _oracle_by_side_type(engine)
+    assert iepd_cover_pairs(engine) == _iepd_by_swaps(engine)
+
+
+@pytest.mark.parametrize("spec", full_battery() + EXTRA_SPECS,
+                         ids=lambda s: s.label())
 def test_polygon_pairs_match_all_pairs_search(spec):
+    _assert_polygons_match_oracles(engine_for(spec))
+
+
+# derandomized: the all-pairs oracle costs 3.5 s on the 2981 sequences of
+# the largest draw, Nakayama 5,4,3,2,1
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(_small_algebra())
+def test_polygon_pairs_match_oracles_on_drawn_algebras(spec):
+    _assert_polygons_match_oracles(GreenEngine(ModuleCategory(spec)))
+
+
+@pytest.mark.parametrize("spec", full_battery() + EXTRA_SPECS,
+                         ids=lambda s: s.label())
+def test_iepd_pairs_match_swap_scan(spec):
     eng = engine_for(spec)
-    assert polygon_deformation_pairs(eng) == _all_pairs_polygons(eng)
+    assert iepd_cover_pairs(eng) == _iepd_by_swaps(eng)
 
 
-def test_polygon_chain_missing_from_the_index_is_a_violation():
-    eng = GreenEngine(ModuleCategory(AlgebraSpec.type_a("<")))
-    eng.enumerate_mgs()
-    del eng._index[eng.enumerate_mgs()[0].bricks]
-    with pytest.raises(InvariantViolation, match="not an enumerated"):
+@pytest.mark.parametrize("spec", [AlgebraSpec.type_a("<<<"),
+                                  AlgebraSpec.nakayama([3, 3, 3], cyclic=True)],
+                         ids=lambda s: s.label())
+def test_polygons_read_no_sequence_index(spec):
+    expected = (build_order("pentagon", engine_for(spec)),
+                polygon_deformation_pairs(engine_for(spec)))
+    eng = GreenEngine(ModuleCategory(spec))
+    eng.equivalence_classes()
+    eng._index.clear()
+    assert (build_order("pentagon", eng), polygon_deformation_pairs(eng)) == expected
+
+
+def _classes_ready(spec):
+    """A fresh engine whose classes are computed before a fault is put in."""
+    eng = GreenEngine(ModuleCategory(spec))
+    eng.equivalence_classes()
+    return eng
+
+
+def test_polygon_interval_without_two_sides_is_a_violation(monkeypatch):
+    eng = _classes_ready(AlgebraSpec.type_a("<>"))
+    # every meet read as zero: the interval below the top is the lattice
+    monkeypatch.setattr(TorsionLattice, "index_of", lambda self, members: self.bottom)
+    with pytest.raises(InvariantViolation, match="has 3 sides, not two"):
         polygon_deformation_pairs(eng)
 
 
 def test_polygon_without_shared_summands_is_a_violation(monkeypatch):
-    eng = GreenEngine(ModuleCategory(AlgebraSpec.type_a("<>")))
-    monkeypatch.setattr(eng, "silting_summands", lambda tors: frozenset())
-    with pytest.raises(InvariantViolation, match="silting summands"):
+    eng = _classes_ready(AlgebraSpec.type_a("<>"))
+    summands, summ, steps = eng.cover_table()
+    monkeypatch.setattr(eng, "cover_table",
+                        lambda: (summands, [0] * len(summ), steps))
+    with pytest.raises(InvariantViolation, match="shares 0 silting summands"):
         polygon_deformation_pairs(eng)
+
+
+def test_polygon_chain_mask_not_a_class_key_is_a_violation(monkeypatch):
+    eng = _classes_ready(AlgebraSpec.type_a("<"))
+    real = orders._classes_by_key
+    monkeypatch.setattr(orders, "_classes_by_key",
+                        lambda engine: dict(list(real(engine).items())[1:]))
+    with pytest.raises(InvariantViolation, match="not the key of a class"):
+        polygon_deformation_pairs(eng)
+
+
+def test_deformation_keeping_the_class_is_a_violation(monkeypatch):
+    eng = _classes_ready(AlgebraSpec.type_a("<"))
+    real = orders._classes_by_key
+    monkeypatch.setattr(orders, "_classes_by_key",
+                        lambda engine: dict.fromkeys(real(engine), 0))
+    with pytest.raises(InvariantViolation, match="did not change the class"):
+        polygon_deformation_pairs(eng)
+
+
+def test_comparable_unoriented_polygon_sides_listed_once_per_order():
+    spec = AlgebraSpec.nakayama([3, 3, 3], cyclic=True)
+    eng = engine_for(spec)
+    posets = build_posets(eng, include_brick=False)
+    size = posets["summand"].size
+    # summand and hn orders that relate every two classes
+    for tag in ("summand", "hn"):
+        posets[tag] = replace(posets[tag], leq=((True,) * size,) * size)
+    unoriented = [p for p in polygon_deformation_pairs(eng) if p.sides[1] >= 3]
+    [check] = [c for c in suite_theorem_b(category_for(spec), eng, posets)
+               if c.name == "unoriented-polygon-sides-incomparable"]
+    pairs = sorted({tuple(sorted(pair)) for p in unoriented
+                    for pair in p.class_pairs})
+    assert len(pairs) == 3
+    assert not check.passed
+    assert check.detail == {
+        "polygons": 3,
+        "violations": [{"pair": list(pair), "order": tag}
+                       for pair in pairs for tag in ("hn", "summand")]}
 
 
 # -- DOT emission ------------------------------------------------------------------------

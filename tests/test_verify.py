@@ -20,6 +20,7 @@ from greenseq.verify import (LATTICE_CHECKS, CheckResult, _filt_interval_check,
                              _unique_filtration_check, run_suite)
 
 from conftest import EXAMPLE_QUIVER, category_for, full_battery
+from test_modcat import _maximal_chains_by_recursion
 
 LEMMA_EXTRA_SPECS = [AlgebraSpec.type_a("<<<<"),
                      AlgebraSpec.nakayama([3, 3, 3, 2, 1]),
@@ -63,6 +64,50 @@ def test_filt_interval_check_runs_beyond_twenty_classes():
     check = _filt_interval_check(cat, lattice)
     assert check.passed
     assert check.detail == {"violations": []}
+
+
+def _filt_interval_by_chains(cat, lattice):
+    """Oracle: the filtration check chain by chain, over every maximal chain
+    between two comparable classes, listed by recursion."""
+    bad = []
+    for ui, upper in enumerate(lattice.classes):
+        for li, lower in enumerate(lattice.classes):
+            if ui == li or not lower < upper:
+                continue
+            expected = cat.interval_members(upper, lower)
+            for chain in _maximal_chains_by_recursion(lattice, ui, li):
+                labels = frozenset(lab for _, lab in chain)
+                if cat.filt_indecs(labels) != expected:
+                    bad.append({"upper": sorted(upper), "lower": sorted(lower)})
+    return CheckResult("interval-equals-filtration-of-chain-labels",
+                       not bad, {"violations": bad})
+
+
+@pytest.mark.parametrize("spec", full_battery() + LEMMA_EXTRA_SPECS,
+                         ids=lambda s: s.label())
+def test_filt_interval_check_matches_per_chain_loop(spec):
+    cat = category_for(spec)
+    lattice = cat.torsion_lattice()
+    assert _filt_interval_check(cat, lattice) == _filt_interval_by_chains(cat, lattice)
+
+
+@pytest.mark.parametrize("spec", [AlgebraSpec.type_a("<><"),
+                                  AlgebraSpec.nakayama([3, 3, 2, 1]),
+                                  AlgebraSpec.nakayama([3, 3, 3], cyclic=True)],
+                         ids=lambda s: s.label())
+def test_failing_filt_interval_check_matches_per_chain_loop(spec, monkeypatch):
+    cat = ModuleCategory(spec)
+    real = cat.filt_indecs
+    # label sets of three or more bricks filter nothing
+    monkeypatch.setattr(cat, "filt_indecs", lambda labels: (
+        frozenset() if len(labels) > 2 else real(labels)))
+    lattice = cat.torsion_lattice()
+    check = _filt_interval_check(cat, lattice)
+    violations = check.detail["violations"]
+    assert not check.passed
+    # some pair is reported once for each of several failing chains
+    assert len({str(v) for v in violations}) < len(violations)
+    assert check == _filt_interval_by_chains(cat, lattice)
 
 
 def test_gated_lemmas_report_each_lattice_check_as_skipped():
@@ -111,8 +156,9 @@ def verify_phi(cat, eng, g):
 
 def oracle_lemmas(cat, eng, subset_gate=DEFAULT_SUBSET_GATE):
     """The lemma battery as it ran sequence by sequence, through
-    `torsion_chain`, `summand_set`, `exchange_pairs`, `sff_key`,
-    `square_swap` and `verify_phi`, less the HN additivity check."""
+    `torsion_chain`, `summand_set`, `exchange_pairs`,
+    `stable_factor_function`, `square_swap` and `verify_phi`, less the HN
+    additivity check."""
     checks = []
     all_mgs = eng.enumerate_mgs()
 
@@ -206,7 +252,8 @@ def oracle_lemmas(cat, eng, subset_gate=DEFAULT_SUBSET_GATE):
             if not (eng.summand_set(g) == eng.summand_set(swapped)
                     and set(eng.exchange_pairs(g))
                     == set(eng.exchange_pairs(swapped))
-                    and eng.sff_key(g) == eng.sff_key(swapped)):
+                    and eng.stable_factor_function(g)
+                    == eng.stable_factor_function(swapped)):
                 bad.append({"mgs": names(g), "position": i})
     add("square-swaps-preserve-class-invariants", bad)
 
