@@ -129,6 +129,7 @@ class GreenEngine:
         self._layer_cache: dict[tuple[int, frozenset, int], tuple | None] = {}
         self._cover_mult_cache: dict[tuple[frozenset, int], tuple] = {}
         self._cover_table: tuple | None = None
+        self._polygons: list | None = None
         self._classes: list[EquivClass] | None = None
         self._class_of: dict[int, int] = {}
         self._path_failures: dict[str, list[int]] | None = None
@@ -470,6 +471,14 @@ class GreenEngine:
         if self._cover_table is None:
             self._cover_table = self._cover_steps(self.cat.generated_lattice())
         return self._cover_table
+
+    def polygons(self) -> list:
+        """`orders.polygon_deformation_pairs` of this engine, built on first
+        use: the pentagon order and theorem B read this one list."""
+        if self._polygons is None:
+            from . import orders
+            self._polygons = orders.polygon_deformation_pairs(self)
+        return self._polygons
 
     def _cover_steps(self, lattice) -> tuple[list[SiltingSummand], list[int], dict]:
         """The bit-numbered contributions of the generated lattice's

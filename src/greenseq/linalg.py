@@ -2,13 +2,17 @@
 
 One Gaussian elimination serves two fields: the prime field F_p with
 p = 1000003 by default, which keeps every intermediate value an exact
-machine-sized integer, and the rationals (Fraction pivots) for paranoia
-runs.  The catalog matrices have entries in {0, 1}; the tests check
-that both fields give equal dim Hom for every catalog pair of the test
-battery.
+machine-sized integer, and the rationals for paranoia runs.  Over the
+rationals the elimination is fraction-free: a row is replaced by
+a * row - f * pivot_row (a the pivot, f the row's entry under it) and
+divided by the gcd of its entries.  Each step is an invertible row
+operation over Q, so the rank is the rational rank, and the entries stay
+small integers.  The catalog matrices have entries in {0, 1}; the tests
+check that both fields give equal dim Hom for every catalog pair of the
+test battery, and compare the rational rank with a Fraction elimination.
 """
 
-from fractions import Fraction
+from math import gcd
 
 DEFAULT_PRIME = 1000003
 
@@ -17,7 +21,7 @@ def rank_over(rows: list[list[int]], p: int | None) -> int:
     """Rank of an integer matrix over F_p, or over the rationals when p
     is None."""
     if p is None:
-        rows = [[Fraction(x) for x in row] for row in rows if any(row)]
+        rows = [row for row in rows if any(row)]
     else:
         rows = [[x % p for x in row] for row in rows if any(row)]
     if not rows:
@@ -34,16 +38,19 @@ def rank_over(rows: list[list[int]], p: int | None) -> int:
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
         if p is None:
-            prow = [x / rows[rank][col] for x in rows[rank]]
+            prow = rows[rank]
+            lead = prow[col]
         else:
             inv = pow(rows[rank][col], p - 2, p)
             prow = [(x * inv) % p for x in rows[rank]]
-        rows[rank] = prow
+            rows[rank] = prow
         for r in range(rank + 1, len(rows)):
             f = rows[r][col]
             if f:
                 if p is None:
-                    rows[r] = [a - f * b for a, b in zip(rows[r], prow)]
+                    row = [lead * x - f * y for x, y in zip(rows[r], prow)]
+                    g = gcd(*row)
+                    rows[r] = [x // g for x in row] if g > 1 else row
                 else:
                     rows[r] = [(a - f * b) % p for a, b in zip(rows[r], prow)]
         rank += 1

@@ -219,8 +219,12 @@ class ModuleCategory:
         for v in range(self.n):
             offs.append(total)
             total += M.spaces[v] * N.spaces[v]
+        if not total:
+            return 0
         rows = []
         for k, (s, d) in enumerate(self.slots):
+            if not M.spaces[d] and not N.spaces[s]:
+                continue  # every row of this slot is zero
             TM, TN = M.matrices[k], N.matrices[k]
             for i in range(N.spaces[d]):
                 for j in range(M.spaces[s]):

@@ -6,8 +6,9 @@ inclusion of silting summand sets, and refinement of Harder-Narasimhan
 stable factors.  Reverse inclusion of brick sets is a fourth order that
 is only antisymmetric over Nakayama algebras, so it is refused elsewhere.
 
-The pentagon order and theorem B's polygon check read each polygon of the
-generated torsion lattice once, and find the classes on either side by
+The pentagon order and theorem B's polygon check read one list of the
+generated torsion lattice's polygons, walked once per engine
+(`GreenEngine.polygons`), and find the classes on either side by
 summand-mask lookup, never by listing sequences; the all-pairs polygon
 search and the per-sequence deformation scan stay in the tests as
 oracles.  The hn order and the exchange-persistence check read one
@@ -62,7 +63,7 @@ def iepd_cover_pairs(engine: GreenEngine) -> frozenset[tuple[int, int]]:
     """Class pairs (long, short) related by an increasing elementary
     polygonal deformation: the class pairs of the polygons with a side of
     two covers and a longer side."""
-    return frozenset(pair for polygon in polygon_deformation_pairs(engine)
+    return frozenset(pair for polygon in engine.polygons()
                      if polygon.sides[1] == 2 < polygon.sides[0]
                      for pair in polygon.class_pairs)
 

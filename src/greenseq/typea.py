@@ -5,7 +5,13 @@ top-down composition-series reading (the module "12" has top 1 and socle
 2), we work with right modules: the structure map of an arrow x -> y
 sends the fibre at y to the fibre at x.  A subset of an interval's
 support carries a submodule iff it is closed under taking arrow sources,
-i.e. y in S and an in-interval arrow x -> y force x in S.
+i.e. y in S and an in-interval arrow x -> y force x in S.  The supports
+are built vertex by vertex, keeping a partial support only while the
+arrows it already spans are closed, so the work follows the number of
+submodules rather than the 2^width subsets of the interval.  The short
+exact sequences with an indecomposable middle term are read off the
+supports on the first `records` call for that module; commands that
+read only the Hom table never build them.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ class TypeABackend:
         self.catalog = self._build_catalog()
         self._by_interval = {(m.descriptor[1] - 1, m.descriptor[2] - 1): m.ident
                              for m in self.catalog}
-        self._records = [self._build_records(i) for i in range(len(self.catalog))]
+        self._records: list[tuple[SesRecord, ...] | None] = [None] * len(self.catalog)
         self.simples = tuple(self._by_interval[(v, v)] for v in range(self.n))
         self.projectives = tuple(
             self._by_interval[self._projective_interval(v)] for v in range(self.n))
@@ -83,18 +89,26 @@ class TypeABackend:
 
     def submodule_supports(self, i: int) -> list[frozenset[int]]:
         """All submodule supports of an interval module, 1-based vertices,
-        including the empty set and the full support."""
+        including the empty set and the full support, sorted by size and
+        then by vertex tuple.  Built vertex by vertex from the left end:
+        vertex k is added off or on, and the partial support is kept only
+        while every in-interval arrow whose larger endpoint is k keeps
+        "s in S forces d in S"."""
         _, a1, b1 = self.catalog[i].descriptor
         a0, b0 = a1 - 1, b1 - 1
         width = b0 - a0 + 1
-        inner = [(s - a0, d - a0) for s, d in self.slots
-                 if a0 <= s <= b0 and a0 <= d <= b0]
-        supports = []
-        for mask in range(1 << width):
-            # closed under structure maps: s in S forces d in S
-            if all(not (mask >> s & 1) or (mask >> d & 1) for s, d in inner):
-                supports.append(frozenset(
-                    a0 + k + 1 for k in range(width) if mask >> k & 1))
+        # in-interval arrows as local (s, d), grouped by max(s, d)
+        closing: list[list[tuple[int, int]]] = [[] for _ in range(width)]
+        for s, d in self.slots:
+            if a0 <= s <= b0 and a0 <= d <= b0:
+                closing[max(s, d) - a0].append((s - a0, d - a0))
+        masks = [0]
+        for k in range(width):
+            masks = [m for mask in masks for m in (mask, mask | 1 << k)
+                     if all(not (m >> s & 1) or (m >> d & 1)
+                            for s, d in closing[k])]
+        supports = [frozenset(a0 + k + 1 for k in range(width) if mask >> k & 1)
+                    for mask in masks]
         return sorted(supports, key=lambda f: (len(f), tuple(sorted(f))))
 
     def _components(self, verts: list[int]) -> list[int]:
@@ -125,7 +139,11 @@ class TypeABackend:
         return tuple(recs)
 
     def records(self, i: int) -> tuple[SesRecord, ...]:
-        return self._records[i]
+        """Module i's short exact sequences, built on the first call."""
+        recs = self._records[i]
+        if recs is None:
+            recs = self._records[i] = self._build_records(i)
+        return recs
 
     # -- homological helpers -----------------------------------------------------
 

@@ -97,8 +97,7 @@ def suite_theorem_b(cat: ModuleCategory, engine: GreenEngine,
     checks.append(CheckResult("deformation-strictly-shortens-length",
                               not bad, {"violations": bad}))
 
-    unoriented = [p for p in orders_mod.polygon_deformation_pairs(engine)
-                  if p.sides[1] >= 3]
+    unoriented = [p for p in engine.polygons() if p.sides[1] >= 3]
     # each unordered class pair once per order it is comparable in
     bad = sorted({(min(c1, c2), max(c1, c2), tag) for p in unoriented
                   for c1, c2 in p.class_pairs

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from greenseq.cli import main
+from greenseq.typea import TypeABackend
 
 
 @pytest.fixture
@@ -192,6 +193,23 @@ def test_exact_flag_same_output(capsys, example_file):
     _, out1, _ = run(capsys, "bricks", example_file)
     _, out2, _ = run(capsys, "--exact", "bricks", example_file)
     assert out1 == out2
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("command", ["catalog", "bricks"])
+def test_catalog_and_bricks_build_no_ses_records(capsys, monkeypatch,
+                                                 example_file, command, exact):
+    # both read only the catalog and the Hom table, so neither asks for
+    # SES records nor builds them eagerly
+    def refuse(self, i):
+        raise AssertionError(f"records of {i} built for {command}")
+
+    monkeypatch.setattr(TypeABackend, "records", refuse)
+    monkeypatch.setattr(TypeABackend, "_build_records", refuse)
+    flags = ["--exact"] if exact else []
+    code, out, _ = run(capsys, *flags, command, example_file)
+    assert code == 0
+    assert json.loads(out)["algebra"]["orientation"] == "<>"
 
 
 def test_hn_by_raw_id(capsys, a2_file):

@@ -99,7 +99,10 @@ def test_exact_mode_agrees(example_cat):
             assert example_cat.ext1(a, b) == exact.ext1(a, b)
 
 
-@pytest.mark.parametrize("spec", full_battery(), ids=lambda s: s.label())
+@pytest.mark.parametrize(
+    "spec", full_battery() + [AlgebraSpec.type_a("<" * 16),
+                              AlgebraSpec.type_a("<>" * 8)],
+    ids=lambda s: s.label())
 def test_exact_and_prime_field_hom_tables_equal(spec):
     # rational and F_p elimination give the same dim Hom on every pair
     assert (ModuleCategory(spec, exact=True).hom_table

@@ -1,8 +1,11 @@
 """Type-A backend: interval catalogs, submodule supports, hereditary checks."""
 
+import itertools
+
 import pytest
 
 from greenseq import AlgebraSpec
+from greenseq.typea import TypeABackend
 
 from conftest import category_for, type_a_battery
 
@@ -45,6 +48,32 @@ def test_submodule_supports_linear_arrow():
     m = cat.resolve_token("21")
     assert cat.backend.submodule_supports(m) == [
         frozenset(), frozenset({1}), frozenset({1, 2})]
+
+
+def _supports_by_mask_scan(backend, i):
+    """Every subset of the interval, kept when closed under the in-interval
+    arrows: the 2^width scan that the vertex-by-vertex build replaced."""
+    _, a1, b1 = backend.catalog[i].descriptor
+    a0, b0 = a1 - 1, b1 - 1
+    width = b0 - a0 + 1
+    inner = [(s - a0, d - a0) for s, d in backend.slots
+             if a0 <= s <= b0 and a0 <= d <= b0]
+    supports = []
+    for mask in range(1 << width):
+        if all(not (mask >> s & 1) or (mask >> d & 1) for s, d in inner):
+            supports.append(frozenset(
+                a0 + k + 1 for k in range(width) if mask >> k & 1))
+    return sorted(supports, key=lambda f: (len(f), tuple(sorted(f))))
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_submodule_supports_match_mask_scan(n):
+    # every orientation of A_n, n <= 9; equal lists, in order
+    for word in itertools.product("<>", repeat=n - 1):
+        backend = TypeABackend(AlgebraSpec.type_a("".join(word)))
+        for i in range(len(backend.catalog)):
+            assert (backend.submodule_supports(i)
+                    == _supports_by_mask_scan(backend, i)), ("".join(word), i)
 
 
 def test_full_interval_records(example_cat):

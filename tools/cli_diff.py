@@ -10,13 +10,15 @@ The battery: every type-A orientation word and every admissible linear
 Kupisch series on at most four vertices, the cyclic series 2,2 / 3,3 /
 2,2,2 / 3,2,2, typeA <<<<, Nakayama 3,3,3,2,1 and cyclic 3,3,3, each with
 `catalog`, `bricks`, `mgs`, `classes`, `poset --format json` for every
-order that applies and `verify --suite all`; `mgs` on typeA <><>; and
+order that applies and `verify --suite all`; `mgs` on typeA <><>;
 `classes`, `poset --format json` for the pentagon, summand and hn orders
-and `verify --suite all` on all 16 five-vertex type-A orientations.
+and `verify --suite all` on all 16 five-vertex type-A orientations; and
+`catalog` and `bricks`, each with and without `--exact`, on the long
+type-A quivers <x16, <>x8 and <<><<>><<><<>><< (17 vertices each).
 Then, on each of the algebras with every command, `hn` along the first
 and the last sequence of the first tree's `mgs` output, given as a brick
 list, once with `--module` the sum of every catalog module (#0+#1+...)
-and once for each single module: 860 calls in all.  A call that both trees reject with a
+and once for each single module: 872 calls in all.  A call that both trees reject with a
 usage error (exit 2) is reported too: the battery should make none.
 Exit code 0 when every call matches, 1 when some call differs, times
 out or is rejected.
@@ -59,7 +61,7 @@ def linear_kupisch(max_n: int):
 
 
 def battery() -> list[tuple[dict, str]]:
-    """(algebra, which commands: "all", "mgs" or "five")."""
+    """(algebra, which commands: "all", "mgs", "five" or "long")."""
     specs = [type_a("".join(w)) for n in range(1, 5)
              for w in itertools.product("<>", repeat=n - 1)]
     specs += [nakayama(s) for s in linear_kupisch(4)]
@@ -68,8 +70,10 @@ def battery() -> list[tuple[dict, str]]:
     specs += [type_a("<<<<"), nakayama([3, 3, 3, 2, 1]),
               nakayama([3, 3, 3], cyclic=True)]
     five = [type_a("".join(w)) for w in itertools.product("<>", repeat=4)]
+    long = [type_a("<" * 16), type_a("<>" * 8), type_a("<<><<>><<><<>><<")]
     return ([(spec, "all") for spec in specs] + [(type_a("<><>"), "mgs")]
-            + [(spec, "five") for spec in five])
+            + [(spec, "five") for spec in five]
+            + [(spec, "long") for spec in long])
 
 
 def label(spec: dict) -> str:
@@ -80,8 +84,12 @@ def label(spec: dict) -> str:
 
 
 def commands(spec: dict, kind: str) -> list[list[str]]:
+    """Each call as its global flags, then the command and its options."""
     if kind == "mgs":
         return [["mgs"]]
+    if kind == "long":
+        return [[*flags, cmd] for cmd in ("catalog", "bricks")
+                for flags in ([], ["--exact"])]
     orders = ["pentagon", "summand", "hn"]
     if spec["type"] == "nakayama":
         orders.append("brick")
@@ -108,7 +116,9 @@ def run(src: Path, command: list[str], path: Path, cwd: Path):
     """(exit code, stdout bytes) of one fresh CLI process; exit code None
     on timeout."""
     env = dict(os.environ, PYTHONPATH=str(src))
-    argv = [sys.executable, "-m", "greenseq", command[0], str(path), *command[1:]]
+    flags = list(itertools.takewhile(lambda arg: arg.startswith("--"), command))
+    name, *options = command[len(flags):]
+    argv = [sys.executable, "-m", "greenseq", *flags, name, str(path), *options]
     try:
         proc = subprocess.run(argv, cwd=cwd, env=env, capture_output=True,
                               timeout=CALL_TIMEOUT_S)
