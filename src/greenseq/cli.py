@@ -2,8 +2,11 @@
 
 All reports are canonical JSON (sorted keys, two-space indent) so that
 identical inputs produce byte-identical output; Hasse diagrams can also
-be emitted as DOT.  Exit codes: 0 success, 1 a verification check failed,
-2 usage, parse, or gate errors.
+be emitted as DOT.  The JSON is exactly `json.dumps(obj, indent=2,
+sort_keys=True)` plus a newline, written by `canonical_json` without the
+standard library's pure-Python indenting encoder (see there).  Exit
+codes: 0 success, 1 a verification check failed, 2 usage, parse, or gate
+errors.
 """
 
 from __future__ import annotations
@@ -11,17 +14,81 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .algebra import AlgebraSpec
 from .errors import GateError, InvariantViolation, SpecError, TheoremViolation, UsageError
-from .green import DEFAULT_BRICK_GATE, GreenEngine
+from .green import DEFAULT_BRICK_GATE, DEFAULT_SEQUENCE_GATE, GreenEngine
 from .modcat import DEFAULT_SUBSET_GATE, ModuleCategory
 from . import orders as orders_mod
 from . import verify as verify_mod
 
 
+# how a scalar of exactly this type is written, as `json.dumps` writes it
+_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
 def canonical_json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """`json.dumps(obj, indent=2, sort_keys=True) + "\\n"`, byte for byte.
+
+    With an indent, `json.dumps` runs its pure-Python encoder.  This walks
+    dicts with str keys, lists and tuples itself, writes str, int, bool and
+    None through the same C helpers, and joins a list whose items share one
+    of those types in one call.  Every other value (floats, dicts with
+    other keys, subclasses, unknown types) goes to `json.dumps` with its
+    newlines re-indented, which is exact because ASCII-escaped JSON holds
+    no raw newline inside a string.  Errors are those of `json.dumps`:
+    unsortable keys and unsupported types raise TypeError, a container
+    that holds itself ValueError."""
+    out: list[str] = []
+    _emit(obj, "\n", out, set())
+    out.append("\n")
+    return "".join(out)
+
+
+def _emit(obj, pad: str, out: list[str], path: set[int]) -> None:
+    """Append obj, whose lines after the first start with pad."""
+    kind = type(obj)
+    scalar = _SCALARS.get(kind)
+    if scalar is not None:
+        out.append(scalar(obj))
+        return
+    is_dict = kind is dict and all(type(k) is str for k in obj)
+    if not (is_dict or kind is list or kind is tuple):
+        out.append(json.dumps(obj, indent=2, sort_keys=True).replace("\n", pad))
+        return
+    if not obj:
+        out.append("{}" if is_dict else "[]")
+        return
+    if id(obj) in path:
+        raise ValueError("Circular reference detected")
+    path.add(id(obj))
+    inner = pad + "  "
+    if is_dict:
+        sep = "{" + inner
+        for key in sorted(obj):
+            out.append(f"{sep}{encode_basestring_ascii(key)}: ")
+            _emit(obj[key], inner, out, path)
+            sep = "," + inner
+        out.append(pad + "}")
+    else:
+        kinds = set(map(type, obj))
+        scalar = _SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
+        if scalar is not None:
+            out.append("[" + inner + ("," + inner).join(map(scalar, obj)) + pad + "]")
+        else:
+            sep = "[" + inner
+            for item in obj:
+                out.append(sep)
+                _emit(item, inner, out, path)
+                sep = "," + inner
+            out.append(pad + "]")
+    path.discard(id(obj))
 
 
 def load_algebra(path: str) -> AlgebraSpec:
@@ -40,7 +107,8 @@ def load_algebra(path: str) -> AlgebraSpec:
 def _context(args) -> tuple[ModuleCategory, GreenEngine]:
     spec = load_algebra(args.algebra)
     cat = ModuleCategory(spec, exact=args.exact)
-    engine = GreenEngine(cat, brick_gate=args.brick_gate)
+    engine = GreenEngine(cat, brick_gate=args.brick_gate,
+                         sequence_gate=args.sequence_gate)
     return cat, engine
 
 
@@ -77,9 +145,11 @@ def cmd_bricks(args) -> int:
 
 def cmd_mgs(args) -> int:
     cat, engine = _context(args)
+    display = {b: cat.display(b) for b in cat.bricks}
+    descriptor = {b: cat.descriptor_str(b) for b in cat.bricks}
     seqs = [{"index": k, "ids": list(g.bricks),
-             "bricks": [cat.display(b) for b in g.bricks],
-             "descriptors": [cat.descriptor_str(b) for b in g.bricks],
+             "bricks": [display[b] for b in g.bricks],
+             "descriptors": [descriptor[b] for b in g.bricks],
              "length": len(g.bricks)}
             for k, g in enumerate(engine.enumerate_mgs())]
     print(canonical_json({"algebra": cat.spec.to_dict(), "count": len(seqs),
@@ -188,6 +258,10 @@ def build_parser() -> argparse.ArgumentParser:
                              "default prime-field arithmetic")
     parser.add_argument("--brick-gate", type=int, default=DEFAULT_BRICK_GATE,
                         help="refuse enumeration beyond this many bricks")
+    parser.add_argument("--sequence-gate", type=int,
+                        default=DEFAULT_SEQUENCE_GATE,
+                        help="refuse to list more maximal green sequences "
+                             "than this, counted before listing")
     parser.add_argument("--subset-gate", type=int, default=DEFAULT_SUBSET_GATE,
                         help="refuse torsion-lattice enumeration beyond this "
                              "many subsets")

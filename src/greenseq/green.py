@@ -42,6 +42,9 @@ from .errors import GateError, InvariantViolation, TheoremViolation, UsageError
 from .modcat import ModuleCategory, ModuleSum, TorsionClass
 
 DEFAULT_BRICK_GATE = 24
+# listing more sequences than this is refused before the walk starts:
+# typeA <<<<< has 340,549, typeA <><>< has 16,424,057
+DEFAULT_SEQUENCE_GATE = 1_000_000
 
 # the lemma checks folded along the lattice walk of `_path_keys`
 PATH_CHECKS = (
@@ -99,9 +102,11 @@ class EquivClass:
 
 
 class GreenEngine:
-    def __init__(self, cat: ModuleCategory, brick_gate: int = DEFAULT_BRICK_GATE):
+    def __init__(self, cat: ModuleCategory, brick_gate: int = DEFAULT_BRICK_GATE,
+                 sequence_gate: int = DEFAULT_SEQUENCE_GATE):
         self.cat = cat
         self.brick_gate = brick_gate
+        self.sequence_gate = sequence_gate
         self.bricks = cat.bricks
         self._bpos = {b: k for k, b in enumerate(self.bricks)}
         nb = len(self.bricks)
@@ -155,7 +160,9 @@ class GreenEngine:
     def enumerate_mgs(self) -> list[MGS]:
         """Every maximal green sequence, in lexicographic order of brick
         ids: the maximal chains of the generated torsion lattice, read as
-        their cover labels."""
+        their cover labels.  Refused before the walk when there are more
+        bricks than the brick gate or, counted on the lattice, more
+        sequences than the sequence gate."""
         if self._all_mgs is not None:
             return list(self._all_mgs)
         if len(self.bricks) > self.brick_gate:
@@ -163,6 +170,11 @@ class GreenEngine:
                 f"{len(self.bricks)} bricks exceed the enumeration gate of "
                 f"{self.brick_gate}; raise the gate to force it")
         lattice = self.cat.generated_lattice()
+        count = lattice.maximal_chain_count()
+        if count > self.sequence_gate:
+            raise GateError(
+                f"{count} maximal green sequences exceed the sequence gate "
+                f"of {self.sequence_gate}; raise the gate to force it")
         # the lower covers of a class carry distinct labels, so walking
         # them in label order lists the sequences lexicographically
         children = {up: sorted((lab, lo) for lo, lab in downs)

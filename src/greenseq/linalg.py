@@ -1,15 +1,17 @@
 """Exact rank computation for the morphism constraint systems.
 
-One Gaussian elimination serves two fields: the prime field F_p with
-p = 1000003 by default, which keeps every intermediate value an exact
-machine-sized integer, and the rationals for paranoia runs.  Over the
-rationals the elimination is fraction-free: a row is replaced by
-a * row - f * pivot_row (a the pivot, f the row's entry under it) and
-divided by the gcd of its entries.  Each step is an invertible row
-operation over Q, so the rank is the rational rank, and the entries stay
-small integers.  The catalog matrices have entries in {0, 1}; the tests
-check that both fields give equal dim Hom for every catalog pair of the
-test battery, and compare the rational rank with a Fraction elimination.
+One fraction-free Gaussian elimination serves two fields: the prime field
+F_p with p = 1000003 by default, and the rationals for paranoia runs.  A
+row is replaced by a * row - f * pivot_row (a the pivot, f the row's
+entry under it).  Each step is an invertible row operation, because a is
+nonzero in the field, so the rank is the rank over that field.  Over F_p
+the input rows and every updated row are reduced mod p, so a pivot is
+never a nonzero multiple of p and no inverse is taken; over the
+rationals an updated row is divided by the gcd of its entries, so the
+entries stay small integers.  The catalog matrices have entries in
+{0, 1}; the tests check that both fields give equal dim Hom for every
+catalog pair of the test battery, and compare each field's rank with an
+elimination that scales every pivot row to a leading 1.
 """
 
 from math import gcd
@@ -37,13 +39,8 @@ def rank_over(rows: list[list[int]], p: int | None) -> int:
         if piv is None:
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
-        if p is None:
-            prow = rows[rank]
-            lead = prow[col]
-        else:
-            inv = pow(rows[rank][col], p - 2, p)
-            prow = [(x * inv) % p for x in rows[rank]]
-            rows[rank] = prow
+        prow = rows[rank]
+        lead = prow[col]
         for r in range(rank + 1, len(rows)):
             f = rows[r][col]
             if f:
@@ -52,7 +49,8 @@ def rank_over(rows: list[list[int]], p: int | None) -> int:
                     g = gcd(*row)
                     rows[r] = [x // g for x in row] if g > 1 else row
                 else:
-                    rows[r] = [(a - f * b) % p for a, b in zip(rows[r], prow)]
+                    rows[r] = [(lead * x - f * y) % p
+                               for x, y in zip(rows[r], prow)]
         rank += 1
         if rank == len(rows):
             break

@@ -3,9 +3,18 @@
 import json
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from greenseq.cli import main
+from greenseq import GreenEngine, cli
+from greenseq.cli import canonical_json, main
 from greenseq.typea import TypeABackend
+
+from conftest import full_battery
+
+
+def _oracle(obj) -> str:
+    """The encoder `canonical_json` replaces."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 @pytest.fixture
@@ -89,6 +98,18 @@ def test_poset_output_file(capsys, tmp_path, example_file):
                        "-o", str(target))
     assert code == 0 and out == ""
     assert target.read_text().startswith("digraph hasse {")
+
+
+@pytest.mark.parametrize("order", ["pentagon", "summand", "hn"])
+def test_poset_json_output_file_holds_the_stdout_bytes(capsys, tmp_path,
+                                                       example_file, order):
+    argv = ["poset", example_file, "--order", order, "--format", "json"]
+    _, printed, _ = run(capsys, *argv)
+    target = tmp_path / "poset.json"
+    code, out, _ = run(capsys, *argv, "-o", str(target))
+    assert code == 0 and out == ""
+    assert target.read_bytes() == printed.encode("utf-8")
+    assert printed.startswith("{\n")
 
 
 def test_brick_order_refusal(capsys, example_file):
@@ -176,6 +197,38 @@ def test_gate_error_is_usage_exit(capsys, example_file):
     assert "gate" in err
 
 
+def test_sequence_gate_of_one_refuses_the_readme_example(capsys, example_file):
+    code, out, err = run(capsys, "--sequence-gate", "1", "mgs", example_file)
+    assert code == 2 and out == ""
+    assert "10 maximal green sequences exceed the sequence gate of 1" in err
+
+
+def test_brick_gate_fires_before_the_sequence_gate(capsys, example_file):
+    code, _, err = run(capsys, "--brick-gate", "2", "--sequence-gate", "1",
+                       "mgs", example_file)
+    assert code == 2
+    assert "6 bricks exceed the enumeration gate of 2" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["mgs"], ["classes"], ["poset", "--order", "pentagon"],
+    ["verify", "--suite", "all"], ["hn", "--mgs", "0", "--module", "#0"],
+])
+def test_default_sequence_gate_refuses_a_six_vertex_zigzag(
+        capsys, monkeypatch, tmp_path, argv):
+    # 16,424,057 sequences pass the brick gate; the count is taken on the
+    # lattice and no sequence is listed
+    def refuse(*args):
+        raise AssertionError("sequences listed")
+
+    monkeypatch.setattr(GreenEngine, "_walk", refuse)
+    path = tmp_path / "zigzag.json"
+    path.write_text('{"type": "typeA", "orientation": "<><><"}\n')
+    code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+    assert code == 2 and out == ""
+    assert "16424057 maximal green sequences exceed the sequence gate" in err
+
+
 def test_deterministic_output(capsys, example_file):
     _, out1, _ = run(capsys, "classes", example_file)
     _, out2, _ = run(capsys, "classes", example_file)
@@ -239,3 +292,73 @@ def test_failed_check_maps_to_exit_one(capsys, a2_file, monkeypatch):
     code, out, _ = run(capsys, "verify", a2_file, "--suite", "lemmas")
     assert code == 1
     assert json.loads(out)["passed"] is False
+
+
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(min_value=2 ** 64),
+    st.floats(), st.text())
+_KEYS = st.one_of(st.text(), st.integers(), st.booleans(), st.none())
+
+
+def _containers(items):
+    return st.one_of(
+        st.lists(items, max_size=5), st.tuples(items, items),
+        st.dictionaries(st.text(), items, max_size=5),
+        st.dictionaries(_KEYS, items, max_size=3),
+        st.lists(st.booleans()), st.lists(st.integers()), st.lists(st.text()),
+        st.lists(st.one_of(st.integers(), st.booleans())))
+
+
+def _outcome(encode, obj):
+    try:
+        return encode(obj)
+    except Exception as exc:
+        return type(exc)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.recursive(_SCALARS, _containers, max_leaves=40))
+@example({"a": [], "b": {}, "c": [[], {}], "d": ()})
+@example([1, True, 0, False, None])
+@example(["caf\u00e9", "\x00\n\t\"\\", "\u2028", "\U0001f600"])
+@example({"x": [10 ** 5000]})
+@example([float("nan"), float("inf"), -float("inf"), -0.0, 1e300])
+@example({1: "int key", "1": "str key"})
+@example({True: 1, None: 2, 3: [{"k": 1.5}]})
+@example([object()])
+def test_canonical_json_equals_json_dumps(obj):
+    # equal text, or the same exception type from both
+    assert _outcome(canonical_json, obj) == _outcome(_oracle, obj)
+
+
+def test_canonical_json_refuses_a_circular_list():
+    loop = []
+    loop.append({"loop": loop})
+    with pytest.raises(ValueError, match="Circular reference"):
+        canonical_json(loop)
+
+
+@pytest.mark.parametrize("spec", full_battery(), ids=lambda s: s.label())
+def test_every_command_prints_the_json_dumps_bytes(capsys, monkeypatch,
+                                                   tmp_path, spec):
+    reports = []
+
+    def recording(obj):
+        reports.append(obj)
+        return canonical_json(obj)
+
+    monkeypatch.setattr(cli, "canonical_json", recording)
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps(spec.to_dict()))
+    orders = ["pentagon", "summand", "hn"]
+    if spec.is_nakayama:
+        orders.append("brick")
+    calls = [["catalog"], ["bricks"], ["mgs"], ["classes"],
+             ["hn", "--mgs", "0", "--module", "#0"],
+             ["verify", "--suite", "all"]]
+    calls += [["poset", "--order", o, "--format", "json"] for o in orders]
+    for name, *options in calls:
+        code, out, _ = run(capsys, name, str(path), *options)
+        assert code == 0, (name, options)
+        assert out == _oracle(reports.pop()), (name, options)
+    assert reports == []
