@@ -18,7 +18,7 @@ from json.encoder import encode_basestring_ascii
 
 from .algebra import AlgebraSpec
 from .errors import GateError, InvariantViolation, SpecError, TheoremViolation, UsageError
-from .green import DEFAULT_BRICK_GATE, DEFAULT_SEQUENCE_GATE, GreenEngine
+from .green import DEFAULT_BRICK_GATE, GreenEngine
 from .modcat import DEFAULT_SUBSET_GATE, ModuleCategory
 from . import orders as orders_mod
 from . import verify as verify_mod
@@ -107,8 +107,7 @@ def load_algebra(path: str) -> AlgebraSpec:
 def _context(args) -> tuple[ModuleCategory, GreenEngine]:
     spec = load_algebra(args.algebra)
     cat = ModuleCategory(spec, exact=args.exact)
-    engine = GreenEngine(cat, brick_gate=args.brick_gate,
-                         sequence_gate=args.sequence_gate)
+    engine = GreenEngine(cat, brick_gate=args.brick_gate)
     return cat, engine
 
 
@@ -258,10 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "default prime-field arithmetic")
     parser.add_argument("--brick-gate", type=int, default=DEFAULT_BRICK_GATE,
                         help="refuse enumeration beyond this many bricks")
-    parser.add_argument("--sequence-gate", type=int,
-                        default=DEFAULT_SEQUENCE_GATE,
-                        help="refuse to list more maximal green sequences "
-                             "than this, counted before listing")
     parser.add_argument("--subset-gate", type=int, default=DEFAULT_SUBSET_GATE,
                         help="refuse torsion-lattice enumeration beyond this "
                              "many subsets")

@@ -42,9 +42,11 @@ from .errors import GateError, InvariantViolation, TheoremViolation, UsageError
 from .modcat import ModuleCategory, ModuleSum, TorsionClass
 
 DEFAULT_BRICK_GATE = 24
-# listing more sequences than this is refused before the walk starts:
-# typeA <<<<< has 340,549, typeA <><>< has 16,424,057
-DEFAULT_SEQUENCE_GATE = 1_000_000
+# listing more maximal green sequences than this is refused before the
+# walk starts.  typeA <<<<< has 340,549: `greenseq mgs` on it takes 16 s
+# and peaks at 1.27 GB RSS for 302 MB of JSON (one run, 2 shared vCPUs),
+# so this bound keeps a listing near 1.5 GB; typeA <><>< has 16,424,057
+SEQUENCE_GATE = 400_000
 
 # the lemma checks folded along the lattice walk of `_path_keys`
 PATH_CHECKS = (
@@ -102,11 +104,9 @@ class EquivClass:
 
 
 class GreenEngine:
-    def __init__(self, cat: ModuleCategory, brick_gate: int = DEFAULT_BRICK_GATE,
-                 sequence_gate: int = DEFAULT_SEQUENCE_GATE):
+    def __init__(self, cat: ModuleCategory, brick_gate: int = DEFAULT_BRICK_GATE):
         self.cat = cat
         self.brick_gate = brick_gate
-        self.sequence_gate = sequence_gate
         self.bricks = cat.bricks
         self._bpos = {b: k for k, b in enumerate(self.bricks)}
         nb = len(self.bricks)
@@ -162,7 +162,7 @@ class GreenEngine:
         ids: the maximal chains of the generated torsion lattice, read as
         their cover labels.  Refused before the walk when there are more
         bricks than the brick gate or, counted on the lattice, more
-        sequences than the sequence gate."""
+        sequences than `SEQUENCE_GATE`."""
         if self._all_mgs is not None:
             return list(self._all_mgs)
         if len(self.bricks) > self.brick_gate:
@@ -171,10 +171,10 @@ class GreenEngine:
                 f"{self.brick_gate}; raise the gate to force it")
         lattice = self.cat.generated_lattice()
         count = lattice.maximal_chain_count()
-        if count > self.sequence_gate:
+        if count > SEQUENCE_GATE:
             raise GateError(
                 f"{count} maximal green sequences exceed the sequence gate "
-                f"of {self.sequence_gate}; raise the gate to force it")
+                f"of {SEQUENCE_GATE}; they are not listed")
         # the lower covers of a class carry distinct labels, so walking
         # them in label order lists the sequences lexicographically
         children = {up: sorted((lab, lo) for lo, lab in downs)

@@ -5,11 +5,9 @@ import json
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from greenseq import GreenEngine, cli
+from greenseq import AlgebraSpec, GreenEngine, cli, green
 from greenseq.cli import canonical_json, main
 from greenseq.typea import TypeABackend
-
-from conftest import full_battery
 
 
 def _oracle(obj) -> str:
@@ -197,15 +195,18 @@ def test_gate_error_is_usage_exit(capsys, example_file):
     assert "gate" in err
 
 
-def test_sequence_gate_of_one_refuses_the_readme_example(capsys, example_file):
-    code, out, err = run(capsys, "--sequence-gate", "1", "mgs", example_file)
+def test_sequence_gate_of_one_refuses_the_readme_example(capsys, monkeypatch,
+                                                         example_file):
+    monkeypatch.setattr(green, "SEQUENCE_GATE", 1)
+    code, out, err = run(capsys, "mgs", example_file)
     assert code == 2 and out == ""
     assert "10 maximal green sequences exceed the sequence gate of 1" in err
 
 
-def test_brick_gate_fires_before_the_sequence_gate(capsys, example_file):
-    code, _, err = run(capsys, "--brick-gate", "2", "--sequence-gate", "1",
-                       "mgs", example_file)
+def test_brick_gate_fires_before_the_sequence_gate(capsys, monkeypatch,
+                                                  example_file):
+    monkeypatch.setattr(green, "SEQUENCE_GATE", 1)
+    code, _, err = run(capsys, "--brick-gate", "2", "mgs", example_file)
     assert code == 2
     assert "6 bricks exceed the enumeration gate of 2" in err
 
@@ -338,7 +339,13 @@ def test_canonical_json_refuses_a_circular_list():
         canonical_json(loop)
 
 
-@pytest.mark.parametrize("spec", full_battery(), ids=lambda s: s.label())
+# report shapes: the README example, a four-vertex zigzag, and a linear
+# and a cyclic Nakayama algebra, whose brick order is printed too
+@pytest.mark.parametrize("spec", [
+    AlgebraSpec.type_a("<>"), AlgebraSpec.type_a("<><"),
+    AlgebraSpec.nakayama([4, 3, 2, 1]),
+    AlgebraSpec.nakayama([3, 2, 2], cyclic=True),
+], ids=lambda s: s.label())
 def test_every_command_prints_the_json_dumps_bytes(capsys, monkeypatch,
                                                    tmp_path, spec):
     reports = []

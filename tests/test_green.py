@@ -3,9 +3,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from greenseq import AlgebraSpec, GreenEngine, ModuleCategory, ModuleSum
+from greenseq import AlgebraSpec, GreenEngine, ModuleCategory, ModuleSum, green
 from greenseq.errors import GateError, UsageError
-from greenseq.green import DEFAULT_SEQUENCE_GATE, MGS, SiltingSummand
+from greenseq.green import MGS, SiltingSummand
 
 from conftest import (EXAMPLE_QUIVER, category_for, engine_for, full_battery,
                       ids_of, names_of)
@@ -73,22 +73,24 @@ def test_sequence_gate_counts_before_the_walk(monkeypatch):
         raise AssertionError("sequences listed")
 
     monkeypatch.setattr(GreenEngine, "_walk", refuse)
-    eng = GreenEngine(ModuleCategory(EXAMPLE_QUIVER), sequence_gate=9)
+    monkeypatch.setattr(green, "SEQUENCE_GATE", 9)
+    eng = GreenEngine(ModuleCategory(EXAMPLE_QUIVER))
     with pytest.raises(GateError) as exc:
         eng.enumerate_mgs()
     assert str(exc.value) == ("10 maximal green sequences exceed the "
-                              "sequence gate of 9; raise the gate to force it")
+                              "sequence gate of 9; they are not listed")
 
 
-def test_sequence_gate_admits_exactly_the_count():
-    eng = GreenEngine(ModuleCategory(EXAMPLE_QUIVER), sequence_gate=10)
+def test_sequence_gate_admits_exactly_the_count(monkeypatch):
+    monkeypatch.setattr(green, "SEQUENCE_GATE", 10)
+    eng = GreenEngine(ModuleCategory(EXAMPLE_QUIVER))
     assert len(eng.enumerate_mgs()) == 10
 
 
 def test_default_sequence_gate_admits_the_six_vertex_line():
     # typeA <<<<< has the fewest sequences of the six-vertex orientations
     lattice = ModuleCategory(AlgebraSpec.type_a("<<<<<")).generated_lattice()
-    assert lattice.maximal_chain_count() == 340549 <= DEFAULT_SEQUENCE_GATE
+    assert lattice.maximal_chain_count() == 340549 <= green.SEQUENCE_GATE
 
 
 def _insertion_dfs(eng):
