@@ -17,16 +17,13 @@ layer t_U(x)/t_L(x) of each module x are tabled per cover (upper class
 U, label) and shared by every sequence through it; HN filtrations and
 stable-factor functions are assembled from those layers.
 
-Equivalence classes are computed four ways at once (square-swap closure,
-summand sets, exchange pairs, stable-factor functions); any disagreement
-raises instead of being reconciled.  The last three keys come from one
-walk of the generated lattice in label order: every silting summand,
+Equivalence classes are certified locally against theorem A, on the
+lattice's squares and one normal form per class (`equivalence_classes`).
+Each key is the OR of bitmasks along a chain: every silting summand,
 exchange pair and (module, brick, multiplicity) HN entry is numbered,
-each class and cover contributes a bitmask, and a sequence's key is the
-OR of the masks along its chain, so shared prefixes are computed once;
-the lemma checks that hold per sequence (PATH_CHECKS) are folded on the
-same walk.  The swap closure swaps each commuting adjacent pair (hom =
-ext^1 = 0) and looks the result up in the sequence index.  The uncached
+and each class and cover contributes a bitmask.  One walk of the lattice
+in label order puts each sequence in the class of its summand mask and
+folds the lemma checks that hold per sequence (PATH_CHECKS).  The uncached
 per-sequence methods (`torsion_chain`, `summand_set`, `exchange_pairs`,
 `stable_factor_function`, `square_swap`) serve the `hn` command, the
 orders' one representative per class, and the tests as oracles.
@@ -36,7 +33,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
 
 from .errors import GateError, InvariantViolation, TheoremViolation, UsageError
 from .modcat import ModuleCategory, ModuleSum, TorsionClass
@@ -136,7 +132,8 @@ class GreenEngine:
         self._cover_table: tuple | None = None
         self._polygons: list | None = None
         self._classes: list[EquivClass] | None = None
-        self._class_of: dict[int, int] = {}
+        self._masks: list[int] = []
+        self._by_key: dict[int, int] = {}
         self._path_failures: dict[str, list[int]] | None = None
 
     # -- enumeration ---------------------------------------------------------
@@ -429,47 +426,64 @@ class GreenEngine:
 
     def equivalence_classes(self) -> list[EquivClass]:
         """The classes of the sequences, in order of their first member,
-        each with its sorted summand key.  The relation is read four ways
-        (square-swap closure, summand sets, exchange pairs, stable-factor
-        functions) and the four partitions must agree."""
+        each with its sorted summand key.  Theorem A, that square-swap
+        closure, summand sets, exchange pairs and stable-factor functions
+        give one partition, is certified locally: each key is equal on the
+        two sides of every square (`square_failures`), and the keys of the
+        normal forms, one per swap class (`_normal_forms`), are pairwise
+        distinct.  A failure raises with two sequences that the swap
+        closure and a key group differently."""
         if self._classes is not None:
             return list(self._classes)
         all_mgs = self.enumerate_mgs()
-        summands, keys, self._path_failures = self._path_keys(all_mgs)
-        partitions = {
-            "square-swap closure": self._swap_labels(all_mgs),
-            "summand sets": _labels(key[0] for key in keys),
-            "exchange pairs": _labels(key[1] for key in keys),
-            "stable-factor functions": _labels(key[2] for key in keys),
-        }
-        for a, b in combinations(partitions, 2):
-            if partitions[a] != partitions[b]:
-                # the block sets are built in order of least member, as
-                # the witness search has always read them
-                x, y = _partition_witness(
-                    {frozenset(block) for block in _blocks(partitions[a])},
-                    {frozenset(block) for block in _blocks(partitions[b])})
-                raise TheoremViolation(
-                    f"equivalence by {a} disagrees with {b}: sequences "
-                    f"{[self.cat.display(i) for i in all_mgs[x].bricks]} and "
-                    f"{[self.cat.display(i) for i in all_mgs[y].bricks]}")
-        classes = []
-        for members in _blocks(partitions["summand sets"]):
-            mask = keys[members[0]][0]
-            classes.append(EquivClass(
-                key=tuple(s for i, s in enumerate(summands) if mask >> i & 1),
-                members=tuple(members),
-                representative=all_mgs[members[0]],
-            ))
-        self._classes = classes
-        self._class_of = {k: ci for ci, cls in enumerate(classes)
-                          for k in cls.members}
-        return list(classes)
+        lattice = self.cat.generated_lattice()
+        names = ("summand sets", "exchange pairs", "stable-factor functions")
+
+        def disagree(name: str, x, y) -> TheoremViolation:
+            return TheoremViolation(
+                f"equivalence by square-swap closure disagrees with {name}: "
+                f"sequences {[self.cat.display(i) for i in x]} and "
+                f"{[self.cat.display(i) for i in y]}")
+
+        for top, a, b, bottom, key in self.square_failures()[:1]:
+            # the least chain through the side with the larger label first,
+            # and its swap
+            head = self._least_chain(lattice.top, top)
+            tail = self._least_chain(bottom, lattice.bottom)
+            b, a = sorted((a, b))
+            raise disagree(names[key], head + [a, b] + tail,
+                           head + [b, a] + tail)
+        forms = self._normal_forms()
+        for key, name in enumerate(names):
+            first: dict[int, tuple[int, ...]] = {}
+            for form in forms:
+                seen = first.setdefault(form[key + 1], form[0])
+                if seen != form[0]:
+                    raise disagree(name, seen, form[0])
+        summands, self._masks, self._path_failures = self._path_keys(all_mgs)
+        groups: dict[int, list[int]] = {}
+        for k, mask in enumerate(self._masks):
+            groups.setdefault(mask, []).append(k)
+        if [all_mgs[found[0]].bricks for found in groups.values()] != [
+                form for form, *_ in forms]:
+            raise InvariantViolation(
+                "the first members of the classes are not the normal forms")
+        self._by_key = {mask: ci for ci, mask in enumerate(groups)}
+        self._classes = [EquivClass(
+            key=tuple(s for i, s in enumerate(summands) if mask >> i & 1),
+            members=tuple(found), representative=all_mgs[found[0]])
+            for mask, found in groups.items()]
+        return list(self._classes)
 
     def class_of(self, mgs_index: int) -> int:
+        return self.classes_by_key()[self._masks[mgs_index]]
+
+    def classes_by_key(self) -> dict[int, int]:
+        """Class index by the summand mask of its key, bit i standing for the
+        i-th silting summand of `cover_table`."""
         if self._classes is None:
             self.equivalence_classes()
-        return self._class_of[mgs_index]
+        return self._by_key
 
     def path_failures(self) -> dict[str, list[int]]:
         """For each of the PATH_CHECKS, the indices of the sequences that
@@ -555,23 +569,22 @@ class GreenEngine:
                     f"not {catalog[x].dim}")
         return summands, summ, steps
 
-    def _path_keys(self, all_mgs: list[MGS]) -> tuple[list[SiltingSummand], list, dict]:
-        """(summand mask, exchange mask, stable-factor mask) of every
-        sequence, in enumeration order, from one walk of the generated
-        lattice that ORs the contributions of `cover_table` down each
-        path; with the silting summands that number the summand bits, and
-        the sequences that fail each of the PATH_CHECKS (`_path_rows`)."""
+    def _path_keys(self, all_mgs: list[MGS]) -> tuple[list[SiltingSummand], list[int], dict]:
+        """The summand mask of every sequence, in enumeration order, from
+        one walk of the generated lattice that ORs the contributions of
+        `cover_table` down each path; with the silting summands that number
+        the summand bits, and the sequences that fail each of the
+        PATH_CHECKS (`_path_rows`)."""
         lattice = self.cat.generated_lattice()
         summands, summ, steps = self.cover_table()
         rows, start = self._path_rows(lattice, steps)
         modules = sum(1 << i for i, s in enumerate(summands) if not s.shifted)
         n, bottom = self.cat.n, lattice.bottom
-        keys: list[tuple[int, int, int]] = []
+        keys: list[int] = []
         failures: dict[str, list[int]] = {name: [] for name in PATH_CHECKS}
         path: list[int] = []
 
-        def walk(c: int, s: int, e: int, f: int, r: int, x: int, q: int,
-                 m: int) -> None:
+        def walk(c: int, s: int, r: int, x: int, q: int, m: int) -> None:
             if c == bottom:
                 k = len(keys)
                 if k >= len(all_mgs) or all_mgs[k].bricks != tuple(path):
@@ -582,7 +595,7 @@ class GreenEngine:
                     raise InvariantViolation(
                         f"summand set has size {s.bit_count()}, expected "
                         f"{n}+{len(path)}")
-                keys.append((s, e, f))
+                keys.append(s)
                 held = (r == sum(1 << b for b in path),
                         x.bit_count() == 2 * len(path),
                         (s & modules).bit_count() == len(path), q == m)
@@ -590,12 +603,12 @@ class GreenEngine:
                     if not ok:
                         failures[name].append(k)
                 return
-            for b, lo, ls, le, lf, lr, lx, lq, lm in rows[c]:
+            for b, lo, ls, _, _, lr, lx, lq, lm in rows[c]:
                 path.append(b)
-                walk(lo, s | ls, e | le, f | lf, r | lr, x | lx, q | lq, m | lm)
+                walk(lo, s | ls, r | lr, x | lx, q | lq, m | lm)
                 path.pop()
 
-        walk(lattice.top, summ[lattice.top], 0, 0, *start)
+        walk(lattice.top, summ[lattice.top], *start)
         if len(keys) != len(all_mgs):
             raise InvariantViolation(
                 f"lattice walk found {len(keys)} sequences, the enumeration "
@@ -633,63 +646,80 @@ class GreenEngine:
         top = lattice.top
         return rows, (simples[top], 0, 0, nonproj[top])
 
-    def _swap_labels(self, all_mgs: list[MGS]) -> list[int]:
-        """The square-swap closure as a labelling of the sequences: every
-        commuting adjacent pair is swapped and the result, which must be
-        an enumerated sequence, joined to the original."""
-        index, commute = self._index, self._commute
-        parent = list(range(len(all_mgs)))
+    def square_failures(self) -> list[tuple[int, int, int, int, int]]:
+        """(top class, a, b, bottom class, key) for each square of the
+        generated lattice, covers a then b with hom(a, b) = ext^1(a, b) = 0,
+        whose sides' summand, exchange and stable-factor contributions
+        (with the top's summand mask) differ; key 0, 1 or 2 names the first
+        that does.  The side b then a must exist and commute too.  A
+        sequence's key ORs its covers' contributions, so with no failure
+        the sequences that differ by a swap have equal keys."""
+        lattice = self.cat.generated_lattice()
+        _, summ, steps = self.cover_table()
+        below = {up: {row[0]: row for row in rows} for up, rows in steps.items()}
+        failed = []
+        for top, rows in steps.items():
+            for a, mid, s1, e1, f1 in rows:
+                for b, bottom, s2, e2, f2 in steps[mid]:
+                    if not self._commute(a, b):
+                        continue
+                    side = below[top].get(b)
+                    other = side and below[side[1]].get(a)
+                    if not other or other[1] != bottom or not self._commute(b, a):
+                        raise InvariantViolation(
+                            f"square swap broke the sequence: below "
+                            f"{sorted(lattice.classes[top])}, {self.cat.display(b)} "
+                            f"then {self.cat.display(a)} are not commuting "
+                            f"lattice covers")
+                    sides = zip((summ[top] | s1 | s2, e1 | e2, f1 | f2),
+                                (summ[top] | side[2] | other[2],
+                                 side[3] | other[3], side[4] | other[4]))
+                    differ = [key for key, (x, y) in enumerate(sides) if x != y]
+                    if differ:
+                        failed.append((top, a, b, bottom, differ[0]))
+        return failed
 
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = x = parent[parent[x]]
-            return x
+    def _least_chain(self, start: int, end: int) -> list[int]:
+        """The labels of the lexicographically least chain from class start
+        down to class end: the least label, at each class, whose lower class
+        still contains end."""
+        classes = self.cat.generated_lattice().classes
+        steps = self.cover_table()[2]
+        labels = []
+        while start != end:
+            b, start, *_ = next(row for row in steps[start]
+                                if classes[row[1]] >= classes[end])
+            labels.append(b)
+        return labels
 
-        for k, g in enumerate(all_mgs):
-            seq = g.bricks
-            for i in range(len(seq) - 1):
-                a, b = seq[i], seq[i + 1]
-                if not commute(a, b):
-                    continue
-                j = index.get(seq[:i] + (b, a) + seq[i + 2:])
-                if j is None:
-                    raise InvariantViolation(
-                        "square swap produced an unenumerated sequence")
-                ra, rb = find(k), find(j)
-                if ra != rb:
-                    parent[max(ra, rb)] = min(ra, rb)
-        return _labels(find(k) for k in range(len(all_mgs)))
+    def _normal_forms(self) -> list[tuple[tuple[int, ...], int, int, int]]:
+        """The lexicographic normal form of each square-swap class, in
+        lexicographic order, with its summand, exchange and stable-factor
+        masks ORed along its chain.
 
+        Bricks that commute both ways (`square_failures` checks this on
+        every square) act as a trace monoid, whose lexicographic normal
+        forms have no label c after a larger label d with c commuting with
+        d and with every label in between (Anisimov and Knuth; Diekert and
+        Rozenberg, The Book of Traces).  So the walk of `cover_table`
+        extends a prefix by c only when, scanning it backwards, a label
+        that does not commute with c comes before a larger one that does."""
+        lattice = self.cat.generated_lattice()
+        _, summ, steps = self.cover_table()
+        forms: list[tuple[tuple[int, ...], int, int, int]] = []
+        path: list[int] = []
 
-def _labels(keys) -> list[int]:
-    """A partition as a labelling: equal keys get equal labels, numbered
-    by first appearance, so two partitions are equal iff their labellings
-    are."""
-    ids: dict = {}
-    return [ids.setdefault(key, len(ids)) for key in keys]
+        def walk(c: int, s: int, e: int, f: int) -> None:
+            if c == lattice.bottom:
+                forms.append((tuple(path), s, e, f))
+            for b, lo, ls, le, lf in steps[c]:
+                # the last earlier label that is larger than b or blocks it
+                d = next((d for d in reversed(path)
+                          if d > b or not self._commute(d, b)), None)
+                if d is None or not self._commute(d, b):
+                    path.append(b)
+                    walk(lo, s | ls, e | le, f | lf)
+                    path.pop()
 
-
-def _blocks(labels: list[int]) -> list[list[int]]:
-    """The blocks of a labelling in order of their least member, each in
-    increasing order."""
-    blocks: list[list[int]] = [[] for _ in range(max(labels, default=-1) + 1)]
-    for k, label in enumerate(labels):
-        blocks[label].append(k)
-    return blocks
-
-
-def _partition_witness(pa: set[frozenset[int]], pb: set[frozenset[int]]) -> tuple[int, int]:
-    """A pair of indices grouped together by one partition but not the other."""
-    for block in pa:
-        for other in pb:
-            inter = block & other
-            if inter and inter != block:
-                x = min(inter)
-                y = min(block - inter)
-                return (x, y)
-    for block in pb:
-        for other in pa:
-            inter = block & other
-            if inter and inter != block:
-                return (min(inter), min(block - inter))
-    raise InvariantViolation("partitions differ without witness")
+        walk(lattice.top, summ[lattice.top], 0, 0)
+        return forms

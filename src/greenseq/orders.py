@@ -286,7 +286,7 @@ def polygon_deformation_pairs(engine: GreenEngine) -> list[Polygon]:
     its class key is the OR of its classes' summand masks (`cover_table`),
     so each distinct mask of the chains above and below meets each side
     once."""
-    by_key = _classes_by_key(engine)
+    by_key = engine.classes_by_key()
     lattice = engine.cat.generated_lattice()
     _, summ, _ = engine.cover_table()
     classes, below, n = lattice.classes, lattice.lower_covers, engine.cat.n
@@ -335,14 +335,6 @@ def polygon_deformation_pairs(engine: GreenEngine) -> list[Polygon]:
                 sequence_pairs=above[top] * under[bottom],
                 class_pairs=frozenset(pairs)))
     return polygons
-
-
-def _classes_by_key(engine: GreenEngine) -> dict[int, int]:
-    """Class index by the summand mask of its key, bit i standing for the
-    i-th silting summand of `GreenEngine.cover_table`."""
-    bit = {s: 1 << i for i, s in enumerate(engine.cover_table()[0])}
-    return {sum(bit[s] for s in cls.key): i
-            for i, cls in enumerate(engine.equivalence_classes())}
 
 
 def _interval_chains(lattice, summ: list[int], top: int, bottom: int

@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .errors import GateError, InvariantViolation, TheoremViolation, UsageError
+from .errors import GateError, TheoremViolation, UsageError
 from .green import PATH_CHECKS, GreenEngine
 from .modcat import DEFAULT_SUBSET_GATE, ModuleCategory
 from . import orders as orders_mod
@@ -275,33 +275,10 @@ def _lattice_checks(cat: ModuleCategory, engine: GreenEngine,
 
 
 def _square_check(cat: ModuleCategory, engine: GreenEngine) -> CheckResult:
-    """One test per square of the generated lattice: covers labelled a then
-    b below a class, with hom(a, b) = ext^1(a, b) = 0.  The side b then a
-    must exist, and the two sides' summand, exchange and stable-factor
-    contributions, with the square's top and bottom, must be equal; each
-    sequence's invariants are those of its path, so the sequences that
-    differ by the swap then have equal invariants."""
-    lattice = cat.generated_lattice()
-    _, summ, steps = engine.cover_table()
-    below = {up: {row[0]: row for row in rows} for up, rows in steps.items()}
-    bad = []
-    for top, rows in steps.items():
-        for a, mid, s1, e1, f1 in rows:
-            for b, bottom, s2, e2, f2 in steps[mid]:
-                if not engine._commute(a, b):
-                    continue
-                side = below[top].get(b)
-                other = side and below[side[1]].get(a)
-                if not other or other[1] != bottom:
-                    raise InvariantViolation(
-                        f"square swap broke the sequence: below "
-                        f"{sorted(lattice.classes[top])}, {cat.display(b)} "
-                        f"then {cat.display(a)} are not lattice covers")
-                shared = summ[top] | s2
-                if (s1 | shared, e1 | e2, f1 | f2) != (
-                        side[2] | shared, side[3] | other[3], side[4] | other[4]):
-                    bad.append({"class": sorted(lattice.classes[top]),
-                                "swap": [cat.display(a), cat.display(b)]})
+    """The lattice squares whose sides differ (`GreenEngine.square_failures`)."""
+    classes = cat.generated_lattice().classes
+    bad = [{"class": sorted(classes[top]), "swap": [cat.display(a), cat.display(b)]}
+           for top, a, b, *_ in engine.square_failures()]
     return CheckResult("square-swaps-preserve-class-invariants",
                        not bad, {"violations": bad})
 

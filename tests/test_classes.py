@@ -1,14 +1,16 @@
-"""Equivalence classes from one lattice walk against the per-sequence
-four-way construction they replace.
+"""Equivalence classes from the local certificate against the
+per-sequence four-way construction it replaces.
 
-`GreenEngine.equivalence_classes` ORs per-class and per-cover bitmasks
-down each path of the generated torsion lattice and reads the swap
-closure off the sequence index.  The oracle below builds all four
-partitions sequence by sequence from the public invariants, as the
-engine did before: swap components through `square_swap` (which
-re-checks every swapped sequence with `explain_invalid`), and one key
-per sequence from `summand_set`, `exchange_pairs` and
-`stable_factor_function`.
+`GreenEngine.equivalence_classes` checks that each key is equal on the
+two sides of every lattice square and that the keys of the lexicographic
+normal forms, one per swap class, are pairwise distinct; the members of
+each class come from one lattice walk that ORs summand masks down each
+path.  The oracle below builds all four partitions sequence by sequence
+from the public invariants: swap components through `square_swap`
+(which re-checks every swapped sequence with `explain_invalid`) and the
+sequence index, and one key per sequence from `summand_set`,
+`exchange_pairs` and `stable_factor_function`.  It compares them
+pairwise, as the engine did before.
 """
 
 import ast
@@ -19,11 +21,11 @@ from hypothesis import given, settings
 
 from greenseq import AlgebraSpec, GreenEngine, ModuleCategory
 from greenseq.errors import GateError, InvariantViolation, TheoremViolation
-from greenseq.green import (EquivClass, ExchangePair, SiltingSummand,
-                            _partition_witness)
+from greenseq.green import EquivClass, ExchangePair, SiltingSummand
 
 from conftest import EXAMPLE_QUIVER, full_battery, ids_of
 from test_green import _small_algebra
+from test_verify import _patch_square_side
 
 EXTRA_SPECS = [AlgebraSpec.type_a("<<<<"), AlgebraSpec.nakayama([3, 3, 3, 2, 1]),
                AlgebraSpec.nakayama([3, 3, 3], cyclic=True)]
@@ -57,6 +59,23 @@ def _swap_components(eng, all_mgs):
         seen |= comp
         blocks.add(frozenset(comp))
     return blocks
+
+
+def _partition_witness(pa, pb):
+    """A pair of indices grouped together by one partition but not the other."""
+    for block in pa:
+        for other in pb:
+            inter = block & other
+            if inter and inter != block:
+                x = min(inter)
+                y = min(block - inter)
+                return (x, y)
+    for block in pb:
+        for other in pa:
+            inter = block & other
+            if inter and inter != block:
+                return (min(inter), min(block - inter))
+    raise InvariantViolation("partitions differ without witness")
 
 
 def _partition(indices, keyfunc):
@@ -130,8 +149,8 @@ def test_classes_match_per_sequence_oracle_on_drawn_algebras(spec):
 
 @pytest.mark.parametrize("spec", full_battery(), ids=lambda s: s.label())
 def test_commuting_swaps_are_valid_and_enumerated(spec):
-    # the closure trusts index membership where square_swap re-checks
-    # the swapped sequence with explain_invalid
+    # the square walk trusts the lattice's covers where square_swap
+    # re-checks the swapped sequence with explain_invalid
     eng = _fresh(spec)
     for g in eng.enumerate_mgs():
         seq = g.bricks
@@ -214,12 +233,50 @@ def test_disagreement_witness_matches_oracle(monkeypatch):
     assert "disagrees with exchange pairs" in messages[0]
 
 
-def test_swapped_sequence_missing_from_index_raises():
+def test_equal_keys_of_two_normal_forms_break_agreement(monkeypatch):
+    # one exchange pair on every cover: every square agrees, but every
+    # class has the same exchange key
+    fake = ExchangePair(SiltingSummand(False, 99), SiltingSummand(True, 99))
+    monkeypatch.setattr(GreenEngine, "_cover_exchange",
+                        lambda self, up, lo, b: fake)
     eng = _fresh(EXAMPLE_QUIVER)
-    eng.enumerate_mgs()
-    del eng._index[ids_of(eng.cat, ["3", "1", "2"])]
-    with pytest.raises(InvariantViolation, match="unenumerated sequence"):
+    with pytest.raises(TheoremViolation) as exc:
         eng.equivalence_classes()
+    message = str(exc.value)
+    match = re.fullmatch(
+        r"equivalence by square-swap closure disagrees with exchange pairs: "
+        r"sequences (\[.*\]) and (\[.*\])", message)
+    assert match, message
+    x, y = (eng.index_of(ids_of(eng.cat, ast.literal_eval(group)))
+            for group in match.groups())
+    assert not any(x in block and y in block
+                   for block in _swap_components(eng, eng.enumerate_mgs()))
+
+
+def test_removed_square_side_raises_through_equivalence_classes():
+    eng = _fresh(EXAMPLE_QUIVER)
+    _patch_square_side(eng, lambda rows, k: rows[:k] + rows[k + 1:])
+    with pytest.raises(InvariantViolation, match="square swap broke the sequence"):
+        eng.equivalence_classes()
+
+
+def test_one_sided_commuting_square_raises(monkeypatch):
+    # the normal forms assume that a swap can be undone
+    real = GreenEngine._commute
+    monkeypatch.setattr(GreenEngine, "_commute",
+                        lambda self, a, b: a < b and real(self, a, b))
+    with pytest.raises(InvariantViolation, match="not commuting lattice covers"):
+        _fresh(EXAMPLE_QUIVER).equivalence_classes()
+
+
+@pytest.mark.parametrize("spec", [EXAMPLE_QUIVER, AlgebraSpec.type_a("<<<"),
+                                  AlgebraSpec.nakayama([3, 3, 3], cyclic=True)],
+                         ids=lambda s: s.label())
+def test_classes_read_no_sequence_index(spec):
+    eng = _fresh(spec)
+    eng.enumerate_mgs()
+    eng._index.clear()
+    assert eng.equivalence_classes() == _fresh(spec).equivalence_classes()
 
 
 def test_patched_layer_multiplicity_trips_dimension_check(monkeypatch):

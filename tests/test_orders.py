@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from greenseq import AlgebraSpec, GreenEngine, ModuleCategory
 from greenseq.errors import InvariantViolation, UsageError
 from greenseq.green import MGS
-from greenseq import orders
 from greenseq.modcat import TorsionLattice
 from greenseq.orders import (_check_partial_order, _covers_from_leq,
                              _transitive_reflexive_closure, build_order,
@@ -522,20 +521,18 @@ def test_polygon_without_shared_summands_is_a_violation(monkeypatch):
         polygon_deformation_pairs(eng)
 
 
-def test_polygon_chain_mask_not_a_class_key_is_a_violation(monkeypatch):
+def test_polygon_chain_mask_not_a_class_key_is_a_violation():
     eng = _classes_ready(AlgebraSpec.type_a("<"))
-    real = orders._classes_by_key
-    monkeypatch.setattr(orders, "_classes_by_key",
-                        lambda engine: dict(list(real(engine).items())[1:]))
+    by_key = eng.classes_by_key()
+    del by_key[next(iter(by_key))]
     with pytest.raises(InvariantViolation, match="not the key of a class"):
         polygon_deformation_pairs(eng)
 
 
-def test_deformation_keeping_the_class_is_a_violation(monkeypatch):
+def test_deformation_keeping_the_class_is_a_violation():
     eng = _classes_ready(AlgebraSpec.type_a("<"))
-    real = orders._classes_by_key
-    monkeypatch.setattr(orders, "_classes_by_key",
-                        lambda engine: dict.fromkeys(real(engine), 0))
+    by_key = eng.classes_by_key()
+    by_key.update(dict.fromkeys(by_key, 0))
     with pytest.raises(InvariantViolation, match="did not change the class"):
         polygon_deformation_pairs(eng)
 

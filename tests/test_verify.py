@@ -3,6 +3,8 @@ instead of skipping, and the lemma battery, which reads the generated
 lattice's per-class and per-cover tables, against the per-sequence loops
 it replaces."""
 
+import ast
+import re
 from collections import Counter
 from dataclasses import replace
 from itertools import combinations
@@ -12,14 +14,14 @@ import pytest
 from greenseq import AlgebraSpec, GreenEngine, ModuleCategory
 from greenseq import orders
 from greenseq.errors import GateError, InvariantViolation, UsageError
-from greenseq.green import ExchangePair, SiltingSummand
+from greenseq.green import MGS, ExchangePair, SiltingSummand
 from greenseq.modcat import DEFAULT_SUBSET_GATE
 from greenseq.nakayama import NakayamaBackend
 from greenseq.verify import (LATTICE_CHECKS, CheckResult, _filt_interval_check,
                              _representation_directed_check, _square_check,
                              _unique_filtration_check, run_suite)
 
-from conftest import EXAMPLE_QUIVER, category_for, full_battery
+from conftest import EXAMPLE_QUIVER, category_for, full_battery, ids_of
 from test_modcat import _maximal_chains_by_recursion
 
 LEMMA_EXTRA_SPECS = [AlgebraSpec.type_a("<<<<"),
@@ -462,6 +464,35 @@ def test_patched_square_side_fails_the_square_check():
     assert check.detail["violations"]
     assert all(v["class"] == sorted(cat.generated_lattice().classes[top])
                for v in check.detail["violations"])
+
+
+def test_patched_square_side_fails_theorem_a():
+    # the square's failure is theorem A's witness: two sequences that
+    # differ by a swap across the patched cover
+    cat = ModuleCategory(EXAMPLE_QUIVER)
+    eng = GreenEngine(cat)
+    patched = []
+
+    def patch(rows, k):
+        b, lo, s, e, f = rows[k]
+        patched.append(b)
+        rows[k] = (b, lo, s, e, f | 1 << 300)
+        return rows
+
+    top = _patch_square_side(eng, patch)
+    [check] = run_suite("theoremA", cat, eng)
+    assert check.name == "equivalence-criteria-agree" and not check.passed
+    match = re.fullmatch(
+        r"equivalence by square-swap closure disagrees with stable-factor "
+        r"functions: sequences (\[.*\]) and (\[.*\])", check.detail["witness"])
+    assert match, check.detail
+    x, y = (ids_of(cat, ast.literal_eval(group)) for group in match.groups())
+    i = next(i for i in range(len(x)) if x[i] != y[i])
+    assert x[:i] + (x[i + 1], x[i]) + x[i + 2:] == y
+    top_class = cat.generated_lattice().classes[top]
+    assert any(eng.torsion_chain(MGS(z))[j].members == top_class
+               and z[j] == patched[0]
+               for z in (x, y) for j in (i, i + 1))
 
 
 def test_removed_square_side_raises():

@@ -14,11 +14,13 @@ order that applies and `verify --suite all`; `mgs`, `classes`, `poset
 --format json` for the pentagon, summand and hn orders and `verify
 --suite all` on all 16 five-vertex type-A orientations; and
 `catalog` and `bricks`, each with and without `--exact`, on the long
-type-A quivers <x16, <>x8 and <<><<>><<><<>><< (17 vertices each).
+type-A quivers <x16, <>x8 and <<><<>><<><<>><< (17 vertices each);
+`classes`, `poset --order pentagon --format json` and `verify --suite
+all` on the six-vertex typeA <<<<< (972 classes).
 Then, on each of the algebras with every command, `hn` along the first
 and the last sequence of the first tree's `mgs` output, given as a brick
 list, once with `--module` the sum of every catalog module (#0+#1+...)
-and once for each single module: 887 calls in all.  A call that both
+and once for each single module: 890 calls in all.  A call that both
 trees reject with a usage error (exit 2) is reported too: the battery
 should make none.
 Exit code 0 when every call matches, 1 when some call differs, times
@@ -62,7 +64,7 @@ def linear_kupisch(max_n: int):
 
 
 def battery() -> list[tuple[dict, str]]:
-    """(algebra, which commands: "all", "five" or "long")."""
+    """(algebra, which commands: "all", "five", "six" or "long")."""
     specs = [type_a("".join(w)) for n in range(1, 5)
              for w in itertools.product("<>", repeat=n - 1)]
     specs += [nakayama(s) for s in linear_kupisch(4)]
@@ -74,7 +76,8 @@ def battery() -> list[tuple[dict, str]]:
     long = [type_a("<" * 16), type_a("<>" * 8), type_a("<<><<>><<><<>><<")]
     return ([(spec, "all") for spec in specs]
             + [(spec, "five") for spec in five]
-            + [(spec, "long") for spec in long])
+            + [(spec, "long") for spec in long]
+            + [(type_a("<<<<<"), "six")])
 
 
 def label(spec: dict) -> str:
@@ -89,6 +92,9 @@ def commands(spec: dict, kind: str) -> list[list[str]]:
     if kind == "long":
         return [[*flags, cmd] for cmd in ("catalog", "bricks")
                 for flags in ([], ["--exact"])]
+    if kind == "six":
+        return [["classes"], ["poset", "--order", "pentagon", "--format", "json"],
+                ["verify", "--suite", "all"]]
     orders = ["pentagon", "summand", "hn"]
     if spec["type"] == "nakayama":
         orders.append("brick")
