@@ -18,7 +18,7 @@ from json.encoder import encode_basestring_ascii
 
 from .algebra import AlgebraSpec
 from .errors import GateError, InvariantViolation, SpecError, TheoremViolation, UsageError
-from .green import DEFAULT_BRICK_GATE, GreenEngine
+from .green import DEFAULT_BRICK_GATE, MGS, GreenEngine
 from .modcat import DEFAULT_SUBSET_GATE, ModuleCategory
 from . import orders as orders_mod
 from . import verify as verify_mod
@@ -159,8 +159,9 @@ def cmd_mgs(args) -> int:
 def cmd_classes(args) -> int:
     cat, engine = _context(args)
     classes = engine.equivalence_classes()
+    members = engine.class_members()
     out = [{"index": i,
-            "members": list(c.members),
+            "members": list(members[i]),
             "representative": [cat.display(b) for b in c.representative.bricks],
             "brick_set": sorted(cat.display(b) for b in c.representative.bricks),
             "summand_key": [_summand_token(cat, s) for s in c.key],
@@ -206,8 +207,6 @@ def _resolve_mgs(cat: ModuleCategory, engine: GreenEngine, token: str):
     reason = engine.explain_invalid(ids)
     if reason is not None:
         raise UsageError(f"brick list is not a maximal green sequence: {reason}")
-    from .green import MGS
-
     return MGS(ids)
 
 

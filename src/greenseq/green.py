@@ -18,21 +18,23 @@ U, label) and shared by every sequence through it; HN filtrations and
 stable-factor functions are assembled from those layers.
 
 Equivalence classes are certified locally against theorem A, on the
-lattice's squares and one normal form per class (`equivalence_classes`).
-Each key is the OR of bitmasks along a chain: every silting summand,
-exchange pair and (module, brick, multiplicity) HN entry is numbered,
-and each class and cover contributes a bitmask.  One walk of the lattice
-in label order puts each sequence in the class of its summand mask and
-folds the lemma checks that hold per sequence (PATH_CHECKS).  The uncached
-per-sequence methods (`torsion_chain`, `summand_set`, `exchange_pairs`,
-`stable_factor_function`, `square_swap`) serve the `hn` command, the
-orders' one representative per class, and the tests as oracles.
+lattice's squares and one lexicographic normal form per class, which is
+the class (`equivalence_classes`).  Each key is the OR of bitmasks along
+a chain: every silting summand, exchange pair and (module, brick,
+multiplicity) HN entry is numbered, and each class and cover contributes
+a bitmask.  One on-demand walk of every chain (`_sequence_walk`) finds
+the members of the classes and folds the per-sequence lemma checks
+(PATH_CHECKS).  The uncached per-sequence methods (`torsion_chain`,
+`summand_set`, `exchange_pairs`, `stable_factor_function`,
+`square_swap`) serve the `hn` command, the orders' one representative
+per class, and the tests as oracles.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import count
 
 from .errors import GateError, InvariantViolation, TheoremViolation, UsageError
 from .modcat import ModuleCategory, ModuleSum, TorsionClass
@@ -41,10 +43,12 @@ DEFAULT_BRICK_GATE = 24
 # listing more maximal green sequences than this is refused before the
 # walk starts.  typeA <<<<< has 340,549: `greenseq mgs` on it takes 16 s
 # and peaks at 1.27 GB RSS for 302 MB of JSON (one run, 2 shared vCPUs),
-# so this bound keeps a listing near 1.5 GB; typeA <><>< has 16,424,057
+# so this bound keeps a listing near 1.5 GB; typeA <><>< has 16,424,057.
+# `equivalence_classes` lists no sequence but keeps this gate, so `poset`
+# and `verify` refuse what they refused before until they get their own
 SEQUENCE_GATE = 400_000
 
-# the lemma checks folded along the lattice walk of `_path_keys`
+# the lemma checks folded along the sequence walk of `_sequence_walk`
 PATH_CHECKS = (
     "chain-relative-simples-equal-brick-set",
     "exchange-components-never-repeat",
@@ -95,7 +99,6 @@ class HNResult:
 @dataclass(frozen=True)
 class EquivClass:
     key: tuple[SiltingSummand, ...]
-    members: tuple[int, ...]
     representative: MGS
 
 
@@ -122,7 +125,6 @@ class GreenEngine:
             self._after_ok[b] = after
             self._before_ok[b] = before
         self._all_mgs: list[MGS] | None = None
-        self._index: dict[tuple[int, ...], int] = {}
         self._classes_by_mask: dict[int, TorsionClass] = {}
         self._silting_cache: dict[frozenset, frozenset] = {}
         # per cover, keyed by (upper class members, label)
@@ -132,8 +134,8 @@ class GreenEngine:
         self._cover_table: tuple | None = None
         self._polygons: list | None = None
         self._classes: list[EquivClass] | None = None
-        self._masks: list[int] = []
         self._by_key: dict[int, int] = {}
+        self._members: list[tuple[int, ...]] | None = None
         self._path_failures: dict[str, list[int]] | None = None
 
     # -- enumeration ---------------------------------------------------------
@@ -157,21 +159,10 @@ class GreenEngine:
     def enumerate_mgs(self) -> list[MGS]:
         """Every maximal green sequence, in lexicographic order of brick
         ids: the maximal chains of the generated torsion lattice, read as
-        their cover labels.  Refused before the walk when there are more
-        bricks than the brick gate or, counted on the lattice, more
-        sequences than `SEQUENCE_GATE`."""
+        their cover labels, once `_gated_lattice` admits them."""
         if self._all_mgs is not None:
             return list(self._all_mgs)
-        if len(self.bricks) > self.brick_gate:
-            raise GateError(
-                f"{len(self.bricks)} bricks exceed the enumeration gate of "
-                f"{self.brick_gate}; raise the gate to force it")
-        lattice = self.cat.generated_lattice()
-        count = lattice.maximal_chain_count()
-        if count > SEQUENCE_GATE:
-            raise GateError(
-                f"{count} maximal green sequences exceed the sequence gate "
-                f"of {SEQUENCE_GATE}; they are not listed")
+        lattice = self._gated_lattice()
         # the lower covers of a class carry distinct labels, so walking
         # them in label order lists the sequences lexicographically
         children = {up: sorted((lab, lo) for lo, lab in downs)
@@ -179,8 +170,23 @@ class GreenEngine:
         result: list[MGS] = []
         self._walk(children, lattice.top, lattice.bottom, [], result)
         self._all_mgs = result
-        self._index = {g.bricks: k for k, g in enumerate(result)}
         return list(result)
+
+    def _gated_lattice(self):
+        """The generated torsion lattice, refused before it is built when
+        there are more bricks than the brick gate, and before any walk when
+        it has more maximal chains than `SEQUENCE_GATE`."""
+        if len(self.bricks) > self.brick_gate:
+            raise GateError(
+                f"{len(self.bricks)} bricks exceed the enumeration gate of "
+                f"{self.brick_gate}; raise the gate to force it")
+        lattice = self.cat.generated_lattice()
+        chains = lattice.maximal_chain_count()
+        if chains > SEQUENCE_GATE:
+            raise GateError(
+                f"{chains} maximal green sequences exceed the sequence gate "
+                f"of {SEQUENCE_GATE}; they are not listed")
+        return lattice
 
     def _walk(self, children, idx: int, bottom: int, prefix: list[int],
               out: list[MGS]) -> None:
@@ -191,11 +197,6 @@ class GreenEngine:
             prefix.append(lab)
             self._walk(children, lo, bottom, prefix, out)
             prefix.pop()
-
-    def index_of(self, seq: tuple[int, ...]) -> int:
-        if self._all_mgs is None:
-            self.enumerate_mgs()
-        return self._index[tuple(seq)]
 
     # -- validity --------------------------------------------------------------
 
@@ -425,18 +426,18 @@ class GreenEngine:
     # -- equivalence --------------------------------------------------------------------
 
     def equivalence_classes(self) -> list[EquivClass]:
-        """The classes of the sequences, in order of their first member,
-        each with its sorted summand key.  Theorem A, that square-swap
-        closure, summand sets, exchange pairs and stable-factor functions
-        give one partition, is certified locally: each key is equal on the
-        two sides of every square (`square_failures`), and the keys of the
-        normal forms, one per swap class (`_normal_forms`), are pairwise
-        distinct.  A failure raises with two sequences that the swap
-        closure and a key group differently."""
+        """The classes of the sequences, one per lexicographic normal form
+        and in their order, each with its sorted summand key and its normal
+        form as representative.  Theorem A, that square-swap closure,
+        summand sets, exchange pairs and stable-factor functions give one
+        partition, is certified locally: each key is equal on the two sides
+        of every square (`square_failures`), and the keys of the normal
+        forms, one per swap class (`_normal_forms`), are pairwise distinct.
+        A failure raises with two sequences that the swap closure and a key
+        group differently.  No sequence is listed."""
         if self._classes is not None:
             return list(self._classes)
-        all_mgs = self.enumerate_mgs()
-        lattice = self.cat.generated_lattice()
+        lattice = self._gated_lattice()
         names = ("summand sets", "exchange pairs", "stable-factor functions")
 
         def disagree(name: str, x, y) -> TheoremViolation:
@@ -460,23 +461,34 @@ class GreenEngine:
                 seen = first.setdefault(form[key + 1], form[0])
                 if seen != form[0]:
                     raise disagree(name, seen, form[0])
-        summands, self._masks, self._path_failures = self._path_keys(all_mgs)
-        groups: dict[int, list[int]] = {}
-        for k, mask in enumerate(self._masks):
-            groups.setdefault(mask, []).append(k)
-        if [all_mgs[found[0]].bricks for found in groups.values()] != [
-                form for form, *_ in forms]:
-            raise InvariantViolation(
-                "the first members of the classes are not the normal forms")
-        self._by_key = {mask: ci for ci, mask in enumerate(groups)}
+        # the summand key and the length are class invariants
+        for form, mask, *_ in forms:
+            if mask.bit_count() != self.cat.n + len(form):
+                raise InvariantViolation(
+                    f"summand set has size {mask.bit_count()}, expected "
+                    f"{self.cat.n}+{len(form)}")
+        summands = self.cover_table()[0]
+        self._by_key = {mask: ci for ci, (_, mask, *_) in enumerate(forms)}
         self._classes = [EquivClass(
             key=tuple(s for i, s in enumerate(summands) if mask >> i & 1),
-            members=tuple(found), representative=all_mgs[found[0]])
-            for mask, found in groups.items()]
+            representative=MGS(form)) for form, mask, *_ in forms]
         return list(self._classes)
 
-    def class_of(self, mgs_index: int) -> int:
-        return self.classes_by_key()[self._masks[mgs_index]]
+    def class_of(self, bricks) -> int:
+        """The class of the sequence with these cover labels: the OR of the
+        summand masks of the classes along its chain, looked up in
+        `classes_by_key` (a KeyError for a chain that stops above zero)."""
+        by_key = self.classes_by_key()
+        lattice = self.cat.generated_lattice()
+        _, summ, steps = self.cover_table()
+        c, mask = lattice.top, summ[lattice.top]
+        for b in bricks:
+            row = next((row for row in steps[c] if row[0] == b), None)
+            if row is None:
+                raise UsageError(f"{self.cat.display(b)} labels no cover "
+                                 f"below {sorted(lattice.classes[c])}")
+            c, mask = row[1], mask | row[2]
+        return by_key[mask]
 
     def classes_by_key(self) -> dict[int, int]:
         """Class index by the summand mask of its key, bit i standing for the
@@ -485,11 +497,17 @@ class GreenEngine:
             self.equivalence_classes()
         return self._by_key
 
+    def class_members(self) -> list[tuple[int, ...]]:
+        """Each class's indices in `enumerate_mgs` (`_sequence_walk`)."""
+        if self._members is None:
+            self._sequence_walk()
+        return self._members
+
     def path_failures(self) -> dict[str, list[int]]:
         """For each of the PATH_CHECKS, the indices of the sequences that
-        fail it, found on the lattice walk of `equivalence_classes`."""
+        fail it (`_sequence_walk`)."""
         if self._path_failures is None:
-            self.equivalence_classes()
+            self._sequence_walk()
         return self._path_failures
 
     def cover_table(self) -> tuple[list[SiltingSummand], list[int], dict]:
@@ -508,12 +526,17 @@ class GreenEngine:
 
     def _cover_steps(self, lattice) -> tuple[list[SiltingSummand], list[int], dict]:
         """The bit-numbered contributions of the generated lattice's
-        classes and covers to the three keys.
+        classes and covers to the three keys and the PATH_CHECKS.
 
         Returns the silting summands in sorted order (bit i is the i-th),
         the summand mask of each class, and for each class its lower covers
         in label order as (label, lower class, summand mask of the lower
-        class, exchange-pair bit, stable-factor mask); each distinct
+        class, exchange-pair bit, stable-factor mask, then four PATH_CHECKS
+        masks: the relative simples of both classes; a bit each for the
+        exchange pair's outgoing and incoming summand, so a path of length
+        r sets 2r of these exactly when none repeats; and, over a Nakayama
+        algebra, the socle quotient of a non-simple label and the
+        non-projective module summands of both classes).  Each distinct
         exchange pair and each (module, brick, multiplicity) triple of an
         HN layer has a bit of its own.  Every class and cover is checked
         once, and the layer dimensions of each module summed down to a
@@ -527,10 +550,19 @@ class GreenEngine:
         summands = sorted(set().union(*silting))
         bit = {s: 1 << i for i, s in enumerate(summands)}
         summ = [sum(bit[s] for s in found) for found in silting]
+        simples = [sum(1 << x for x in cat.relative_simples(t)) for t in tors]
+        socle, nonproj = {}, [0] * len(tors)
+        if cat.spec.is_nakayama:
+            socle = {b: 1 << cat.backend.socle_quotient(b)
+                     for b in set(cat.bricks) - set(cat.simples)}
+            nonproj = [sum(1 << s.value for s in found
+                           if not s.shifted and s.value not in cat.projectives)
+                       for found in silting]
         exch_bits: dict[ExchangePair, int] = {}
+        components: dict[tuple[bool, SiltingSummand], int] = {}
         sff_bits: dict[tuple[int, int, int], int] = {}
         dims = {lattice.top: [0] * len(catalog)}
-        steps: dict[int, list[tuple[int, int, int, int, int]]] = {}
+        steps: dict[int, list[tuple[int, ...]]] = {}
         # classes are sorted by size, so every upper cover of a class
         # comes later and has its dimensions by the time the class is read
         for up in range(len(tors) - 1, -1, -1):
@@ -548,6 +580,9 @@ class GreenEngine:
                         f"{sorted(lower.members)} is not strictly decreasing")
                 pair = self._cover_exchange(upper, lower, b)
                 exch = exch_bits.setdefault(pair, 1 << len(exch_bits))
+                comp = 0
+                for key in ((False, pair.out), (True, pair.in_)):
+                    comp |= components.setdefault(key, 1 << len(components))
                 sff = 0
                 dim = list(dims[up])
                 bdim = catalog[b].dim
@@ -561,7 +596,8 @@ class GreenEngine:
                         f"layer dimensions of {cat.display(x)} down to "
                         f"{sorted(lower.members)} depend on the chain: "
                         f"{known[x]} and {dim[x]}")
-                row.append((b, lo, summ[lo], exch, sff))
+                row.append((b, lo, summ[lo], exch, sff, simples[up] | simples[lo],
+                            comp, socle.get(b, 0), nonproj[up] | nonproj[lo]))
         for x, dim in enumerate(dims[lattice.bottom]):
             if dim != catalog[x].dim:
                 raise InvariantViolation(
@@ -569,33 +605,35 @@ class GreenEngine:
                     f"not {catalog[x].dim}")
         return summands, summ, steps
 
-    def _path_keys(self, all_mgs: list[MGS]) -> tuple[list[SiltingSummand], list[int], dict]:
-        """The summand mask of every sequence, in enumeration order, from
-        one walk of the generated lattice that ORs the contributions of
-        `cover_table` down each path; with the silting summands that number
-        the summand bits, and the sequences that fail each of the
-        PATH_CHECKS (`_path_rows`)."""
+    def _sequence_walk(self) -> None:
+        """Walk every chain in label order, ORing the rows of `cover_table`
+        down each path, checked against the `enumerate_mgs` listing: each
+        sequence joins the class of its summand mask, whose first member
+        must be the representative, and is recorded for each of the
+        PATH_CHECKS it fails."""
+        all_mgs = self.enumerate_mgs()
+        classes = self.equivalence_classes()
+        by_key = self.classes_by_key()
         lattice = self.cat.generated_lattice()
         summands, summ, steps = self.cover_table()
-        rows, start = self._path_rows(lattice, steps)
         modules = sum(1 << i for i, s in enumerate(summands) if not s.shifted)
-        n, bottom = self.cat.n, lattice.bottom
-        keys: list[int] = []
+        members: list[list[int]] = [[] for _ in classes]
         failures: dict[str, list[int]] = {name: [] for name in PATH_CHECKS}
         path: list[int] = []
+        index = count()
 
         def walk(c: int, s: int, r: int, x: int, q: int, m: int) -> None:
-            if c == bottom:
-                k = len(keys)
+            if c == lattice.bottom:
+                k = next(index)
                 if k >= len(all_mgs) or all_mgs[k].bricks != tuple(path):
                     raise InvariantViolation(
                         f"lattice walk reached {list(path)} where the "
                         f"enumeration has sequence {k}")
-                if s.bit_count() != n + len(path):
+                if s not in by_key:
                     raise InvariantViolation(
-                        f"summand set has size {s.bit_count()}, expected "
-                        f"{n}+{len(path)}")
-                keys.append(s)
+                        f"sequence {[self.cat.display(b) for b in path]} has "
+                        f"a summand mask that is not the key of a class")
+                members[by_key[s]].append(k)
                 held = (r == sum(1 << b for b in path),
                         x.bit_count() == 2 * len(path),
                         (s & modules).bit_count() == len(path), q == m)
@@ -603,48 +641,23 @@ class GreenEngine:
                     if not ok:
                         failures[name].append(k)
                 return
-            for b, lo, ls, _, _, lr, lx, lq, lm in rows[c]:
+            for b, lo, ls, _, _, lr, lx, lq, lm in steps[c]:
                 path.append(b)
                 walk(lo, s | ls, r | lr, x | lx, q | lq, m | lm)
                 path.pop()
 
-        walk(lattice.top, summ[lattice.top], *start)
-        if len(keys) != len(all_mgs):
+        walk(lattice.top, summ[lattice.top], 0, 0, 0, 0)
+        walked = next(index)
+        if walked != len(all_mgs):
             raise InvariantViolation(
-                f"lattice walk found {len(keys)} sequences, the enumeration "
+                f"lattice walk found {walked} sequences, the enumeration "
                 f"{len(all_mgs)}")
-        return summands, keys, failures
-
-    def _path_rows(self, lattice, steps: dict) -> tuple[dict, tuple]:
-        """The rows of `steps` with four masks of each cover appended, and
-        their values at the top: the relative simples of the lower class; a
-        bit each for the exchange pair's outgoing and incoming summand, so a
-        path of length r sets 2r of these exactly when none repeats; and,
-        over a Nakayama algebra, the socle quotient of a non-simple label
-        and the non-projective module summands of the lower class."""
-        cat = self.cat
-        tors = [TorsionClass(members) for members in lattice.classes]
-        simples = [sum(1 << x for x in cat.relative_simples(t)) for t in tors]
-        socle, nonproj = {}, [0] * len(tors)
-        if cat.spec.is_nakayama:
-            socle = {b: 1 << cat.backend.socle_quotient(b)
-                     for b in set(cat.bricks) - set(cat.simples)}
-            nonproj = [sum(1 << s.value for s in self.silting_summands(t)
-                           if not s.shifted and s.value not in cat.projectives)
-                       for t in tors]
-        components: dict[tuple[bool, SiltingSummand], int] = {}
-        rows = {}
-        for up, row in steps.items():
-            rows[up] = []
-            for b, lo, *masks in row:
-                pair = self._cover_exchange(tors[up], tors[lo], b)
-                x = 0
-                for key in ((False, pair.out), (True, pair.in_)):
-                    x |= components.setdefault(key, 1 << len(components))
-                rows[up].append((b, lo, *masks, simples[lo], x,
-                                 socle.get(b, 0), nonproj[lo]))
-        top = lattice.top
-        return rows, (simples[top], 0, 0, nonproj[top])
+        for cls, found in zip(classes, members):
+            if not found or all_mgs[found[0]] != cls.representative:
+                raise InvariantViolation(
+                    "the first members of the classes are not the normal forms")
+        self._members = [tuple(found) for found in members]
+        self._path_failures = failures
 
     def square_failures(self) -> list[tuple[int, int, int, int, int]]:
         """(top class, a, b, bottom class, key) for each square of the
@@ -659,8 +672,8 @@ class GreenEngine:
         below = {up: {row[0]: row for row in rows} for up, rows in steps.items()}
         failed = []
         for top, rows in steps.items():
-            for a, mid, s1, e1, f1 in rows:
-                for b, bottom, s2, e2, f2 in steps[mid]:
+            for a, mid, s1, e1, f1, *_ in rows:
+                for b, bottom, s2, e2, f2, *_ in steps[mid]:
                     if not self._commute(a, b):
                         continue
                     side = below[top].get(b)
@@ -712,7 +725,7 @@ class GreenEngine:
         def walk(c: int, s: int, e: int, f: int) -> None:
             if c == lattice.bottom:
                 forms.append((tuple(path), s, e, f))
-            for b, lo, ls, le, lf in steps[c]:
+            for b, lo, ls, le, lf, *_ in steps[c]:
                 # the last earlier label that is larger than b or blocks it
                 d = next((d for d in reversed(path)
                           if d > b or not self._commute(d, b)), None)

@@ -402,14 +402,6 @@ class ModuleCategory:
         self._torsub_cache[key] = best
         return best
 
-    def torsion_submodule(self, m, tors: TorsionClass) -> ModuleSum:
-        sm = self._as_sum(m)
-        parts: list[int] = []
-        for i in sm.ids:
-            sub, _ = self.torsion_sub_with_quotient(i, tors)
-            parts.extend(sub.ids)
-        return ModuleSum(tuple(parts))
-
     def relative_projectives(self, tors: TorsionClass) -> frozenset[int]:
         ext = self.ext1_table
         return frozenset(x for x in tors.members

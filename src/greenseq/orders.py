@@ -238,7 +238,7 @@ def check_extrema(cat: ModuleCategory, engine: GreenEngine,
     if results_ok:
         mx = max_classes[0]
         add("source-order-class-is-projectives-and-shifts",
-            engine.class_of(engine.index_of(gmax_seq)) == mx)
+            engine.class_of(gmax_seq) == mx)
         for tag in ("summand", "hn"):
             leq = posets[tag].leq
             add(f"{tag}-order-has-unique-maximum",

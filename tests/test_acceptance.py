@@ -71,7 +71,7 @@ def test_criterion_1_example_golden_run():
     g1 = ids_of(cat, ["2", "12", "1", "32", "3"])
     g2 = ids_of(cat, ["2", "32", "3", "12", "1"])
     ok = ok and set(g1) == set(g2)
-    ok = ok and eng.class_of(eng.index_of(g1)) != eng.class_of(eng.index_of(g2))
+    ok = ok and eng.class_of(g1) != eng.class_of(g2)
 
     elapsed = time.monotonic() - t0
     report("criterion-1 example golden run", ok and elapsed < 5.0,
@@ -85,7 +85,7 @@ def test_criterion_2_class_poset_shape():
     ok = orders_equal_report(list(posets.values()))["equal"]
 
     def cls(names):
-        return eng.class_of(eng.index_of(ids_of(cat, names)))
+        return eng.class_of(ids_of(cat, names))
 
     mx = cls(["1", "3", "2"])
     l2 = cls(["1", "2", "32", "3"])
@@ -110,8 +110,8 @@ def test_criterion_3_a2_battery():
     stable = eng.stable_factors(cat.resolve_token("12"), short)
     ok = ok and {cat.display(b): m for b, m in stable.items()} == {"1": 1, "2": 1}
 
-    lo = eng.class_of(eng.index_of(ids_of(cat, ["2", "12", "1"])))
-    hi = eng.class_of(eng.index_of(short.bricks))
+    lo = eng.class_of(ids_of(cat, ["2", "12", "1"]))
+    hi = eng.class_of(short.bricks)
     for tag in ("pentagon", "summand", "hn"):
         poset = build_order(tag, eng)
         ok = ok and poset.leq[lo][hi] and not poset.leq[hi][lo]
@@ -156,8 +156,9 @@ def test_criterion_6_nakayama_order_equality():
             ok = False
             print(f"  orders differ on {spec.label()}")
         by_brickset = {}
-        for k, g in enumerate(eng.enumerate_mgs()):
-            by_brickset.setdefault(frozenset(g.bricks), set()).add(eng.class_of(k))
+        for g in eng.enumerate_mgs():
+            by_brickset.setdefault(frozenset(g.bricks), set()).add(
+                eng.class_of(g.bricks))
         if any(len(v) != 1 for v in by_brickset.values()):
             ok = False
             print(f"  equal bricks split classes on {spec.label()}")

@@ -3,27 +3,35 @@ per-sequence four-way construction it replaces.
 
 `GreenEngine.equivalence_classes` checks that each key is equal on the
 two sides of every lattice square and that the keys of the lexicographic
-normal forms, one per swap class, are pairwise distinct; the members of
-each class come from one lattice walk that ORs summand masks down each
-path.  The oracle below builds all four partitions sequence by sequence
-from the public invariants: swap components through `square_swap`
-(which re-checks every swapped sequence with `explain_invalid`) and the
-sequence index, and one key per sequence from `summand_set`,
-`exchange_pairs` and `stable_factor_function`.  It compares them
-pairwise, as the engine did before.
+normal forms, one per swap class, are pairwise distinct; each class is
+its normal form.  The members of each class come from the on-demand
+walk of every chain that ORs summand masks down each path
+(`class_members`).  The oracle below builds all four partitions
+sequence by sequence from the public invariants: swap components
+through `square_swap` (which re-checks every swapped sequence with
+`explain_invalid`) and an index of the listed sequences, and one key per
+sequence from `summand_set`, `exchange_pairs` and
+`stable_factor_function`.  It compares them pairwise, as the engine did
+before.
 """
 
 import ast
 import re
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 
 from greenseq import AlgebraSpec, GreenEngine, ModuleCategory
-from greenseq.errors import GateError, InvariantViolation, TheoremViolation
+from greenseq.errors import (GateError, InvariantViolation, TheoremViolation,
+                             UsageError)
 from greenseq.green import EquivClass, ExchangePair, SiltingSummand
+from greenseq.orders import ORDER_TAGS, build_order
+from greenseq.verify import run_suite
 
-from conftest import EXAMPLE_QUIVER, full_battery, ids_of
+from conftest import (EXAMPLE_QUIVER, category_for, engine_for, full_battery,
+                      ids_of)
 from test_green import _small_algebra
 from test_verify import _patch_square_side
 
@@ -32,13 +40,14 @@ EXTRA_SPECS = [AlgebraSpec.type_a("<<<<"), AlgebraSpec.nakayama([3, 3, 3, 2, 1])
 
 
 def _swap_components(eng, all_mgs):
+    index = {g.bricks: k for k, g in enumerate(all_mgs)}
     adj = {k: set() for k in range(len(all_mgs))}
     for k, g in enumerate(all_mgs):
         for i in range(1, len(g.bricks)):
             swapped = eng.square_swap(g, i)
             if swapped is None:
                 continue
-            j = eng._index.get(swapped.bricks)
+            j = index.get(swapped.bricks)
             if j is None:
                 raise InvariantViolation(
                     "square swap produced an unenumerated sequence")
@@ -88,7 +97,7 @@ def _partition(indices, keyfunc):
 def oracle_classes(eng):
     """The four partitions built sequence by sequence, compared pairwise;
     the classes are the summand-set blocks in order of their least
-    member."""
+    member.  Returns the classes and the members of each."""
     all_mgs = eng.enumerate_mgs()
     count = len(all_mgs)
     partitions = {
@@ -112,13 +121,12 @@ def oracle_classes(eng):
                     f"sequences "
                     f"{[eng.cat.display(i) for i in all_mgs[x].bricks]} and "
                     f"{[eng.cat.display(i) for i in all_mgs[y].bricks]}")
-    classes = []
-    for block in sorted(partitions["summand sets"], key=min):
-        members = tuple(sorted(block))
-        classes.append(EquivClass(
-            key=tuple(sorted(eng.summand_set(all_mgs[members[0]]))),
-            members=members, representative=all_mgs[members[0]]))
-    return classes
+    blocks = [tuple(sorted(block))
+              for block in sorted(partitions["summand sets"], key=min)]
+    classes = [EquivClass(key=tuple(sorted(eng.summand_set(all_mgs[found[0]]))),
+                          representative=all_mgs[found[0]])
+               for found in blocks]
+    return classes, blocks
 
 
 def _fresh(spec):
@@ -127,11 +135,13 @@ def _fresh(spec):
 
 def _assert_same_classes(spec):
     eng = _fresh(spec)
-    classes = eng.equivalence_classes()
-    assert classes == oracle_classes(_fresh(spec))
-    for ci, cls in enumerate(classes):
-        for k in cls.members:
-            assert eng.class_of(k) == ci
+    classes, blocks = oracle_classes(_fresh(spec))
+    assert eng.equivalence_classes() == classes
+    assert eng.class_members() == blocks
+    all_mgs = eng.enumerate_mgs()
+    for ci, found in enumerate(blocks):
+        for k in found:
+            assert eng.class_of(all_mgs[k].bricks) == ci
 
 
 @pytest.mark.parametrize("spec", full_battery() + EXTRA_SPECS,
@@ -152,13 +162,14 @@ def test_commuting_swaps_are_valid_and_enumerated(spec):
     # the square walk trusts the lattice's covers where square_swap
     # re-checks the swapped sequence with explain_invalid
     eng = _fresh(spec)
+    listed = {g.bricks for g in eng.enumerate_mgs()}
     for g in eng.enumerate_mgs():
         seq = g.bricks
         for i in range(len(seq) - 1):
             if eng._commute(seq[i], seq[i + 1]):
                 swapped = seq[:i] + (seq[i + 1], seq[i]) + seq[i + 2:]
                 assert eng.is_valid_mgs(swapped)
-                assert swapped in eng._index
+                assert swapped in listed
 
 
 # -- fault injection ------------------------------------------------------------
@@ -175,7 +186,7 @@ def _patch_last_cover(monkeypatch, field):
         summands, summ, steps = real(self, lattice)
         one = self.cat.resolve_token("1")
         up = lattice.index_of(frozenset({one}))
-        (b, lo, s, e, f), = steps[up]
+        (b, lo, s, e, f, *rest), = steps[up]
         fresh = 1 << 200
         if field == "summand":
             entering = s & ~summ[up]
@@ -184,7 +195,7 @@ def _patch_last_cover(monkeypatch, field):
             e = fresh
         else:
             f |= fresh
-        steps[up] = [(b, lo, s, e, f)]
+        steps[up] = [(b, lo, s, e, f, *rest)]
         return summands, summ, steps
 
     monkeypatch.setattr(GreenEngine, "_cover_steps", patched)
@@ -247,10 +258,12 @@ def test_equal_keys_of_two_normal_forms_break_agreement(monkeypatch):
         r"equivalence by square-swap closure disagrees with exchange pairs: "
         r"sequences (\[.*\]) and (\[.*\])", message)
     assert match, message
-    x, y = (eng.index_of(ids_of(eng.cat, ast.literal_eval(group)))
+    all_mgs = eng.enumerate_mgs()
+    index = {g.bricks: k for k, g in enumerate(all_mgs)}
+    x, y = (index[ids_of(eng.cat, ast.literal_eval(group))]
             for group in match.groups())
     assert not any(x in block and y in block
-                   for block in _swap_components(eng, eng.enumerate_mgs()))
+                   for block in _swap_components(eng, all_mgs))
 
 
 def test_removed_square_side_raises_through_equivalence_classes():
@@ -269,14 +282,76 @@ def test_one_sided_commuting_square_raises(monkeypatch):
         _fresh(EXAMPLE_QUIVER).equivalence_classes()
 
 
-@pytest.mark.parametrize("spec", [EXAMPLE_QUIVER, AlgebraSpec.type_a("<<<"),
-                                  AlgebraSpec.nakayama([3, 3, 3], cyclic=True)],
+def refuse_sequence_walks(monkeypatch):
+    """Make listing a sequence or walking every chain raise."""
+    def refuse(*args):
+        raise AssertionError("sequences walked")
+
+    monkeypatch.setattr(GreenEngine, "_walk", refuse)
+    monkeypatch.setattr(GreenEngine, "_sequence_walk", refuse)
+
+
+def _orders_and_theorems(spec, eng):
+    cat = eng.cat
+    tags = [tag for tag in ORDER_TAGS if tag != "brick" or spec.is_nakayama]
+    suites = ["theoremA", "theoremB"] + (["theoremC"] if spec.is_nakayama else [])
+    return ([build_order(tag, eng) for tag in tags],
+            [[c.to_dict() for c in run_suite(name, cat, eng)] for name in suites])
+
+
+@pytest.mark.parametrize("spec", full_battery() + EXTRA_SPECS,
                          ids=lambda s: s.label())
-def test_classes_read_no_sequence_index(spec):
-    eng = _fresh(spec)
-    eng.enumerate_mgs()
-    eng._index.clear()
-    assert eng.equivalence_classes() == _fresh(spec).equivalence_classes()
+def test_classes_read_no_sequence_index(spec, monkeypatch):
+    # every order and theorems A-C read the classes, one normal form each,
+    # and list no sequence
+    expected = _orders_and_theorems(spec, engine_for(spec))
+    refuse_sequence_walks(monkeypatch)
+    assert _orders_and_theorems(spec, GreenEngine(category_for(spec))) == expected
+
+
+def test_sequence_walk_runs_once_for_members_and_path_checks(monkeypatch):
+    calls = []
+    real = GreenEngine._sequence_walk
+
+    def counting(self):
+        calls.append(self)
+        real(self)
+
+    monkeypatch.setattr(GreenEngine, "_sequence_walk", counting)
+    eng = _fresh(EXAMPLE_QUIVER)
+    eng.equivalence_classes()
+    assert calls == []
+    eng.class_members()
+    eng.path_failures()
+    assert calls == [eng]
+
+
+def test_walked_mask_not_a_class_key_raises():
+    eng = _fresh(EXAMPLE_QUIVER)
+    by_key = eng.classes_by_key()
+    del by_key[next(iter(by_key))]
+    with pytest.raises(InvariantViolation, match="not the key of a class"):
+        eng.class_members()
+
+
+def test_first_member_not_the_representative_raises():
+    eng = _fresh(EXAMPLE_QUIVER)
+    eng.equivalence_classes()
+    first, second = eng._classes[:2]
+    eng._classes[0] = replace(first, representative=second.representative)
+    with pytest.raises(InvariantViolation,
+                       match="first members of the classes are not the normal forms"):
+        eng.path_failures()
+
+
+def test_class_of_refuses_a_label_that_is_not_a_cover():
+    eng = _fresh(EXAMPLE_QUIVER)
+    # 132 is a brick but labels no cover below the whole category
+    with pytest.raises(UsageError, match="132 labels no cover below"):
+        eng.class_of(ids_of(eng.cat, ["132"]))
+    # a chain that stops above zero has no class
+    with pytest.raises(KeyError):
+        eng.class_of(ids_of(eng.cat, ["1"]))
 
 
 def test_patched_layer_multiplicity_trips_dimension_check(monkeypatch):
@@ -307,7 +382,7 @@ def test_summand_path_of_the_wrong_size_raises(monkeypatch):
     def patched(self, lattice):
         summands, summ, steps = real(self, lattice)
         extra = 1 << len(summands)
-        steps = {up: [(b, lo, s | extra, e, f) for b, lo, s, e, f in row]
+        steps = {up: [(b, lo, s | extra, *rest) for b, lo, s, *rest in row]
                  for up, row in steps.items()}
         return summands, summ, steps
 

@@ -18,6 +18,7 @@ from greenseq.orders import (_check_partial_order, _covers_from_leq,
 from greenseq.verify import build_posets, suite_theorem_b
 
 from conftest import category_for, engine_for, full_battery, ids_of
+from test_classes import refuse_sequence_walks
 from test_green import _small_algebra
 from test_verify import verify_phi
 
@@ -26,7 +27,7 @@ EXTRA_SPECS = [AlgebraSpec.type_a("<<<<"), AlgebraSpec.nakayama([3, 3, 3, 2, 1])
 
 
 def class_of_names(cat, engine, names):
-    return engine.class_of(engine.index_of(ids_of(cat, names)))
+    return engine.class_of(ids_of(cat, names))
 
 
 # -- increasing elementary polygonal deformations ---------------------------
@@ -61,8 +62,8 @@ def _iepd_by_swaps(engine):
     valid sequence is enumerated, so a candidate is valid exactly when the
     sequence index holds it."""
     all_mgs = engine.enumerate_mgs()
-    engine.equivalence_classes()
-    index = engine._index
+    index = {g.bricks: k for k, g in enumerate(all_mgs)}
+    class_of = [engine.class_of(g.bricks) for g in all_mgs]
     pairs = set()
     for k, g in enumerate(all_mgs):
         r = len(g.bricks)
@@ -71,7 +72,7 @@ def _iepd_by_swaps(engine):
                 seq = g.bricks[:p] + (g.bricks[q], g.bricks[p]) + g.bricks[q + 1:]
                 j = index.get(seq)
                 if j is not None:
-                    lo, hi = engine.class_of(k), engine.class_of(j)
+                    lo, hi = class_of[k], class_of[j]
                     if lo == hi:
                         raise InvariantViolation(
                             "polygonal deformation did not change the class")
@@ -83,12 +84,13 @@ def _iepd_by_swaps(engine):
 def test_deformation_candidates_valid_iff_enumerated(spec):
     # the swap oracle trusts the sequence index instead of is_valid_mgs
     eng = engine_for(spec)
+    listed = {g.bricks for g in eng.enumerate_mgs()}
     for g in eng.enumerate_mgs():
         r = len(g.bricks)
         for p in range(r):
             for q in range(p + 2, r):
                 seq = g.bricks[:p] + (g.bricks[q], g.bricks[p]) + g.bricks[q + 1:]
-                assert (eng._index.get(seq) is not None) == eng.is_valid_mgs(seq)
+                assert (seq in listed) == eng.is_valid_mgs(seq)
 
 
 # -- the three orders ----------------------------------------------------------
@@ -450,10 +452,11 @@ def _polygons_by_side_type(engine):
 
 
 def _oracle_by_side_type(engine):
+    class_of = [engine.class_of(g.bricks) for g in engine.enumerate_mgs()]
     rows = []
     for p in _all_pairs_polygons(engine):
-        first = (p["sides"][0], engine.class_of(p["first"]))
-        second = (p["sides"][1], engine.class_of(p["second"]))
+        first = (p["sides"][0], class_of[p["first"]])
+        second = (p["sides"][1], class_of[p["second"]])
         (long, c_long), (short, c_short) = sorted((first, second), reverse=True)
         rows.append(((long, short), [(c_long, c_short)], 1))
     return _by_side_type(rows)
@@ -488,12 +491,11 @@ def test_iepd_pairs_match_swap_scan(spec):
 @pytest.mark.parametrize("spec", [AlgebraSpec.type_a("<<<"),
                                   AlgebraSpec.nakayama([3, 3, 3], cyclic=True)],
                          ids=lambda s: s.label())
-def test_polygons_read_no_sequence_index(spec):
+def test_polygons_read_no_sequence_index(spec, monkeypatch):
     expected = (build_order("pentagon", engine_for(spec)),
                 polygon_deformation_pairs(engine_for(spec)))
+    refuse_sequence_walks(monkeypatch)
     eng = GreenEngine(ModuleCategory(spec))
-    eng.equivalence_classes()
-    eng._index.clear()
     assert (build_order("pentagon", eng), polygon_deformation_pairs(eng)) == expected
 
 

@@ -454,8 +454,8 @@ def test_patched_square_side_fails_the_square_check():
     eng = GreenEngine(cat)
 
     def patch(rows, k):
-        b, lo, s, e, f = rows[k]
-        rows[k] = (b, lo, s, e, f | 1 << 300)
+        b, lo, s, e, f, *rest = rows[k]
+        rows[k] = (b, lo, s, e, f | 1 << 300, *rest)
         return rows
 
     top = _patch_square_side(eng, patch)
@@ -474,9 +474,9 @@ def test_patched_square_side_fails_theorem_a():
     patched = []
 
     def patch(rows, k):
-        b, lo, s, e, f = rows[k]
+        b, lo, s, e, f, *rest = rows[k]
         patched.append(b)
-        rows[k] = (b, lo, s, e, f | 1 << 300)
+        rows[k] = (b, lo, s, e, f | 1 << 300, *rest)
         return rows
 
     top = _patch_square_side(eng, patch)

@@ -9,8 +9,9 @@ code differ.  Standard library only.
 The battery: every type-A orientation word and every admissible linear
 Kupisch series on at most four vertices, the cyclic series 2,2 / 3,3 /
 2,2,2 / 3,2,2, typeA <<<<, Nakayama 3,3,3,2,1 and cyclic 3,3,3, each with
-`catalog`, `bricks`, `mgs`, `classes`, `poset --format json` for every
-order that applies and `verify --suite all`; `mgs`, `classes`, `poset
+`catalog`, `bricks`, `mgs`, `classes`, `poset` for every order that
+applies, as DOT and with `--format json`, and `verify --suite all`;
+`mgs`, `classes`, `poset
 --format json` for the pentagon, summand and hn orders and `verify
 --suite all` on all 16 five-vertex type-A orientations; and
 `catalog` and `bricks`, each with and without `--exact`, on the long
@@ -20,7 +21,8 @@ all` on the six-vertex typeA <<<<< (972 classes).
 Then, on each of the algebras with every command, `hn` along the first
 and the last sequence of the first tree's `mgs` output, given as a brick
 list, once with `--module` the sum of every catalog module (#0+#1+...)
-and once for each single module: 890 calls in all.  A call that both
+and once for each single module, and given as its `mgs` index with that
+sum: 1060 calls in all.  A call that both
 trees reject with a usage error (exit 2) is reported too: the battery
 should make none.
 Exit code 0 when every call matches, 1 when some call differs, times
@@ -101,20 +103,24 @@ def commands(spec: dict, kind: str) -> list[list[str]]:
     posets = [["poset", "--order", o, "--format", "json"] for o in orders]
     if kind == "five":
         return [["mgs"], ["classes"]] + posets + [["verify", "--suite", "all"]]
-    return ([["catalog"], ["bricks"], ["mgs"], ["classes"]] + posets
+    dots = [["poset", "--order", o] for o in orders]
+    return ([["catalog"], ["bricks"], ["mgs"], ["classes"]] + posets + dots
             + [["verify", "--suite", "all"]])
 
 
 def hn_commands(catalog_out: bytes, mgs_out: bytes) -> list[list[str]]:
     """`hn` calls along the first and the last listed sequence, read from
-    the `catalog` and `mgs` outputs of one algebra."""
+    the `catalog` and `mgs` outputs of one algebra: as brick lists with
+    every module sum, and as indices with the sum of all modules."""
     size = len(json.loads(catalog_out)["modules"])
     seqs = json.loads(mgs_out)["sequences"]
     modules = ["+".join(f"#{i}" for i in range(size))]
     modules += [f"#{i}" for i in range(size)]
-    return [["hn", "--mgs", ",".join(f"#{i}" for i in seq["ids"]),
-             "--module", m]
-            for seq in (seqs[0], seqs[-1]) for m in modules]
+    return ([["hn", "--mgs", ",".join(f"#{i}" for i in seq["ids"]),
+              "--module", m]
+             for seq in (seqs[0], seqs[-1]) for m in modules]
+            + [["hn", "--mgs", str(seq["index"]), "--module", modules[0]]
+               for seq in (seqs[0], seqs[-1])])
 
 
 def run(src: Path, command: list[str], path: Path, cwd: Path):
