@@ -252,8 +252,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "algebras: catalogs, torsion lattices, equivalence "
                     "classes, partial orders, and verification suites.")
     parser.add_argument("--exact", action="store_true",
-                        help="use exact rational elimination instead of the "
-                             "default prime-field arithmetic")
+                        help="also solve every Hom dimension by exact "
+                             "rational elimination and fail (exit 1) where "
+                             "it disagrees with the closed-form Hom table")
     parser.add_argument("--brick-gate", type=int, default=DEFAULT_BRICK_GATE,
                         help="refuse enumeration beyond this many bricks")
     parser.add_argument("--subset-gate", type=int, default=DEFAULT_SUBSET_GATE,

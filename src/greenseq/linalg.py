@@ -1,5 +1,11 @@
 """Exact rank computation for the morphism constraint systems.
 
+The Hom table that every command reads comes from the backends' closed
+forms; this elimination is its oracle.  `ModuleCategory(exact=True)`
+(the CLI's `--exact`) solves every catalog pair over the rationals, and
+the type-A verify check `interval-hom-dimensions-at-most-one` solves
+every pair in the category's field, F_p unless exact.
+
 One fraction-free Gaussian elimination serves two fields: the prime field
 F_p with p = 1000003 by default, and the rationals for paranoia runs.  A
 row is replaced by a * row - f * pivot_row (a the pivot, f the row's
@@ -9,9 +15,9 @@ the input rows and every updated row are reduced mod p, so a pivot is
 never a nonzero multiple of p and no inverse is taken; over the
 rationals an updated row is divided by the gcd of its entries, so the
 entries stay small integers.  The catalog matrices have entries in
-{0, 1}; the tests check that both fields give equal dim Hom for every
-catalog pair of the test battery, and compare each field's rank with an
-elimination that scales every pivot row to a leading 1.
+{0, 1}; the tests check that both fields give the closed form's dim Hom
+for every catalog pair of their sweep, and compare each field's rank
+with an elimination that scales every pivot row to a leading 1.
 """
 
 from math import gcd

@@ -1,13 +1,19 @@
 """Backend-agnostic module-category layer.
 
 Everything is computed over a fixed catalog of indecomposable modules
-produced by a backend (Nakayama or type A).  Hom spaces are solved as
-commuting-square constraint systems on the explicit arrow matrices, with
-exact arithmetic, once per catalog pair into a table that every later
-Hom query reads; Ext^1 comes from the hereditary Euler form (type A) or
-from the explicit projective cover sequence (Nakayama), cross-checkable
-against the presentation-based computation in both cases, and is tabled
-per catalog pair on first use (`ext1_table`).
+produced by a backend (Nakayama or type A).  The Hom table, dim Hom for
+every catalog pair, which every later Hom query reads, is the backend's
+closed form on the module descriptors (`hom_table`), with no linear
+algebra.  Solving the commuting-square constraint system on the explicit
+arrow matrices (`_hom_dim`) stays as its oracle: with `exact=True` (the
+CLI's `--exact`) every pair is solved over the rationals and the first
+that disagrees with the table raises `InvariantViolation`, and the
+type-A verify check `interval-hom-dimensions-at-most-one` solves every
+pair in the category's field, F_p unless exact.  Ext^1 comes from the
+hereditary Euler form (type A) or from the explicit projective cover
+sequence (Nakayama), cross-checkable against the presentation-based
+computation in both cases, and is tabled per catalog pair on first use
+(`ext1_table`).
 
 Torsion classes are membership sets over the catalog, closed under
 indecomposable quotients and under extensions with indecomposable middle
@@ -158,9 +164,9 @@ class ModuleCategory:
         self._lattice: TorsionLattice | None = None
         self._generated: TorsionLattice | None = None
         # hom_table[a][b] = dim Hom(a, b) for every pair of catalog ids
-        size = len(self.catalog)
-        self.hom_table: tuple[tuple[int, ...], ...] = tuple(
-            tuple(self._hom_dim(a, b) for b in range(size)) for a in range(size))
+        self.hom_table: tuple[tuple[int, ...], ...] = self.backend.hom_table()
+        if exact:
+            self._check_hom_table()
 
     # -- catalog ----------------------------------------------------------
 
@@ -236,6 +242,19 @@ class ModuleCategory:
                     if any(row):
                         rows.append(row)
         return total - self._rank(rows)
+
+    def _check_hom_table(self) -> None:
+        """Raise on the first catalog pair whose table entry differs from
+        dim Hom solved by elimination."""
+        size = len(self.catalog)
+        for a in range(size):
+            for b in range(size):
+                solved = self._hom_dim(a, b)
+                if solved != self.hom_table[a][b]:
+                    raise InvariantViolation(
+                        f"dim Hom({self.display(a)}, {self.display(b)}) is "
+                        f"{self.hom_table[a][b]} in the Hom table but "
+                        f"{solved} by elimination")
 
     def _as_sum(self, m) -> ModuleSum:
         if isinstance(m, ModuleSum):

@@ -4,6 +4,14 @@ Arrows run i -> i+1 (cyclically for cyclic algebras) and M(i, l) is the
 uniserial with radical layers S_i, S_{i+1}, ..., S_{i+l-1}.  Structure
 maps follow the arrows; submodules are spans of bottom layers, so the
 unique length-m submodule of M(i, l) is M(i+l-m, m).
+
+Hom spaces come from the descriptors alone (`hom_table`):
+dim Hom(M(i, l), N(j, m)) is the number of layers p of N(j, m) with
+max(0, m - l) <= p < m that sit at vertex i.  M(i, l) is cyclic,
+generated at vertex i and killed by the paths of length l, so a map is
+the image of the generator: an element of N at vertex i, which a path
+of length l sends from layer p to layer p + l, zero exactly when
+p + l >= m.
 """
 
 from __future__ import annotations
@@ -77,6 +85,18 @@ class NakayamaBackend:
     def uniserial(self, top0: int, length: int) -> int:
         """Catalog id of M(top, length); vertices 0-based here."""
         return self._by_desc[(top0 % self.n, length)]
+
+    # -- hom -----------------------------------------------------------------
+
+    def hom_table(self) -> tuple[tuple[int, ...], ...]:
+        """table[a][b] = dim Hom(a, b) for every pair of catalog ids, from
+        the top of a, its length, and the layers of b."""
+        shapes = [(m.descriptor[1] - 1, m.descriptor[2]) for m in self.catalog]
+        layers = [self._layers(top, length) for top, length in shapes]
+        return tuple(
+            tuple(verts[max(0, len(verts) - length):].count(top)
+                  for verts in layers)
+            for top, length in shapes)
 
     # -- submodule structure --------------------------------------------------
 

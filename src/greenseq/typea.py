@@ -12,6 +12,14 @@ submodules rather than the 2^width subsets of the interval.  The short
 exact sequences with an indecomposable middle term are read off the
 supports on the first `records` call for that module; commands that
 read only the Hom table never build them.
+
+Hom spaces come from the supports alone (`hom_table`): with K = I ∩ J,
+dim Hom(M_I, M_J) = 1 when K is non-empty, no structure map runs from
+I \\ K into K and none runs from K into J \\ K, and 0 otherwise.  A map
+is one scalar per vertex of K, equal across each arrow inside K, and an
+arrow that crosses K's boundary in either of those ways forces the
+scalar at its end in K to vanish.  As K is an interval, only the arrows
+at its two ends are tested.
 """
 
 from __future__ import annotations
@@ -84,6 +92,29 @@ class TypeABackend:
                     display=self._display(a0, b0),
                 ))
         return catalog
+
+    # -- hom -------------------------------------------------------------------
+
+    def hom_table(self) -> tuple[tuple[int, ...], ...]:
+        """table[a][b] = dim Hom(a, b) for every pair of catalog ids, from
+        the interval ends and the structure maps at the ends of their
+        intersection."""
+        maps = set(self.slots)
+        ends = [(m.descriptor[1] - 1, m.descriptor[2] - 1) for m in self.catalog]
+        table = []
+        for a0, b0 in ends:
+            row = []
+            for a1, b1 in ends:
+                lo, hi = max(a0, a1), min(b0, b1)
+                row.append(int(
+                    lo <= hi
+                    # no map from I \ K into K, none from K into J \ K
+                    and not (a0 < lo and (lo - 1, lo) in maps)
+                    and not (b0 > hi and (hi + 1, hi) in maps)
+                    and not (a1 < lo and (lo, lo - 1) in maps)
+                    and not (b1 > hi and (hi, hi + 1) in maps)))
+            table.append(tuple(row))
+        return tuple(table)
 
     # -- submodule structure ---------------------------------------------------
 

@@ -1,12 +1,17 @@
 """Module-category layer: hom/ext, closures, torsion submodules, lattice."""
 
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from greenseq import AlgebraSpec, ModuleCategory, ModuleSum, TorsionClass
-from greenseq.errors import GateError, UsageError
+from greenseq import AlgebraSpec, ModuleCategory, ModuleSum, TorsionClass, cli
+from greenseq.errors import GateError, InvariantViolation, UsageError
+from greenseq.nakayama import NakayamaBackend
+from greenseq.typea import TypeABackend
 
-from conftest import category_for, full_battery, ids_of
+from conftest import (category_for, full_battery, ids_of,
+                      linear_nakayama_battery, type_a_battery)
 
 # Torsion lattice of the quiver 1<-2->3 with brick labels on the covers.
 EXAMPLE_LATTICE = {
@@ -99,14 +104,85 @@ def test_exact_mode_agrees(example_cat):
             assert example_cat.ext1(a, b) == exact.ext1(a, b)
 
 
-@pytest.mark.parametrize(
-    "spec", full_battery() + [AlgebraSpec.type_a("<" * 16),
-                              AlgebraSpec.type_a("<>" * 8)],
-    ids=lambda s: s.label())
+def _assert_hom_table_matches_elimination(spec):
+    """The backend's closed-form table against dim Hom solved by
+    elimination, pair by pair: over F_p here, and over the rationals by
+    the exact build, which raises on the first pair that differs (see
+    test_flipped_hom_entry_fails_the_exact_build)."""
+    ModuleCategory(spec, exact=True)
+    cat = ModuleCategory(spec)
+    size = len(cat.catalog)
+    for a in range(size):
+        for b in range(size):
+            assert cat.hom_table[a][b] == cat._hom_dim(a, b), (
+                spec.label(), a, b)
+
+
+# every type-A word on at most 7 vertices, every admissible linear Kupisch
+# series on at most 5, the cyclic battery and two long type-A quivers
+HOM_SWEEP = list(dict.fromkeys(
+    full_battery() + type_a_battery(7) + linear_nakayama_battery(5)
+    + [AlgebraSpec.type_a("<" * 16), AlgebraSpec.type_a("<>" * 8)]))
+
+
+@pytest.mark.parametrize("spec", HOM_SWEEP, ids=lambda s: s.label())
 def test_exact_and_prime_field_hom_tables_equal(spec):
-    # rational and F_p elimination give the same dim Hom on every pair
-    assert (ModuleCategory(spec, exact=True).hom_table
-            == category_for(spec).hom_table)
+    _assert_hom_table_matches_elimination(spec)
+
+
+def _cyclic_kupisch(series):
+    """Lower entries until c_i <= c_{i+1} + 1 holds all round the cycle."""
+    c = list(series)
+    while any(x > c[(i + 1) % len(c)] + 1 for i, x in enumerate(c)):
+        c = [min(x, c[(i + 1) % len(c)] + 1) for i, x in enumerate(c)]
+    return c
+
+
+# type-A words on 8 to 12 vertices (the sweep has every shorter one) and
+# cyclic Kupisch series on at most 5 vertices
+_drawn_specs = st.one_of(
+    st.integers(7, 11).flatmap(
+        lambda k: st.text("<>", min_size=k, max_size=k)).map(AlgebraSpec.type_a),
+    st.lists(st.integers(2, 6), min_size=2, max_size=5).map(
+        lambda c: AlgebraSpec.nakayama(_cyclic_kupisch(c), cyclic=True)))
+
+
+# derandomized: a twelve-vertex type-A draw costs the eliminations 0.25 s
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(_drawn_specs)
+def test_hom_table_matches_elimination_on_drawn_algebras(spec):
+    _assert_hom_table_matches_elimination(spec)
+
+
+@pytest.mark.parametrize("spec, backend", [
+    (AlgebraSpec.type_a("<>"), TypeABackend),
+    (AlgebraSpec.nakayama([3, 2, 2], cyclic=True), NakayamaBackend),
+], ids=["typeA", "nakayama"])
+def test_flipped_hom_entry_fails_the_exact_build(spec, backend, monkeypatch,
+                                                 tmp_path, capsys):
+    real = backend.hom_table
+    cat = category_for(spec)
+    a, b = 1, len(cat.catalog) - 1
+
+    def flipped(self):
+        table = [list(row) for row in real(self)]
+        table[a][b] += 1
+        return tuple(map(tuple, table))
+
+    monkeypatch.setattr(backend, "hom_table", flipped)
+    ModuleCategory(spec)
+    with pytest.raises(InvariantViolation) as err:
+        ModuleCategory(spec, exact=True)
+    good = cat.hom_table[a][b]
+    assert str(err.value) == (
+        f"dim Hom({cat.display(a)}, {cat.display(b)}) is {good + 1} in the "
+        f"Hom table but {good} by elimination")
+
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps(spec.to_dict()))
+    assert cli.main(["catalog", str(path)]) == 0
+    assert cli.main(["--exact", "catalog", str(path)]) == 1
+    assert str(err.value) in capsys.readouterr().err
 
 
 # -- ext ------------------------------------------------------------------

@@ -340,6 +340,24 @@ def test_patched_ext_entry_fails_the_adjacent_check():
     assert pair[::-1] in _failed(checks, "ext-formula-matches-presentation-oracle")
 
 
+def test_patched_elimination_fails_the_interval_hom_check(monkeypatch):
+    # the check solves every pair by elimination: one solution above 1 and
+    # one that differs from the Hom table are both reported
+    cat = ModuleCategory(EXAMPLE_QUIVER)
+    real = cat._hom_dim
+    above, differs = (0, 0), (0, 1)
+
+    def patched(a, b):
+        if (a, b) == above:
+            return 2
+        return 1 - real(a, b) if (a, b) == differs else real(a, b)
+
+    monkeypatch.setattr(cat, "_hom_dim", patched)
+    checks = run_suite("lemmas", cat, GreenEngine(cat))
+    assert _failed(checks, "interval-hom-dimensions-at-most-one") == [
+        [cat.display(a), cat.display(b)] for a, b in (above, differs)]
+
+
 def test_non_simple_end_label_fails_the_end_check(monkeypatch):
     cat = ModuleCategory(EXAMPLE_QUIVER)
     one = cat.resolve_token("1")

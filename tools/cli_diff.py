@@ -16,13 +16,16 @@ applies, as DOT and with `--format json`, and `verify --suite all`;
 --suite all` on all 16 five-vertex type-A orientations; and
 `catalog` and `bricks`, each with and without `--exact`, on the long
 type-A quivers <x16, <>x8 and <<><<>><<><<>><< (17 vertices each);
+`catalog` and `bricks` with `--exact` on Nakayama 3,3,3,2,1 and the five
+cyclic series, whose runs without it are among the commands above, so
+that both Hom closed forms meet exact elimination;
 `classes`, `poset --order pentagon --format json` and `verify --suite
 all` on the six-vertex typeA <<<<< (972 classes).
 Then, on each of the algebras with every command, `hn` along the first
 and the last sequence of the first tree's `mgs` output, given as a brick
 list, once with `--module` the sum of every catalog module (#0+#1+...)
 and once for each single module, and given as its `mgs` index with that
-sum: 1060 calls in all.  A call that both
+sum: 1072 calls in all.  A call that both
 trees reject with a usage error (exit 2) is reported too: the battery
 should make none.
 Exit code 0 when every call matches, 1 when some call differs, times
@@ -66,7 +69,8 @@ def linear_kupisch(max_n: int):
 
 
 def battery() -> list[tuple[dict, str]]:
-    """(algebra, which commands: "all", "five", "six" or "long")."""
+    """(algebra, which commands: "all", "exact", "five", "six" or
+    "long")."""
     specs = [type_a("".join(w)) for n in range(1, 5)
              for w in itertools.product("<>", repeat=n - 1)]
     specs += [nakayama(s) for s in linear_kupisch(4)]
@@ -74,9 +78,13 @@ def battery() -> list[tuple[dict, str]]:
               for s in ([2, 2], [3, 3], [2, 2, 2], [3, 2, 2])]
     specs += [type_a("<<<<"), nakayama([3, 3, 3, 2, 1]),
               nakayama([3, 3, 3], cyclic=True)]
+    # --exact checks the Nakayama closed-form Hom table against elimination
+    exact = [spec for spec in specs if spec["type"] == "nakayama"
+             and (spec["cyclic"] or spec["kupisch"] == [3, 3, 3, 2, 1])]
     five = [type_a("".join(w)) for w in itertools.product("<>", repeat=4)]
     long = [type_a("<" * 16), type_a("<>" * 8), type_a("<<><<>><<><<>><<")]
     return ([(spec, "all") for spec in specs]
+            + [(spec, "exact") for spec in exact]
             + [(spec, "five") for spec in five]
             + [(spec, "long") for spec in long]
             + [(type_a("<<<<<"), "six")])
@@ -94,6 +102,8 @@ def commands(spec: dict, kind: str) -> list[list[str]]:
     if kind == "long":
         return [[*flags, cmd] for cmd in ("catalog", "bricks")
                 for flags in ([], ["--exact"])]
+    if kind == "exact":
+        return [["--exact", cmd] for cmd in ("catalog", "bricks")]
     if kind == "six":
         return [["classes"], ["poset", "--order", "pentagon", "--format", "json"],
                 ["verify", "--suite", "all"]]
