@@ -4,7 +4,8 @@ All reports are canonical JSON (sorted keys, two-space indent) so that
 identical inputs produce byte-identical output; Hasse diagrams can also
 be emitted as DOT.  The JSON is exactly `json.dumps(obj, indent=2,
 sort_keys=True)` plus a newline, written by `canonical_json` without the
-standard library's pure-Python indenting encoder (see there).  Exit
+standard library's pure-Python indenting encoder (see there); `mgs`
+writes its sequence records itself during the walk (`cmd_mgs`).  Exit
 codes: 0 success, 1 a verification check failed, 2 usage, parse, or gate
 errors.
 """
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import islice
 from json.encoder import encode_basestring_ascii
 
 from .algebra import AlgebraSpec
@@ -142,17 +144,42 @@ def cmd_bricks(args) -> int:
     return 0
 
 
+# `mgs` writes this many sequence records per write to stdout
+_RECORDS_PER_WRITE = 4096
+
+
 def cmd_mgs(args) -> int:
+    """The report `canonical_json` would write for every sequence, written
+    while the lattice walk runs.  Each record has the same shape, so it is
+    one f-string of per-brick tokens that are encoded once."""
     cat, engine = _context(args)
-    display = {b: cat.display(b) for b in cat.bricks}
-    descriptor = {b: cat.descriptor_str(b) for b in cat.bricks}
-    seqs = [{"index": k, "ids": list(g.bricks),
-             "bricks": [display[b] for b in g.bricks],
-             "descriptors": [descriptor[b] for b in g.bricks],
-             "length": len(g.bricks)}
-            for k, g in enumerate(engine.enumerate_mgs())]
-    print(canonical_json({"algebra": cat.spec.to_dict(), "count": len(seqs),
-                          "sequences": seqs}), end="")
+    walk = engine.sequence_walk()  # the gates fire before any output
+    count = cat.generated_lattice().maximal_chain_count()
+    head = canonical_json({"algebra": cat.spec.to_dict(), "count": count,
+                           "sequences": []})
+    display = {b: encode_basestring_ascii(cat.display(b)) for b in cat.bricks}
+    descriptor = {b: encode_basestring_ascii(cat.descriptor_str(b))
+                  for b in cat.bricks}
+    ident = {b: repr(b) for b in cat.bricks}
+    item = ",\n        "
+    records = (
+        f'{{\n      "bricks": [\n        {item.join(map(display.__getitem__, s))}'
+        f'\n      ],\n      "descriptors": [\n        '
+        f'{item.join(map(descriptor.__getitem__, s))}'
+        f'\n      ],\n      "ids": [\n        {item.join(map(ident.__getitem__, s))}'
+        f'\n      ],\n      "index": {k},\n      "length": {len(s)}\n    }}'
+        for k, s in enumerate(walk))
+    write = sys.stdout.write
+    write(head[:-len("[]\n}\n")])
+    sep, written = "[\n    ", 0
+    while chunk := list(islice(records, _RECORDS_PER_WRITE)):
+        write(sep + ",\n    ".join(chunk))
+        sep, written = ",\n    ", written + len(chunk)
+    write("\n  ]\n}\n" if written else "[]\n}\n")
+    if written != count:
+        raise InvariantViolation(
+            f"the lattice walk listed {written} sequences where the lattice "
+            f"counts {count}")
     return 0
 
 
@@ -197,12 +224,13 @@ def cmd_poset(args) -> int:
 def _resolve_mgs(cat: ModuleCategory, engine: GreenEngine, token: str):
     token = token.strip()
     if token.isdigit():
-        all_mgs = engine.enumerate_mgs()
+        walk = engine.sequence_walk()
+        count = cat.generated_lattice().maximal_chain_count()
         k = int(token)
-        if not 0 <= k < len(all_mgs):
+        if k >= count:
             raise UsageError(
-                f"green sequence index {k} out of range 0..{len(all_mgs) - 1}")
-        return all_mgs[k]
+                f"green sequence index {k} out of range 0..{count - 1}")
+        return MGS(next(islice(walk, k, None)))
     ids = tuple(cat.resolve_token(t) for t in token.split(",") if t.strip())
     reason = engine.explain_invalid(ids)
     if reason is not None:

@@ -6,8 +6,9 @@ A maximal green sequence is held as its maximal backward Hom-orthogonal
 sequence of bricks: hom(B_j, B_i) = 0 whenever i < j, and no brick can
 be inserted anywhere.  These are the cover labels of the maximal chains
 of the torsion lattice, so the sequences are read off the lattice that
-`ModuleCategory.generated_lattice` builds from its covers; the validity
-of a given brick list is decided by bitmask Hom tests.
+`ModuleCategory.generated_lattice` builds from its covers, one at a time
+(`sequence_walk`); the validity of a given brick list is decided by
+bitmask Hom tests.
 
 The torsion chain of a sequence is read from one bitmask per brick:
 T_0 is the whole catalog and T_i = T_{i-1} & perp[B_i], the cover of
@@ -41,12 +42,19 @@ from .modcat import ModuleCategory, ModuleSum, TorsionClass
 
 DEFAULT_BRICK_GATE = 24
 # listing more maximal green sequences than this is refused before the
-# walk starts.  typeA <<<<< has 340,549: `greenseq mgs` on it takes 16 s
-# and peaks at 1.27 GB RSS for 302 MB of JSON (one run, 2 shared vCPUs),
-# so this bound keeps a listing near 1.5 GB; typeA <><>< has 16,424,057.
+# walk starts.  typeA <<<<< has 340,549: `greenseq mgs` streams them in
+# 3.3 s at a 39 MB peak RSS for 302 MB of JSON (one run, 2 shared vCPUs),
+# about 890 bytes a sequence, so this bound keeps a listing near 355 MB of
+# output; typeA <><>< has 16,424,057.  It also bounds the lists that
+# `classes` (members) and the `lemmas` suite (path checks) hold.
 # `equivalence_classes` lists no sequence but keeps this gate, so `poset`
 # and `verify` refuse what they refused before until they get their own
 SEQUENCE_GATE = 400_000
+
+# `GreenEngine._walk` lists the chains below a class once when there are at
+# most this many: on typeA <<<<< the walk then takes 0.09 s instead of 0.6 s
+# (in-process, 2 shared vCPUs)
+_TAIL_LIMIT = 64
 
 # the lemma checks folded along the sequence walk of `_sequence_walk`
 PATH_CHECKS = (
@@ -158,19 +166,17 @@ class GreenEngine:
 
     def enumerate_mgs(self) -> list[MGS]:
         """Every maximal green sequence, in lexicographic order of brick
-        ids: the maximal chains of the generated torsion lattice, read as
-        their cover labels, once `_gated_lattice` admits them."""
-        if self._all_mgs is not None:
-            return list(self._all_mgs)
-        lattice = self._gated_lattice()
-        # the lower covers of a class carry distinct labels, so walking
-        # them in label order lists the sequences lexicographically
-        children = {up: sorted((lab, lo) for lo, lab in downs)
-                    for up, downs in lattice.lower_covers.items()}
-        result: list[MGS] = []
-        self._walk(children, lattice.top, lattice.bottom, [], result)
-        self._all_mgs = result
-        return list(result)
+        ids (`sequence_walk`)."""
+        if self._all_mgs is None:
+            self._all_mgs = [MGS(s) for s in self.sequence_walk()]
+        return list(self._all_mgs)
+
+    def sequence_walk(self):
+        """An iterator over the cover labels of every maximal chain of the
+        generated torsion lattice, in lexicographic order, once
+        `_gated_lattice` admits them; the gates fire on this call, before
+        the first label is read."""
+        return self._walk(self._gated_lattice())
 
     def _gated_lattice(self):
         """The generated torsion lattice, refused before it is built when
@@ -188,15 +194,39 @@ class GreenEngine:
                 f"of {SEQUENCE_GATE}; they are not listed")
         return lattice
 
-    def _walk(self, children, idx: int, bottom: int, prefix: list[int],
-              out: list[MGS]) -> None:
-        if idx == bottom:
-            out.append(MGS(tuple(prefix)))
+    def _walk(self, lattice):
+        """Yield each maximal chain's labels as a tuple.  The lower covers
+        of a class carry distinct labels, so taking them in label order
+        yields the chains lexicographically.  The chains below a class with
+        at most `_TAIL_LIMIT` of them are listed once, bottom up, and
+        appended to each prefix that reaches it."""
+        children = {up: sorted((lab, lo) for lo, lab in downs)
+                    for up, downs in lattice.lower_covers.items()}
+        tails = {lattice.bottom: [()]}
+        for c in sorted(children, key=lambda i: len(lattice.classes[i])):
+            if all(lo in tails for _, lo in children[c]):
+                below = [(lab, *t) for lab, lo in children[c] for t in tails[lo]]
+                if len(below) <= _TAIL_LIMIT:
+                    tails[c] = below
+        if lattice.top in tails:
+            yield from tails[lattice.top]
             return
-        for lab, lo in children[idx]:
-            prefix.append(lab)
-            self._walk(children, lo, bottom, prefix, out)
-            prefix.pop()
+        # stack[i] runs over the lower covers of the class below prefix[:i]
+        prefix: list[int] = []
+        stack = [iter(children[lattice.top])]
+        while stack:
+            for lab, lo in stack[-1]:
+                if lo in tails:
+                    head = (*prefix, lab)
+                    for t in tails[lo]:
+                        yield head + t
+                else:
+                    prefix.append(lab)
+                    stack.append(iter(children[lo]))
+                    break
+            else:
+                stack.pop()
+                del prefix[-1:]
 
     # -- validity --------------------------------------------------------------
 

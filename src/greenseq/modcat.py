@@ -143,14 +143,14 @@ class ModuleCategory:
     """Catalog of indecomposables plus the exact homological calculus."""
 
     def __init__(self, spec: AlgebraSpec, exact: bool = False):
-        from .nakayama import NakayamaBackend
-        from .typea import TypeABackend
-
         self.spec = spec
         self.exact = exact
+        # each backend is imported only when a spec needs it
         if spec.is_nakayama:
+            from .nakayama import NakayamaBackend
             self.backend = NakayamaBackend(spec)
         else:
+            from .typea import TypeABackend
             self.backend = TypeABackend(spec)
         self.n = spec.n
         self.slots = self.backend.slots

@@ -5,7 +5,7 @@ import json
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from greenseq import AlgebraSpec, GreenEngine, cli, green
+from greenseq import AlgebraSpec, GreenEngine, ModuleCategory, cli, green
 from greenseq.cli import canonical_json, main
 from greenseq.typea import TypeABackend
 
@@ -13,6 +13,26 @@ from greenseq.typea import TypeABackend
 def _oracle(obj) -> str:
     """The encoder `canonical_json` replaces."""
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def _mgs_report(spec: AlgebraSpec) -> dict:
+    """The report `mgs` printed through `canonical_json` before it wrote
+    its records during the walk."""
+    cat = ModuleCategory(spec)
+    display = {b: cat.display(b) for b in cat.bricks}
+    descriptor = {b: cat.descriptor_str(b) for b in cat.bricks}
+    seqs = [{"index": k, "ids": list(g.bricks),
+             "bricks": [display[b] for b in g.bricks],
+             "descriptors": [descriptor[b] for b in g.bricks],
+             "length": len(g.bricks)}
+            for k, g in enumerate(GreenEngine(cat).enumerate_mgs())]
+    return {"algebra": spec.to_dict(), "count": len(seqs), "sequences": seqs}
+
+
+def _write_spec(tmp_path, spec: AlgebraSpec) -> str:
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps(spec.to_dict()))
+    return str(path)
 
 
 @pytest.fixture
@@ -339,10 +359,11 @@ def test_canonical_json_refuses_a_circular_list():
         canonical_json(loop)
 
 
-# report shapes: the README example, a four-vertex zigzag, and a linear
-# and a cyclic Nakayama algebra, whose brick order is printed too
+# report shapes: the one-sequence algebra, the README example, a
+# four-vertex zigzag, and a linear and a cyclic Nakayama algebra, whose
+# brick order is printed too
 @pytest.mark.parametrize("spec", [
-    AlgebraSpec.type_a("<>"), AlgebraSpec.type_a("<><"),
+    AlgebraSpec.type_a(""), AlgebraSpec.type_a("<>"), AlgebraSpec.type_a("<><"),
     AlgebraSpec.nakayama([4, 3, 2, 1]),
     AlgebraSpec.nakayama([3, 2, 2], cyclic=True),
 ], ids=lambda s: s.label())
@@ -355,8 +376,7 @@ def test_every_command_prints_the_json_dumps_bytes(capsys, monkeypatch,
         return canonical_json(obj)
 
     monkeypatch.setattr(cli, "canonical_json", recording)
-    path = tmp_path / "algebra.json"
-    path.write_text(json.dumps(spec.to_dict()))
+    path = _write_spec(tmp_path, spec)
     orders = ["pentagon", "summand", "hn"]
     if spec.is_nakayama:
         orders.append("brick")
@@ -365,7 +385,74 @@ def test_every_command_prints_the_json_dumps_bytes(capsys, monkeypatch,
              ["verify", "--suite", "all"]]
     calls += [["poset", "--order", o, "--format", "json"] for o in orders]
     for name, *options in calls:
-        code, out, _ = run(capsys, name, str(path), *options)
+        code, out, _ = run(capsys, name, path, *options)
         assert code == 0, (name, options)
-        assert out == _oracle(reports.pop()), (name, options)
+        report = reports.pop()
+        if name == "mgs":
+            # only the header goes through `canonical_json`
+            assert report["sequences"] == []
+            report = _mgs_report(spec)
+        assert out == _oracle(report), (name, options)
     assert reports == []
+
+
+def test_mgs_stream_escapes_like_json_dumps(capsys, monkeypatch, tmp_path):
+    # quotes, backslashes, non-ASCII, control and astral characters
+    def tricky(self, x):
+        return f'"{x}\\\u00e9\x01\n\u2028\U0001f600'
+
+    monkeypatch.setattr(ModuleCategory, "display", tricky)
+    monkeypatch.setattr(ModuleCategory, "descriptor_str",
+                        lambda self, x: "\t" + tricky(self, x)[::-1])
+    spec = AlgebraSpec.type_a("<>")
+    code, out, _ = run(capsys, "mgs", _write_spec(tmp_path, spec))
+    assert code == 0
+    assert out == _oracle(_mgs_report(spec))
+
+
+def test_mgs_streams_in_several_writes_and_lists_no_sequence(
+        capsys, monkeypatch, tmp_path):
+    spec = AlgebraSpec.type_a("<>")
+    expected = _oracle(_mgs_report(spec))
+
+    def refuse(self):
+        raise AssertionError("sequences listed")
+
+    monkeypatch.setattr(GreenEngine, "enumerate_mgs", refuse)
+    monkeypatch.setattr(cli, "_RECORDS_PER_WRITE", 3)  # 10 records, 4 writes
+    code, out, _ = run(capsys, "mgs", _write_spec(tmp_path, spec))
+    assert code == 0 and out == expected
+
+
+def test_mgs_refuses_a_walk_that_disagrees_with_the_count(capsys, monkeypatch,
+                                                         example_file):
+    real = GreenEngine._walk
+
+    def short(self, lattice):
+        return list(real(self, lattice))[:-1]
+
+    monkeypatch.setattr(GreenEngine, "_walk", short)
+    code, _, err = run(capsys, "mgs", example_file)
+    assert code == 1
+    assert "listed 9 sequences where the lattice counts 10" in err
+
+
+def test_hn_by_index_reads_the_last_sequence_and_refuses_one_past_it(
+        capsys, monkeypatch, example_file):
+    cat = ModuleCategory(AlgebraSpec.type_a("<>"))
+    last = GreenEngine(cat).enumerate_mgs()[-1]
+    by_list = ",".join(cat.display(b) for b in last.bricks)
+
+    def refuse(self):
+        raise AssertionError("sequences listed")
+
+    monkeypatch.setattr(GreenEngine, "enumerate_mgs", refuse)
+    code, out, _ = run(capsys, "hn", example_file, "--mgs", "9",
+                       "--module", "132")
+    assert code == 0
+    assert out == run(capsys, "hn", example_file, "--mgs", by_list,
+                      "--module", "132")[1]
+    code, out, err = run(capsys, "hn", example_file, "--mgs", "10",
+                         "--module", "132")
+    assert code == 2 and out == ""
+    assert err == "error: green sequence index 10 out of range 0..9\n"
