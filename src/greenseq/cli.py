@@ -223,14 +223,10 @@ def cmd_poset(args) -> int:
 
 def _resolve_mgs(cat: ModuleCategory, engine: GreenEngine, token: str):
     token = token.strip()
-    if token.isdigit():
-        walk = engine.sequence_walk()
-        count = cat.generated_lattice().maximal_chain_count()
-        k = int(token)
-        if k >= count:
-            raise UsageError(
-                f"green sequence index {k} out of range 0..{count - 1}")
-        return MGS(next(islice(walk, k, None)))
+    # an index is ASCII digits only (str.isdigit also accepts '²', which
+    # int() rejects); every other token is a brick list
+    if token.isascii() and token.isdecimal():
+        return engine.sequence_at(int(token))
     ids = tuple(cat.resolve_token(t) for t in token.split(",") if t.strip())
     reason = engine.explain_invalid(ids)
     if reason is not None:

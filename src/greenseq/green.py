@@ -23,9 +23,10 @@ lattice's squares and one lexicographic normal form per class, which is
 the class (`equivalence_classes`).  Each key is the OR of bitmasks along
 a chain: every silting summand, exchange pair and (module, brick,
 multiplicity) HN entry is numbered, and each class and cover contributes
-a bitmask.  One on-demand walk of every chain (`_sequence_walk`) finds
-the members of the classes and folds the per-sequence lemma checks
-(PATH_CHECKS).  The uncached per-sequence methods (`torsion_chain`,
+a bitmask, as to the per-sequence lemma checks (PATH_CHECKS), which are
+checked once per class (`path_failures`).  One walk visits every maximal
+chain (`_walk`): it lists the sequences (`sequence_walk`) and finds the
+members of the classes (`class_members`).  The uncached per-sequence methods (`torsion_chain`,
 `summand_set`, `exchange_pairs`, `stable_factor_function`,
 `square_swap`) serve the `hn` command, the orders' one representative
 per class, and the tests as oracles.
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import count
+from operator import itemgetter, or_
 
 from .errors import GateError, InvariantViolation, TheoremViolation, UsageError
 from .modcat import ModuleCategory, ModuleSum, TorsionClass
@@ -45,10 +46,10 @@ DEFAULT_BRICK_GATE = 24
 # walk starts.  typeA <<<<< has 340,549: `greenseq mgs` streams them in
 # 3.3 s at a 39 MB peak RSS for 302 MB of JSON (one run, 2 shared vCPUs),
 # about 890 bytes a sequence, so this bound keeps a listing near 355 MB of
-# output; typeA <><>< has 16,424,057.  It also bounds the lists that
-# `classes` (members) and the `lemmas` suite (path checks) hold.
-# `equivalence_classes` lists no sequence but keeps this gate, so `poset`
-# and `verify` refuse what they refused before until they get their own
+# output; typeA <><>< has 16,424,057.  It also bounds the member indices
+# that `classes` holds.  `equivalence_classes` lists no sequence but keeps
+# this gate, so `poset` and `verify` refuse what they refused before until
+# they get their own
 SEQUENCE_GATE = 400_000
 
 # `GreenEngine._walk` lists the chains below a class once when there are at
@@ -56,7 +57,8 @@ SEQUENCE_GATE = 400_000
 # (in-process, 2 shared vCPUs)
 _TAIL_LIMIT = 64
 
-# the lemma checks folded along the sequence walk of `_sequence_walk`
+# the per-sequence lemma checks, read off the `cover_table` path columns
+# ORed down a chain (`path_failures`)
 PATH_CHECKS = (
     "chain-relative-simples-equal-brick-set",
     "exchange-components-never-repeat",
@@ -132,7 +134,6 @@ class GreenEngine:
                     before |= 1 << k
             self._after_ok[b] = after
             self._before_ok[b] = before
-        self._all_mgs: list[MGS] | None = None
         self._classes_by_mask: dict[int, TorsionClass] = {}
         self._silting_cache: dict[frozenset, frozenset] = {}
         # per cover, keyed by (upper class members, label)
@@ -143,8 +144,6 @@ class GreenEngine:
         self._polygons: list | None = None
         self._classes: list[EquivClass] | None = None
         self._by_key: dict[int, int] = {}
-        self._members: list[tuple[int, ...]] | None = None
-        self._path_failures: dict[str, list[int]] | None = None
 
     # -- enumeration ---------------------------------------------------------
 
@@ -166,17 +165,37 @@ class GreenEngine:
 
     def enumerate_mgs(self) -> list[MGS]:
         """Every maximal green sequence, in lexicographic order of brick
-        ids (`sequence_walk`)."""
-        if self._all_mgs is None:
-            self._all_mgs = [MGS(s) for s in self.sequence_walk()]
-        return list(self._all_mgs)
+        ids (`sequence_walk`): the listing the tests compare against; the
+        commands read `sequence_walk`, `sequence_at` and `class_members`."""
+        return [MGS(s) for s in self.sequence_walk()]
 
     def sequence_walk(self):
         """An iterator over the cover labels of every maximal chain of the
         generated torsion lattice, in lexicographic order, once
         `_gated_lattice` admits them; the gates fire on this call, before
         the first label is read."""
-        return self._walk(self._gated_lattice())
+        lattice = self._gated_lattice()
+        rows = {up: sorted((lab, lo, 0) for lo, lab in downs)
+                for up, downs in lattice.lower_covers.items()}
+        return map(itemgetter(0), self._walk(lattice, rows))
+
+    def sequence_at(self, k: int) -> MGS:
+        """The k-th sequence of `sequence_walk`, unranked from the per-class
+        chain counts: at each class, the lower covers in label order whose
+        chains all come before it are stepped over."""
+        lattice = self._gated_lattice()
+        counts, labels, c = lattice.chain_counts, [], lattice.top
+        if not 0 <= k < counts[c]:
+            raise UsageError(
+                f"green sequence index {k} out of range 0..{counts[c] - 1}")
+        while c != lattice.bottom:
+            for lo, lab in sorted(lattice.lower_covers[c], key=lambda step: step[1]):
+                if k < counts[lo]:
+                    break
+                k -= counts[lo]
+            labels.append(lab)
+            c = lo
+        return MGS(tuple(labels))
 
     def _gated_lattice(self):
         """The generated torsion lattice, refused before it is built when
@@ -194,35 +213,38 @@ class GreenEngine:
                 f"of {SEQUENCE_GATE}; they are not listed")
         return lattice
 
-    def _walk(self, lattice):
-        """Yield each maximal chain's labels as a tuple.  The lower covers
-        of a class carry distinct labels, so taking them in label order
-        yields the chains lexicographically.  The chains below a class with
-        at most `_TAIL_LIMIT` of them are listed once, bottom up, and
-        appended to each prefix that reaches it."""
-        children = {up: sorted((lab, lo) for lo, lab in downs)
-                    for up, downs in lattice.lower_covers.items()}
-        tails = {lattice.bottom: [()]}
-        for c in sorted(children, key=lambda i: len(lattice.classes[i])):
-            if all(lo in tails for _, lo in children[c]):
-                below = [(lab, *t) for lab, lo in children[c] for t in tails[lo]]
+    def _walk(self, lattice, rows):
+        """Yield (labels, OR of masks) for each maximal chain, where rows
+        gives each class's lower covers in label order as (label, lower
+        class, mask).  The lower covers of a class carry distinct labels,
+        so the chains come lexicographically.  The chains below a class
+        with at most `_TAIL_LIMIT` of them are listed once, bottom up, with
+        their masks, and appended to each prefix that reaches it."""
+        tails = {lattice.bottom: [((), 0)]}
+        for c in sorted(rows, key=lambda i: len(lattice.classes[i])):
+            if c not in tails and all(lo in tails for _, lo, _ in rows[c]):
+                below = [((lab, *t), m | tm) for lab, lo, m in rows[c]
+                         for t, tm in tails[lo]]
                 if len(below) <= _TAIL_LIMIT:
                     tails[c] = below
         if lattice.top in tails:
             yield from tails[lattice.top]
             return
-        # stack[i] runs over the lower covers of the class below prefix[:i]
+        # stack[i] runs over the lower covers of the class below prefix[:i],
+        # with the OR of the masks along prefix[:i]
         prefix: list[int] = []
-        stack = [iter(children[lattice.top])]
+        stack = [(iter(rows[lattice.top]), 0)]
         while stack:
-            for lab, lo in stack[-1]:
+            below, above = stack[-1]
+            for lab, lo, m in below:
+                m |= above
                 if lo in tails:
                     head = (*prefix, lab)
-                    for t in tails[lo]:
-                        yield head + t
+                    for t, tm in tails[lo]:
+                        yield head + t, m | tm
                 else:
                     prefix.append(lab)
-                    stack.append(iter(children[lo]))
+                    stack.append((iter(rows[lo]), m))
                     break
             else:
                 stack.pop()
@@ -476,7 +498,9 @@ class GreenEngine:
                 f"sequences {[self.cat.display(i) for i in x]} and "
                 f"{[self.cat.display(i) for i in y]}")
 
-        for top, a, b, bottom, key in self.square_failures()[:1]:
+        for top, a, b, bottom, key in self.square_failures():
+            if key >= len(names):
+                continue  # a path column, which the lemma battery reports
             # the least chain through the side with the larger label first,
             # and its swap
             head = self._least_chain(lattice.top, top)
@@ -509,16 +533,22 @@ class GreenEngine:
         summand masks of the classes along its chain, looked up in
         `classes_by_key` (a KeyError for a chain that stops above zero)."""
         by_key = self.classes_by_key()
+        return by_key[self._fold(bricks)[0]]
+
+    def _fold(self, bricks) -> list[int]:
+        """The `cover_table` rows along the chain with these labels, ORed
+        column by column from the summand mask on, the top's summand mask
+        included; a UsageError for a label that names no cover."""
         lattice = self.cat.generated_lattice()
         _, summ, steps = self.cover_table()
-        c, mask = lattice.top, summ[lattice.top]
+        c, folded = lattice.top, [summ[lattice.top], 0, 0, 0, 0, 0, 0]
         for b in bricks:
             row = next((row for row in steps[c] if row[0] == b), None)
             if row is None:
                 raise UsageError(f"{self.cat.display(b)} labels no cover "
                                  f"below {sorted(lattice.classes[c])}")
-            c, mask = row[1], mask | row[2]
-        return by_key[mask]
+            c, folded = row[1], list(map(or_, folded, row[2:]))
+        return folded
 
     def classes_by_key(self) -> dict[int, int]:
         """Class index by the summand mask of its key, bit i standing for the
@@ -528,17 +558,58 @@ class GreenEngine:
         return self._by_key
 
     def class_members(self) -> list[tuple[int, ...]]:
-        """Each class's indices in `enumerate_mgs` (`_sequence_walk`)."""
-        if self._members is None:
-            self._sequence_walk()
-        return self._members
+        """Each class's indices in `sequence_walk`, from one walk (`_walk`)
+        of every chain with the summand masks of `cover_table`: a chain
+        joins the class of its mask, the first chain of each class must be
+        its representative, and the lattice must count the chains walked."""
+        classes = self.equivalence_classes()
+        by_key = self.classes_by_key()
+        lattice = self.cat.generated_lattice()
+        _, summ, steps = self.cover_table()
+        rows = {up: [row[:3] for row in found] for up, found in steps.items()}
+        members: list[list[int]] = [[] for _ in classes]
+        first: dict[int, tuple[int, ...]] = {}
+        for k, (labels, mask) in enumerate(self._walk(lattice, rows)):
+            ci = by_key.get(summ[lattice.top] | mask)
+            if ci is None:
+                raise InvariantViolation(
+                    f"sequence {[self.cat.display(b) for b in labels]} has "
+                    f"a summand mask that is not the key of a class")
+            first.setdefault(ci, labels)
+            members[ci].append(k)
+        walked, count = sum(map(len, members)), lattice.maximal_chain_count()
+        if walked != count:
+            raise InvariantViolation(f"the lattice walk found {walked} "
+                                     f"sequences where the lattice counts {count}")
+        if first != {ci: c.representative.bricks for ci, c in enumerate(classes)}:
+            raise InvariantViolation(
+                "the first members of the classes are not the normal forms")
+        return [tuple(found) for found in members]
 
-    def path_failures(self) -> dict[str, list[int]]:
-        """For each of the PATH_CHECKS, the indices of the sequences that
-        fail it (`_sequence_walk`)."""
-        if self._path_failures is None:
-            self._sequence_walk()
-        return self._path_failures
+    def path_failures(self) -> dict[str, list[tuple[int, ...]]]:
+        """For each of the PATH_CHECKS, the labels of the sequences that
+        fail it, in lexicographic order.  The square comparison
+        (`square_failures`) makes each path mask a class invariant, so each
+        check runs on the normal forms; only a square that differs or a
+        normal form that fails makes it fold every chain of `sequence_walk`."""
+        classes = self.equivalence_classes()
+        summands = self.cover_table()[0]
+        modules = sum(1 << i for i, s in enumerate(summands) if not s.shifted)
+
+        def failed(bricks) -> list[str]:
+            s, _, _, r, x, q, m = self._fold(bricks)
+            held = (r == sum(1 << b for b in bricks),
+                    x.bit_count() == 2 * len(bricks),
+                    (s & modules).bit_count() == len(bricks), q == m)
+            return [name for name, ok in zip(PATH_CHECKS, held) if not ok]
+
+        failures: dict[str, list[tuple[int, ...]]] = {name: [] for name in PATH_CHECKS}
+        if self.square_failures() or any(failed(c.representative.bricks)
+                                         for c in classes):
+            for labels in self.sequence_walk():
+                for name in failed(labels):
+                    failures[name].append(labels)
+        return failures
 
     def cover_table(self) -> tuple[list[SiltingSummand], list[int], dict]:
         """`_cover_steps` of the generated lattice, built on first use."""
@@ -635,75 +706,23 @@ class GreenEngine:
                     f"not {catalog[x].dim}")
         return summands, summ, steps
 
-    def _sequence_walk(self) -> None:
-        """Walk every chain in label order, ORing the rows of `cover_table`
-        down each path, checked against the `enumerate_mgs` listing: each
-        sequence joins the class of its summand mask, whose first member
-        must be the representative, and is recorded for each of the
-        PATH_CHECKS it fails."""
-        all_mgs = self.enumerate_mgs()
-        classes = self.equivalence_classes()
-        by_key = self.classes_by_key()
-        lattice = self.cat.generated_lattice()
-        summands, summ, steps = self.cover_table()
-        modules = sum(1 << i for i, s in enumerate(summands) if not s.shifted)
-        members: list[list[int]] = [[] for _ in classes]
-        failures: dict[str, list[int]] = {name: [] for name in PATH_CHECKS}
-        path: list[int] = []
-        index = count()
-
-        def walk(c: int, s: int, r: int, x: int, q: int, m: int) -> None:
-            if c == lattice.bottom:
-                k = next(index)
-                if k >= len(all_mgs) or all_mgs[k].bricks != tuple(path):
-                    raise InvariantViolation(
-                        f"lattice walk reached {list(path)} where the "
-                        f"enumeration has sequence {k}")
-                if s not in by_key:
-                    raise InvariantViolation(
-                        f"sequence {[self.cat.display(b) for b in path]} has "
-                        f"a summand mask that is not the key of a class")
-                members[by_key[s]].append(k)
-                held = (r == sum(1 << b for b in path),
-                        x.bit_count() == 2 * len(path),
-                        (s & modules).bit_count() == len(path), q == m)
-                for name, ok in zip(PATH_CHECKS, held):
-                    if not ok:
-                        failures[name].append(k)
-                return
-            for b, lo, ls, _, _, lr, lx, lq, lm in steps[c]:
-                path.append(b)
-                walk(lo, s | ls, r | lr, x | lx, q | lq, m | lm)
-                path.pop()
-
-        walk(lattice.top, summ[lattice.top], 0, 0, 0, 0)
-        walked = next(index)
-        if walked != len(all_mgs):
-            raise InvariantViolation(
-                f"lattice walk found {walked} sequences, the enumeration "
-                f"{len(all_mgs)}")
-        for cls, found in zip(classes, members):
-            if not found or all_mgs[found[0]] != cls.representative:
-                raise InvariantViolation(
-                    "the first members of the classes are not the normal forms")
-        self._members = [tuple(found) for found in members]
-        self._path_failures = failures
-
     def square_failures(self) -> list[tuple[int, int, int, int, int]]:
         """(top class, a, b, bottom class, key) for each square of the
         generated lattice, covers a then b with hom(a, b) = ext^1(a, b) = 0,
         whose sides' summand, exchange and stable-factor contributions
-        (with the top's summand mask) differ; key 0, 1 or 2 names the first
-        that does.  The side b then a must exist and commute too.  A
-        sequence's key ORs its covers' contributions, so with no failure
-        the sequences that differ by a swap have equal keys."""
+        (with the top's summand mask) or four PATH_CHECKS columns differ;
+        key 0, 1 or 2 names the first key that does, and keys 3 to 6 a path
+        column.  The side b then a must exist and commute too.  A
+        sequence's keys and path masks OR its covers' contributions, so
+        with no failure the sequences that differ by a swap have equal
+        ones."""
         lattice = self.cat.generated_lattice()
         _, summ, steps = self.cover_table()
         below = {up: {row[0]: row for row in rows} for up, rows in steps.items()}
         failed = []
         for top, rows in steps.items():
-            for a, mid, s1, e1, f1, *_ in rows:
-                for b, bottom, s2, e2, f2, *_ in steps[mid]:
+            for a, mid, s1, *one in rows:
+                for b, bottom, s2, *two in steps[mid]:
                     if not self._commute(a, b):
                         continue
                     side = below[top].get(b)
@@ -714,9 +733,9 @@ class GreenEngine:
                             f"{sorted(lattice.classes[top])}, {self.cat.display(b)} "
                             f"then {self.cat.display(a)} are not commuting "
                             f"lattice covers")
-                    sides = zip((summ[top] | s1 | s2, e1 | e2, f1 | f2),
+                    sides = zip((summ[top] | s1 | s2, *map(or_, one, two)),
                                 (summ[top] | side[2] | other[2],
-                                 side[3] | other[3], side[4] | other[4]))
+                                 *map(or_, side[3:], other[3:])))
                     differ = [key for key, (x, y) in enumerate(sides) if x != y]
                     if differ:
                         failed.append((top, a, b, bottom, differ[0]))

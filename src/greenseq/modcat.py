@@ -128,7 +128,9 @@ class TorsionLattice:
             raise ValueError(
                 f"{sorted(members)} is not a class of the lattice") from None
 
-    def maximal_chain_count(self) -> int:
+    @cached_property
+    def chain_counts(self) -> dict[int, int]:
+        """class index -> the number of maximal chains from it to the bottom."""
         counts = {self.bottom: 1}
         order = sorted(range(len(self.classes)), key=lambda i: len(self.classes[i]))
         for idx in order:
@@ -136,7 +138,10 @@ class TorsionLattice:
                 continue
             counts[idx] = sum(counts[lo]
                               for lo, _ in self.lower_covers.get(idx, ()))
-        return counts[self.top]
+        return counts
+
+    def maximal_chain_count(self) -> int:
+        return self.chain_counts[self.top]
 
 
 class ModuleCategory:

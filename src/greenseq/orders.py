@@ -291,17 +291,16 @@ def polygon_deformation_pairs(engine: GreenEngine) -> list[Polygon]:
     _, summ, _ = engine.cover_table()
     classes, below, n = lattice.classes, lattice.lower_covers, engine.cat.n
     # the summand masks of the chains from the top down to each class and
-    # from each class down to zero, and their numbers; classes are sorted
-    # by size, so a class comes after its lower covers
+    # from each class down to zero, and the number of the former; classes
+    # are sorted by size, so a class comes after its lower covers
     prefixes, above = {lattice.top: {summ[lattice.top]}}, {lattice.top: 1}
     for c in range(len(classes) - 1, -1, -1):
         for lo, _ in below.get(c, ()):
             prefixes.setdefault(lo, set()).update(m | summ[lo] for m in prefixes[c])
             above[lo] = above.get(lo, 0) + above[c]
-    suffixes, under = {lattice.bottom: {summ[lattice.bottom]}}, {lattice.bottom: 1}
+    suffixes = {lattice.bottom: {summ[lattice.bottom]}}
     for c in range(lattice.bottom + 1, len(classes)):
         suffixes[c] = {summ[c] | m for lo, _ in below[c] for m in suffixes[lo]}
-        under[c] = sum(under[lo] for lo, _ in below[c])
 
     polygons = []
     for top in range(len(classes)):
@@ -332,7 +331,7 @@ def polygon_deformation_pairs(engine: GreenEngine) -> list[Polygon]:
                     pairs.add(pair)
             polygons.append(Polygon(
                 sides=(sides[0][0], sides[1][0]),
-                sequence_pairs=above[top] * under[bottom],
+                sequence_pairs=above[top] * lattice.chain_counts[bottom],
                 class_pairs=frozenset(pairs)))
     return polygons
 

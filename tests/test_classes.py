@@ -4,9 +4,9 @@ per-sequence four-way construction it replaces.
 `GreenEngine.equivalence_classes` checks that each key is equal on the
 two sides of every lattice square and that the keys of the lexicographic
 normal forms, one per swap class, are pairwise distinct; each class is
-its normal form.  The members of each class come from the on-demand
-walk of every chain that ORs summand masks down each path
-(`class_members`).  The oracle below builds all four partitions
+its normal form.  The members of each class come from the one walk of
+every chain (`GreenEngine._walk`), which ORs summand masks down each
+path (`class_members`).  The oracle below builds all four partitions
 sequence by sequence from the public invariants: swap components
 through `square_swap` (which re-checks every swapped sequence with
 `explain_invalid`) and an index of the listed sequences, and one key per
@@ -26,7 +26,7 @@ from hypothesis import given, settings
 from greenseq import AlgebraSpec, GreenEngine, ModuleCategory
 from greenseq.errors import (GateError, InvariantViolation, TheoremViolation,
                              UsageError)
-from greenseq.green import EquivClass, ExchangePair, SiltingSummand
+from greenseq.green import PATH_CHECKS, EquivClass, ExchangePair, SiltingSummand
 from greenseq.orders import ORDER_TAGS, build_order
 from greenseq.verify import run_suite
 
@@ -283,12 +283,12 @@ def test_one_sided_commuting_square_raises(monkeypatch):
 
 
 def refuse_sequence_walks(monkeypatch):
-    """Make listing a sequence or walking every chain raise."""
+    """Make listing a sequence or walking every chain raise: `_walk` is
+    the one walk of every chain."""
     def refuse(*args):
         raise AssertionError("sequences walked")
 
     monkeypatch.setattr(GreenEngine, "_walk", refuse)
-    monkeypatch.setattr(GreenEngine, "_sequence_walk", refuse)
 
 
 def _orders_and_theorems(spec, eng):
@@ -309,21 +309,29 @@ def test_classes_read_no_sequence_index(spec, monkeypatch):
     assert _orders_and_theorems(spec, GreenEngine(category_for(spec))) == expected
 
 
-def test_sequence_walk_runs_once_for_members_and_path_checks(monkeypatch):
+def test_class_members_walk_the_chains_once(monkeypatch):
     calls = []
-    real = GreenEngine._sequence_walk
+    real = GreenEngine._walk
 
-    def counting(self):
+    def counting(self, *args):
         calls.append(self)
-        real(self)
+        return real(self, *args)
 
-    monkeypatch.setattr(GreenEngine, "_sequence_walk", counting)
+    monkeypatch.setattr(GreenEngine, "_walk", counting)
     eng = _fresh(EXAMPLE_QUIVER)
     eng.equivalence_classes()
     assert calls == []
     eng.class_members()
-    eng.path_failures()
     assert calls == [eng]
+
+
+@pytest.mark.parametrize("spec", full_battery() + [AlgebraSpec.type_a("<<<<")],
+                         ids=lambda s: s.label())
+def test_path_checks_walk_no_chain(spec, monkeypatch):
+    # each path check runs once per class, on its normal form
+    refuse_sequence_walks(monkeypatch)
+    failures = _fresh(spec).path_failures()
+    assert failures == {name: [] for name in PATH_CHECKS}
 
 
 def test_walked_mask_not_a_class_key_raises():
@@ -341,7 +349,19 @@ def test_first_member_not_the_representative_raises():
     eng._classes[0] = replace(first, representative=second.representative)
     with pytest.raises(InvariantViolation,
                        match="first members of the classes are not the normal forms"):
-        eng.path_failures()
+        eng.class_members()
+
+
+def test_walk_that_drops_a_chain_raises(monkeypatch):
+    real = GreenEngine._walk
+
+    def short(self, *args):
+        return list(real(self, *args))[:-1]
+
+    monkeypatch.setattr(GreenEngine, "_walk", short)
+    with pytest.raises(InvariantViolation,
+                       match="walk found 9 sequences where the lattice counts 10"):
+        _fresh(EXAMPLE_QUIVER).class_members()
 
 
 def test_class_of_refuses_a_label_that_is_not_a_cover():

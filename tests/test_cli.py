@@ -176,6 +176,31 @@ def test_hn_invalid_brick_list_explains(capsys, a2_file):
     assert "12" in err and "inserted" in err
 
 
+@pytest.mark.parametrize("index", ["\u00b2", "\u0663"])
+def test_hn_index_of_non_ascii_digits_is_a_usage_error(capsys, example_file,
+                                                       index):
+    # "²" passes str.isdigit() and "٣" str.isdecimal(); neither is an index
+    code, out, err = run(capsys, "hn", example_file, "--mgs", index,
+                         "--module", "#0")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
+
+
+def test_classes_and_verify_list_no_sequence(capsys, monkeypatch, example_file):
+    calls = [["classes"], ["verify", "--suite", "lemmas"],
+             ["verify", "--suite", "all"]]
+    expected = [run(capsys, name, example_file, *options)
+                for name, *options in calls]
+
+    def refuse(self):
+        raise AssertionError("sequences listed")
+
+    monkeypatch.setattr(GreenEngine, "enumerate_mgs", refuse)
+    assert [run(capsys, name, example_file, *options)
+            for name, *options in calls] == expected
+    assert all(code == 0 for code, _, _ in expected)
+
+
 def test_verify_suites_pass(capsys, example_file, a2_file):
     for suite in ("theoremA", "theoremB", "lemmas"):
         code, out, _ = run(capsys, "verify", example_file, "--suite", suite)
@@ -428,8 +453,8 @@ def test_mgs_refuses_a_walk_that_disagrees_with_the_count(capsys, monkeypatch,
                                                          example_file):
     real = GreenEngine._walk
 
-    def short(self, lattice):
-        return list(real(self, lattice))[:-1]
+    def short(self, *args):
+        return list(real(self, *args))[:-1]
 
     monkeypatch.setattr(GreenEngine, "_walk", short)
     code, _, err = run(capsys, "mgs", example_file)

@@ -54,6 +54,29 @@ def test_example_ten_sequences(example_cat, example_engine):
     ]
 
 
+@pytest.mark.parametrize("spec", [EXAMPLE_QUIVER, AlgebraSpec.type_a("<<<"),
+                                  AlgebraSpec.nakayama([3, 2, 1])],
+                         ids=lambda s: s.label())
+def test_sequence_at_unranks_every_index(spec, monkeypatch):
+    listed = GreenEngine(ModuleCategory(spec)).enumerate_mgs()
+
+    def refuse(*args):
+        raise AssertionError("sequences walked")
+
+    monkeypatch.setattr(GreenEngine, "_walk", refuse)
+    eng = GreenEngine(ModuleCategory(spec))
+    assert [eng.sequence_at(k) for k in range(len(listed))] == listed
+    with pytest.raises(UsageError, match=rf"index {len(listed)} out of range "
+                                         rf"0\.\.{len(listed) - 1}$"):
+        eng.sequence_at(len(listed))
+
+
+def test_sequence_at_unranks_the_last_index_of_a_line():
+    eng = engine_for(AlgebraSpec.type_a("<<<<"))
+    listed = eng.enumerate_mgs()
+    assert eng.sequence_at(len(listed) - 1) == listed[-1]
+
+
 def test_enumeration_gate(monkeypatch):
     # the gate fires before the lattice is generated, and neither the
     # category nor the engine generates it at construction

@@ -14,7 +14,7 @@ import pytest
 from greenseq import AlgebraSpec, GreenEngine, ModuleCategory
 from greenseq import orders
 from greenseq.errors import GateError, InvariantViolation, UsageError
-from greenseq.green import MGS, ExchangePair, SiltingSummand
+from greenseq.green import MGS, PATH_CHECKS, ExchangePair, SiltingSummand
 from greenseq.modcat import DEFAULT_SUBSET_GATE
 from greenseq.nakayama import NakayamaBackend
 from greenseq.verify import (LATTICE_CHECKS, CheckResult, _filt_interval_check,
@@ -482,6 +482,74 @@ def test_patched_square_side_fails_the_square_check():
     assert check.detail["violations"]
     assert all(v["class"] == sorted(cat.generated_lattice().classes[top])
                for v in check.detail["violations"])
+
+
+def _path_failures_by_chain(eng):
+    """Oracle: for each of the PATH_CHECKS, the sequences whose own
+    `cover_table` rows, ORed down the chain, fail it, in lexicographic
+    order."""
+    summands, summ, steps = eng.cover_table()
+    lattice = eng.cat.generated_lattice()
+    modules = {i for i, s in enumerate(summands) if not s.shifted}
+    failures = {name: [] for name in PATH_CHECKS}
+    for g in sorted(eng.enumerate_mgs(), key=lambda g: g.bricks):
+        c, folded = lattice.top, [summ[lattice.top], 0, 0, 0, 0]
+        for b in g.bricks:
+            row, = [row for row in steps[c] if row[0] == b]
+            c = row[1]
+            for i, mask in enumerate((row[2], *row[5:])):
+                folded[i] |= mask
+        s, r, x, q, m = folded
+        held = (r == sum(1 << b for b in g.bricks),
+                x.bit_count() == 2 * len(g.bricks),
+                sum(s >> i & 1 for i in modules) == len(g.bricks), q == m)
+        for name, ok in zip(PATH_CHECKS, held):
+            if not ok:
+                failures[name].append(g.bricks)
+    return failures
+
+
+def test_path_column_differing_on_a_square_falls_back_to_every_chain():
+    # the relative-simples mask of one square side gains the bit of brick
+    # 12: the square check fails there, no normal form fails, and the
+    # chains through that side that do not take 12 fail the path check
+    cat = ModuleCategory(EXAMPLE_QUIVER)
+    eng = GreenEngine(cat)
+    twelve = cat.resolve_token("12")
+
+    def patch(rows, k):
+        b, lo, s, e, f, r, *rest = rows[k]
+        rows[k] = (b, lo, s, e, f, r | 1 << twelve, *rest)
+        return rows
+
+    top = _patch_square_side(eng, patch)
+    forms = {c.representative.bricks for c in eng.equivalence_classes()}
+    expected = _path_failures_by_chain(eng)
+    failing = {labels for found in expected.values() for labels in found}
+    assert failing and not failing & forms
+    checks = run_suite("lemmas", cat, eng)
+    squares = _failed(checks, "square-swaps-preserve-class-invariants")
+    assert all(v["class"] == sorted(cat.generated_lattice().classes[top])
+               for v in squares)
+    assert eng.path_failures() == expected
+    for name in PATH_CHECKS[:3]:
+        check, = [c for c in checks if c.name == name]
+        assert check.detail["violations"] == [
+            [cat.display(b) for b in labels] for labels in expected[name]]
+
+
+@pytest.mark.parametrize("spec", full_battery(), ids=lambda s: s.label())
+def test_lemmas_list_no_sequence(spec, monkeypatch):
+    def lemmas(cat, eng):
+        return run_suite("lemmas", cat, eng)
+
+    expected = _lemma_dicts(lemmas, spec)
+
+    def refuse(self):
+        raise AssertionError("sequences listed")
+
+    monkeypatch.setattr(GreenEngine, "enumerate_mgs", refuse)
+    assert _lemma_dicts(lemmas, spec) == expected
 
 
 def test_patched_square_side_fails_theorem_a():
