@@ -13,10 +13,13 @@ bitmask Hom tests.
 The torsion chain of a sequence is read from one bitmask per brick:
 T_0 is the whole catalog and T_i = T_{i-1} & perp[B_i], the cover of
 T_{i-1} labelled B_i (`ModuleCategory.perp_masks`); each distinct class
-is built and checked once.  The exchange pair and the Harder-Narasimhan
-layer t_U(x)/t_L(x) of each module x are tabled per cover (upper class
-U, label) and shared by every sequence through it; HN filtrations and
-stable-factor functions are assembled from those layers.
+is built and checked once.  The exchange pair of each cover (upper
+class U, label) is tabled and shared by every sequence through it.  The
+Harder-Narasimhan layer t_U(x)/t_L(x) of a module x at a cover U > L is
+read off the torsion rows of U and L (`ModuleCategory.torsion_row`, one
+per class): its quotient is the OR of the quotient masks of t_L(y) over
+the summands y of t_U(x); HN filtrations and stable-factor functions are
+assembled from those layers.
 
 Equivalence classes are certified locally against theorem A, on the
 lattice's squares and one lexicographic normal form per class, which is
@@ -138,8 +141,9 @@ class GreenEngine:
         self._silting_cache: dict[frozenset, frozenset] = {}
         # per cover, keyed by (upper class members, label)
         self._cover_exchange_cache: dict[tuple[frozenset, int], ExchangePair] = {}
-        self._layer_cache: dict[tuple[int, frozenset, int], tuple | None] = {}
-        self._cover_mult_cache: dict[tuple[frozenset, int], tuple] = {}
+        # brick b -> the bitmask of Filt(b), which every layer at a cover
+        # labelled b must lie in
+        self._filt_masks: dict[int, int] = {}
         self._cover_table: tuple | None = None
         self._polygons: list | None = None
         self._classes: list[EquivClass] | None = None
@@ -396,8 +400,8 @@ class GreenEngine:
         chain = self.torsion_chain(g)
         layers = []
         for pos, (up, lo, b) in enumerate(zip(chain, chain[1:], g.bricks), 1):
-            parts = [self._cover_layer(x, up, lo, b) for x in msum.ids]
-            parts = [p for p in parts if p is not None]
+            parts = [(self._layer_factor(x, up, lo), mult)
+                     for x, mult in self._layers(up, lo, b, msum.ids)]
             if parts:
                 layers.append(HNLayer(
                     position=pos, brick=b,
@@ -409,33 +413,13 @@ class GreenEngine:
             raise InvariantViolation("layer dimension vectors do not sum up")
         return HNResult(layers=tuple(layers))
 
-    def _cover_layer(self, x: int, up: TorsionClass, lo: TorsionClass,
-                     b: int) -> tuple[tuple[int, ...], int] | None:
-        """t_up(x)/t_lo(x) for the cover of `up` labelled b, as (factor
-        ids, multiplicity of b), or None when it is zero."""
-        key = (x, up.members, b)
-        try:
-            return self._layer_cache[key]
-        except KeyError:
-            pass
-        cat = self.cat
-        sub, _ = cat.torsion_sub_with_quotient(x, up)
-        ids = tuple(sorted(i for y in sub.ids
-                           for i in cat.torsion_sub_with_quotient(y, lo)[1].ids))
-        layer = None
-        if ids:
-            if not set(ids) <= cat.filt_indecs(frozenset((b,))):
-                raise InvariantViolation(
-                    f"layer {cat.display_sum(ModuleSum(ids))} escapes the "
-                    f"filtration category of {cat.display(b)}")
-            fdim, bdim = cat.dim_sum(ModuleSum(ids)), cat.indec(b).dim
-            if fdim % bdim != 0:
-                raise InvariantViolation(
-                    f"layer dimension {fdim} not a multiple of brick "
-                    f"dimension {bdim}")
-            layer = (ids, fdim // bdim)
-        self._layer_cache[key] = layer
-        return layer
+    def _layer_factor(self, x: int, up: TorsionClass, lo: TorsionClass
+                      ) -> tuple[int, ...]:
+        """The summands of t_up(x)/t_lo(x): the quotients t_lo(y) of the
+        summands y of t_up(x)."""
+        sub, _ = self.cat.torsion_row(up.mask)[x].pair
+        lower = self.cat.torsion_row(lo.mask)
+        return tuple(sorted(i for y in sub.ids for i in lower[y].pair[1].ids))
 
     def stable_factors(self, module, g: MGS) -> Counter:
         """Multiset of bricks occurring as stable factors of the module."""
@@ -466,14 +450,44 @@ class GreenEngine:
                               b: int) -> tuple[tuple[int, int], ...]:
         """(x, multiplicity of b) for every catalog module x with a
         non-zero layer at the cover of `up` labelled b."""
-        key = (up.members, b)
-        found = self._cover_mult_cache.get(key)
-        if found is None:
-            layers = ((x, self._cover_layer(x, up, lo, b))
-                      for x in range(len(self.cat.catalog)))
-            found = self._cover_mult_cache[key] = tuple(
-                (x, layer[1]) for x, layer in layers if layer is not None)
-        return found
+        return tuple(self._layers(up, lo, b, range(len(self.cat.catalog))))
+
+    def _layers(self, up: TorsionClass, lo: TorsionClass, b: int, modules):
+        """(x, multiplicity of b) for each x of modules whose layer
+        t_up(x)/t_lo(x) at the cover of `up` labelled b is non-zero, read
+        off the torsion rows of both classes.  The layer holds the
+        quotients t_lo(y) of the summands y of t_up(x), so its quotient
+        mask is the OR of theirs and its dimension is dim t_up(x) less the
+        sum of dim t_lo(y); it must lie in Filt(b) and its dimension must
+        be a multiple of dim b."""
+        cat = self.cat
+        upper, lower = cat.torsion_row(up.mask), cat.torsion_row(lo.mask)
+        filt = self._filt_masks.get(b)
+        if filt is None:
+            filt = self._filt_masks[b] = sum(
+                1 << y for y in cat.filt_indecs(frozenset((b,))))
+        bdim, below = cat.catalog[b].dim, ~lo.mask
+        for x in modules:
+            sub = upper[x]
+            if not sub.sub_mask & below:
+                continue  # t_up(x) lies in lo, so t_lo(t_up(x)) = t_up(x)
+            quot, dim = 0, sub.dim
+            for y in sub.pair[0].ids:
+                t = lower[y]
+                quot |= t.quot_mask
+                dim -= t.dim
+            if not quot:
+                continue
+            if quot & ~filt:
+                factor = ModuleSum(self._layer_factor(x, up, lo))
+                raise InvariantViolation(
+                    f"layer {cat.display_sum(factor)} escapes the "
+                    f"filtration category of {cat.display(b)}")
+            if dim % bdim != 0:
+                raise InvariantViolation(
+                    f"layer dimension {dim} not a multiple of brick "
+                    f"dimension {bdim}")
+            yield x, dim // bdim
 
     # -- equivalence --------------------------------------------------------------------
 
@@ -640,9 +654,11 @@ class GreenEngine:
         non-projective module summands of both classes).  Each distinct
         exchange pair and each (module, brick, multiplicity) triple of an
         HN layer has a bit of its own.  Every class and cover is checked
-        once, and the layer dimensions of each module summed down to a
-        class must not depend on the chain taken, and must give dim x at
-        the bottom."""
+        once.  The layers at a cover U > L are read off the torsion rows of
+        U and L (`_cover_multiplicities`), each module's through the
+        summands y of t_U(x), so the layer dimensions of each module summed
+        down to a class must not depend on the chain taken, which holds
+        when t_L(t_U(x)) = t_L(x), and must give dim x at the bottom."""
         cat = self.cat
         catalog = cat.catalog
         tors = [self._torsion_class(sum(1 << x for x in members))

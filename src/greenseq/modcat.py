@@ -17,7 +17,13 @@ computation in both cases, and is tabled per catalog pair on first use
 
 Torsion classes are membership sets over the catalog, closed under
 indecomposable quotients and under extensions with indecomposable middle
-term.  The torsion lattice is generated from its brick-labelled covers
+term.  The short exact sequences of each module are encoded once, on
+first use, as bitmasks of their sub and quotient summands
+(`sub_records`), so every per-class test is a mask test: the torsion
+predicates (`is_torsion_class`, `relative_simples`, `filt_indecs`, the
+subset oracle) and the torsion submodules t_T(x), tabled once per class
+as one row holding t_T(x) for every module x (`torsion_row`).  The
+torsion lattice is generated from its brick-labelled covers
 on first use (`generated_lattice`): the cover labelled B below T is T
 intersected with the bitmask of B's left Hom-perpendicular
 (`perp_masks`), which the torsion chains of green sequences read too.
@@ -30,7 +36,9 @@ verification suites and tests compare against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import gt, or_
+from typing import NamedTuple
 
 from .algebra import AlgebraSpec
 from .errors import GateError, InvariantViolation, UsageError
@@ -86,9 +94,30 @@ class SesRecord:
     quot: ModuleSum
 
 
+class SubRecord(NamedTuple):
+    """One candidate for the torsion submodule of a module x: the zero
+    submodule, x itself, or the sub of one SES record of x, with the
+    bitmasks of the summands of the sub and of the quotient."""
+
+    sub_mask: int
+    quot_mask: int
+    dim: int
+    dimvec: tuple[int, ...]
+    pair: tuple[ModuleSum, ModuleSum]  # (sub, quotient)
+    # the sub masks of the candidates of x that break the torsion-submodule
+    # checks when this one is the largest that fits: a different sub of the
+    # same dimension, or a sub whose dimension vector this one's misses
+    clashes: tuple[int, ...]
+
+
 @dataclass(frozen=True)
 class TorsionClass:
     members: frozenset[int]
+
+    @cached_property
+    def mask(self) -> int:
+        """The members as a bitmask over catalog ids."""
+        return _mask(self.members)
 
     def __contains__(self, i: int) -> bool:
         return i in self.members
@@ -164,8 +193,7 @@ class ModuleCategory:
         self._by_display = {m.display: m.ident for m in self.catalog}
         self._closure_cache: dict[frozenset, TorsionClass] = {}
         self._filt_cache: dict[frozenset, frozenset] = {}
-        self._torsub_cache: dict[tuple[int, frozenset],
-                                 tuple[ModuleSum, ModuleSum]] = {}
+        self._torsion_rows: dict[int, list[SubRecord]] = {}
         self._lattice: TorsionLattice | None = None
         self._generated: TorsionLattice | None = None
         # hom_table[a][b] = dim Hom(a, b) for every pair of catalog ids
@@ -352,18 +380,53 @@ class ModuleCategory:
 
     # -- torsion classes ----------------------------------------------------
 
+    @cached_property
+    def sub_records(self) -> tuple[tuple[SubRecord, ...], ...]:
+        """x -> the candidates for its torsion submodules: the zero
+        submodule, x itself, then the sub of each SES record of x.  Built
+        on first use, so the catalog and the bricks build no records."""
+        out = []
+        for x in range(len(self.catalog)):
+            pairs = [(ZERO, ModuleSum((x,))), (ModuleSum((x,)), ZERO)]
+            pairs += [(rec.sub, rec.quot) for rec in self.backend.records(x)]
+            cands = [SubRecord(_mask(sub.ids), _mask(quot.ids),
+                               self.dim_sum(sub), self.dimvec_sum(sub),
+                               (sub, quot), ()) for sub, quot in pairs]
+            out.append(tuple(c._replace(clashes=tuple(
+                o.sub_mask for o in cands
+                if (o.dim == c.dim and o.pair[0] != c.pair[0])
+                or any(map(gt, o.dimvec, c.dimvec)))) for c in cands))
+        return tuple(out)
+
+    @cached_property
+    def _quotient_masks(self) -> tuple[int, ...]:
+        """x -> the bitmask of x and of the summands of its quotients."""
+        return tuple(reduce(or_, (c.quot_mask for c in cands))
+                     for cands in self.sub_records)
+
+    @cached_property
+    def _ses_masks(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """x -> (sub mask, quotient mask) of each SES record of x, the
+        candidates after the zero submodule and x itself."""
+        return tuple(tuple((c.sub_mask, c.quot_mask) for c in cands[2:])
+                     for cands in self.sub_records)
+
     def is_torsion_class(self, members: frozenset[int]) -> bool:
-        members = frozenset(members)
-        for i in members:
-            for q in self.indec_quotients(i):
-                if not set(q.ids) <= members:
+        return self._is_torsion_mask(_mask(members))
+
+    def _is_torsion_mask(self, t: int) -> bool:
+        """Closed under quotients and under extensions with indecomposable
+        middle term."""
+        out = ~t
+        for i, (quots, ses) in enumerate(zip(self._quotient_masks,
+                                             self._ses_masks)):
+            if t >> i & 1:
+                if quots & out:
                     return False
-        for i in range(len(self.catalog)):
-            if i in members:
-                continue
-            for rec in self.backend.records(i):
-                if set(rec.sub.ids) <= members and set(rec.quot.ids) <= members:
-                    return False
+            else:
+                for sub, quot in ses:
+                    if not (sub | quot) & out:
+                        return False
         return True
 
     def torsion_closure(self, seed) -> TorsionClass:
@@ -400,31 +463,41 @@ class ModuleCategory:
     def torsion_sub_with_quotient(self, i: int, tors: TorsionClass
                                   ) -> tuple[ModuleSum, ModuleSum]:
         """Torsion submodule of an indecomposable and the matching quotient."""
-        key = (i, tors.members)
-        cached = self._torsub_cache.get(key)
-        if cached is not None:
-            return cached
-        candidates: list[tuple[ModuleSum, ModuleSum]] = [(ZERO, ModuleSum((i,)))]
-        if i in tors:
-            candidates.append((ModuleSum((i,)), ZERO))
-        for rec in self.backend.records(i):
-            if set(rec.sub.ids) <= tors.members:
-                candidates.append((rec.sub, rec.quot))
-        best = max(candidates, key=lambda sq: self.dim_sum(sq[0]))
-        best_dim = self.dim_sum(best[0])
-        top = [sq for sq in candidates if self.dim_sum(sq[0]) == best_dim]
-        if len({sq[0] for sq in top}) != 1:
+        return self.torsion_row(tors.mask)[i].pair
+
+    def torsion_row(self, t: int) -> list[SubRecord]:
+        """The torsion submodules of the class with member bitmask t: entry
+        x is the record of t_T(x), the largest candidate of x whose sub lies
+        in the class, which must be the only one of its dimension and
+        dominate the others' dimension vectors.  Built once per class."""
+        row = self._torsion_rows.get(t)
+        if row is None:
+            out, row = ~t, []
+            for x, cands in enumerate(self.sub_records):
+                best = cands[0]
+                for c in cands:
+                    if c.dim > best.dim and not c.sub_mask & out:
+                        best = c
+                if any(not m & out for m in best.clashes):
+                    self._torsion_sub_failure(x, t, best)
+                row.append(best)
+            self._torsion_rows[t] = row
+        return row
+
+    def _torsion_sub_failure(self, x: int, t: int, best: SubRecord) -> None:
+        """Raise on the first torsion-submodule check that x fails in the
+        class with member bitmask t."""
+        fits = [c for c in self.sub_records[x] if not c.sub_mask & ~t]
+        top = [c.pair[0] for c in fits if c.dim == best.dim]
+        if len(set(top)) != 1:
             raise InvariantViolation(
-                f"torsion submodule of {self.display(i)} is not unique: "
-                f"{[self.display_sum(s) for s, _ in top]}")
-        bestvec = self.dimvec_sum(best[0])
-        for sub, _ in candidates:
-            if any(x > y for x, y in zip(self.dimvec_sum(sub), bestvec)):
+                f"torsion submodule of {self.display(x)} is not unique: "
+                f"{[self.display_sum(s) for s in top]}")
+        for c in fits:
+            if any(map(gt, c.dimvec, best.dimvec)):
                 raise InvariantViolation(
-                    f"torsion submodule of {self.display(i)} fails to dominate "
-                    f"{self.display_sum(sub)}")
-        self._torsub_cache[key] = best
-        return best
+                    f"torsion submodule of {self.display(x)} fails to dominate "
+                    f"{self.display_sum(c.pair[0])}")
 
     def relative_projectives(self, tors: TorsionClass) -> frozenset[int]:
         ext = self.ext1_table
@@ -434,12 +507,9 @@ class ModuleCategory:
     def relative_simples(self, tors: TorsionClass) -> frozenset[int]:
         # A member is relatively simple iff no proper non-zero submodule
         # (from the enumerated sequences) lies entirely in the class.
-        out = set()
-        for b in tors.members:
-            if not any(set(rec.sub.ids) <= tors.members
-                       for rec in self.backend.records(b)):
-                out.add(b)
-        return frozenset(out)
+        out, ses = ~tors.mask, self._ses_masks
+        return frozenset(b for b in tors.members
+                         if all(sub & out for sub, _ in ses[b]))
 
     def filt_indecs(self, brick_ids) -> frozenset[int]:
         """Catalog members admitting a filtration with factors in add of
@@ -448,20 +518,19 @@ class ModuleCategory:
         cached = self._filt_cache.get(key)
         if cached is not None:
             return cached
-        members = set(key)
+        bricks = members = _mask(key)
         changed = True
         while changed:
             changed = False
-            for i in range(len(self.catalog)):
-                if i in members:
+            for i, ses in enumerate(self._ses_masks):
+                if members >> i & 1:
                     continue
-                for rec in self.backend.records(i):
-                    if (set(rec.quot.ids) <= key
-                            and set(rec.sub.ids) <= members):
-                        members.add(i)
+                for sub, quot in ses:
+                    if not quot & ~bricks and not sub & ~members:
+                        members |= 1 << i
                         changed = True
                         break
-        result = frozenset(members)
+        result = _members(members, len(self.catalog))
         self._filt_cache[key] = result
         return result
 
@@ -475,40 +544,8 @@ class ModuleCategory:
                 f"gate of {size_gate}; raise the gate to force it")
         if self._lattice is not None:
             return self._lattice
-        qmask = []
-        for i in range(count):
-            m = 0
-            for q in self.indec_quotients(i):
-                for x in q.ids:
-                    m |= 1 << x
-            qmask.append(m)
-        extmasks = []
-        for i in range(count):
-            recs = []
-            for rec in self.backend.records(i):
-                m = 0
-                for x in rec.sub.ids + rec.quot.ids:
-                    m |= 1 << x
-                recs.append(m)
-            extmasks.append(recs)
-        valid: list[int] = []
-        for s in range(1 << count):
-            ok = True
-            for i in range(count):
-                if s >> i & 1:
-                    if qmask[i] & ~s:
-                        ok = False
-                        break
-                else:
-                    for m in extmasks[i]:
-                        if m & ~s == 0:
-                            ok = False
-                            break
-                    if not ok:
-                        break
-            if ok:
-                valid.append(s)
-        classes = [_members(s, count) for s in valid]
+        classes = [_members(s, count) for s in range(1 << count)
+                   if self._is_torsion_mask(s)]
         covers = []
         for ci in classes:
             for cj in classes:
@@ -624,6 +661,10 @@ class ModuleCategory:
 
 def _members(mask: int, size: int) -> frozenset[int]:
     return frozenset(i for i in range(size) if mask >> i & 1)
+
+
+def _mask(ids) -> int:
+    return reduce(or_, (1 << i for i in ids), 0)
 
 
 def _sorted_lattice(size: int, classes, covers) -> TorsionLattice:

@@ -245,17 +245,20 @@ def oracle_lemmas(cat, eng, subset_gate=DEFAULT_SUBSET_GATE):
         [[cat.display(a), cat.display(b)]
          for a in range(len(cat.catalog)) for b in range(len(cat.catalog))
          if cat.ext1(a, b) != cat.ext1_presentation(a, b)])
+    keys = {}
+
+    def keys_of(g):
+        """The three class keys of g, computed once per sequence."""
+        if g not in keys:
+            keys[g] = (eng.summand_set(g), set(eng.exchange_pairs(g)),
+                       eng.stable_factor_function(g))
+        return keys[g]
+
     bad = []
     for g in all_mgs:
         for i in range(1, len(g.bricks)):
             swapped = eng.square_swap(g, i)
-            if swapped is None:
-                continue
-            if not (eng.summand_set(g) == eng.summand_set(swapped)
-                    and set(eng.exchange_pairs(g))
-                    == set(eng.exchange_pairs(swapped))
-                    and eng.stable_factor_function(g)
-                    == eng.stable_factor_function(swapped)):
+            if swapped is not None and keys_of(g) != keys_of(swapped):
                 bad.append({"mgs": names(g), "position": i})
     add("square-swaps-preserve-class-invariants", bad)
 
