@@ -210,7 +210,8 @@ def cmd_poset(args) -> int:
             "algebra": cat.spec.to_dict(),
             "order": poset.tag,
             "classes": [[_summand_token(cat, s) for s in c.key] for c in classes],
-            "leq": [[bool(x) for x in row] for row in poset.leq],
+            "leq": [[bool(row >> j & 1) for j in range(poset.size)]
+                    for row in poset.rows],
             "covers": [[up, lo] for up, lo in poset.covers],
         })
     if args.output:

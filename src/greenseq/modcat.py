@@ -499,10 +499,15 @@ class ModuleCategory:
                     f"torsion submodule of {self.display(x)} fails to dominate "
                     f"{self.display_sum(c.pair[0])}")
 
+    @cached_property
+    def _ext1_masks(self) -> tuple[int, ...]:
+        """x -> the bitmask of the catalog members m with Ext^1(x, m) != 0."""
+        return tuple(_mask(m for m, e in enumerate(row) if e)
+                     for row in self.ext1_table)
+
     def relative_projectives(self, tors: TorsionClass) -> frozenset[int]:
-        ext = self.ext1_table
-        return frozenset(x for x in tors.members
-                         if not any(ext[x][m] for m in tors.members))
+        ext, t = self._ext1_masks, tors.mask
+        return frozenset(x for x in tors.members if not ext[x] & t)
 
     def relative_simples(self, tors: TorsionClass) -> frozenset[int]:
         # A member is relatively simple iff no proper non-zero submodule

@@ -12,13 +12,17 @@ generated torsion lattice's polygons, walked once per engine
 summand-mask lookup, never by listing sequences; the all-pairs polygon
 search and the per-sequence deformation scan stay in the tests as
 oracles.  The hn order and the exchange-persistence check read one
-stable-factor table and one exchange-pair set per class.
+stable-factor table and one exchange-pair set per class.  Every order
+is built, checked and read as int rows (`ClassPoset`); only `poset
+--format json` expands one to a boolean matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
+from operator import or_
 
 from .errors import InvariantViolation, UsageError
 from .green import GreenEngine, SiltingSummand
@@ -36,15 +40,13 @@ BRICK_ORDER_REFUSAL = (
 
 @dataclass(frozen=True)
 class ClassPoset:
+    """A partial order on the classes: bit j of rows[i] is set when class
+    i lies below class j; covers are its (greater, lesser) Hasse pairs."""
+
     tag: str
     size: int
-    leq: tuple[tuple[bool, ...], ...]
-    covers: tuple[tuple[int, int], ...]  # (greater, lesser)
-
-    def relation_pairs(self) -> frozenset[tuple[int, int]]:
-        return frozenset((i, j) for i in range(self.size)
-                         for j in range(self.size)
-                         if i != j and self.leq[i][j])
+    rows: tuple[int, ...]
+    covers: tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -67,9 +69,6 @@ def iepd_cover_pairs(engine: GreenEngine) -> frozenset[tuple[int, int]]:
                      if polygon.sides[1] == 2 < polygon.sides[0]
                      for pair in polygon.class_pairs)
 
-
-# Relations on classes are built as int rows: bit j of rows[i] is set
-# when class i lies below class j (leq[i][j]).
 
 def _transitive_reflexive_closure(size: int, pairs) -> list[int]:
     rows = [1 << i for i in range(size)]
@@ -115,11 +114,13 @@ def _covers_from_leq(rows: list[int]) -> tuple[tuple[int, int], ...]:
 
 def _containment_rows(sets: list[frozenset]) -> list[int]:
     """Reverse inclusion: class i lies below class j when its set
-    contains the set of j."""
-    bit: dict = {}
-    masks = [sum(bit.setdefault(x, 1 << len(bit)) for x in s) for s in sets]
-    return [sum(1 << j for j, m in enumerate(masks) if not m & ~mask)
-            for mask in masks]
+    contains the set of j, so j holds no element x outside set i."""
+    has: dict = {}  # x -> the mask of the classes whose set holds x
+    for i, s in enumerate(sets):
+        has.update((x, has.get(x, 0) | 1 << i) for x in s)
+    full = (1 << len(sets)) - 1
+    return [full & ~reduce(or_, (m for x, m in has.items() if x not in s), 0)
+            for s in sets]
 
 
 def _bits(mask: int):
@@ -165,26 +166,16 @@ def build_order(tag: str, engine: GreenEngine) -> ClassPoset:
     else:
         raise UsageError(f"unknown order tag {tag!r}; pick one of {ORDER_TAGS}")
     _check_partial_order(tag, rows)
-    return ClassPoset(tag=tag, size=size,
-                      leq=tuple(tuple(bool(row >> j & 1) for j in range(size))
-                                for row in rows),
+    return ClassPoset(tag=tag, size=size, rows=tuple(rows),
                       covers=_covers_from_leq(rows))
 
 
 def orders_equal_report(posets: list[ClassPoset]) -> dict:
-    differences = []
-    for a in range(len(posets)):
-        for b in range(a + 1, len(posets)):
-            pa, pb = posets[a], posets[b]
-            for i in range(pa.size):
-                for j in range(pa.size):
-                    if pa.leq[i][j] != pb.leq[i][j]:
-                        differences.append({
-                            "orders": [pa.tag, pb.tag],
-                            "pair": [i, j],
-                            pa.tag: pa.leq[i][j],
-                            pb.tag: pb.leq[i][j],
-                        })
+    differences = [{"orders": [pa.tag, pb.tag], "pair": [i, j],
+                    pa.tag: bool(row_a >> j & 1), pb.tag: bool(row_b >> j & 1)}
+                   for pa, pb in combinations(posets, 2)
+                   for i, (row_a, row_b) in enumerate(zip(pa.rows, pb.rows))
+                   for j in _bits(row_a ^ row_b)]
     return {"orders": [p.tag for p in posets],
             "equal": not differences,
             "differences": differences}
@@ -240,22 +231,19 @@ def check_extrema(cat: ModuleCategory, engine: GreenEngine,
         add("source-order-class-is-projectives-and-shifts",
             engine.class_of(gmax_seq) == mx)
         for tag in ("summand", "hn"):
-            leq = posets[tag].leq
             add(f"{tag}-order-has-unique-maximum",
-                all(leq[c][mx] for c in range(len(classes))))
-        pent = posets["pentagon"].leq
+                all(row >> mx & 1 for row in posets[tag].rows))
         add("pentagon-order-maximal-at-source-class",
-            not any(c != mx and pent[mx][c] for c in range(len(classes))))
+            posets["pentagon"].rows[mx] == 1 << mx)
     all_bricks = frozenset(cat.bricks)
     min_classes = [i for i, c in enumerate(classes)
                    if frozenset(c.representative.bricks) == all_bricks]
     add("all-bricks-class-exists-uniquely", len(min_classes) == 1,
         {"count": len(min_classes)})
     if len(min_classes) == 1:
-        mn = min_classes[0]
+        mn, full = min_classes[0], (1 << len(classes)) - 1
         for tag, poset in posets.items():
-            add(f"{tag}-order-has-unique-minimum",
-                all(poset.leq[mn][c] for c in range(len(classes))))
+            add(f"{tag}-order-has-unique-minimum", poset.rows[mn] == full)
     report["passed"] = all(c["passed"] for c in report["checks"])
     return report
 
@@ -267,8 +255,8 @@ def exchange_persistence(engine: GreenEngine, pentagon: ClassPoset) -> dict:
              for c in engine.equivalence_classes()]
     outs = [{p.out for p in found} for found in pairs]
     failures = [{"lower": lo, "upper": hi, "missing_out": repr(pair.out)}
-                for lo in range(pentagon.size) for hi in range(pentagon.size)
-                if lo != hi and pentagon.leq[lo][hi]
+                for lo, row in enumerate(pentagon.rows)
+                for hi in _bits(row & ~(1 << lo))
                 for pair in pairs[hi] if pair.out not in outs[lo]]
     return {"passed": not failures, "failures": failures}
 

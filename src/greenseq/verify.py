@@ -23,6 +23,7 @@ from .errors import GateError, TheoremViolation, UsageError
 from .green import PATH_CHECKS, GreenEngine
 from .modcat import DEFAULT_SUBSET_GATE, ModuleCategory
 from . import orders as orders_mod
+from .orders import _bits, _containment_rows
 
 SUITES = ("theoremA", "theoremB", "theoremC", "lemmas", "all")
 
@@ -76,22 +77,26 @@ def suite_theorem_b(cat: ModuleCategory, engine: GreenEngine,
     """Checks on the THEOREM_B_ORDERS, which `posets` holds in that order
     and nothing else: the extrema and polygon checks read every entry."""
     checks: list[CheckResult] = []
-    classes = engine.equivalence_classes()
-    bricks = [frozenset(c.representative.bricks) for c in classes]
-    pent = posets["pentagon"].relation_pairs()
+    bricks = [frozenset(c.representative.bricks)
+              for c in engine.equivalence_classes()]
+    pent = posets["pentagon"].rows
     for tag in ("summand", "hn"):
-        extra = sorted(pent - posets[tag].relation_pairs())
+        other = posets[tag].rows
+        extra = [(i, j) for i, row in enumerate(pent)
+                 for j in _bits(row & ~other[i])]
         checks.append(CheckResult(
             f"deformation-order-contained-in-{tag}-order", not extra,
             {"violations": extra}))
 
-    # relation pairs are never reflexive
-    bad = [[lo, hi] for lo, hi in posets["hn"].relation_pairs()
-           if not bricks[lo] > bricks[hi]]
+    # the strict relations, read row by row: each list is lexicographic
+    bad = [[lo, hi] for lo, row in enumerate(posets["hn"].rows)
+           for hi in _bits(row & ~(1 << lo)) if not bricks[lo] > bricks[hi]]
     checks.append(CheckResult("hn-order-implies-strict-brick-containment",
                               not bad, {"violations": bad}))
 
-    bad = [[lo, hi] for lo, hi in pent if len(bricks[lo]) <= len(bricks[hi])]
+    bad = [[lo, hi] for lo, row in enumerate(pent)
+           for hi in _bits(row & ~(1 << lo))
+           if len(bricks[lo]) <= len(bricks[hi])]
     checks.append(CheckResult("deformation-strictly-shortens-length",
                               not bad, {"violations": bad}))
 
@@ -100,7 +105,7 @@ def suite_theorem_b(cat: ModuleCategory, engine: GreenEngine,
     bad = sorted({(min(c1, c2), max(c1, c2), tag) for p in unoriented
                   for c1, c2 in p.class_pairs
                   for tag, poset in posets.items()
-                  if poset.leq[c1][c2] or poset.leq[c2][c1]})
+                  if poset.rows[c1] >> c2 & 1 or poset.rows[c2] >> c1 & 1})
     checks.append(CheckResult(
         "unoriented-polygon-sides-incomparable", not bad,
         {"polygons": sum(p.sequence_pairs for p in unoriented),
@@ -124,9 +129,7 @@ def suite_theorem_b(cat: ModuleCategory, engine: GreenEngine,
         # with two simples, the three orders coincide and agree with
         # reverse brick containment
         report = orders_mod.orders_equal_report(list(posets.values()))
-        ok = report["equal"] and all(
-            posets["pentagon"].leq[lo][hi] == (bricks[lo] >= bricks[hi])
-            for lo in range(len(classes)) for hi in range(len(classes)))
+        ok = report["equal"] and list(pent) == _containment_rows(bricks)
         checks.append(CheckResult("two-simples-orders-all-coincide", ok,
                                   {"differences": report["differences"]}))
     return checks

@@ -107,6 +107,9 @@ def test_poset_json_roundtrip(capsys, example_file):
     assert code == 0
     data = json.loads(out)
     assert len(data["covers"]) == 6
+    # leq[i][j]: class i lies below class j, so below its covers
+    leq = data["leq"]
+    assert all(leq[lo][up] and not leq[up][lo] for up, lo in data["covers"])
     assert json.dumps(data, indent=2, sort_keys=True) + "\n" == out
 
 

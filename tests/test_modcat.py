@@ -300,6 +300,17 @@ def test_relative_projectives_golden(example_cat):
     assert {example_cat.display(x) for x in rp} == {"12", "132", "32"}
 
 
+@pytest.mark.parametrize("spec", full_battery() + [AlgebraSpec.type_a("<<<<")],
+                         ids=lambda s: s.label())
+def test_relative_projectives_match_pairwise_ext_scan(spec):
+    # the oracle scans Ext^1(x, m) over every pair of members
+    cat = category_for(spec)
+    ext = cat.ext1_table
+    for members in cat.generated_lattice().classes:
+        assert cat.relative_projectives(TorsionClass(members)) == frozenset(
+            x for x in members if not any(ext[x][m] for m in members))
+
+
 def test_relative_simples_whole_category(example_cat):
     full = example_cat.torsion_closure(frozenset(example_cat.simples))
     assert example_cat.relative_simples(full) == frozenset(example_cat.simples)

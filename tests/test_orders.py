@@ -10,7 +10,8 @@ from greenseq import AlgebraSpec, GreenEngine, ModuleCategory
 from greenseq.errors import InvariantViolation, UsageError
 from greenseq.green import MGS
 from greenseq.modcat import TorsionLattice
-from greenseq.orders import (_check_partial_order, _covers_from_leq,
+from greenseq.orders import (ClassPoset, _check_partial_order,
+                             _containment_rows, _covers_from_leq,
                              _transitive_reflexive_closure, build_order,
                              check_extrema, exchange_persistence, hasse_dot,
                              iepd_cover_pairs, orders_equal_report,
@@ -22,6 +23,8 @@ from test_classes import refuse_sequence_walks
 from test_green import _small_algebra
 from test_verify import verify_phi
 
+# the battery of the row-reader tests
+ROW_SPECS = full_battery() + [AlgebraSpec.type_a("<<<<")]
 EXTRA_SPECS = [AlgebraSpec.type_a("<<<<"), AlgebraSpec.nakayama([3, 3, 3, 2, 1]),
                AlgebraSpec.nakayama([3, 3, 3], cyclic=True)]
 
@@ -117,8 +120,8 @@ def test_named_sequences_incomparable(example_cat, example_engine):
     poset = build_order("hn", example_engine)
     c1 = class_of_names(example_cat, example_engine, ["2", "12", "1", "32", "3"])
     c2 = class_of_names(example_cat, example_engine, ["2", "32", "3", "12", "1"])
-    assert not poset.leq[c1][c2]
-    assert not poset.leq[c2][c1]
+    assert not poset.rows[c1] >> c2 & 1
+    assert not poset.rows[c2] >> c1 & 1
 
 
 def test_a2_long_below_short_everywhere(a2_cat, a2_engine):
@@ -126,14 +129,15 @@ def test_a2_long_below_short_everywhere(a2_cat, a2_engine):
     hi = class_of_names(a2_cat, a2_engine, ["1", "2"])
     for tag in ("pentagon", "summand", "hn"):
         poset = build_order(tag, a2_engine)
-        assert poset.leq[lo][hi]
-        assert not poset.leq[hi][lo]
+        assert poset.rows[lo] >> hi & 1
+        assert not poset.rows[hi] >> lo & 1
 
 
 def test_pentagon_contained_in_others(example_engine):
-    pent = build_order("pentagon", example_engine).relation_pairs()
+    pent = _relation_pairs(build_order("pentagon", example_engine))
+    assert pent
     for tag in ("summand", "hn"):
-        assert pent <= build_order(tag, example_engine).relation_pairs()
+        assert pent <= _relation_pairs(build_order(tag, example_engine))
 
 
 def test_brick_order_refused_off_nakayama(example_engine):
@@ -171,13 +175,35 @@ def test_hn_order_matches_counter_oracle(spec):
     leq = tuple(tuple(i == j or _hn_leq_by_counters(tables[i], tables[j])
                       for j in range(len(tables)))
                 for i in range(len(tables)))
-    assert build_order("hn", eng).leq == leq
+    assert build_order("hn", eng).rows == tuple(_rows(leq))
+
+
+def _containment_by_pairs(sets):
+    """Oracle: reverse inclusion compared class by class on element masks."""
+    bit: dict = {}
+    masks = [sum(bit.setdefault(x, 1 << len(bit)) for x in s) for s in sets]
+    return [sum(1 << j for j, m in enumerate(masks) if not m & ~mask)
+            for mask in masks]
+
+
+@pytest.mark.parametrize("spec", ROW_SPECS, ids=lambda s: s.label())
+def test_containment_rows_match_all_pairs(spec):
+    classes = engine_for(spec).equivalence_classes()
+    for sets in ([frozenset(c.key) for c in classes],
+                 [frozenset(c.representative.bricks) for c in classes]):
+        assert _containment_rows(sets) == _containment_by_pairs(sets)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.lists(st.frozensets(st.integers(0, 5)), max_size=8))
+def test_containment_rows_match_all_pairs_on_drawn_sets(sets):
+    assert _containment_rows(sets) == _containment_by_pairs(sets)
 
 
 def test_hn_implies_brick_containment(example_engine):
     classes = example_engine.equivalence_classes()
     poset = build_order("hn", example_engine)
-    for lo, hi in poset.relation_pairs():
+    for lo, hi in _relation_pairs(poset):
         blo = set(classes[lo].representative.bricks)
         bhi = set(classes[hi].representative.bricks)
         assert blo > bhi
@@ -232,6 +258,18 @@ def _rows(leq):
     return [sum(1 << j for j, x in enumerate(row) if x) for row in leq]
 
 
+def _matrix(poset):
+    """The boolean matrix of a poset's rows: leq[i][j] when i <= j."""
+    return [[bool(row >> j & 1) for j in range(poset.size)] for row in poset.rows]
+
+
+def _relation_pairs(poset):
+    """The strict relation (i, j), i < j in the poset, read cell by cell."""
+    leq = _matrix(poset)
+    return frozenset((i, j) for i in range(poset.size)
+                     for j in range(poset.size) if i != j and leq[i][j])
+
+
 def _check_message(check, tag, relation):
     try:
         check(tag, relation)
@@ -251,7 +289,8 @@ def test_poset_algebra_matches_loops(spec):
     tags = ["pentagon", "summand", "hn"] + (["brick"] if spec.is_nakayama else [])
     for tag in tags:
         poset = build_order(tag, eng)
-        leq = [list(row) for row in poset.leq]
+        leq = _matrix(poset)
+        assert _rows(leq) == list(poset.rows)
         _check_loops(tag, leq)
         _check_partial_order(tag, _rows(leq))
         assert _covers_from_leq(_rows(leq)) == _covers_loops(leq) == poset.covers
@@ -362,6 +401,31 @@ def test_extrema_skipped_on_cyclic():
     assert "skipped" in report["notice"]
 
 
+@pytest.mark.parametrize("tag, failing", [
+    ("pentagon", "pentagon-order-maximal-at-source-class"),
+    ("summand", "summand-order-has-unique-maximum"),
+    ("hn", "hn-order-has-unique-minimum"),
+])
+def test_one_broken_row_fails_one_extrema_check(example_cat, example_engine,
+                                                 tag, failing):
+    posets = _posets(example_engine)
+    mx = class_of_names(example_cat, example_engine, ["1", "3", "2"])
+    mn = class_of_names(example_cat, example_engine,
+                        ["2", "12", "32", "132", "1", "3"])
+    c = min(set(range(posets[tag].size)) - {mx, mn})
+    rows = list(posets[tag].rows)
+    if tag == "pentagon":
+        rows[mx] |= 1 << mn     # the maximum lies below the minimum
+    elif tag == "summand":
+        rows[c] &= ~(1 << mx)   # c does not lie below the maximum
+    else:
+        rows[mn] &= ~(1 << c)   # the minimum does not lie below c
+    posets[tag] = replace(posets[tag], rows=tuple(rows))
+    report = check_extrema(example_cat, example_engine, posets)
+    assert not report["passed"]
+    assert [e["check"] for e in report["checks"] if not e["passed"]] == [failing]
+
+
 # -- exchange persistence ----------------------------------------------------------------
 
 def test_exchange_persistence_example(example_engine):
@@ -372,6 +436,25 @@ def test_exchange_persistence_example(example_engine):
 def test_exchange_persistence_a2(a2_engine):
     pent = build_order("pentagon", a2_engine)
     assert exchange_persistence(a2_engine, pent)["passed"]
+
+
+def _total(size, tag="pentagon"):
+    """A relation that puts every class below every class."""
+    return ClassPoset(tag, size, ((1 << size) - 1,) * size, ())
+
+
+@pytest.mark.parametrize("spec", ROW_SPECS, ids=lambda s: s.label())
+def test_exchange_persistence_lists_failures_pair_by_pair(spec):
+    eng = engine_for(spec)
+    pairs = [eng.exchange_pairs(c.representative)
+             for c in eng.equivalence_classes()]
+    size, outs = len(pairs), [{p.out for p in found} for found in pairs]
+    expected = [{"lower": lo, "upper": hi, "missing_out": repr(pair.out)}
+                for lo in range(size) for hi in range(size) if lo != hi
+                for pair in pairs[hi] if pair.out not in outs[lo]]
+    assert bool(expected) == (size > 1)
+    report = exchange_persistence(eng, _total(size))
+    assert report == {"passed": not expected, "failures": expected}
 
 
 # -- unoriented polygons ----------------------------------------------------------------
@@ -386,8 +469,8 @@ def test_cyclic_2_2_is_an_unoriented_polygon():
     [(c1, c2)] = polygons[0].class_pairs
     posets = _posets(eng)
     for poset in posets.values():
-        assert not poset.leq[c1][c2]
-        assert not poset.leq[c2][c1]
+        assert not poset.rows[c1] >> c2 & 1
+        assert not poset.rows[c2] >> c1 & 1
 
 
 def test_example_polygon_sides(example_engine):
@@ -542,22 +625,75 @@ def test_deformation_keeping_the_class_is_a_violation():
 def test_comparable_unoriented_polygon_sides_listed_once_per_order():
     spec = AlgebraSpec.nakayama([3, 3, 3], cyclic=True)
     eng = engine_for(spec)
-    posets = build_posets(eng, include_brick=False)
-    size = posets["summand"].size
-    # summand and hn orders that relate every two classes
-    for tag in ("summand", "hn"):
-        posets[tag] = replace(posets[tag], leq=((True,) * size,) * size)
+    size = len(eng.equivalence_classes())
+    full = (1 << size) - 1
     unoriented = [p for p in polygon_deformation_pairs(eng) if p.sides[1] >= 3]
-    [check] = [c for c in suite_theorem_b(category_for(spec), eng, posets)
-               if c.name == "unoriented-polygon-sides-incomparable"]
     pairs = sorted({tuple(sorted(pair)) for p in unoriented
                     for pair in p.class_pairs})
     assert len(pairs) == 3
-    assert not check.passed
-    assert check.detail == {
-        "polygons": 3,
-        "violations": [{"pair": list(pair), "order": tag}
-                       for pair in pairs for tag in ("hn", "summand")]}
+    # summand and hn orders that relate every two classes: both ways, then
+    # one way, the other way round in each order
+    for summand, hn in ((lambda i: full, lambda i: full),
+                        (lambda i: full >> i << i, lambda i: full & (2 << i) - 1)):
+        posets = build_posets(eng, include_brick=False)
+        for tag, row in (("summand", summand), ("hn", hn)):
+            posets[tag] = replace(posets[tag],
+                                  rows=tuple(row(i) for i in range(size)))
+        [check] = [c for c in suite_theorem_b(category_for(spec), eng, posets)
+                   if c.name == "unoriented-polygon-sides-incomparable"]
+        assert not check.passed
+        assert check.detail == {
+            "polygons": 3,
+            "violations": [{"pair": list(pair), "order": tag}
+                           for pair in pairs for tag in ("hn", "summand")]}
+
+
+@pytest.mark.parametrize("spec", ROW_SPECS, ids=lambda s: s.label())
+def test_theorem_b_lists_violations_in_lexicographic_order(spec):
+    eng = engine_for(spec)
+    posets = build_posets(eng, include_brick=False)
+    size = posets["pentagon"].size
+    # pentagon and hn orders that put every class below every class
+    for tag in ("pentagon", "hn"):
+        posets[tag] = _total(size, tag)
+    bricks = [frozenset(c.representative.bricks)
+              for c in eng.equivalence_classes()]
+    summand = _matrix(posets["summand"])
+    strict = [(lo, hi) for lo in range(size) for hi in range(size) if lo != hi]
+    expected = {
+        "deformation-order-contained-in-summand-order":
+            [(i, j) for i in range(size) for j in range(size)
+             if not summand[i][j]],
+        "deformation-order-contained-in-hn-order": [],
+        "hn-order-implies-strict-brick-containment":
+            [[lo, hi] for lo, hi in strict if not bricks[lo] > bricks[hi]],
+        "deformation-strictly-shortens-length":
+            [[lo, hi] for lo, hi in strict
+             if len(bricks[lo]) <= len(bricks[hi])]}
+    checks = {c.name: c for c in suite_theorem_b(category_for(spec), eng, posets)}
+    for name, violations in expected.items():
+        assert checks[name].detail == {"violations": violations}
+        assert checks[name].passed == (not violations)
+    assert bool(expected["deformation-strictly-shortens-length"]) == (size > 1)
+
+
+def test_orders_equal_report_lists_differences_by_order_pair_then_cell():
+    p = ClassPoset("p", 3, (0b111, 0b010, 0b100), ())
+    q = ClassPoset("q", 3, (0b011, 0b110, 0b100), ())
+    r = ClassPoset("r", 3, (0b111, 0b010, 0b101), ())
+    assert orders_equal_report([p, q, r]) == {
+        "orders": ["p", "q", "r"],
+        "equal": False,
+        "differences": [
+            {"orders": ["p", "q"], "pair": [0, 2], "p": True, "q": False},
+            {"orders": ["p", "q"], "pair": [1, 2], "p": False, "q": True},
+            {"orders": ["p", "r"], "pair": [2, 0], "p": False, "r": True},
+            {"orders": ["q", "r"], "pair": [0, 2], "q": False, "r": True},
+            {"orders": ["q", "r"], "pair": [1, 2], "q": True, "r": False},
+            {"orders": ["q", "r"], "pair": [2, 0], "q": False, "r": True},
+        ]}
+    assert orders_equal_report([p, replace(p, tag="s")]) == {
+        "orders": ["p", "s"], "equal": True, "differences": []}
 
 
 # -- DOT emission ------------------------------------------------------------------------

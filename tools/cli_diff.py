@@ -19,13 +19,14 @@ type-A quivers <x16, <>x8 and <<><<>><<><<>><< (17 vertices each);
 `catalog` and `bricks` with `--exact` on Nakayama 3,3,3,2,1 and the five
 cyclic series, whose runs without it are among the commands above, so
 that both Hom closed forms meet exact elimination;
-`classes`, `poset --order pentagon --format json` and `verify --suite
-all` on the six-vertex typeA <<<<< (972 classes).
+`classes`, `poset` for the pentagon, summand and hn orders, as DOT and
+with `--format json`, and `verify --suite all` on the six-vertex typeA
+<<<<< (972 classes).
 Then, on each of the algebras with every command, `hn` along the first
 and the last sequence of the first tree's `mgs` output, given as a brick
 list, once with `--module` the sum of every catalog module (#0+#1+...)
 and once for each single module, and given as its `mgs` index with that
-sum: 1072 calls in all.  A call that both
+sum: 1077 calls in all.  A call that both
 trees reject with a usage error (exit 2) is reported too: the battery
 should make none.
 Exit code 0 when every call matches, 1 when some call differs, times
@@ -104,9 +105,6 @@ def commands(spec: dict, kind: str) -> list[list[str]]:
                 for flags in ([], ["--exact"])]
     if kind == "exact":
         return [["--exact", cmd] for cmd in ("catalog", "bricks")]
-    if kind == "six":
-        return [["classes"], ["poset", "--order", "pentagon", "--format", "json"],
-                ["verify", "--suite", "all"]]
     orders = ["pentagon", "summand", "hn"]
     if spec["type"] == "nakayama":
         orders.append("brick")
@@ -114,6 +112,8 @@ def commands(spec: dict, kind: str) -> list[list[str]]:
     if kind == "five":
         return [["mgs"], ["classes"]] + posets + [["verify", "--suite", "all"]]
     dots = [["poset", "--order", o] for o in orders]
+    if kind == "six":
+        return [["classes"]] + posets + dots + [["verify", "--suite", "all"]]
     return ([["catalog"], ["bricks"], ["mgs"], ["classes"]] + posets + dots
             + [["verify", "--suite", "all"]])
 
