@@ -7,7 +7,7 @@ sort_keys=True)` plus a newline, written by `canonical_json` without the
 standard library's pure-Python indenting encoder (see there); `mgs`
 writes its sequence records itself during the walk (`cmd_mgs`).  Exit
 codes: 0 success, 1 a verification check failed, 2 usage, parse, or gate
-errors.
+errors; each gate bounds the object that costs (see the README).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from json.encoder import encode_basestring_ascii
 
 from .algebra import AlgebraSpec
 from .errors import GateError, InvariantViolation, SpecError, TheoremViolation, UsageError
-from .green import DEFAULT_BRICK_GATE, MGS, GreenEngine
+from .green import MGS, GreenEngine
 from .modcat import DEFAULT_SUBSET_GATE, ModuleCategory
 from . import orders as orders_mod
 from . import verify as verify_mod
@@ -109,7 +109,7 @@ def load_algebra(path: str) -> AlgebraSpec:
 def _context(args) -> tuple[ModuleCategory, GreenEngine]:
     spec = load_algebra(args.algebra)
     cat = ModuleCategory(spec, exact=args.exact)
-    engine = GreenEngine(cat, brick_gate=args.brick_gate)
+    engine = GreenEngine(cat)
     return cat, engine
 
 
@@ -185,8 +185,8 @@ def cmd_mgs(args) -> int:
 
 def cmd_classes(args) -> int:
     cat, engine = _context(args)
+    members = engine.class_members()  # the sequence gate fires first
     classes = engine.equivalence_classes()
-    members = engine.class_members()
     out = [{"index": i,
             "members": list(members[i]),
             "representative": [cat.display(b) for b in c.representative.bricks],
@@ -280,8 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="also solve every Hom dimension by exact "
                              "rational elimination and fail (exit 1) where "
                              "it disagrees with the closed-form Hom table")
-    parser.add_argument("--brick-gate", type=int, default=DEFAULT_BRICK_GATE,
-                        help="refuse enumeration beyond this many bricks")
     parser.add_argument("--subset-gate", type=int, default=DEFAULT_SUBSET_GATE,
                         help="refuse torsion-lattice enumeration beyond this "
                              "many subsets")

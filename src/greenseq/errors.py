@@ -15,7 +15,8 @@ class UsageError(ValueError):
 
 
 class GateError(RuntimeError):
-    """A brute-force size gate was exceeded; nothing was computed."""
+    """A size gate was exceeded: the work it bounds was refused before it
+    started or, for a bound checked during a search, stopped at the bound."""
 
 
 class InvariantViolation(RuntimeError):

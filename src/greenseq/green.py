@@ -29,10 +29,11 @@ multiplicity) HN entry is numbered, and each class and cover contributes
 a bitmask, as to the per-sequence lemma checks (PATH_CHECKS), which are
 checked once per class (`path_failures`).  One walk visits every maximal
 chain (`_walk`): it lists the sequences (`sequence_walk`) and finds the
-members of the classes (`class_members`).  The uncached per-sequence methods (`torsion_chain`,
-`summand_set`, `exchange_pairs`, `stable_factor_function`,
-`square_swap`) serve the `hn` command, the orders' one representative
-per class, and the tests as oracles.
+members of the classes (`class_members`), the two listings that
+`SEQUENCE_GATE` bounds.  The uncached per-sequence methods (`torsion_chain`,
+`summand_set`, `exchange_pairs`, `stable_factor_function`, `square_swap`)
+serve the `hn` command, the orders' one representative per class, and
+the tests as oracles.
 """
 
 from __future__ import annotations
@@ -44,15 +45,11 @@ from operator import itemgetter, or_
 from .errors import GateError, InvariantViolation, TheoremViolation, UsageError
 from .modcat import ModuleCategory, ModuleSum, TorsionClass
 
-DEFAULT_BRICK_GATE = 24
-# listing more maximal green sequences than this is refused before the
-# walk starts.  typeA <<<<< has 340,549: `greenseq mgs` streams them in
-# 3.3 s at a 39 MB peak RSS for 302 MB of JSON (one run, 2 shared vCPUs),
-# about 890 bytes a sequence, so this bound keeps a listing near 355 MB of
-# output; typeA <><>< has 16,424,057.  It also bounds the member indices
-# that `classes` holds.  `equivalence_classes` lists no sequence but keeps
-# this gate, so `poset` and `verify` refuse what they refused before until
-# they get their own
+# `sequence_walk` and `class_members`, which alone list sequences, refuse
+# more than this before the walk starts.  typeA <<<<< has 340,549: `mgs`
+# streams them in 3.3 s at a 39 MB peak RSS for 302 MB of JSON (one run, 2
+# shared vCPUs), about 890 bytes a sequence, so this bound keeps a listing
+# near 355 MB of output; typeA <><>< has 16,424,057
 SEQUENCE_GATE = 400_000
 
 # `GreenEngine._walk` lists the chains below a class once when there are at
@@ -116,9 +113,8 @@ class EquivClass:
 
 
 class GreenEngine:
-    def __init__(self, cat: ModuleCategory, brick_gate: int = DEFAULT_BRICK_GATE):
+    def __init__(self, cat: ModuleCategory):
         self.cat = cat
-        self.brick_gate = brick_gate
         self.bricks = cat.bricks
         self._bpos = {b: k for k, b in enumerate(self.bricks)}
         nb = len(self.bricks)
@@ -176,9 +172,9 @@ class GreenEngine:
     def sequence_walk(self):
         """An iterator over the cover labels of every maximal chain of the
         generated torsion lattice, in lexicographic order, once
-        `_gated_lattice` admits them; the gates fire on this call, before
+        `_listed_lattice` admits them; the gates fire on this call, before
         the first label is read."""
-        lattice = self._gated_lattice()
+        lattice = self._listed_lattice()
         rows = {up: sorted((lab, lo, 0) for lo, lab in downs)
                 for up, downs in lattice.lower_covers.items()}
         return map(itemgetter(0), self._walk(lattice, rows))
@@ -187,7 +183,7 @@ class GreenEngine:
         """The k-th sequence of `sequence_walk`, unranked from the per-class
         chain counts: at each class, the lower covers in label order whose
         chains all come before it are stepped over."""
-        lattice = self._gated_lattice()
+        lattice = self.cat.generated_lattice()
         counts, labels, c = lattice.chain_counts, [], lattice.top
         if not 0 <= k < counts[c]:
             raise UsageError(
@@ -201,14 +197,9 @@ class GreenEngine:
             c = lo
         return MGS(tuple(labels))
 
-    def _gated_lattice(self):
-        """The generated torsion lattice, refused before it is built when
-        there are more bricks than the brick gate, and before any walk when
-        it has more maximal chains than `SEQUENCE_GATE`."""
-        if len(self.bricks) > self.brick_gate:
-            raise GateError(
-                f"{len(self.bricks)} bricks exceed the enumeration gate of "
-                f"{self.brick_gate}; raise the gate to force it")
+    def _listed_lattice(self):
+        """The generated torsion lattice, refused before any walk when it
+        has more maximal chains than `SEQUENCE_GATE`."""
         lattice = self.cat.generated_lattice()
         chains = lattice.maximal_chain_count()
         if chains > SEQUENCE_GATE:
@@ -503,7 +494,7 @@ class GreenEngine:
         group differently.  No sequence is listed."""
         if self._classes is not None:
             return list(self._classes)
-        lattice = self._gated_lattice()
+        lattice = self.cat.generated_lattice()
         names = ("summand sets", "exchange pairs", "stable-factor functions")
 
         def disagree(name: str, x, y) -> TheoremViolation:
@@ -576,9 +567,9 @@ class GreenEngine:
         of every chain with the summand masks of `cover_table`: a chain
         joins the class of its mask, the first chain of each class must be
         its representative, and the lattice must count the chains walked."""
+        lattice = self._listed_lattice()  # before the classes are found
         classes = self.equivalence_classes()
         by_key = self.classes_by_key()
-        lattice = self.cat.generated_lattice()
         _, summ, steps = self.cover_table()
         rows = {up: [row[:3] for row in found] for up, found in steps.items()}
         members: list[list[int]] = [[] for _ in classes]

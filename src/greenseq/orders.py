@@ -24,11 +24,17 @@ from functools import reduce
 from itertools import combinations
 from operator import or_
 
-from .errors import InvariantViolation, UsageError
+from .errors import GateError, InvariantViolation, UsageError
 from .green import GreenEngine, SiltingSummand
 from .modcat import ModuleCategory
 
 ORDER_TAGS = ("pentagon", "summand", "hn", "brick")
+
+# no order is built on more classes than this, as rows and the hn order
+# cost C^2: it admits every 6-vertex type-A orientation (972-1,085; hn at
+# most 8.4 s) and refuses Nakayama 2,4,5,4,3,2,1 (1,150; hn 12.0 s) and
+# 7-vertex type A (8,477-10,929) (in-process, one run each, 2 vCPUs)
+CLASS_GATE = 1_100
 
 BRICK_ORDER_REFUSAL = (
     "the brick order is only defined over Nakayama algebras: over the "
@@ -147,6 +153,9 @@ def _hn_leq(f_lo: dict, f_hi: dict) -> bool:
 def build_order(tag: str, engine: GreenEngine) -> ClassPoset:
     classes = engine.equivalence_classes()
     size = len(classes)
+    if size > CLASS_GATE:
+        raise GateError(f"{size} classes exceed the class gate of {CLASS_GATE}; "
+                        f"no order is built on them")
     if tag == "pentagon":
         rows = _transitive_reflexive_closure(size, iepd_cover_pairs(engine))
     elif tag == "summand":

@@ -118,12 +118,10 @@ def suite_theorem_b(cat: ModuleCategory, engine: GreenEngine,
                               {"failures": persistence["failures"]}))
 
     extrema = orders_mod.check_extrema(cat, engine, posets)
-    if extrema.get("applicable"):
-        checks.append(CheckResult("extrema-unique-max-and-min",
-                                  extrema["passed"], {"checks": extrema["checks"]}))
-    else:
-        checks.append(CheckResult("extrema-unique-max-and-min", True,
-                                  {"skipped": extrema["notice"]}))
+    detail = ({"checks": extrema["checks"]} if extrema.get("applicable")
+              else {"skipped": extrema["notice"]})
+    checks.append(CheckResult("extrema-unique-max-and-min",
+                              extrema.get("passed", True), detail))
 
     if cat.n == 2:
         # with two simples, the three orders coincide and agree with
@@ -164,19 +162,13 @@ def suite_lemmas(cat: ModuleCategory, engine: GreenEngine,
     checks: list[CheckResult] = []
     # first, so that the gates fire before any check runs
     failures = engine.path_failures()
-    bricks = cat.bricks
+    hom, modules = cat.hom_table, range(len(cat.catalog))
 
     # Non-split extensions of doubly hom-orthogonal bricks are bricks.
-    bad = []
-    for l, n in combinations(bricks, 2):
-        if cat.hom_table[l][n] or cat.hom_table[n][l]:
-            continue
-        for pair in ((l, n), (n, l)):
-            for e in range(len(cat.catalog)):
-                for rec in cat.sub_quotient_pairs(e):
-                    if rec.sub.ids == (pair[0],) and rec.quot.ids == (pair[1],):
-                        if not cat.is_brick(e):
-                            bad.append(cat.display(e))
+    bad = [cat.display(e) for l, n in combinations(cat.bricks, 2)
+           if not hom[l][n] | hom[n][l] for pair in (((l,), (n,)), ((n,), (l,)))
+           for e in modules for rec in cat.sub_quotient_pairs(e)
+           if (rec.sub.ids, rec.quot.ids) == pair and not cat.is_brick(e)]
     checks.append(CheckResult("extension-of-orthogonal-bricks-is-brick",
                               not bad, {"violations": bad}))
 
@@ -215,11 +207,8 @@ def suite_lemmas(cat: ModuleCategory, engine: GreenEngine,
     else:
         checks += _lattice_checks(cat, engine, oracle)
 
-    bad = []
-    for a in range(len(cat.catalog)):
-        for b in range(len(cat.catalog)):
-            if cat.ext1_table[a][b] != cat.ext1_presentation(a, b):
-                bad.append([cat.display(a), cat.display(b)])
+    bad = [[cat.display(a), cat.display(b)] for a in modules for b in modules
+           if cat.ext1_table[a][b] != cat.ext1_presentation(a, b)]
     checks.append(CheckResult("ext-formula-matches-presentation-oracle",
                               not bad, {"violations": bad}))
 
@@ -231,12 +220,8 @@ def suite_lemmas(cat: ModuleCategory, engine: GreenEngine,
     else:
         # solved by elimination: the table's closed form is 0 or 1 by
         # construction, so reading it here would check it against itself
-        bad = []
-        for a in range(len(cat.catalog)):
-            for b in range(len(cat.catalog)):
-                solved = cat._hom_dim(a, b)
-                if solved > 1 or solved != cat.hom_table[a][b]:
-                    bad.append([cat.display(a), cat.display(b)])
+        bad = [[cat.display(a), cat.display(b)] for a in modules for b in modules
+               if (solved := cat._hom_dim(a, b)) > 1 or solved != hom[a][b]]
         checks.append(CheckResult("interval-hom-dimensions-at-most-one",
                                   not bad, {"violations": bad}))
         checks.append(_representation_directed_check(cat))
@@ -309,11 +294,24 @@ def _filt_interval_check(cat: ModuleCategory, lattice) -> CheckResult:
                        not bad, {"violations": bad})
 
 
+def _orthogonal_brick_sets(cat: ModuleCategory):
+    """The non-empty sets of pairwise Hom-orthogonal bricks in the order of
+    `combinations(cat.bricks, r)`, r = 1, 2, ..., each grown from a smaller
+    one by a larger brick orthogonal to all of its members."""
+    hom = cat.hom_table
+    # later[b]: the bricks after b that are Hom-orthogonal to it
+    later = {b: sum(1 << c for c in cat.bricks
+                    if c > b and not hom[b][c] | hom[c][b]) for b in cat.bricks}
+    level = [((b,), later[b]) for b in cat.bricks]
+    while level:
+        yield from (combo for combo, _ in level)
+        level = [((*combo, c), free & later[c]) for combo, free in level
+                 for c in _bits(free)]
+
+
 def _unique_filtration_check(cat: ModuleCategory) -> CheckResult:
     # Over a Nakayama algebra, a module filtered by pairwise hom-orthogonal
     # bricks admits exactly one factor sequence.
-    bricks = cat.bricks
-
     def count_filtrations(x: int, brickset: frozenset[int]) -> int:
         total = 1 if x in brickset else 0
         for rec in cat.sub_quotient_pairs(x):
@@ -321,16 +319,9 @@ def _unique_filtration_check(cat: ModuleCategory) -> CheckResult:
                 total += count_filtrations(rec.sub.ids[0], brickset)
         return total
 
-    bad = []
-    for r in range(1, len(bricks) + 1):
-        for combo in combinations(bricks, r):
-            if any(cat.hom_table[a][b] or cat.hom_table[b][a]
-                   for a, b in combinations(combo, 2)):
-                continue
-            for x in range(len(cat.catalog)):
-                if count_filtrations(x, frozenset(combo)) > 1:
-                    bad.append({"module": cat.display(x),
-                                "bricks": [cat.display(b) for b in combo]})
+    bad = [{"module": cat.display(x), "bricks": [cat.display(b) for b in combo]}
+           for combo in _orthogonal_brick_sets(cat) for x in range(len(cat.catalog))
+           if count_filtrations(x, frozenset(combo)) > 1]
     return CheckResult("orthogonal-brick-filtrations-unique", not bad,
                        {"violations": bad})
 

@@ -24,8 +24,7 @@ import pytest
 from hypothesis import given, settings
 
 from greenseq import AlgebraSpec, GreenEngine, ModuleCategory
-from greenseq.errors import (GateError, InvariantViolation, TheoremViolation,
-                             UsageError)
+from greenseq.errors import InvariantViolation, TheoremViolation, UsageError
 from greenseq.green import PATH_CHECKS, EquivClass, ExchangePair, SiltingSummand
 from greenseq.orders import ORDER_TAGS, build_order
 from greenseq.verify import run_suite
@@ -410,12 +409,3 @@ def test_summand_path_of_the_wrong_size_raises(monkeypatch):
     with pytest.raises(InvariantViolation, match="summand set has size"):
         _fresh(EXAMPLE_QUIVER).equivalence_classes()
 
-
-def test_class_gate_fires_before_the_lattice(monkeypatch):
-    def refuse(self):
-        raise AssertionError("torsion lattice generated")
-
-    monkeypatch.setattr(ModuleCategory, "generated_lattice", refuse)
-    eng = GreenEngine(ModuleCategory(EXAMPLE_QUIVER), brick_gate=3)
-    with pytest.raises(GateError, match="enumeration gate of 3"):
-        eng.equivalence_classes()

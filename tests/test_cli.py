@@ -5,9 +5,11 @@ import json
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from greenseq import AlgebraSpec, GreenEngine, ModuleCategory, cli, green
+from greenseq import AlgebraSpec, GreenEngine, ModuleCategory, cli, green, modcat
 from greenseq.cli import canonical_json, main
 from greenseq.typea import TypeABackend
+
+from test_classes import refuse_sequence_walks
 
 
 def _oracle(obj) -> str:
@@ -237,10 +239,24 @@ def test_unknown_key_rejected(capsys, tmp_path):
     assert "unknown keys" in err
 
 
-def test_gate_error_is_usage_exit(capsys, example_file):
-    code, _, err = run(capsys, "--brick-gate", "2", "mgs", example_file)
-    assert code == 2
-    assert "gate" in err
+def test_gate_error_is_usage_exit(capsys, monkeypatch, example_file):
+    # the README example's torsion lattice has 14 classes
+    monkeypatch.setattr(modcat, "LATTICE_GATE", 13)
+    code, out, err = run(capsys, "classes", example_file)
+    assert code == 2 and out == ""
+    assert "more than 13 classes, the lattice gate" in err
+
+
+def test_brick_gate_flag_is_an_argparse_error(capsys, example_file):
+    for argv, message in (
+            (["--brick-gate=2", "mgs"], "unrecognized arguments: --brick-gate=2"),
+            (["--brick-gate", "2", "mgs"], "invalid choice: '2'")):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, example_file])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: greenseq [-h] [--exact] [--subset-gate")
+        assert message in err
 
 
 def test_sequence_gate_of_one_refuses_the_readme_example(capsys, monkeypatch,
@@ -251,31 +267,48 @@ def test_sequence_gate_of_one_refuses_the_readme_example(capsys, monkeypatch,
     assert "10 maximal green sequences exceed the sequence gate of 1" in err
 
 
-def test_brick_gate_fires_before_the_sequence_gate(capsys, monkeypatch,
-                                                  example_file):
-    monkeypatch.setattr(green, "SEQUENCE_GATE", 1)
-    code, _, err = run(capsys, "--brick-gate", "2", "mgs", example_file)
-    assert code == 2
-    assert "6 bricks exceed the enumeration gate of 2" in err
+@pytest.fixture
+def zigzag_file(tmp_path):
+    """typeA <><><: 16,424,057 sequences in 987 classes."""
+    path = tmp_path / "zigzag.json"
+    path.write_text('{"type": "typeA", "orientation": "<><><"}\n')
+    return str(path)
 
 
-@pytest.mark.parametrize("argv", [
-    ["mgs"], ["classes"], ["poset", "--order", "pentagon"],
-    ["verify", "--suite", "all"], ["hn", "--mgs", "0", "--module", "#0"],
-])
+@pytest.mark.parametrize("argv", [["mgs"], ["classes"]])
 def test_default_sequence_gate_refuses_a_six_vertex_zigzag(
-        capsys, monkeypatch, tmp_path, argv):
-    # 16,424,057 sequences pass the brick gate; the count is taken on the
-    # lattice and no sequence is listed
+        capsys, monkeypatch, zigzag_file, argv):
+    # the count is taken on the lattice, before any sequence is listed or
+    # any class found
     def refuse(*args):
         raise AssertionError("sequences listed")
 
     monkeypatch.setattr(GreenEngine, "_walk", refuse)
-    path = tmp_path / "zigzag.json"
-    path.write_text('{"type": "typeA", "orientation": "<><><"}\n')
-    code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+    monkeypatch.setattr(GreenEngine, "_normal_forms", refuse)
+    code, out, err = run(capsys, argv[0], zigzag_file, *argv[1:])
     assert code == 2 and out == ""
     assert "16424057 maximal green sequences exceed the sequence gate" in err
+
+
+def test_six_vertex_zigzag_hn_by_index_lists_no_sequence(capsys, monkeypatch,
+                                                         zigzag_file):
+    refuse_sequence_walks(monkeypatch)
+    code, out, _ = run(capsys, "hn", zigzag_file, "--mgs", "16424056",
+                       "--module", "#0")
+    assert code == 0
+    listed = json.loads(out)["mgs"]
+    code, by_list, _ = run(capsys, "hn", zigzag_file, "--mgs", ",".join(listed),
+                           "--module", "#0")
+    assert code == 0 and by_list == out
+
+
+def test_six_vertex_zigzag_theorem_a_lists_no_sequence(capsys, monkeypatch,
+                                                       zigzag_file):
+    refuse_sequence_walks(monkeypatch)
+    code, out, _ = run(capsys, "verify", zigzag_file, "--suite", "theoremA")
+    assert code == 0
+    assert json.loads(out)["checks"][0]["detail"] == {"classes": 987,
+                                                      "sequences": 16424057}
 
 
 def test_deterministic_output(capsys, example_file):

@@ -77,18 +77,15 @@ def test_sequence_at_unranks_the_last_index_of_a_line():
     assert eng.sequence_at(len(listed) - 1) == listed[-1]
 
 
-def test_enumeration_gate(monkeypatch):
-    # the gate fires before the lattice is generated, and neither the
-    # category nor the engine generates it at construction
-    def refuse(self):
-        raise AssertionError("torsion lattice generated")
-
-    monkeypatch.setattr(ModuleCategory, "generated_lattice", refuse)
-    eng = GreenEngine(ModuleCategory(EXAMPLE_QUIVER), brick_gate=3)
-    with pytest.raises(GateError) as exc:
-        eng.enumerate_mgs()
-    assert str(exc.value) == ("6 bricks exceed the enumeration gate of 3; "
-                              "raise the gate to force it")
+def test_sequence_gate_bounds_only_the_listings(monkeypatch):
+    # the classes and unranking list no sequence, so the gate leaves them be
+    monkeypatch.setattr(green, "SEQUENCE_GATE", 9)
+    eng = GreenEngine(ModuleCategory(EXAMPLE_QUIVER))
+    assert len(eng.equivalence_classes()) == 6
+    assert eng.sequence_at(9) == MGS(ids_of(eng.cat, ["3", "2", "12", "1"]))
+    for listing in (eng.sequence_walk, eng.class_members):
+        with pytest.raises(GateError, match="sequence gate of 9"):
+            listing()
 
 
 def test_sequence_gate_counts_before_the_walk(monkeypatch):

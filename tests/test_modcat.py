@@ -5,7 +5,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from greenseq import AlgebraSpec, ModuleCategory, ModuleSum, TorsionClass, cli
+from greenseq import AlgebraSpec, ModuleCategory, ModuleSum, TorsionClass, cli, modcat
 from greenseq.errors import GateError, InvariantViolation, UsageError
 from greenseq.nakayama import NakayamaBackend
 from greenseq.typea import TypeABackend
@@ -378,6 +378,47 @@ def test_lattice_gate_holds_after_the_lattice_is_cached():
     with pytest.raises(GateError, match="gate"):
         cat.torsion_lattice(size_gate=4)
     assert cat.torsion_lattice() is lattice
+
+
+def test_lattice_gate_admits_exactly_the_count(monkeypatch):
+    # the README example's torsion lattice has 14 classes
+    monkeypatch.setattr(modcat, "LATTICE_GATE", 13)
+    with pytest.raises(GateError) as exc:
+        ModuleCategory(AlgebraSpec.type_a("<>")).generated_lattice()
+    assert str(exc.value) == ("the torsion lattice has more than 13 classes, "
+                              "the lattice gate")
+    monkeypatch.setattr(modcat, "LATTICE_GATE", 14)
+    assert len(ModuleCategory(AlgebraSpec.type_a("<>")).generated_lattice().classes) == 14
+
+
+class _CountedMask(int):
+    """A perp mask that counts the intersections the lattice search takes
+    with it."""
+
+    taken: list = []
+
+    def __rand__(self, other):
+        self.taken.append(1)
+        return int(self) & other
+
+
+def _intersections(monkeypatch, gate: int) -> int:
+    monkeypatch.setattr(modcat, "LATTICE_GATE", gate)
+    monkeypatch.setattr(_CountedMask, "taken", [])
+    cat = ModuleCategory(AlgebraSpec.type_a("<<<"))
+    cat.__dict__["perp_masks"] = {b: _CountedMask(m)
+                                  for b, m in cat.perp_masks.items()}
+    try:
+        cat.generated_lattice()
+    except GateError:
+        pass
+    return len(_CountedMask.taken)
+
+
+def test_lattice_gate_stops_the_search_at_the_bound(monkeypatch):
+    # typeA <<< has 10 bricks and 42 torsion classes: with a gate of 3 the
+    # search expands at most the 4 classes it has found
+    assert _intersections(monkeypatch, 3) <= 4 * 10 < _intersections(monkeypatch, 42)
 
 
 @pytest.mark.parametrize("spec", full_battery(), ids=lambda s: s.label())

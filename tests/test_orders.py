@@ -6,8 +6,8 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from greenseq import AlgebraSpec, GreenEngine, ModuleCategory
-from greenseq.errors import InvariantViolation, UsageError
+from greenseq import AlgebraSpec, GreenEngine, ModuleCategory, orders
+from greenseq.errors import GateError, InvariantViolation, UsageError
 from greenseq.green import MGS
 from greenseq.modcat import TorsionLattice
 from greenseq.orders import (ClassPoset, _check_partial_order,
@@ -143,6 +143,28 @@ def test_pentagon_contained_in_others(example_engine):
 def test_brick_order_refused_off_nakayama(example_engine):
     with pytest.raises(UsageError, match="antisymmetry"):
         build_order("brick", example_engine)
+
+
+@pytest.mark.parametrize("tag", ["pentagon", "summand", "hn", "brick"])
+def test_class_gate_fires_before_any_row(monkeypatch, example_engine, tag):
+    # the README example has 6 classes
+    def refuse(*args):
+        raise AssertionError("a row was built")
+
+    monkeypatch.setattr(orders, "CLASS_GATE", 5)
+    for name in ("iepd_cover_pairs", "_transitive_reflexive_closure",
+                 "_containment_rows"):
+        monkeypatch.setattr(orders, name, refuse)
+    monkeypatch.setattr(GreenEngine, "stable_factor_function", refuse)
+    with pytest.raises(GateError) as exc:
+        build_order(tag, example_engine)
+    assert str(exc.value) == ("6 classes exceed the class gate of 5; no order "
+                              "is built on them")
+
+
+def test_class_gate_admits_exactly_the_count(monkeypatch, example_engine):
+    monkeypatch.setattr(orders, "CLASS_GATE", 6)
+    assert build_order("pentagon", example_engine).size == 6
 
 
 def test_brick_order_on_nakayama():

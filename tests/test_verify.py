@@ -18,8 +18,8 @@ from greenseq.green import MGS, PATH_CHECKS, ExchangePair, SiltingSummand
 from greenseq.modcat import DEFAULT_SUBSET_GATE
 from greenseq.nakayama import NakayamaBackend
 from greenseq.verify import (LATTICE_CHECKS, CheckResult, _filt_interval_check,
-                             _representation_directed_check, _square_check,
-                             _unique_filtration_check, run_suite)
+                             _orthogonal_brick_sets, _representation_directed_check,
+                             _square_check, _unique_filtration_check, run_suite)
 
 from conftest import EXAMPLE_QUIVER, category_for, full_battery, ids_of
 from test_modcat import _maximal_chains_by_recursion
@@ -287,6 +287,33 @@ def test_lemmas_match_per_sequence_oracle(spec):
     assert new == _lemma_dicts(oracle_lemmas, spec)
     assert "hn-stable-factors-additive-over-sums" not in {
         c["check"] for c in new}
+
+
+def _orthogonal_brick_sets_by_scan(cat):
+    """Oracle: every brick subset, by size and then lexicographically,
+    kept when its bricks are pairwise Hom-orthogonal."""
+    hom = cat.hom_table
+    return [combo for r in range(1, len(cat.bricks) + 1)
+            for combo in combinations(cat.bricks, r)
+            if not any(hom[a][b] or hom[b][a] for a, b in combinations(combo, 2))]
+
+
+@pytest.mark.parametrize(
+    "spec", [s for s in full_battery() if s.is_nakayama]
+    + [AlgebraSpec.nakayama([4, 4, 4, 4], cyclic=True)], ids=lambda s: s.label())
+def test_orthogonal_brick_sets_match_subset_scan(spec):
+    cat = category_for(spec)
+    assert list(_orthogonal_brick_sets(cat)) == _orthogonal_brick_sets_by_scan(cat)
+
+
+def test_orthogonal_brick_sets_are_the_semibricks_of_cyclic_5_5_5_5_5():
+    # one semibrick per non-zero torsion class (Asai, "Semibricks"); the
+    # subset scan would read 2^25 sets
+    cat = ModuleCategory(AlgebraSpec.nakayama([5] * 5, cyclic=True))
+    sets = list(_orthogonal_brick_sets(cat))
+    assert len(sets) == 251 == len(cat.generated_lattice().classes) - 1
+    assert len(set(map(frozenset, sets))) == 251
+    assert _unique_filtration_check(cat).passed
 
 
 def test_lemmas_call_no_per_sequence_method(monkeypatch):
