@@ -8,6 +8,11 @@ standard library's pure-Python indenting encoder (see there); `mgs`
 writes its sequence records itself during the walk (`cmd_mgs`).  Exit
 codes: 0 success, 1 a verification check failed, 2 usage, parse, or gate
 errors; each gate bounds the object that costs (see the README).
+
+Each command imports and builds only the layers it runs: `catalog` and
+`bricks` read the `ModuleCategory` alone; `mgs`, `classes` and `hn` add
+the `GreenEngine` (`green`); `poset` adds `orders`, and `verify` adds
+`orders` and `verify`.
 """
 
 from __future__ import annotations
@@ -20,10 +25,12 @@ from json.encoder import encode_basestring_ascii
 
 from .algebra import AlgebraSpec
 from .errors import GateError, InvariantViolation, SpecError, TheoremViolation, UsageError
-from .green import MGS, GreenEngine
 from .modcat import DEFAULT_SUBSET_GATE, ModuleCategory
-from . import orders as orders_mod
-from . import verify as verify_mod
+
+# the choices of `poset --order` and `verify --suite`, defined here so that
+# parsing a command line imports neither the orders nor the suites
+ORDER_TAGS = ("pentagon", "summand", "hn", "brick")
+SUITES = ("theoremA", "theoremB", "theoremC", "lemmas", "all")
 
 
 # how a scalar of exactly this type is written, as `json.dumps` writes it
@@ -106,11 +113,15 @@ def load_algebra(path: str) -> AlgebraSpec:
     return AlgebraSpec.from_dict(data)
 
 
-def _context(args) -> tuple[ModuleCategory, GreenEngine]:
-    spec = load_algebra(args.algebra)
-    cat = ModuleCategory(spec, exact=args.exact)
-    engine = GreenEngine(cat)
-    return cat, engine
+def _category(args) -> ModuleCategory:
+    return ModuleCategory(load_algebra(args.algebra), exact=args.exact)
+
+
+def _engine(args):
+    """The GreenEngine on the algebra's category, imported only by the
+    commands that read sequences or classes."""
+    from .green import GreenEngine
+    return GreenEngine(_category(args))
 
 
 def _summand_token(cat: ModuleCategory, summand) -> str:
@@ -120,7 +131,7 @@ def _summand_token(cat: ModuleCategory, summand) -> str:
 
 
 def cmd_catalog(args) -> int:
-    cat, _ = _context(args)
+    cat = _category(args)
     modules = [{
         "id": m.ident,
         "descriptor": cat.descriptor_str(m.ident),
@@ -136,7 +147,7 @@ def cmd_catalog(args) -> int:
 
 
 def cmd_bricks(args) -> int:
-    cat, _ = _context(args)
+    cat = _category(args)
     bricks = [{"id": b, "descriptor": cat.descriptor_str(b),
                "display": cat.display(b)} for b in cat.bricks]
     print(canonical_json({"algebra": cat.spec.to_dict(), "bricks": bricks,
@@ -152,7 +163,8 @@ def cmd_mgs(args) -> int:
     """The report `canonical_json` would write for every sequence, written
     while the lattice walk runs.  Each record has the same shape, so it is
     one f-string of per-brick tokens that are encoded once."""
-    cat, engine = _context(args)
+    engine = _engine(args)
+    cat = engine.cat
     walk = engine.sequence_walk()  # the gates fire before any output
     count = cat.generated_lattice().maximal_chain_count()
     head = canonical_json({"algebra": cat.spec.to_dict(), "count": count,
@@ -184,7 +196,8 @@ def cmd_mgs(args) -> int:
 
 
 def cmd_classes(args) -> int:
-    cat, engine = _context(args)
+    engine = _engine(args)
+    cat = engine.cat
     members = engine.class_members()  # the sequence gate fires first
     classes = engine.equivalence_classes()
     out = [{"index": i,
@@ -200,10 +213,12 @@ def cmd_classes(args) -> int:
 
 
 def cmd_poset(args) -> int:
-    cat, engine = _context(args)
-    poset = orders_mod.build_order(args.order, engine)
+    from .orders import build_order, hasse_dot
+    engine = _engine(args)
+    cat = engine.cat
+    poset = build_order(args.order, engine)
     if args.format == "dot":
-        text = orders_mod.hasse_dot(poset, engine)
+        text = hasse_dot(poset, engine)
     else:
         classes = engine.equivalence_classes()
         text = canonical_json({
@@ -222,7 +237,8 @@ def cmd_poset(args) -> int:
     return 0
 
 
-def _resolve_mgs(cat: ModuleCategory, engine: GreenEngine, token: str):
+def _resolve_mgs(cat: ModuleCategory, engine, token: str):
+    from .green import MGS
     token = token.strip()
     # an index is ASCII digits only (str.isdigit also accepts '²', which
     # int() rejects); every other token is a brick list
@@ -236,7 +252,8 @@ def _resolve_mgs(cat: ModuleCategory, engine: GreenEngine, token: str):
 
 
 def cmd_hn(args) -> int:
-    cat, engine = _context(args)
+    engine = _engine(args)
+    cat = engine.cat
     g = _resolve_mgs(cat, engine, args.mgs)
     module = cat.resolve_module_expr(args.module)
     result = engine.hn_filtration(module, g)
@@ -257,9 +274,11 @@ def cmd_hn(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cat, engine = _context(args)
-    checks = verify_mod.run_suite(args.suite, cat, engine,
-                                  subset_gate=args.subset_gate)
+    from . import verify
+    engine = _engine(args)
+    cat = engine.cat
+    checks = verify.run_suite(args.suite, cat, engine,
+                              subset_gate=args.subset_gate)
     passed = all(c.passed for c in checks)
     print(canonical_json({
         "algebra": cat.spec.to_dict(),
@@ -297,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("classes", cmd_classes, "equivalence classes with summand keys")
 
     p = add("poset", cmd_poset, "emit a partial order on equivalence classes")
-    p.add_argument("--order", required=True, choices=orders_mod.ORDER_TAGS)
+    p.add_argument("--order", required=True, choices=ORDER_TAGS)
     p.add_argument("--format", default="dot", choices=("dot", "json"))
     p.add_argument("--output", "-o", default=None, help="write to a file")
 
@@ -308,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="module expression, e.g. 'U(1,2)+U(2,1)', 'I[1,3]' or '#4'")
 
     p = add("verify", cmd_verify, "run a verification suite")
-    p.add_argument("--suite", required=True, choices=verify_mod.SUITES)
+    p.add_argument("--suite", required=True, choices=SUITES)
     return parser
 
 

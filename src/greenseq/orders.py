@@ -24,11 +24,10 @@ from functools import reduce
 from itertools import combinations
 from operator import or_
 
+from .cli import ORDER_TAGS
 from .errors import GateError, InvariantViolation, UsageError
 from .green import GreenEngine, SiltingSummand
 from .modcat import ModuleCategory
-
-ORDER_TAGS = ("pentagon", "summand", "hn", "brick")
 
 # no order is built on more classes than this, as rows and the hn order
 # cost C^2: it admits every 6-vertex type-A orientation (972-1,085; hn at

@@ -24,8 +24,6 @@ at its two ends are tested.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .algebra import AlgebraSpec
 from .errors import InvariantViolation, UsageError
 from .modcat import Indec, ModuleSum, SesRecord
@@ -213,6 +211,9 @@ class TypeABackend:
     def _solve_cartan(self, target: list[int]) -> list[int]:
         # Multiplicities m with sum m_v * dimvec(P_v) = target; the Cartan
         # matrix of a hereditary algebra is unimodular, so m is integral.
+        # Imported here: only the presentation oracle of Ext needs it.
+        from fractions import Fraction
+
         n = self.n
         rows = [[Fraction(self.catalog[self.projectives[v]].dimvec[w])
                  for v in range(n)] + [Fraction(target[w])] for w in range(n)]

@@ -19,13 +19,12 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
 
+from .cli import SUITES
 from .errors import GateError, TheoremViolation, UsageError
 from .green import PATH_CHECKS, GreenEngine
 from .modcat import DEFAULT_SUBSET_GATE, ModuleCategory
 from . import orders as orders_mod
 from .orders import _bits, _containment_rows
-
-SUITES = ("theoremA", "theoremB", "theoremC", "lemmas", "all")
 
 
 @dataclass

@@ -1,10 +1,15 @@
 """Command-line interface: outputs, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import greenseq
 from greenseq import AlgebraSpec, GreenEngine, ModuleCategory, cli, green, modcat
 from greenseq.cli import canonical_json, main
 from greenseq.typea import TypeABackend
@@ -366,14 +371,72 @@ def test_bad_module_expression(capsys, a2_file):
 
 
 def test_failed_check_maps_to_exit_one(capsys, a2_file, monkeypatch):
-    from greenseq import cli
     from greenseq.verify import CheckResult
 
-    monkeypatch.setattr(cli.verify_mod, "run_suite",
+    monkeypatch.setattr("greenseq.verify.run_suite",
                         lambda *a, **k: [CheckResult("synthetic", False, {})])
     code, out, _ = run(capsys, "verify", a2_file, "--suite", "lemmas")
     assert code == 1
     assert json.loads(out)["passed"] is False
+
+
+def _fresh_python(script: str, *args: str) -> str:
+    """stdout of `script` run by a fresh interpreter that imports this
+    greenseq."""
+    src = str(Path(greenseq.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", script, *args],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, check=True)
+    return proc.stdout
+
+
+_LAYERS = ("greenseq.green", "greenseq.orders", "greenseq.verify")
+# each call on type A <> and the layers it must not load
+_FOOTPRINTS = [
+    (["catalog"], _LAYERS),
+    (["--exact", "catalog"], _LAYERS),
+    (["bricks"], _LAYERS),
+    (["--exact", "bricks"], _LAYERS),
+    (["mgs"], _LAYERS[1:]),
+    (["classes"], _LAYERS[1:]),
+    (["hn", "--mgs", "0", "--module", "#0"], _LAYERS[1:]),
+    (["poset", "--order", "pentagon"], _LAYERS[2:]),
+]
+
+
+@pytest.mark.parametrize("argv, absent", _FOOTPRINTS,
+                         ids=[" ".join(argv) for argv, _ in _FOOTPRINTS])
+def test_command_imports_only_the_layers_it_runs(example_file, argv, absent):
+    flags = argv[:argv[0] == "--exact"]
+    command, *options = argv[len(flags):]
+    script = ("import contextlib, io, json, sys\n"
+              "from greenseq import cli\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    code = cli.main(sys.argv[1:])\n"
+              "print(json.dumps([code, sorted(sys.modules)]))")
+    code, loaded = json.loads(_fresh_python(
+        script, *flags, command, example_file, *options))
+    assert code == 0
+    assert "greenseq.modcat" in loaded
+    # over type A only the Ext presentation oracle, which `verify` runs,
+    # needs Fraction arithmetic
+    assert [m for m in (*absent, "fractions") if m in loaded] == []
+
+
+def test_star_import_binds_every_exported_name():
+    script = ("import json, sys\n"
+              "import greenseq\n"
+              "early = [m for m in ('greenseq.green', 'greenseq.orders')\n"
+              "         if m in sys.modules]\n"
+              "names = {}\n"
+              "exec('from greenseq import *', names)\n"
+              "print(json.dumps([early, [n for n in greenseq.__all__\n"
+              "                          if n not in names],\n"
+              "                  greenseq.GreenEngine.__module__]))")
+    assert json.loads(_fresh_python(script)) == [[], [], "greenseq.green"]
+    assert greenseq.GreenEngine is green.GreenEngine
+    with pytest.raises(AttributeError):
+        greenseq.no_such_name
 
 
 _SCALARS = st.one_of(

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from greenseq import AlgebraSpec, ModuleCategory, ModuleSum, TorsionClass, cli, modcat
 from greenseq.errors import GateError, InvariantViolation, UsageError
+from greenseq.linalg import rank_exact, rank_mod_p
 from greenseq.nakayama import NakayamaBackend
 from greenseq.typea import TypeABackend
 
@@ -183,6 +184,123 @@ def test_flipped_hom_entry_fails_the_exact_build(spec, backend, monkeypatch,
     assert cli.main(["catalog", str(path)]) == 0
     assert cli.main(["--exact", "catalog", str(path)]) == 1
     assert str(err.value) in capsys.readouterr().err
+
+
+def _dense_system(cat, a, b):
+    """(unknowns, rows) of the Hom system of (a, b) built densely, the
+    oracle of `_hom_dim`: unknowns numbered over every vertex, rows for
+    every slot with a non-zero end, zero rows dropped."""
+    M, N = cat.catalog[a], cat.catalog[b]
+    offs, total = [], 0
+    for v in range(cat.n):
+        offs.append(total)
+        total += M.spaces[v] * N.spaces[v]
+    if not total:
+        return 0, []
+    rows = []
+    for k, (s, d) in enumerate(cat.slots):
+        if not M.spaces[d] and not N.spaces[s]:
+            continue  # every row of this slot is zero
+        TM, TN = M.matrices[k], N.matrices[k]
+        for i in range(N.spaces[d]):
+            for j in range(M.spaces[s]):
+                row = [0] * total
+                for t in range(M.spaces[d]):
+                    row[offs[d] + i * M.spaces[d] + t] += TM[t][j]
+                for t in range(N.spaces[s]):
+                    row[offs[s] + t * M.spaces[s] + j] -= TN[i][t]
+                if any(row):
+                    rows.append(row)
+    return total, rows
+
+
+def _assert_hom_dims_match_dense_oracle(spec):
+    """`_hom_dim` against the dense, unmemoised elimination, pair by pair,
+    over F_p and over the rationals."""
+    prime, exact = ModuleCategory(spec), ModuleCategory(spec, exact=True)
+    size = len(prime.catalog)
+    for a in range(size):
+        for b in range(size):
+            total, rows = _dense_system(prime, a, b)
+            assert prime._hom_dim(a, b) == total - rank_mod_p(rows), (a, b)
+            assert exact._hom_dim(a, b) == total - rank_exact(rows), (a, b)
+
+
+@pytest.mark.parametrize("spec", HOM_SWEEP, ids=lambda s: s.label())
+def test_hom_dims_match_dense_elimination(spec):
+    _assert_hom_dims_match_dense_oracle(spec)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(_drawn_specs)
+def test_hom_dims_match_dense_elimination_on_drawn_algebras(spec):
+    _assert_hom_dims_match_dense_oracle(spec)
+
+
+def _counting_rank_exact(monkeypatch) -> list[tuple]:
+    """The rows of every exact elimination `modcat` runs from now on."""
+    calls = []
+
+    def counted(rows):
+        calls.append(tuple(map(tuple, rows)))
+        return rank_exact(rows)
+
+    monkeypatch.setattr(modcat, "rank_exact", counted)
+    return calls
+
+
+# typeA <x16 has 15,657 pairs with a common support
+@pytest.mark.parametrize("spec, count", [
+    (AlgebraSpec.type_a("<" * 16), 64),
+    (AlgebraSpec.nakayama([3, 3, 3], cyclic=True), 24),
+], ids=["typeA-<x16", "nakayama-cyclic-3,3,3"])
+def test_exact_build_eliminates_each_distinct_system_once(monkeypatch, spec,
+                                                           count):
+    calls = _counting_rank_exact(monkeypatch)
+    cat = ModuleCategory(spec, exact=True)
+    size = len(cat.catalog)
+    systems = set()
+    for a in range(size):
+        for b in range(size):
+            total, rows = _dense_system(cat, a, b)
+            if total:
+                systems.add(tuple(map(tuple, rows)))
+    assert len(calls) == len(set(calls)) == len(systems) == count
+    assert set(calls) == systems
+
+
+def test_flipped_hom_entry_read_from_the_memo_fails_the_exact_build(
+        monkeypatch):
+    spec = AlgebraSpec.type_a("<<<<")
+    cat = category_for(spec)
+    size = len(cat.catalog)
+    seen, repeats = set(), []
+    for a in range(size):
+        for b in range(size):
+            total, rows = _dense_system(cat, a, b)
+            key = tuple(map(tuple, rows))
+            if total:
+                if key in seen:
+                    repeats.append((a, b, key))
+                seen.add(key)
+    # the last repeat, so that many systems are eliminated before it
+    a, b, key = repeats[-1]
+    real = TypeABackend.hom_table
+
+    def flipped(self):
+        table = [list(row) for row in real(self)]
+        table[a][b] += 1
+        return tuple(map(tuple, table))
+
+    monkeypatch.setattr(TypeABackend, "hom_table", flipped)
+    calls = _counting_rank_exact(monkeypatch)
+    with pytest.raises(InvariantViolation) as err:
+        ModuleCategory(spec, exact=True)
+    assert calls.count(key) == 1  # eliminated for an earlier pair
+    good = cat.hom_table[a][b]
+    assert str(err.value) == (
+        f"dim Hom({cat.display(a)}, {cat.display(b)}) is {good + 1} in the "
+        f"Hom table but {good} by elimination")
 
 
 # -- ext ------------------------------------------------------------------

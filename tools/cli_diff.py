@@ -20,6 +20,9 @@ type-A quivers <x16, <>x8 and <<><<>><<><<>><< (17 vertices each);
 `catalog` and `bricks` with `--exact` on Nakayama 3,3,3,2,1 and the six
 cyclic series, whose runs without it are among the commands above, so
 that both Hom closed forms meet exact elimination;
+`verify --suite all` with `--exact` on typeA <<<< and <><>, Nakayama
+3,3,3,2,1 and cyclic 3,3,3, where the exact build and the verify checks
+share one memo of eliminated Hom systems;
 `classes`, `poset` for the pentagon, summand and hn orders, as DOT and
 with `--format json`, and `verify --suite all` on the six-vertex typeA
 <<<<< (972 classes); and on the six-vertex typeA <><>< (16,424,057
@@ -31,7 +34,7 @@ Then, on each of the algebras with every command, `hn` along the first
 and the last sequence of the `mgs` output (the first tree's, or the
 second's when only that one lists them), given as a brick list, once
 with `--module` the sum of every catalog module (#0+#1+...) and once for
-each single module, and given as its `mgs` index with that sum: 1152
+each single module, and given as its `mgs` index with that sum: 1156
 calls in all.  A call that both trees reject with a usage error (exit 2)
 is reported too: the battery should make none.  A call that the first
 tree rejects with exit 2 and the second answers with exit 0 is reported
@@ -77,8 +80,8 @@ def linear_kupisch(max_n: int):
 
 
 def battery() -> list[tuple[dict, str]]:
-    """(algebra, which commands: "all", "exact", "five", "six", "zigzag"
-    or "long")."""
+    """(algebra, which commands: "all", "exact", "exact-verify", "five",
+    "six", "zigzag" or "long")."""
     specs = [type_a("".join(w)) for n in range(1, 5)
              for w in itertools.product("<>", repeat=n - 1)]
     specs += [nakayama(s) for s in linear_kupisch(4)]
@@ -91,8 +94,11 @@ def battery() -> list[tuple[dict, str]]:
              and (spec["cyclic"] or spec["kupisch"] == [3, 3, 3, 2, 1])]
     five = [type_a("".join(w)) for w in itertools.product("<>", repeat=4)]
     long = [type_a("<" * 16), type_a("<>" * 8), type_a("<<><<>><<><<>><<")]
+    exact_verify = [type_a("<<<<"), type_a("<><>"), nakayama([3, 3, 3, 2, 1]),
+                    nakayama([3, 3, 3], cyclic=True)]
     return ([(spec, "all") for spec in specs]
             + [(spec, "exact") for spec in exact]
+            + [(spec, "exact-verify") for spec in exact_verify]
             + [(spec, "five") for spec in five]
             + [(spec, "long") for spec in long]
             + [(type_a("<<<<<"), "six"), (type_a("<><><"), "zigzag")])
@@ -112,6 +118,8 @@ def commands(spec: dict, kind: str) -> list[list[str]]:
                 for flags in ([], ["--exact"])]
     if kind == "exact":
         return [["--exact", cmd] for cmd in ("catalog", "bricks")]
+    if kind == "exact-verify":
+        return [["--exact", "verify", "--suite", "all"]]
     orders = ["pentagon", "summand", "hn"]
     if spec["type"] == "nakayama":
         orders.append("brick")
