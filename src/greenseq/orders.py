@@ -11,10 +11,14 @@ generated torsion lattice's polygons, walked once per engine
 (`GreenEngine.polygons`), and find the classes on either side by
 summand-mask lookup, never by listing sequences; the all-pairs polygon
 search and the per-sequence deformation scan stay in the tests as
-oracles.  The hn order and the exchange-persistence check read one
-stable-factor table and one exchange-pair set per class.  Every order
-is built, checked and read as int rows (`ClassPoset`); only `poset
---format json` expands one to a boolean matrix.
+oracles.  The pentagon closure ORs each row with its generators' rows,
+pass after pass, until no row changes.  The hn order and the
+exchange-persistence check read one stable-factor table and one
+exchange-pair set per class; the hn order evaluates each class once per
+module and distinct value of the stable-factor function there, not once
+per pair of classes.  Every order is built, checked and read as int rows
+(`ClassPoset`); only `poset --format json` expands one to a boolean
+matrix.
 """
 
 from __future__ import annotations
@@ -29,10 +33,14 @@ from .errors import GateError, InvariantViolation, UsageError
 from .green import GreenEngine, SiltingSummand
 from .modcat import ModuleCategory
 
-# no order is built on more classes than this, as rows and the hn order
-# cost C^2: it admits every 6-vertex type-A orientation (972-1,085; hn at
-# most 8.4 s) and refuses Nakayama 2,4,5,4,3,2,1 (1,150; hn 12.0 s) and
-# 7-vertex type A (8,477-10,929) (in-process, one run each, 2 vCPUs)
+# no order is built on more classes than this.  It admits every 6-vertex
+# type-A orientation (972-1,085 classes; at 1,085 the hn order takes 0.6 s
+# and the `poset --format json` matrix 0.4 s and 15 MB) and refuses
+# Nakayama 2,4,5,4,3,2,1 (1,150) and 7-vertex type A (8,477-10,929).  At
+# 8,477 classes the hn order takes 15 s, `_check_partial_order` 3.6 s and
+# `_covers_from_leq` 1.7 s, and the JSON matrix would be about 1 GB, so
+# raising it needs a bound on that matrix (in-process, one run each,
+# 2 vCPUs)
 CLASS_GATE = 1_100
 
 BRICK_ORDER_REFUSAL = (
@@ -76,15 +84,18 @@ def iepd_cover_pairs(engine: GreenEngine) -> frozenset[tuple[int, int]]:
 
 
 def _transitive_reflexive_closure(size: int, pairs) -> list[int]:
+    """Each row ORed with the rows of its generators, pass after pass,
+    until no row changes: exact on any graph, with or without cycles."""
     rows = [1 << i for i in range(size)]
     for i, j in pairs:
         rows[i] |= 1 << j
-    for k in range(size):
-        bit, row_k = 1 << k, rows[k]
-        for i in range(size):
-            if rows[i] & bit:
-                rows[i] |= row_k
-    return rows
+    generators = [list(_bits(row)) for row in rows]
+    while True:
+        before = rows[:]
+        for i, gens in enumerate(generators):
+            rows[i] = reduce(or_, map(rows.__getitem__, gens))
+        if rows == before:
+            return rows
 
 
 def _check_partial_order(tag: str, rows: list[int]) -> None:
@@ -136,17 +147,14 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _hn_leq(f_lo: dict, f_hi: dict) -> bool:
-    """Do the f_hi stable factors refine the f_lo ones on every
-    indecomposable?  Each table maps a module to {brick: multiplicity}."""
-    for x, factors in f_lo.items():
-        expected: dict[int, int] = {}
-        for brick, mult in factors.items():
-            for b2, m2 in f_hi[brick].items():
-                expected[b2] = expected.get(b2, 0) + mult * m2
-        if expected != f_hi[x]:
-            return False
-    return True
+def _hn_refines(value: tuple, f_hi: dict, x: int) -> bool:
+    """Do the f_hi stable factors of the bricks of value, a stable-factor
+    tuple of (brick, multiplicity), add up to f_hi(x)?"""
+    expected: dict[int, int] = {}
+    for brick, mult in value:
+        for b2, m2 in f_hi[brick]:
+            expected[b2] = expected.get(b2, 0) + mult * m2
+    return tuple(sorted(expected.items())) == f_hi[x]
 
 
 def build_order(tag: str, engine: GreenEngine) -> ClassPoset:
@@ -160,12 +168,20 @@ def build_order(tag: str, engine: GreenEngine) -> ClassPoset:
     elif tag == "summand":
         rows = _containment_rows([frozenset(c.key) for c in classes])
     elif tag == "hn":
-        tables = [{x: dict(row) for x, row in
-                   engine.stable_factor_function(c.representative).items()}
+        # lo lies below hi when every f_lo(x) refines at hi; that reads lo
+        # only through the value f_lo(x), so each value is tested once
+        tables = [engine.stable_factor_function(c.representative)
                   for c in classes]
-        rows = [sum(1 << j for j in range(size)
-                    if i == j or _hn_leq(tables[i], tables[j]))
-                for i in range(size)]
+        rows = [(1 << size) - 1] * size
+        for x in range(len(engine.cat.catalog)):
+            passing: dict = {}  # f(x) -> the classes hi at which it refines
+            for lo, f_lo in enumerate(tables):
+                if f_lo[x] not in passing:
+                    passing[f_lo[x]] = sum(
+                        1 << hi for hi, f_hi in enumerate(tables)
+                        if _hn_refines(f_lo[x], f_hi, x))
+                rows[lo] &= passing[f_lo[x]]
+        rows = [row | 1 << i for i, row in enumerate(rows)]
     elif tag == "brick":
         if not engine.cat.spec.is_nakayama:
             raise UsageError(BRICK_ORDER_REFUSAL)

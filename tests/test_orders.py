@@ -153,7 +153,7 @@ def test_class_gate_fires_before_any_row(monkeypatch, example_engine, tag):
 
     monkeypatch.setattr(orders, "CLASS_GATE", 5)
     for name in ("iepd_cover_pairs", "_transitive_reflexive_closure",
-                 "_containment_rows"):
+                 "_containment_rows", "_hn_refines"):
         monkeypatch.setattr(orders, name, refuse)
     monkeypatch.setattr(GreenEngine, "stable_factor_function", refuse)
     with pytest.raises(GateError) as exc:
@@ -198,6 +198,26 @@ def test_hn_order_matches_counter_oracle(spec):
                       for j in range(len(tables)))
                 for i in range(len(tables)))
     assert build_order("hn", eng).rows == tuple(_rows(leq))
+
+
+def test_hn_order_evaluates_each_module_value_once(monkeypatch):
+    # one evaluation per class and distinct value of f(x): a pairwise
+    # construction makes classes^2 per module
+    eng = engine_for(AlgebraSpec.type_a("<<<<"))
+    tables = [eng.stable_factor_function(c.representative)
+              for c in eng.equivalence_classes()]
+    values = sum(len({f[x] for f in tables}) for x in range(len(eng.cat.catalog)))
+    calls = []
+    real = orders._hn_refines
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(orders, "_hn_refines", counting)
+    build_order("hn", eng)
+    assert values < len(tables) * len(eng.cat.catalog)
+    assert len(calls) == len(tables) * values
 
 
 def _containment_by_pairs(sets):
@@ -316,6 +336,34 @@ def test_poset_algebra_matches_loops(spec):
         _check_loops(tag, leq)
         _check_partial_order(tag, _rows(leq))
         assert _covers_from_leq(_rows(leq)) == _covers_loops(leq) == poset.covers
+
+
+def test_pentagon_generator_cycle_raises_antisymmetry(monkeypatch, example_engine):
+    # reverse one deformation pair: the closure must still reach
+    # `_check_partial_order`, with the message of the loop closure
+    real = iepd_cover_pairs(example_engine)
+    lo, hi = min(real)
+    pairs = real | {(hi, lo)}
+    monkeypatch.setattr(orders, "iepd_cover_pairs", lambda engine: pairs)
+    expected = _check_message(_check_loops, "pentagon",
+                              _closure_loops(len(example_engine.equivalence_classes()),
+                                             pairs))
+    assert expected == f"pentagon order fails antisymmetry on classes {lo}, {hi}"
+    with pytest.raises(InvariantViolation) as exc:
+        build_order("pentagon", example_engine)
+    assert str(exc.value) == expected
+
+
+@pytest.mark.parametrize("step", [1, -1], ids=["up", "down"])
+def test_closure_of_a_long_chain_matches_loops(step):
+    # with step 1 each row takes in the next one, so it is complete only
+    # after every row of higher index: the index order is the reverse of
+    # the order the rows are finished in, and one pass is not enough
+    size = 64
+    pairs = [(i, i + step) for i in range(size) if 0 <= i + step < size]
+    rows = _transitive_reflexive_closure(size, pairs)
+    assert rows == _rows(_closure_loops(size, pairs))
+    assert rows[0 if step == 1 else size - 1] == (1 << size) - 1
 
 
 BROKEN_RELATIONS = [

@@ -29,12 +29,14 @@ with `--format json`, and `verify --suite all` on the six-vertex typeA
 sequences, more than `mgs` lists), `poset --format json` for the
 pentagon, summand and hn orders, `verify --suite all`, and `hn` along its
 first and last sequence given as an index, with the sum of its 21
-catalog modules.
+catalog modules; `poset` for the hn and pentagon orders as DOT (covers
+only) on the other 31 six-vertex type-A orientations, where the orders
+have the most classes (972-1,085).
 Then, on each of the algebras with every command, `hn` along the first
 and the last sequence of the `mgs` output (the first tree's, or the
 second's when only that one lists them), given as a brick list, once
 with `--module` the sum of every catalog module (#0+#1+...) and once for
-each single module, and given as its `mgs` index with that sum: 1156
+each single module, and given as its `mgs` index with that sum: 1218
 calls in all.  A call that both trees reject with a usage error (exit 2)
 is reported too: the battery should make none.  A call that the first
 tree rejects with exit 2 and the second answers with exit 0 is reported
@@ -81,7 +83,7 @@ def linear_kupisch(max_n: int):
 
 def battery() -> list[tuple[dict, str]]:
     """(algebra, which commands: "all", "exact", "exact-verify", "five",
-    "six", "zigzag" or "long")."""
+    "six", "six-dot", "zigzag" or "long")."""
     specs = [type_a("".join(w)) for n in range(1, 5)
              for w in itertools.product("<>", repeat=n - 1)]
     specs += [nakayama(s) for s in linear_kupisch(4)]
@@ -93,6 +95,9 @@ def battery() -> list[tuple[dict, str]]:
     exact = [spec for spec in specs if spec["type"] == "nakayama"
              and (spec["cyclic"] or spec["kupisch"] == [3, 3, 3, 2, 1])]
     five = [type_a("".join(w)) for w in itertools.product("<>", repeat=4)]
+    # <<<<< has every order as DOT among its "six" commands
+    six_dot = [type_a("".join(w)) for w in itertools.product("<>", repeat=5)
+               if "".join(w) != "<<<<<"]
     long = [type_a("<" * 16), type_a("<>" * 8), type_a("<<><<>><<><<>><<")]
     exact_verify = [type_a("<<<<"), type_a("<><>"), nakayama([3, 3, 3, 2, 1]),
                     nakayama([3, 3, 3], cyclic=True)]
@@ -101,6 +106,7 @@ def battery() -> list[tuple[dict, str]]:
             + [(spec, "exact-verify") for spec in exact_verify]
             + [(spec, "five") for spec in five]
             + [(spec, "long") for spec in long]
+            + [(spec, "six-dot") for spec in six_dot]
             + [(type_a("<<<<<"), "six"), (type_a("<><><"), "zigzag")])
 
 
@@ -120,6 +126,8 @@ def commands(spec: dict, kind: str) -> list[list[str]]:
         return [["--exact", cmd] for cmd in ("catalog", "bricks")]
     if kind == "exact-verify":
         return [["--exact", "verify", "--suite", "all"]]
+    if kind == "six-dot":
+        return [["poset", "--order", o] for o in ("hn", "pentagon")]
     orders = ["pentagon", "summand", "hn"]
     if spec["type"] == "nakayama":
         orders.append("brick")
