@@ -5,9 +5,10 @@ identical inputs produce byte-identical output; Hasse diagrams can also
 be emitted as DOT.  The JSON is exactly `json.dumps(obj, indent=2,
 sort_keys=True)` plus a newline, written by `canonical_json` without the
 standard library's pure-Python indenting encoder (see there); `mgs`
-writes its sequence records itself during the walk (`cmd_mgs`).  Exit
-codes: 0 success, 1 a verification check failed, 2 usage, parse, or gate
-errors; each gate bounds the object that costs (see the README).
+writes its sequence records itself during the walk, from the text of
+each walk prefix and of each tabled tail, each encoded once (`cmd_mgs`).
+Exit codes: 0 success, 1 a verification check failed, 2 usage, parse,
+or gate errors; each gate bounds the object that costs (see the README).
 
 Each command imports and builds only the layers it runs: `catalog` and
 `bricks` read the `ModuleCategory` alone; `mgs`, `classes` and `hn` add
@@ -162,29 +163,46 @@ _RECORDS_PER_WRITE = 4096
 def cmd_mgs(args) -> int:
     """The report `canonical_json` would write for every sequence, written
     while the lattice walk runs.  Each record has the same shape, so it is
-    one f-string of per-brick tokens that are encoded once."""
+    one f-string of the texts of its three token lists, index and length.
+    The walk groups the chains by shared prefix (`sequence_groups`): each
+    text joins the tokens of the group's head, encoded once per group, to
+    those of the tail, encoded once per run for each tabled class."""
     engine = _engine(args)
     cat = engine.cat
-    walk = engine.sequence_walk()  # the gates fire before any output
+    groups = engine.sequence_groups()  # the gates fire before any output
     count = cat.generated_lattice().maximal_chain_count()
     head = canonical_json({"algebra": cat.spec.to_dict(), "count": count,
                            "sequences": []})
-    display = {b: encode_basestring_ascii(cat.display(b)) for b in cat.bricks}
-    descriptor = {b: encode_basestring_ascii(cat.descriptor_str(b))
-                  for b in cat.bricks}
-    ident = {b: repr(b) for b in cat.bricks}
+    tokens = ({b: encode_basestring_ascii(cat.display(b)) for b in cat.bricks},
+              {b: encode_basestring_ascii(cat.descriptor_str(b))
+               for b in cat.bricks},
+              {b: repr(b) for b in cat.bricks})
     item = ",\n        "
-    records = (
-        f'{{\n      "bricks": [\n        {item.join(map(display.__getitem__, s))}'
-        f'\n      ],\n      "descriptors": [\n        '
-        f'{item.join(map(descriptor.__getitem__, s))}'
-        f'\n      ],\n      "ids": [\n        {item.join(map(ident.__getitem__, s))}'
-        f'\n      ],\n      "index": {k},\n      "length": {len(s)}\n    }}'
-        for k, s in enumerate(walk))
+
+    def texts(labels, end=""):
+        return [item.join(map(tok.__getitem__, labels)) + end for tok in tokens]
+
+    def records():
+        # the texts of the tails of each tabled class, by the id of their
+        # list, which the walk holds until it ends
+        k, tail_texts = 0, {}
+        for prefix, _, tails in groups:
+            bricks, descriptors, ids = texts(prefix, item if prefix else "")
+            known = tail_texts.get(id(tails))
+            if known is None:
+                known = tail_texts[id(tails)] = [(*texts(t), len(t)) for t, _ in tails]
+            n = len(prefix)
+            for b, d, i, length in known:
+                yield (f'{{\n      "bricks": [\n        {bricks}{b}\n      ],'
+                       f'\n      "descriptors": [\n        {descriptors}{d}'
+                       f'\n      ],\n      "ids": [\n        {ids}{i}\n      ],'
+                       f'\n      "index": {k},\n      "length": {n + length}\n    }}')
+                k += 1
+
     write = sys.stdout.write
     write(head[:-len("[]\n}\n")])
-    sep, written = "[\n    ", 0
-    while chunk := list(islice(records, _RECORDS_PER_WRITE)):
+    sep, written, chunks = "[\n    ", 0, records()
+    while chunk := list(islice(chunks, _RECORDS_PER_WRITE)):
         write(sep + ",\n    ".join(chunk))
         sep, written = ",\n    ", written + len(chunk)
     write("\n  ]\n}\n" if written else "[]\n}\n")

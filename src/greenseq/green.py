@@ -28,33 +28,40 @@ a chain: every silting summand, exchange pair and (module, brick,
 multiplicity) HN entry is numbered, and each class and cover contributes
 a bitmask, as to the per-sequence lemma checks (PATH_CHECKS), which are
 checked once per class (`path_failures`).  One walk visits every maximal
-chain (`_walk`): it lists the sequences (`sequence_walk`) and finds the
-members of the classes (`class_members`), the two listings that
-`SEQUENCE_GATE` bounds.  The uncached per-sequence methods (`torsion_chain`,
-`summand_set`, `exchange_pairs`, `stable_factor_function`, `square_swap`)
-serve the `hn` command, the orders' one representative per class, and
-the tests as oracles.
+chain (`_walk`) and yields the chains grouped by shared prefix: a head
+of labels down to a class with at most `_TAIL_LIMIT` chains below it,
+and that class's list of tails, listed once and shared by every head
+that reaches it.  The walk lists the sequences (`sequence_groups`,
+flattened by `sequence_walk`) and finds the members of the classes
+(`class_members`), the two listings that `SEQUENCE_GATE` bounds.  The
+uncached per-sequence methods (`torsion_chain`, `summand_set`,
+`exchange_pairs`, `stable_factor_function`, `square_swap`) serve the
+`hn` command, the orders' one representative per class, and the tests
+as oracles.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from operator import itemgetter, or_
+from operator import or_
 
 from .errors import GateError, InvariantViolation, TheoremViolation, UsageError
 from .modcat import ModuleCategory, ModuleSum, TorsionClass
 
-# `sequence_walk` and `class_members`, which alone list sequences, refuse
-# more than this before the walk starts.  typeA <<<<< has 340,549: `mgs`
-# streams them in 3.3 s at a 39 MB peak RSS for 302 MB of JSON (one run, 2
-# shared vCPUs), about 890 bytes a sequence, so this bound keeps a listing
-# near 355 MB of output; typeA <><>< has 16,424,057
+# `sequence_groups` (so `sequence_walk`) and `class_members`, which alone
+# list sequences, refuse more than this before the walk starts.  typeA
+# <<<<< has 340,549: `mgs` streams them in 0.5-0.75 s at a 39 MB peak RSS
+# for 302 MB of JSON (CLI, stdout to /dev/null, nine runs, 2 shared
+# vCPUs), about 890 bytes a sequence, so this bound keeps a listing near
+# 355 MB of output; typeA <><>< has 16,424,057
 SEQUENCE_GATE = 400_000
 
 # `GreenEngine._walk` lists the chains below a class once when there are at
-# most this many: on typeA <<<<< the walk then takes 0.09 s instead of 0.6 s
-# (in-process, 2 shared vCPUs)
+# most this many, and yields that list once per prefix that reaches the
+# class: on typeA <<<<< the walk yields 11,554 groups in 0.007 s, and its
+# 340,549 chains flattened in 0.05 s; at most 1 gives 340,549 groups in
+# 0.2 s (in-process, 2 shared vCPUs)
 _TAIL_LIMIT = 64
 
 # the per-sequence lemma checks, read off the `cover_table` path columns
@@ -171,13 +178,20 @@ class GreenEngine:
 
     def sequence_walk(self):
         """An iterator over the cover labels of every maximal chain of the
-        generated torsion lattice, in lexicographic order, once
-        `_listed_lattice` admits them; the gates fire on this call, before
+        generated torsion lattice, in lexicographic order: the chains of
+        `sequence_groups`, flattened; the gates fire on this call, before
         the first label is read."""
+        return (head + t for head, _, tails in self.sequence_groups() for t, _ in tails)
+
+    def sequence_groups(self):
+        """The chains of `sequence_walk` as `_walk` groups them, once
+        `_listed_lattice` admits them: (head, 0, tails), whose chains are
+        head + t for the labels t of tails, a list shared by every group
+        that reaches one class; the gates fire on this call."""
         lattice = self._listed_lattice()
         rows = {up: sorted((lab, lo, 0) for lo, lab in downs)
                 for up, downs in lattice.lower_covers.items()}
-        return map(itemgetter(0), self._walk(lattice, rows))
+        return self._walk(lattice, rows)
 
     def sequence_at(self, k: int) -> MGS:
         """The k-th sequence of `sequence_walk`, unranked from the per-class
@@ -209,12 +223,15 @@ class GreenEngine:
         return lattice
 
     def _walk(self, lattice, rows):
-        """Yield (labels, OR of masks) for each maximal chain, where rows
+        """Yield the maximal chains grouped by shared prefix, where rows
         gives each class's lower covers in label order as (label, lower
-        class, mask).  The lower covers of a class carry distinct labels,
-        so the chains come lexicographically.  The chains below a class
-        with at most `_TAIL_LIMIT` of them are listed once, bottom up, with
-        their masks, and appended to each prefix that reaches it."""
+        class, mask).  A group (head, mask, tails) holds the chains head + t,
+        with mask | tm their OR of masks, for each (t, tm) of tails: head
+        runs down to a class with at most `_TAIL_LIMIT` chains below it,
+        whose chains are listed once, bottom up, as tails, and shared by
+        every group that reaches it.  The lower covers of a class carry
+        distinct labels, so the chains come lexicographically.  Every atom
+        has one chain, so a tail is empty only when the head is too."""
         tails = {lattice.bottom: [((), 0)]}
         for c in sorted(rows, key=lambda i: len(lattice.classes[i])):
             if c not in tails and all(lo in tails for _, lo, _ in rows[c]):
@@ -223,7 +240,7 @@ class GreenEngine:
                 if len(below) <= _TAIL_LIMIT:
                     tails[c] = below
         if lattice.top in tails:
-            yield from tails[lattice.top]
+            yield (), 0, tails[lattice.top]
             return
         # stack[i] runs over the lower covers of the class below prefix[:i],
         # with the OR of the masks along prefix[:i]
@@ -234,9 +251,7 @@ class GreenEngine:
             for lab, lo, m in below:
                 m |= above
                 if lo in tails:
-                    head = (*prefix, lab)
-                    for t, tm in tails[lo]:
-                        yield head + t, m | tm
+                    yield (*prefix, lab), m, tails[lo]
                 else:
                     prefix.append(lab)
                     stack.append((iter(rows[lo]), m))
@@ -565,8 +580,9 @@ class GreenEngine:
     def class_members(self) -> list[tuple[int, ...]]:
         """Each class's indices in `sequence_walk`, from one walk (`_walk`)
         of every chain with the summand masks of `cover_table`: a chain
-        joins the class of its mask, the first chain of each class must be
-        its representative, and the lattice must count the chains walked."""
+        joins the class of its mask, read per chain without its labels, the
+        first chain of each class must be its representative, and the
+        lattice must count the chains walked."""
         lattice = self._listed_lattice()  # before the classes are found
         classes = self.equivalence_classes()
         by_key = self.classes_by_key()
@@ -574,14 +590,19 @@ class GreenEngine:
         rows = {up: [row[:3] for row in found] for up, found in steps.items()}
         members: list[list[int]] = [[] for _ in classes]
         first: dict[int, tuple[int, ...]] = {}
-        for k, (labels, mask) in enumerate(self._walk(lattice, rows)):
-            ci = by_key.get(summ[lattice.top] | mask)
-            if ci is None:
-                raise InvariantViolation(
-                    f"sequence {[self.cat.display(b) for b in labels]} has "
-                    f"a summand mask that is not the key of a class")
-            first.setdefault(ci, labels)
-            members[ci].append(k)
+        k = 0
+        for head, above, tails in self._walk(lattice, rows):
+            above |= summ[lattice.top]
+            for j, (t, mask) in enumerate(tails, k):
+                ci = by_key.get(above | mask)
+                if ci is None:
+                    raise InvariantViolation(
+                        f"sequence {[self.cat.display(b) for b in head + t]} "
+                        f"has a summand mask that is not the key of a class")
+                if ci not in first:
+                    first[ci] = head + t
+                members[ci].append(j)
+            k += len(tails)
         walked, count = sum(map(len, members)), lattice.maximal_chain_count()
         if walked != count:
             raise InvariantViolation(f"the lattice walk found {walked} "

@@ -37,10 +37,9 @@ from .modcat import ModuleCategory
 # type-A orientation (972-1,085 classes; at 1,085 the hn order takes 0.6 s
 # and the `poset --format json` matrix 0.4 s and 15 MB) and refuses
 # Nakayama 2,4,5,4,3,2,1 (1,150) and 7-vertex type A (8,477-10,929).  At
-# 8,477 classes the hn order takes 15 s, `_check_partial_order` 3.6 s and
-# `_covers_from_leq` 1.7 s, and the JSON matrix would be about 1 GB, so
-# raising it needs a bound on that matrix (in-process, one run each,
-# 2 vCPUs)
+# 8,477 classes the hn order takes 8 s, `_checked_covers` 1.2-1.5 s of
+# each order, and the JSON matrix would be about 1 GB, so raising it needs
+# a bound on that matrix (in-process, one run each, 2 vCPUs)
 CLASS_GATE = 1_100
 
 BRICK_ORDER_REFUSAL = (
@@ -100,7 +99,8 @@ def _transitive_reflexive_closure(size: int, pairs) -> list[int]:
 
 def _check_partial_order(tag: str, rows: list[int]) -> None:
     """Raise at the first (i, j, k), in lexicographic order, that breaks
-    reflexivity at i, antisymmetry on i, j or transitivity on i, j, k."""
+    reflexivity at i, antisymmetry on i, j or transitivity on i, j, k: the
+    message of a failure that `_checked_covers` finds."""
     for i, row_i in enumerate(rows):
         if not row_i >> i & 1:
             raise InvariantViolation(f"{tag} order is not reflexive at {i}")
@@ -115,15 +115,23 @@ def _check_partial_order(tag: str, rows: list[int]) -> None:
                     f"{tag} order fails transitivity on {i}, {j}, {k}")
 
 
-def _covers_from_leq(rows: list[int]) -> tuple[tuple[int, int], ...]:
+def _checked_covers(tag: str, rows: list[int]) -> tuple[tuple[int, int], ...]:
     """The (greater, lesser) pairs (j, i): i lies below j, i != j, and no
-    k other than i and j lies between them."""
+    k other than i and j lies between them, from one pass that also checks
+    that rows is a partial order.  For each i, between is the OR of the
+    strict rows of the classes strictly above i: the order is reflexive at
+    i when rows[i] holds i, antisymmetric there when between does not hold
+    i, and transitive when rows[i] holds between; the covers of i are the
+    classes above it outside between.  On a failure `_check_partial_order`
+    raises with its message."""
     strict = [row & ~(1 << i) for i, row in enumerate(rows)]
     covers = []
     for i, above in enumerate(strict):
         between = 0
         for k in _bits(above):
             between |= strict[k]
+        if not rows[i] >> i & 1 or between >> i & 1 or between & ~rows[i]:
+            _check_partial_order(tag, rows)
         covers.extend((j, i) for j in _bits(above & ~between))
     return tuple(sorted(covers))
 
@@ -189,9 +197,8 @@ def build_order(tag: str, engine: GreenEngine) -> ClassPoset:
                                   for c in classes])
     else:
         raise UsageError(f"unknown order tag {tag!r}; pick one of {ORDER_TAGS}")
-    _check_partial_order(tag, rows)
     return ClassPoset(tag=tag, size=size, rows=tuple(rows),
-                      covers=_covers_from_leq(rows))
+                      covers=_checked_covers(tag, rows))
 
 
 def orders_equal_report(posets: list[ClassPoset]) -> dict:

@@ -240,7 +240,7 @@ def _lattice_checks(cat: ModuleCategory, engine: GreenEngine,
                               {"violations": bad,
                                "classes": len(lattice.classes)}))
     count = lattice.maximal_chain_count()
-    walked = sum(1 for _ in engine.sequence_walk())
+    walked = sum(len(tails) for _, _, tails in engine.sequence_groups())
     checks.append(CheckResult("mgs-count-matches-lattice-chains",
                               count == walked,
                               {"chains": count, "sequences": walked}))

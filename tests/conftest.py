@@ -53,6 +53,23 @@ def engine_for(spec: AlgebraSpec) -> GreenEngine:
     return _ENGINES[spec]
 
 
+def edit_walk(monkeypatch, edit):
+    """Make `_walk` yield edit(list of its (head, mask, tails) groups)."""
+    real = GreenEngine._walk
+    monkeypatch.setattr(GreenEngine, "_walk",
+                        lambda self, *args: edit(list(real(self, *args))))
+
+
+def drop_last_chain(groups):
+    *rest, (head, mask, tails) = groups
+    return rest + [(head, mask, tails[:-1])]
+
+
+def repeat_last_chain(groups):
+    *rest, (head, mask, tails) = groups
+    return rest + [(head, mask, tails + tails[-1:])]
+
+
 EXAMPLE_QUIVER = AlgebraSpec.type_a("<>")
 A2 = AlgebraSpec.type_a("<")
 

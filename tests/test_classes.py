@@ -29,8 +29,8 @@ from greenseq.green import PATH_CHECKS, EquivClass, ExchangePair, SiltingSummand
 from greenseq.orders import ORDER_TAGS, build_order
 from greenseq.verify import run_suite
 
-from conftest import (EXAMPLE_QUIVER, category_for, engine_for, full_battery,
-                      ids_of)
+from conftest import (EXAMPLE_QUIVER, category_for, drop_last_chain, edit_walk,
+                      engine_for, full_battery, ids_of, repeat_last_chain)
 from test_green import _small_algebra
 from test_verify import _patch_square_side
 
@@ -309,12 +309,15 @@ def test_classes_read_no_sequence_index(spec, monkeypatch):
 
 
 def test_class_members_walk_the_chains_once(monkeypatch):
-    calls = []
+    listed = [g.bricks for g in _fresh(EXAMPLE_QUIVER).enumerate_mgs()]
+    calls, chains = [], []
     real = GreenEngine._walk
 
     def counting(self, *args):
         calls.append(self)
-        return real(self, *args)
+        for head, mask, tails in real(self, *args):
+            chains.extend(head + t for t, _ in tails)
+            yield head, mask, tails
 
     monkeypatch.setattr(GreenEngine, "_walk", counting)
     eng = _fresh(EXAMPLE_QUIVER)
@@ -322,6 +325,7 @@ def test_class_members_walk_the_chains_once(monkeypatch):
     assert calls == []
     eng.class_members()
     assert calls == [eng]
+    assert chains == listed
 
 
 @pytest.mark.parametrize("spec", full_battery() + [AlgebraSpec.type_a("<<<<")],
@@ -352,14 +356,16 @@ def test_first_member_not_the_representative_raises():
 
 
 def test_walk_that_drops_a_chain_raises(monkeypatch):
-    real = GreenEngine._walk
-
-    def short(self, *args):
-        return list(real(self, *args))[:-1]
-
-    monkeypatch.setattr(GreenEngine, "_walk", short)
+    edit_walk(monkeypatch, drop_last_chain)
     with pytest.raises(InvariantViolation,
                        match="walk found 9 sequences where the lattice counts 10"):
+        _fresh(EXAMPLE_QUIVER).class_members()
+
+
+def test_walk_with_one_chain_too_many_raises(monkeypatch):
+    edit_walk(monkeypatch, repeat_last_chain)
+    with pytest.raises(InvariantViolation,
+                       match="walk found 11 sequences where the lattice counts 10"):
         _fresh(EXAMPLE_QUIVER).class_members()
 
 

@@ -14,6 +14,7 @@ from greenseq import AlgebraSpec, GreenEngine, ModuleCategory, cli, green, modca
 from greenseq.cli import canonical_json, main
 from greenseq.typea import TypeABackend
 
+from conftest import drop_last_chain, edit_walk, repeat_last_chain
 from test_classes import refuse_sequence_walks
 
 
@@ -520,14 +521,20 @@ def test_every_command_prints_the_json_dumps_bytes(capsys, monkeypatch,
     assert reports == []
 
 
-def test_mgs_stream_escapes_like_json_dumps(capsys, monkeypatch, tmp_path):
-    # quotes, backslashes, non-ASCII, control and astral characters
-    def tricky(self, x):
-        return f'"{x}\\\u00e9\x01\n\u2028\U0001f600'
+def _tricky(self, x):
+    """A display with quotes, backslashes, non-ASCII, control and astral
+    characters."""
+    return f'"{x}\\\u00e9\x01\n\u2028\U0001f600'
 
-    monkeypatch.setattr(ModuleCategory, "display", tricky)
+
+def _patch_tricky_tokens(monkeypatch):
+    monkeypatch.setattr(ModuleCategory, "display", _tricky)
     monkeypatch.setattr(ModuleCategory, "descriptor_str",
-                        lambda self, x: "\t" + tricky(self, x)[::-1])
+                        lambda self, x: "\t" + _tricky(self, x)[::-1])
+
+
+def test_mgs_stream_escapes_like_json_dumps(capsys, monkeypatch, tmp_path):
+    _patch_tricky_tokens(monkeypatch)
     spec = AlgebraSpec.type_a("<>")
     code, out, _ = run(capsys, "mgs", _write_spec(tmp_path, spec))
     assert code == 0
@@ -548,17 +555,44 @@ def test_mgs_streams_in_several_writes_and_lists_no_sequence(
     assert code == 0 and out == expected
 
 
+# `mgs` groups the chains of typeA <> in one group with an empty head, as
+# its top has at most `green._TAIL_LIMIT` chains below it; <><'s has 179,
+# so heads and tails meet; A1 has one chain; and Nakayama 3,3,3,2,1 has
+# tabled classes with equally many chains but different tails
+GROUP_SPECS = [AlgebraSpec.type_a("<><"), AlgebraSpec.type_a(""),
+               AlgebraSpec.nakayama([3, 3, 3, 2, 1])]
+
+
+@pytest.mark.parametrize("per_write", [1, 7])
+@pytest.mark.parametrize("spec", GROUP_SPECS, ids=lambda s: s.label())
+def test_mgs_streams_escaped_records_where_groups_and_writes_split(
+        capsys, monkeypatch, tmp_path, spec, per_write):
+    _patch_tricky_tokens(monkeypatch)
+    expected = _oracle(_mgs_report(spec))
+
+    def refuse(self):
+        raise AssertionError("sequences listed")
+
+    monkeypatch.setattr(GreenEngine, "enumerate_mgs", refuse)
+    monkeypatch.setattr(cli, "_RECORDS_PER_WRITE", per_write)
+    code, out, _ = run(capsys, "mgs", _write_spec(tmp_path, spec))
+    assert code == 0 and out == expected
+
+
 def test_mgs_refuses_a_walk_that_disagrees_with_the_count(capsys, monkeypatch,
                                                          example_file):
-    real = GreenEngine._walk
-
-    def short(self, *args):
-        return list(real(self, *args))[:-1]
-
-    monkeypatch.setattr(GreenEngine, "_walk", short)
+    edit_walk(monkeypatch, drop_last_chain)
     code, _, err = run(capsys, "mgs", example_file)
     assert code == 1
     assert "listed 9 sequences where the lattice counts 10" in err
+
+
+def test_mgs_refuses_a_walk_with_one_chain_too_many(capsys, monkeypatch,
+                                                    example_file):
+    edit_walk(monkeypatch, repeat_last_chain)
+    code, _, err = run(capsys, "mgs", example_file)
+    assert code == 1
+    assert "listed 11 sequences where the lattice counts 10" in err
 
 
 def test_hn_by_index_reads_the_last_sequence_and_refuses_one_past_it(

@@ -1,5 +1,6 @@
 """Partial orders on equivalence classes: deformation, summand, HN, brick."""
 
+import itertools
 from collections import Counter
 from dataclasses import replace
 
@@ -10,8 +11,8 @@ from greenseq import AlgebraSpec, GreenEngine, ModuleCategory, orders
 from greenseq.errors import GateError, InvariantViolation, UsageError
 from greenseq.green import MGS
 from greenseq.modcat import TorsionLattice
-from greenseq.orders import (ClassPoset, _check_partial_order,
-                             _containment_rows, _covers_from_leq,
+from greenseq.orders import (ClassPoset, _bits, _check_partial_order,
+                             _checked_covers, _containment_rows,
                              _transitive_reflexive_closure, build_order,
                              check_extrema, exchange_persistence, hasse_dot,
                              iepd_cover_pairs, orders_equal_report,
@@ -296,6 +297,19 @@ def _covers_loops(leq):
     return tuple(sorted(covers))
 
 
+def _covers_from_leq(rows):
+    """The covers of an order given as int rows, in a pass of their own:
+    the oracle of `_checked_covers`, which takes them while it checks."""
+    strict = [row & ~(1 << i) for i, row in enumerate(rows)]
+    covers = []
+    for i, above in enumerate(strict):
+        between = 0
+        for k in _bits(above):
+            between |= strict[k]
+        covers.extend((j, i) for j in _bits(above & ~between))
+    return tuple(sorted(covers))
+
+
 def _rows(leq):
     return [sum(1 << j for j, x in enumerate(row) if x) for row in leq]
 
@@ -336,6 +350,19 @@ def test_poset_algebra_matches_loops(spec):
         _check_loops(tag, leq)
         _check_partial_order(tag, _rows(leq))
         assert _covers_from_leq(_rows(leq)) == _covers_loops(leq) == poset.covers
+
+
+FIVE_VERTEX_WORDS = [AlgebraSpec.type_a("".join(w))
+                     for w in itertools.product("<>", repeat=4)]
+
+
+@pytest.mark.parametrize("spec", FIVE_VERTEX_WORDS, ids=lambda s: s.label())
+def test_checked_covers_match_the_two_pass_oracle(spec):
+    # `full_battery()` is in test_poset_algebra_matches_loops
+    eng = engine_for(spec)
+    for tag in ("pentagon", "summand", "hn"):
+        poset = build_order(tag, eng)
+        assert poset.covers == _covers_from_leq(list(poset.rows)), tag
 
 
 def test_pentagon_generator_cycle_raises_antisymmetry(monkeypatch, example_engine):
@@ -389,6 +416,7 @@ def test_broken_relation_same_message_as_loops(leq, message):
     leq = [[bool(x) for x in row] for row in leq]
     assert _check_message(_check_loops, "t", leq) == message
     assert _check_message(_check_partial_order, "t", _rows(leq)) == message
+    assert _check_message(_checked_covers, "t", _rows(leq)) == message
     assert _covers_from_leq(_rows(leq)) == _covers_loops(leq)
 
 
@@ -404,9 +432,12 @@ def test_poset_algebra_matches_loops_on_drawn_relations(leq):
     size = len(leq)
     pairs = [(i, j) for i in range(size) for j in range(size) if leq[i][j]]
     assert _transitive_reflexive_closure(size, pairs) == _rows(_closure_loops(size, pairs))
-    assert (_check_message(_check_partial_order, "t", _rows(leq))
-            == _check_message(_check_loops, "t", leq))
+    message = _check_message(_check_loops, "t", leq)
+    assert _check_message(_check_partial_order, "t", _rows(leq)) == message
+    assert _check_message(_checked_covers, "t", _rows(leq)) == message
     assert _covers_from_leq(_rows(leq)) == _covers_loops(leq)
+    if message is None:
+        assert _checked_covers("t", _rows(leq)) == _covers_loops(leq)
 
 
 # -- socle-quotient correspondence ------------------------------------------------

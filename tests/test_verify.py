@@ -21,7 +21,8 @@ from greenseq.verify import (LATTICE_CHECKS, CheckResult, _filt_interval_check,
                              _orthogonal_brick_sets, _representation_directed_check,
                              _square_check, _unique_filtration_check, run_suite)
 
-from conftest import EXAMPLE_QUIVER, category_for, full_battery, ids_of
+from conftest import (EXAMPLE_QUIVER, category_for, drop_last_chain, edit_walk,
+                      full_battery, ids_of, repeat_last_chain)
 from test_modcat import _maximal_chains_by_recursion
 
 LEMMA_EXTRA_SPECS = [AlgebraSpec.type_a("<<<<"),
@@ -479,6 +480,20 @@ def test_mislabelled_oracle_cover_fails_the_cover_check():
     assert _failed(checks, "chain-steps-are-labelled-lattice-covers") == [
         {"upper": sorted(oracle.classes[up]),
          "lower": sorted(oracle.classes[lo])}]
+
+
+@pytest.mark.parametrize("edit, walked", [(drop_last_chain, 9),
+                                          (repeat_last_chain, 11)],
+                         ids=["short", "long"])
+def test_count_check_counts_the_walked_chains(monkeypatch, edit, walked):
+    # the check sums the group tails of the walk
+    edit_walk(monkeypatch, edit)
+    cat = ModuleCategory(EXAMPLE_QUIVER)
+    check = next(c for c in run_suite("lemmas", cat, GreenEngine(cat))
+                 if c.name == "mgs-count-matches-lattice-chains")
+    assert check.to_dict() == {"check": "mgs-count-matches-lattice-chains",
+                               "passed": False,
+                               "detail": {"chains": 10, "sequences": walked}}
 
 
 def _patch_square_side(eng, patch):

@@ -23,20 +23,21 @@ that both Hom closed forms meet exact elimination;
 `verify --suite all` with `--exact` on typeA <<<< and <><>, Nakayama
 3,3,3,2,1 and cyclic 3,3,3, where the exact build and the verify checks
 share one memo of eliminated Hom systems;
-`classes`, `poset` for the pentagon, summand and hn orders, as DOT and
-with `--format json`, and `verify --suite all` on the six-vertex typeA
-<<<<< (972 classes); and on the six-vertex typeA <><>< (16,424,057
-sequences, more than `mgs` lists), `poset --format json` for the
-pentagon, summand and hn orders, `verify --suite all`, and `hn` along its
-first and last sequence given as an index, with the sum of its 21
-catalog modules; `poset` for the hn and pentagon orders as DOT (covers
+`mgs` (340,549 sequences, 302 MB, compared by SHA-256 and length so
+that this tool's memory stays bounded), `classes`, `poset` for the
+pentagon, summand and hn orders, as DOT and with `--format json`, and
+`verify --suite all` on the six-vertex typeA <<<<< (972 classes); and
+on the six-vertex typeA <><>< (16,424,057 sequences, more than `mgs`
+lists), `poset --format json` for the pentagon, summand and hn orders,
+`verify --suite all`, and `hn` along its first and last sequence given
+as an index, with the sum of its 21 catalog modules; `poset` for the hn and pentagon orders as DOT (covers
 only) on the other 31 six-vertex type-A orientations, where the orders
 have the most classes (972-1,085).
 Then, on each of the algebras with every command, `hn` along the first
 and the last sequence of the `mgs` output (the first tree's, or the
 second's when only that one lists them), given as a brick list, once
 with `--module` the sum of every catalog module (#0+#1+...) and once for
-each single module, and given as its `mgs` index with that sum: 1218
+each single module, and given as its `mgs` index with that sum: 1219
 calls in all.  A call that both trees reject with a usage error (exit 2)
 is reported too: the battery should make none.  A call that the first
 tree rejects with exit 2 and the second answers with exit 0 is reported
@@ -48,16 +49,20 @@ differs otherwise, times out or is rejected.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import itertools
 import json
 import os
 import subprocess
 import sys
 import tempfile
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 CALL_TIMEOUT_S = 3600
+# the calls whose stdout is compared by digest, as (kind, command)
+DIGESTED = {("six", ("mgs",))}
 # CLI processes at once: the two trees' runs of one call go side by side
 JOBS = 2
 
@@ -142,7 +147,8 @@ def commands(spec: dict, kind: str) -> list[list[str]]:
         return [["mgs"], ["classes"]] + posets + [["verify", "--suite", "all"]]
     dots = [["poset", "--order", o] for o in orders]
     if kind == "six":
-        return [["classes"]] + posets + dots + [["verify", "--suite", "all"]]
+        return ([["mgs"], ["classes"]] + posets + dots
+                + [["verify", "--suite", "all"]])
     return ([["catalog"], ["bricks"], ["mgs"], ["classes"]] + posets + dots
             + [["verify", "--suite", "all"]])
 
@@ -162,19 +168,36 @@ def hn_commands(catalog_out: bytes, mgs_out: bytes) -> list[list[str]]:
                for seq in (seqs[0], seqs[-1])])
 
 
-def run(src: Path, command: list[str], path: Path, cwd: Path):
+def run(src: Path, command: list[str], path: Path, cwd: Path,
+        digest: bool = False):
     """(exit code, stdout bytes) of one fresh CLI process; exit code None
-    on timeout."""
+    on timeout.  With digest, the stdout is read in pieces and stands as
+    its SHA-256 and length."""
     env = dict(os.environ, PYTHONPATH=str(src))
     flags = list(itertools.takewhile(lambda arg: arg.startswith("--"), command))
     name, *options = command[len(flags):]
     argv = [sys.executable, "-m", "greenseq", *flags, name, str(path), *options]
-    try:
-        proc = subprocess.run(argv, cwd=cwd, env=env, capture_output=True,
-                              timeout=CALL_TIMEOUT_S)
-    except subprocess.TimeoutExpired:
+    if not digest:
+        try:
+            proc = subprocess.run(argv, cwd=cwd, env=env, capture_output=True,
+                                  timeout=CALL_TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            return None, b""
+        return proc.returncode, proc.stdout
+    sha, length, expired = hashlib.sha256(), 0, threading.Event()
+    with subprocess.Popen(argv, cwd=cwd, env=env, stdout=subprocess.PIPE,
+                          stderr=subprocess.DEVNULL) as proc:
+        timer = threading.Timer(CALL_TIMEOUT_S,
+                                lambda: (expired.set(), proc.kill()))
+        timer.start()
+        while piece := proc.stdout.read(1 << 20):
+            sha.update(piece)
+            length += len(piece)
+        code = proc.wait()
+        timer.cancel()
+    if expired.is_set():
         return None, b""
-    return proc.returncode, proc.stdout
+    return code, f"sha256 {sha.hexdigest()}, {length} bytes\n".encode()
 
 
 def first_difference(old: bytes, new: bytes) -> str:
@@ -201,15 +224,16 @@ def main(argv=None) -> int:
         tmp = Path(tmp)
 
         def run_both(batch):
-            futures = [[pool.submit(run, src, cmd, path, tmp) for src in srcs]
-                       for _, cmd, path in batch]
+            futures = [[pool.submit(run, src, cmd, path, tmp, digest)
+                        for src in srcs] for _, cmd, path, digest in batch]
             return [[f.result() for f in pair] for pair in futures]
 
         calls, paths = [], []
         for k, (spec, kind) in enumerate(battery()):
             path = tmp / f"algebra{k}.json"
             path.write_text(json.dumps(spec), encoding="utf-8")
-            calls += [(label(spec), cmd, path) for cmd in commands(spec, kind)]
+            calls += [(label(spec), cmd, path, (kind, tuple(cmd)) in DIGESTED)
+                      for cmd in commands(spec, kind)]
             if kind == "all":
                 paths.append((label(spec), path))
         results = run_both(calls)
@@ -217,15 +241,15 @@ def main(argv=None) -> int:
         # or the second's where the first rejects the command
         first_out = {(name, cmd[0]): next((out for code, out in res if code == 0),
                                           res[0][1])
-                     for (name, cmd, _), res in zip(calls, results)}
-        hn_calls = [(name, cmd, path) for name, path in paths
+                     for (name, cmd, *_), res in zip(calls, results)}
+        hn_calls = [(name, cmd, path, False) for name, path in paths
                     for cmd in hn_commands(first_out[name, "catalog"],
                                            first_out[name, "mgs"])]
         calls += hn_calls
         results += run_both(hn_calls)
 
     differing = rejected = admitted = 0
-    for (name, cmd, _), ((old_code, old_out), (new_code, new_out)) in zip(
+    for (name, cmd, *_), ((old_code, old_out), (new_code, new_out)) in zip(
             calls, results):
         if (None not in (old_code, new_code) and old_code == new_code
                 and old_out == new_out):
