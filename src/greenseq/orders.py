@@ -12,13 +12,16 @@ generated torsion lattice's polygons, walked once per engine
 summand-mask lookup, never by listing sequences; the all-pairs polygon
 search and the per-sequence deformation scan stay in the tests as
 oracles.  The pentagon closure ORs each row with its generators' rows,
-pass after pass, until no row changes.  The hn order and the
-exchange-persistence check read one stable-factor table and one
-exchange-pair set per class; the hn order evaluates each class once per
-module and distinct value of the stable-factor function there, not once
-per pair of classes.  Every order is built, checked and read as int rows
-(`ClassPoset`); only `poset --format json` expands one to a boolean
-matrix.
+pass after pass, until no row changes.  The hn order reads one
+stable-factor table per class, indexed as the mask of the classes with
+each value at each module; for each module x and value v there, it
+evaluates once per cell of the classes that agree on the stable-factor
+function at x and at the bricks of v (partition refinement), never once
+per pair of classes.  Exchange persistence is a row inclusion: the
+deformation rows against reverse containment of the classes' sets of
+outgoing summands, so only the pairs that fail are expanded.  Every
+order is built, checked and read as int rows (`ClassPoset`); only
+`poset --format json` expands one to a boolean matrix.
 """
 
 from __future__ import annotations
@@ -34,12 +37,13 @@ from .green import GreenEngine, SiltingSummand
 from .modcat import ModuleCategory
 
 # no order is built on more classes than this.  It admits every 6-vertex
-# type-A orientation (972-1,085 classes; at 1,085 the hn order takes 0.6 s
+# type-A orientation (972-1,085 classes; at 1,085 the hn order takes 0.2 s
 # and the `poset --format json` matrix 0.4 s and 15 MB) and refuses
 # Nakayama 2,4,5,4,3,2,1 (1,150) and 7-vertex type A (8,477-10,929).  At
-# 8,477 classes the hn order takes 8 s, `_checked_covers` 1.2-1.5 s of
-# each order, and the JSON matrix would be about 1 GB, so raising it needs
-# a bound on that matrix (in-process, one run each, 2 vCPUs)
+# 8,477 classes the hn order takes 2.4-4.4 s, of which the stable-factor
+# tables are 1.1-1.8 s and `_checked_covers` 1-2 s (as in each order),
+# and the JSON matrix would be about 1 GB, so raising it needs a bound on
+# that matrix (in-process, a few runs each, 2 shared vCPUs)
 CLASS_GATE = 1_100
 
 BRICK_ORDER_REFUSAL = (
@@ -155,14 +159,21 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _hn_refines(value: tuple, f_hi: dict, x: int) -> bool:
+def _outside(rows, allowed) -> list[tuple[int, int]]:
+    """The pairs (i, j), in lexicographic order, with j in rows[i] but not
+    in allowed[i]."""
+    return [(i, j) for i, row in enumerate(rows) for j in _bits(row & ~allowed[i])]
+
+
+def _hn_refines(value: tuple, key: tuple) -> bool:
     """Do the f_hi stable factors of the bricks of value, a stable-factor
-    tuple of (brick, multiplicity), add up to f_hi(x)?"""
+    tuple of (brick, multiplicity) at x, add up to f_hi(x)?  key holds
+    f_hi(x), then f_hi(b) for each brick b of value."""
     expected: dict[int, int] = {}
-    for brick, mult in value:
-        for b2, m2 in f_hi[brick]:
+    for (_, mult), factors in zip(value, key[1:]):
+        for b2, m2 in factors:
             expected[b2] = expected.get(b2, 0) + mult * m2
-    return tuple(sorted(expected.items())) == f_hi[x]
+    return tuple(sorted(expected.items())) == key[0]
 
 
 def build_order(tag: str, engine: GreenEngine) -> ClassPoset:
@@ -176,19 +187,24 @@ def build_order(tag: str, engine: GreenEngine) -> ClassPoset:
     elif tag == "summand":
         rows = _containment_rows([frozenset(c.key) for c in classes])
     elif tag == "hn":
-        # lo lies below hi when every f_lo(x) refines at hi; that reads lo
-        # only through the value f_lo(x), so each value is tested once
-        tables = [engine.stable_factor_function(c.representative)
-                  for c in classes]
+        # lo lies below hi when every f_lo(x) refines at hi.  That reads lo
+        # only through v = f_lo(x), and hi only through f_hi at x and at the
+        # bricks of v, so it is tested once per cell of classes hi that
+        # agree there: having[y][w] is the mask of the classes with f(y) = w
+        having: list[dict] = [{} for _ in engine.cat.catalog]
+        for i, c in enumerate(classes):
+            for y, w in engine.stable_factor_function(c.representative).items():
+                having[y][w] = having[y].get(w, 0) | 1 << i
         rows = [(1 << size) - 1] * size
-        for x in range(len(engine.cat.catalog)):
-            passing: dict = {}  # f(x) -> the classes hi at which it refines
-            for lo, f_lo in enumerate(tables):
-                if f_lo[x] not in passing:
-                    passing[f_lo[x]] = sum(
-                        1 << hi for hi, f_hi in enumerate(tables)
-                        if _hn_refines(f_lo[x], f_hi, x))
-                rows[lo] &= passing[f_lo[x]]
+        for x, values in enumerate(having):
+            for v, lower in values.items():
+                cells = [((), (1 << size) - 1)]
+                for y in (x, *(b for b, _ in v)):
+                    cells = [(key + (w,), cell & mask) for key, cell in cells
+                             for w, mask in having[y].items() if cell & mask]
+                passing = sum(cell for key, cell in cells if _hn_refines(v, key))
+                for lo in _bits(lower):
+                    rows[lo] &= passing
         rows = [row | 1 << i for i, row in enumerate(rows)]
     elif tag == "brick":
         if not engine.cat.spec.is_nakayama:
@@ -285,9 +301,9 @@ def exchange_persistence(engine: GreenEngine, pentagon: ClassPoset) -> dict:
     pairs = [engine.exchange_pairs(c.representative)
              for c in engine.equivalence_classes()]
     outs = [{p.out for p in found} for found in pairs]
+    # a pair fails where the outgoing summands of hi are not all in lo's
     failures = [{"lower": lo, "upper": hi, "missing_out": repr(pair.out)}
-                for lo, row in enumerate(pentagon.rows)
-                for hi in _bits(row & ~(1 << lo))
+                for lo, hi in _outside(pentagon.rows, _containment_rows(outs))
                 for pair in pairs[hi] if pair.out not in outs[lo]]
     return {"passed": not failures, "failures": failures}
 

@@ -10,7 +10,11 @@ per-sequence checks as masks folded once per class, on its normal form
 (`GreenEngine.path_failures`); it calls no per-sequence method.  Only a
 failing path check, and the sequence count where the subset oracle is
 admitted, walk the chains.  Theorems A, B and C read the classes, one
-lexicographic normal form each, and list no sequence.
+lexicographic normal form each, and list no sequence.  Theorem B's order
+checks are row inclusions (`orders._outside`): the rows of one order
+against those of the other, against reverse brick containment and the
+classes with fewer bricks, or against those alone; only the pairs that
+violate one are listed.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from .errors import GateError, TheoremViolation, UsageError
 from .green import PATH_CHECKS, GreenEngine
 from .modcat import DEFAULT_SUBSET_GATE, ModuleCategory
 from . import orders as orders_mod
-from .orders import _bits, _containment_rows
+from .orders import _bits, _containment_rows, _outside
 
 
 @dataclass
@@ -80,24 +84,26 @@ def suite_theorem_b(cat: ModuleCategory, engine: GreenEngine,
               for c in engine.equivalence_classes()]
     pent = posets["pentagon"].rows
     for tag in ("summand", "hn"):
-        other = posets[tag].rows
-        extra = [(i, j) for i, row in enumerate(pent)
-                 for j in _bits(row & ~other[i])]
+        extra = _outside(pent, posets[tag].rows)
         checks.append(CheckResult(
             f"deformation-order-contained-in-{tag}-order", not extra,
             {"violations": extra}))
 
-    # the strict relations, read row by row: each list is lexicographic
-    bad = [[lo, hi] for lo, row in enumerate(posets["hn"].rows)
-           for hi in _bits(row & ~(1 << lo)) if not bricks[lo] > bricks[hi]]
+    # fewer[lo]: lo and the classes with fewer bricks, from one mask per
+    # length; a contained brick set with fewer bricks is strictly contained
+    by_length: dict[int, int] = {}
+    for i, b in enumerate(bricks):
+        by_length[len(b)] = by_length.get(len(b), 0) | 1 << i
+    fewer = [1 << i | sum(m for n, m in by_length.items() if n < len(b))
+             for i, b in enumerate(bricks)]
+    contained = _containment_rows(bricks)
+    bad = _outside(posets["hn"].rows, [c & f for c, f in zip(contained, fewer)])
     checks.append(CheckResult("hn-order-implies-strict-brick-containment",
-                              not bad, {"violations": bad}))
+                              not bad, {"violations": list(map(list, bad))}))
 
-    bad = [[lo, hi] for lo, row in enumerate(pent)
-           for hi in _bits(row & ~(1 << lo))
-           if len(bricks[lo]) <= len(bricks[hi])]
+    bad = _outside(pent, fewer)
     checks.append(CheckResult("deformation-strictly-shortens-length",
-                              not bad, {"violations": bad}))
+                              not bad, {"violations": list(map(list, bad))}))
 
     unoriented = [p for p in engine.polygons() if p.sides[1] >= 3]
     # each unordered class pair once per order it is comparable in
@@ -126,7 +132,7 @@ def suite_theorem_b(cat: ModuleCategory, engine: GreenEngine,
         # with two simples, the three orders coincide and agree with
         # reverse brick containment
         report = orders_mod.orders_equal_report(list(posets.values()))
-        ok = report["equal"] and list(pent) == _containment_rows(bricks)
+        ok = report["equal"] and list(pent) == contained
         checks.append(CheckResult("two-simples-orders-all-coincide", ok,
                                   {"differences": report["differences"]}))
     return checks

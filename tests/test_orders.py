@@ -1,6 +1,7 @@
 """Partial orders on equivalence classes: deformation, summand, HN, brick."""
 
 import itertools
+import random
 from collections import Counter
 from dataclasses import replace
 
@@ -202,12 +203,15 @@ def test_hn_order_matches_counter_oracle(spec):
 
 
 def test_hn_order_evaluates_each_module_value_once(monkeypatch):
-    # one evaluation per class and distinct value of f(x): a pairwise
-    # construction makes classes^2 per module
+    # one evaluation per module x, value v of f(x) and cell of the classes
+    # that agree on f at x and at the bricks of v: testing every class for
+    # each value makes classes x values
     eng = engine_for(AlgebraSpec.type_a("<<<<"))
     tables = [eng.stable_factor_function(c.representative)
               for c in eng.equivalence_classes()]
-    values = sum(len({f[x] for f in tables}) for x in range(len(eng.cat.catalog)))
+    values = {(x, f[x]) for f in tables for x in f}
+    cells = {(x, v, tuple(f[y] for y in (x, *(b for b, _ in v))))
+             for x, v in values for f in tables}
     calls = []
     real = orders._hn_refines
 
@@ -217,8 +221,8 @@ def test_hn_order_evaluates_each_module_value_once(monkeypatch):
 
     monkeypatch.setattr(orders, "_hn_refines", counting)
     build_order("hn", eng)
-    assert values < len(tables) * len(eng.cat.catalog)
-    assert len(calls) == len(tables) * values
+    assert len(cells) < len(tables) * len(values)
+    assert len(calls) == len(cells)
 
 
 def _containment_by_pairs(sets):
@@ -363,6 +367,39 @@ def test_checked_covers_match_the_two_pass_oracle(spec):
     for tag in ("pentagon", "summand", "hn"):
         poset = build_order(tag, eng)
         assert poset.covers == _covers_from_leq(list(poset.rows)), tag
+
+
+def _refines_at(value, f_hi, x):
+    """Do the f_hi stable factors of the bricks of value add up to f_hi(x)?"""
+    expected = {}
+    for brick, mult in value:
+        for b2, m2 in f_hi[brick]:
+            expected[b2] = expected.get(b2, 0) + mult * m2
+    return tuple(sorted(expected.items())) == f_hi[x]
+
+
+def _hn_rows_by_values(eng):
+    """Oracle: the hn rows from testing every class hi once for each module
+    x and value f_lo(x), on the stable-factor tables of the classes."""
+    tables = [eng.stable_factor_function(c.representative)
+              for c in eng.equivalence_classes()]
+    size = len(tables)
+    rows = [(1 << size) - 1] * size
+    for x in range(len(eng.cat.catalog)):
+        passing = {}
+        for lo, f_lo in enumerate(tables):
+            if f_lo[x] not in passing:
+                passing[f_lo[x]] = sum(
+                    1 << hi for hi, f_hi in enumerate(tables)
+                    if _refines_at(f_lo[x], f_hi, x))
+            rows[lo] &= passing[f_lo[x]]
+    return tuple(row | 1 << i for i, row in enumerate(rows))
+
+
+@pytest.mark.parametrize("spec", FIVE_VERTEX_WORDS, ids=lambda s: s.label())
+def test_hn_cells_match_the_per_value_oracle(spec):
+    eng = engine_for(spec)
+    assert build_order("hn", eng).rows == _hn_rows_by_values(eng)
 
 
 def test_pentagon_generator_cycle_raises_antisymmetry(monkeypatch, example_engine):
@@ -776,6 +813,69 @@ def test_theorem_b_lists_violations_in_lexicographic_order(spec):
         assert checks[name].detail == {"violations": violations}
         assert checks[name].passed == (not violations)
     assert bool(expected["deformation-strictly-shortens-length"]) == (size > 1)
+
+
+def _theorem_b_loops(eng, posets):
+    """Oracle: theorem B's order checks and exchange persistence as walks
+    over every related pair, with the lists and element types the suite
+    reports."""
+    bricks = [frozenset(c.representative.bricks)
+              for c in eng.equivalence_classes()]
+    pent, hn = posets["pentagon"].rows, posets["hn"].rows
+    expected = {f"deformation-order-contained-in-{tag}-order":
+                [(i, j) for i, row in enumerate(pent)
+                 for j in _bits(row & ~posets[tag].rows[i])]
+                for tag in ("summand", "hn")}
+    expected["hn-order-implies-strict-brick-containment"] = [
+        [lo, hi] for lo, row in enumerate(hn)
+        for hi in _bits(row & ~(1 << lo)) if not bricks[lo] > bricks[hi]]
+    expected["deformation-strictly-shortens-length"] = [
+        [lo, hi] for lo, row in enumerate(pent)
+        for hi in _bits(row & ~(1 << lo)) if len(bricks[lo]) <= len(bricks[hi])]
+    pairs = [eng.exchange_pairs(c.representative)
+             for c in eng.equivalence_classes()]
+    outs = [{p.out for p in found} for found in pairs]
+    failures = [{"lower": lo, "upper": hi, "missing_out": repr(pair.out)}
+                for lo, row in enumerate(pent) for hi in _bits(row & ~(1 << lo))
+                for pair in pairs[hi] if pair.out not in outs[lo]]
+    return expected, failures, list(pent) == _containment_rows(bricks)
+
+
+THEOREM_B_SPECS = [AlgebraSpec.type_a("<"), AlgebraSpec.type_a("<>"),
+                   AlgebraSpec.type_a("<<>"), AlgebraSpec.type_a("<><"),
+                   AlgebraSpec.nakayama([2, 2], cyclic=True),
+                   AlgebraSpec.nakayama([3, 2, 1]),
+                   AlgebraSpec.nakayama([3, 3, 3], cyclic=True),
+                   AlgebraSpec.nakayama([3, 3, 3, 2, 1])]
+_BUILT_POSETS: dict = {}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from(THEOREM_B_SPECS), st.integers(0, 2 ** 32 - 1),
+       st.lists(st.sampled_from([0.0, 0.01, 0.5, 1.0]), min_size=3, max_size=3))
+def test_theorem_b_matches_pair_walks_on_drawn_relations(spec, seed, densities):
+    # each order is the built one with each cell flipped at its density
+    eng = engine_for(spec)
+    if spec not in _BUILT_POSETS:
+        _BUILT_POSETS[spec] = build_posets(eng, include_brick=False)
+    posets, rng = dict(_BUILT_POSETS[spec]), random.Random(seed)
+    size = posets["pentagon"].size
+    for tag, density in zip(("pentagon", "summand", "hn"), densities):
+        posets[tag] = replace(posets[tag], rows=tuple(
+            row ^ sum(1 << j for j in range(size) if rng.random() < density)
+            for row in posets[tag].rows))
+    expected, failures, coincide = _theorem_b_loops(eng, posets)
+    checks = {c.name: c for c in suite_theorem_b(category_for(spec), eng, posets)}
+    for name, violations in expected.items():
+        assert repr(checks[name].detail) == repr({"violations": violations})
+        assert checks[name].passed == (not violations)
+    persistence = checks["exchange-pairs-persist-downward"]
+    assert repr(persistence.detail) == repr({"failures": failures})
+    assert persistence.passed == (not failures)
+    if spec.n == 2:
+        equal = orders_equal_report(list(posets.values()))["equal"]
+        assert checks["two-simples-orders-all-coincide"].passed == (
+            equal and coincide)
 
 
 def test_orders_equal_report_lists_differences_by_order_pair_then_cell():

@@ -32,12 +32,13 @@ lists), `poset --format json` for the pentagon, summand and hn orders,
 `verify --suite all`, and `hn` along its first and last sequence given
 as an index, with the sum of its 21 catalog modules; `poset` for the hn and pentagon orders as DOT (covers
 only) on the other 31 six-vertex type-A orientations, where the orders
-have the most classes (972-1,085).
+have the most classes (972-1,085), and `verify --suite all` on the 30 of
+them other than <><><.
 Then, on each of the algebras with every command, `hn` along the first
 and the last sequence of the `mgs` output (the first tree's, or the
 second's when only that one lists them), given as a brick list, once
 with `--module` the sum of every catalog module (#0+#1+...) and once for
-each single module, and given as its `mgs` index with that sum: 1219
+each single module, and given as its `mgs` index with that sum: 1249
 calls in all.  A call that both trees reject with a usage error (exit 2)
 is reported too: the battery should make none.  A call that the first
 tree rejects with exit 2 and the second answers with exit 0 is reported
@@ -132,7 +133,10 @@ def commands(spec: dict, kind: str) -> list[list[str]]:
     if kind == "exact-verify":
         return [["--exact", "verify", "--suite", "all"]]
     if kind == "six-dot":
-        return [["poset", "--order", o] for o in ("hn", "pentagon")]
+        # <><>< runs `verify` among its "zigzag" commands
+        verify = ([["verify", "--suite", "all"]]
+                  if spec["orientation"] != "<><><" else [])
+        return [["poset", "--order", o] for o in ("hn", "pentagon")] + verify
     orders = ["pentagon", "summand", "hn"]
     if spec["type"] == "nakayama":
         orders.append("brick")
