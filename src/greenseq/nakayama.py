@@ -12,6 +12,16 @@ generated at vertex i and killed by the paths of length l, so a map is
 the image of the generator: an element of N at vertex i, which a path
 of length l sends from layer p to layer p + l, zero exactly when
 p + l >= m.
+
+Ext^1 comes from the Hom table and injective envelopes (`ext1_table`):
+dim Ext^1(M, N) = hom(M, I/N) - hom(M, I) + hom(M, N), where I is the
+longest uniserial whose socle is the socle of N, which is the injective
+envelope of N, and I/N is the top len(I) - len(N) layers of I, zero when
+I = N.  Hom(M, -) applied to 0 -> N -> I -> I/N -> 0 gives the exact
+sequence 0 -> Hom(M, N) -> Hom(M, I) -> Hom(M, I/N) -> Ext^1(M, N) ->
+Ext^1(M, I) = 0, whose dimensions sum to zero with alternating signs.
+The formula shares only the Hom table with the projective presentation
+of M (`projective_cover`), so each checks the other.
 """
 
 from __future__ import annotations
@@ -22,8 +32,6 @@ from .modcat import Indec, ModuleSum, SesRecord
 
 
 class NakayamaBackend:
-    hereditary = False
-
     def __init__(self, spec: AlgebraSpec):
         if not spec.is_nakayama:
             raise UsageError("NakayamaBackend needs a Nakayama spec")
@@ -97,6 +105,26 @@ class NakayamaBackend:
             tuple(verts[max(0, len(verts) - length):].count(top)
                   for verts in layers)
             for top, length in shapes)
+
+    def ext1_table(self, hom) -> tuple[tuple[int, ...], ...]:
+        """table[a][b] = dim Ext^1(a, b) from b's injective envelope I,
+        given the Hom table: hom(a, I/b) - hom(a, I) + hom(a, b)."""
+        shapes = [(m.descriptor[1] - 1, m.descriptor[2]) for m in self.catalog]
+        socles = [self._layers(top, length)[-1] for top, length in shapes]
+        # socle vertex -> the longest uniserial with that socle
+        envelope = {socles[i]: i for i in sorted(range(len(shapes)),
+                                                 key=lambda i: shapes[i][1])}
+        cols = []
+        for b, (_, length) in enumerate(shapes):
+            inj = envelope[socles[b]]
+            top, full = shapes[inj]
+            # I/b, the top full - length layers of I; none when I = b
+            quot = self.uniserial(top, full - length) if full > length else None
+            cols.append((b, inj, quot))
+        return tuple(
+            tuple(row[b] - row[inj] + (row[quot] if quot is not None else 0)
+                  for b, inj, quot in cols)
+            for row in hom)
 
     # -- submodule structure --------------------------------------------------
 

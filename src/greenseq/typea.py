@@ -20,9 +20,20 @@ is one scalar per vertex of K, equal across each arrow inside K, and an
 arrow that crosses K's boundary in either of those ways forces the
 scalar at its end in K to vanish.  As K is an interval, only the arrows
 at its two ends are tested.
+
+Ext^1 comes from the Hom table and the Euler form (`ext1_table`): the
+path algebra is hereditary, so dim Hom(M, N) - dim Ext^1(M, N) =
+<dim M, dim N> = sum over v of M_v N_v - sum over slots (s, d) of M_s N_d.
+The projective presentation, which checks it, needs the syzygy of each
+module (`projective_cover`), a sum of projectives P_v with multiplicities
+m_v = deficit_v - sum over slots (s, v) of deficit_s, where deficit =
+dim P_0 - dim M: the Cartan matrix has inverse 1 - A, as dim P_v at w
+counts the structure-map paths from v to w.
 """
 
 from __future__ import annotations
+
+from operator import mul
 
 from .algebra import AlgebraSpec
 from .errors import InvariantViolation, UsageError
@@ -30,8 +41,6 @@ from .modcat import Indec, ModuleSum, SesRecord
 
 
 class TypeABackend:
-    hereditary = True
-
     def __init__(self, spec: AlgebraSpec):
         if spec.is_nakayama:
             raise UsageError("TypeABackend needs a typeA spec")
@@ -114,6 +123,18 @@ class TypeABackend:
             table.append(tuple(row))
         return tuple(table)
 
+    def ext1_table(self, hom) -> tuple[tuple[int, ...], ...]:
+        """table[a][b] = dim Ext^1(a, b) from the Euler form of the
+        hereditary path algebra, given the Hom table:
+        hom(a, b) - <dim a, dim b>, the arrow term over the slots."""
+        def euler(da, db):
+            return (sum(map(mul, da, db))
+                    - sum(da[s] * db[d] for s, d in self.slots))
+
+        dims = [m.dimvec for m in self.catalog]
+        return tuple(tuple(h - euler(da, db) for h, db in zip(row, dims))
+                     for row, da in zip(hom, dims))
+
     # -- submodule structure ---------------------------------------------------
 
     def submodule_supports(self, i: int) -> list[frozenset[int]]:
@@ -194,39 +215,18 @@ class TypeABackend:
     def projective_cover(self, i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         tops = self._top_vertices(i)
         p0 = tuple(sorted(self.projectives[t] for t in tops))
-        deficit = [0] * self.n
-        for p in p0:
-            for v, x in enumerate(self.catalog[p].dimvec):
-                deficit[v] += x
-        for v, x in enumerate(self.catalog[i].dimvec):
-            deficit[v] -= x
-        if all(x == 0 for x in deficit):
-            return p0, ()
-        mult = self._solve_cartan(deficit)
+        covers = [self.catalog[p].dimvec for p in p0]
+        deficit = [sum(d[v] for d in covers) - x
+                   for v, x in enumerate(self.catalog[i].dimvec)]
+        # the syzygy's multiplicities: (1 - A) deficit, by the inverse
+        # Cartan matrix (module docstring)
+        mult = list(deficit)
+        for s, d in self.slots:
+            mult[d] -= deficit[s]
+        if any(m < 0 for m in mult):
+            raise InvariantViolation(
+                f"syzygy decomposition is not a projective multiset: {mult}")
         omega = []
         for v, m in enumerate(mult):
             omega.extend([self.projectives[v]] * m)
         return p0, tuple(sorted(omega))
-
-    def _solve_cartan(self, target: list[int]) -> list[int]:
-        # Multiplicities m with sum m_v * dimvec(P_v) = target; the Cartan
-        # matrix of a hereditary algebra is unimodular, so m is integral.
-        # Imported here: only the presentation oracle of Ext needs it.
-        from fractions import Fraction
-
-        n = self.n
-        rows = [[Fraction(self.catalog[self.projectives[v]].dimvec[w])
-                 for v in range(n)] + [Fraction(target[w])] for w in range(n)]
-        for col in range(n):
-            piv = next(r for r in range(col, n) if rows[r][col])
-            rows[col], rows[piv] = rows[piv], rows[col]
-            rows[col] = [x / rows[col][col] for x in rows[col]]
-            for r in range(n):
-                if r != col and rows[r][col]:
-                    f = rows[r][col]
-                    rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
-        mult = [rows[v][n] for v in range(n)]
-        if any(m.denominator != 1 or m < 0 for m in mult):
-            raise InvariantViolation(
-                f"syzygy decomposition is not a projective multiset: {mult}")
-        return [int(m) for m in mult]

@@ -419,8 +419,7 @@ def test_command_imports_only_the_layers_it_runs(example_file, argv, absent):
         script, *flags, command, example_file, *options))
     assert code == 0
     assert "greenseq.modcat" in loaded
-    # over type A only the Ext presentation oracle, which `verify` runs,
-    # needs Fraction arithmetic
+    # no command needs Fraction arithmetic
     assert [m for m in (*absent, "fractions") if m in loaded] == []
 
 

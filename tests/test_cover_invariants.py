@@ -15,6 +15,7 @@ from greenseq import AlgebraSpec, GreenEngine, ModuleCategory, ModuleSum
 from greenseq.cli import main
 from greenseq.errors import InvariantViolation
 from greenseq.green import MGS, ExchangePair, HNLayer, HNResult
+from greenseq.typea import TypeABackend
 
 from conftest import category_for, engine_for, full_battery, ids_of
 
@@ -164,16 +165,17 @@ def test_hn_by_brick_list_never_generates_the_lattice(monkeypatch, tmp_path,
 
 
 def test_square_swap_asks_ext_once_per_brick_pair(monkeypatch):
+    # every swap reads the one Ext table, which the backend builds once
     cat, eng = _fresh(AlgebraSpec.type_a("<><"))
-    asked = Counter()
-    real = ModuleCategory.ext1
+    built = []
+    real = TypeABackend.ext1_table
 
-    def counting(self, a, b):
-        asked[a, b] += 1
-        return real(self, a, b)
+    def counting(self, hom):
+        built.append(hom)
+        return real(self, hom)
 
-    monkeypatch.setattr(ModuleCategory, "ext1", counting)
+    monkeypatch.setattr(TypeABackend, "ext1_table", counting)
     swaps = [eng.square_swap(g, i) for g in eng.enumerate_mgs()
              for i in range(1, len(g.bricks))]
     assert any(swaps)
-    assert asked and max(asked.values()) == 1
+    assert len(built) == 1

@@ -1,6 +1,8 @@
 """Module-category layer: hom/ext, closures, torsion submodules, lattice."""
 
+import itertools
 import json
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -318,6 +320,22 @@ def test_a2_simple_extension(a2_cat):
     assert a2_cat.ext1(two, one) == 0
 
 
+def test_negative_ext_table_entry_raises(monkeypatch):
+    real = TypeABackend.ext1_table
+
+    def lowered(self, hom):
+        table = [list(row) for row in real(self, hom)]
+        table[-1][0] -= 1
+        return tuple(map(tuple, table))
+
+    monkeypatch.setattr(TypeABackend, "ext1_table", lowered)
+    cat = ModuleCategory(AlgebraSpec.type_a("<"))
+    first, last = cat.display(0), cat.display(len(cat.catalog) - 1)
+    with pytest.raises(InvariantViolation, match=re.escape(
+            f"negative Ext dimension for ({last}, {first}) in the Ext table")):
+        cat.ext1(0, 0)
+
+
 def test_example_nonsplit_extension_of_wide_module(example_cat):
     # 0 -> 12 -> 132 -> 3 -> 0 with hom vanishing both ways
     three, mid = ids_of(example_cat, ["3", "12"])
@@ -326,12 +344,23 @@ def test_example_nonsplit_extension_of_wide_module(example_cat):
     assert example_cat.ext1(three, mid) == 1
 
 
+def cyclic_kupisch(max_n, top):
+    """All admissible cyclic Kupisch series with at most max_n vertices
+    and entries 2..top: c_i <= c_{i+1} + 1 around the cycle."""
+    return [AlgebraSpec.nakayama(s, cyclic=True) for n in range(1, max_n + 1)
+            for s in itertools.product(range(2, top + 1), repeat=n)
+            if all(c <= s[(i + 1) % n] + 1 for i, c in enumerate(s))]
+
+
 def test_nakayama_ext_presentation_agreement():
-    for kupisch, cyclic in ([3, 2, 1], False), ([3, 2, 2], True):
-        cat = category_for(AlgebraSpec.nakayama(kupisch, cyclic=cyclic))
-        for a in range(len(cat.catalog)):
-            for b in range(len(cat.catalog)):
-                assert cat.ext1(a, b) == cat.ext1_presentation(a, b)
+    # the injective-envelope table against the projective presentation:
+    # 65 linear and 124 cyclic series
+    for spec in linear_nakayama_battery(6) + cyclic_kupisch(4, 5):
+        cat = ModuleCategory(spec)
+        size = len(cat.catalog)
+        assert cat.ext1_table == tuple(
+            tuple(cat.ext1_presentation(a, b) for b in range(size))
+            for a in range(size)), spec.label()
 
 
 # -- quotients and closures ---------------------------------------------------

@@ -371,6 +371,24 @@ def test_patched_ext_entry_fails_the_adjacent_check():
     assert pair[::-1] in _failed(checks, "ext-formula-matches-presentation-oracle")
 
 
+def test_patched_projective_cover_fails_the_ext_oracle(monkeypatch):
+    # the syzygy of the simple 1 gains its projective cover 123, so the
+    # presentation overcounts Ext^1(1, N) by hom(123, N), which is non-zero
+    # for N = 1, 12, 123 only; the Ext table never reads the cover
+    cat = ModuleCategory(AlgebraSpec.nakayama([3, 2, 1]))
+    one = cat.resolve_token("1")
+    real = NakayamaBackend.projective_cover
+
+    def padded(self, i):
+        p0, omega = real(self, i)
+        return (p0, tuple(sorted(omega + p0))) if i == one else (p0, omega)
+
+    monkeypatch.setattr(NakayamaBackend, "projective_cover", padded)
+    checks = run_suite("lemmas", cat, GreenEngine(cat))
+    assert _failed(checks, "ext-formula-matches-presentation-oracle") == [
+        ["1", "1"], ["1", "12"], ["1", "123"]]
+
+
 def test_patched_elimination_fails_the_interval_hom_check(monkeypatch):
     # the check solves every pair by elimination: one solution above 1 and
     # one that differs from the Hom table are both reported

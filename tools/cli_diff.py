@@ -33,12 +33,14 @@ lists), `poset --format json` for the pentagon, summand and hn orders,
 as an index, with the sum of its 21 catalog modules; `poset` for the hn and pentagon orders as DOT (covers
 only) on the other 31 six-vertex type-A orientations, where the orders
 have the most classes (972-1,085), and `verify --suite all` on the 30 of
-them other than <><><.
+them other than <><><; `verify --suite lemmas` on the 14 five-vertex
+linear Kupisch series and on the cyclic series 3,3,3,3 / 4,4,4,4 /
+2,2,2,2,2 / 4,3,3,3, where the Ext table meets its presentation oracle.
 Then, on each of the algebras with every command, `hn` along the first
 and the last sequence of the `mgs` output (the first tree's, or the
 second's when only that one lists them), given as a brick list, once
 with `--module` the sum of every catalog module (#0+#1+...) and once for
-each single module, and given as its `mgs` index with that sum: 1249
+each single module, and given as its `mgs` index with that sum: 1267
 calls in all.  A call that both trees reject with a usage error (exit 2)
 is reported too: the battery should make none.  A call that the first
 tree rejects with exit 2 and the second answers with exit 0 is reported
@@ -89,7 +91,7 @@ def linear_kupisch(max_n: int):
 
 def battery() -> list[tuple[dict, str]]:
     """(algebra, which commands: "all", "exact", "exact-verify", "five",
-    "six", "six-dot", "zigzag" or "long")."""
+    "lemmas", "six", "six-dot", "zigzag" or "long")."""
     specs = [type_a("".join(w)) for n in range(1, 5)
              for w in itertools.product("<>", repeat=n - 1)]
     specs += [nakayama(s) for s in linear_kupisch(4)]
@@ -107,10 +109,14 @@ def battery() -> list[tuple[dict, str]]:
     long = [type_a("<" * 16), type_a("<>" * 8), type_a("<<><<>><<><<>><<")]
     exact_verify = [type_a("<<<<"), type_a("<><>"), nakayama([3, 3, 3, 2, 1]),
                     nakayama([3, 3, 3], cyclic=True)]
+    lemmas = [nakayama(s) for s in linear_kupisch(5) if len(s) == 5]
+    lemmas += [nakayama(s, cyclic=True) for s in
+               ([3, 3, 3, 3], [4, 4, 4, 4], [2, 2, 2, 2, 2], [4, 3, 3, 3])]
     return ([(spec, "all") for spec in specs]
             + [(spec, "exact") for spec in exact]
             + [(spec, "exact-verify") for spec in exact_verify]
             + [(spec, "five") for spec in five]
+            + [(spec, "lemmas") for spec in lemmas]
             + [(spec, "long") for spec in long]
             + [(spec, "six-dot") for spec in six_dot]
             + [(type_a("<<<<<"), "six"), (type_a("<><><"), "zigzag")])
@@ -132,6 +138,8 @@ def commands(spec: dict, kind: str) -> list[list[str]]:
         return [["--exact", cmd] for cmd in ("catalog", "bricks")]
     if kind == "exact-verify":
         return [["--exact", "verify", "--suite", "all"]]
+    if kind == "lemmas":
+        return [["verify", "--suite", "lemmas"]]
     if kind == "six-dot":
         # <><>< runs `verify` among its "zigzag" commands
         verify = ([["verify", "--suite", "all"]]
