@@ -7,8 +7,9 @@ sort_keys=True)` plus a newline, written by `canonical_json` without the
 standard library's pure-Python indenting encoder (see there); `mgs`
 writes its sequence records itself during the walk, from the text of
 each walk prefix and of each tabled tail, each encoded once (`cmd_mgs`).
-Exit codes: 0 success, 1 a verification check failed, 2 usage, parse,
-or gate errors; each gate bounds the object that costs (see the README).
+Exit codes: 0 success, 1 a verification check failed or an invariant
+broke, 2 usage, parse, file or gate errors; each gate is a fixed
+constant that bounds the object that costs (see the README).
 
 Each command imports and builds only the layers it runs: `catalog` and
 `bricks` read the `ModuleCategory` alone; `mgs`, `classes` and `hn` add
@@ -26,7 +27,7 @@ from json.encoder import encode_basestring_ascii
 
 from .algebra import AlgebraSpec
 from .errors import GateError, InvariantViolation, SpecError, TheoremViolation, UsageError
-from .modcat import DEFAULT_SUBSET_GATE, ModuleCategory
+from .modcat import ModuleCategory
 
 # the choices of `poset --order` and `verify --suite`, defined here so that
 # parsing a command line imports neither the orders nor the suites
@@ -105,7 +106,7 @@ def load_algebra(path: str) -> AlgebraSpec:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SpecError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise SpecError(
@@ -248,8 +249,11 @@ def cmd_poset(args) -> int:
             "covers": [[up, lo] for up, lo in poset.covers],
         })
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {args.output}: {exc}") from None
     else:
         print(text, end="")
     return 0
@@ -275,7 +279,8 @@ def cmd_hn(args) -> int:
     g = _resolve_mgs(cat, engine, args.mgs)
     module = cat.resolve_module_expr(args.module)
     result = engine.hn_filtration(module, g)
-    stable = engine.stable_factors(module, g)
+    # the bricks of a sequence are distinct, so each layer has its own
+    stable = {layer.brick: layer.multiplicity for layer in result.layers}
     print(canonical_json({
         "algebra": cat.spec.to_dict(),
         "mgs": [cat.display(b) for b in g.bricks],
@@ -295,8 +300,7 @@ def cmd_verify(args) -> int:
     from . import verify
     engine = _engine(args)
     cat = engine.cat
-    checks = verify.run_suite(args.suite, cat, engine,
-                              subset_gate=args.subset_gate)
+    checks = verify.run_suite(args.suite, engine)
     passed = all(c.passed for c in checks)
     print(canonical_json({
         "algebra": cat.spec.to_dict(),
@@ -317,9 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="also solve every Hom dimension by exact "
                              "rational elimination and fail (exit 1) where "
                              "it disagrees with the closed-form Hom table")
-    parser.add_argument("--subset-gate", type=int, default=DEFAULT_SUBSET_GATE,
-                        help="refuse torsion-lattice enumeration beyond this "
-                             "many subsets")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, func, help_text):

@@ -233,7 +233,8 @@ class GreenEngine:
         distinct labels, so the chains come lexicographically.  Every atom
         has one chain, so a tail is empty only when the head is too."""
         tails = {lattice.bottom: [((), 0)]}
-        for c in sorted(rows, key=lambda i: len(lattice.classes[i])):
+        # in index order, each class comes after its lower covers
+        for c in sorted(rows):
             if c not in tails and all(lo in tails for _, lo, _ in rows[c]):
                 below = [((lab, *t), m | tm) for lab, lo, m in rows[c]
                          for t, tm in tails[lo]]

@@ -38,7 +38,8 @@ intersected with the bitmask of B's left Hom-perpendicular
 Its maximal chains are counted on the lattice, never listed; the orders
 walk its polygons.  A brute-force enumeration over all subsets of the
 catalog (`torsion_lattice`) stays as the independent oracle that the
-verification suites and tests compare against.
+verification suites and tests compare against; the fixed `SUBSET_GATE`
+refuses it above 16 modules.
 """
 
 from __future__ import annotations
@@ -52,7 +53,10 @@ from .algebra import AlgebraSpec
 from .errors import GateError, InvariantViolation, UsageError
 from .linalg import rank_exact, rank_mod_p
 
-DEFAULT_SUBSET_GATE = 1 << 16
+# the subset oracle (`torsion_lattice`) scans every subset of the catalog,
+# so it admits catalogs of at most 16 modules: every 5-vertex type-A
+# algebra (15 modules); 6-vertex type A has 21
+SUBSET_GATE = 1 << 16
 # the torsion lattice search stops once it finds more classes than this.
 # Over all 6- and 7-vertex type-A orientations, linear Kupisch series on
 # at most 7 vertices and cyclic 4^4, 4^5, 5^5 the most is 1,430 (7-vertex
@@ -67,13 +71,12 @@ class Indec:
     """An isomorphism class of indecomposable modules.
 
     matrices[k] is the structure map of arrow slot k as a row-major
-    matrix of shape (spaces[dst], spaces[src]).
+    matrix of shape (dimvec[dst], dimvec[src]).
     """
 
     ident: int
     descriptor: tuple
     dimvec: tuple[int, ...]
-    spaces: tuple[int, ...]
     matrices: tuple
     display: str
 
@@ -145,7 +148,9 @@ class TorsionClass:
 class TorsionLattice:
     """All torsion classes with labelled covering relations.
 
-    covers are (upper, lower, label) index triples into `classes`.
+    covers are (upper, lower, label) index triples into `classes`, which
+    are in order of size (`_sorted_lattice` builds every lattice), so
+    each class comes after its lower covers.
     """
 
     classes: tuple[frozenset[int], ...]
@@ -176,8 +181,8 @@ class TorsionLattice:
     def chain_counts(self) -> dict[int, int]:
         """class index -> the number of maximal chains from it to the bottom."""
         counts = {self.bottom: 1}
-        order = sorted(range(len(self.classes)), key=lambda i: len(self.classes[i]))
-        for idx in order:
+        # in index order, each class comes after its lower covers
+        for idx in range(len(self.classes)):
             if idx == self.bottom:
                 continue
             counts[idx] = sum(counts[lo]
@@ -277,7 +282,7 @@ class ModuleCategory:
         rank is read from a memo keyed by the rows, so each distinct system
         is eliminated once per category."""
         M, N = self.catalog[a], self.catalog[b]
-        ms, ns = M.spaces, N.spaces
+        ms, ns = M.dimvec, N.dimvec
         offs, total = {}, 0
         for v in range(self.n):
             if ms[v] and ns[v]:
@@ -564,12 +569,14 @@ class ModuleCategory:
 
     # -- the brute-force lattice oracle -------------------------------------
 
-    def torsion_lattice(self, size_gate: int = DEFAULT_SUBSET_GATE) -> TorsionLattice:
+    def torsion_lattice(self) -> TorsionLattice:
+        """The torsion lattice by a scan of every subset of the catalog,
+        refused above `SUBSET_GATE` subsets, also once it is cached."""
         count = len(self.catalog)
-        if (1 << count) > size_gate:
+        if (1 << count) > SUBSET_GATE:
             raise GateError(
                 f"torsion lattice needs 2^{count} subset checks, above the "
-                f"gate of {size_gate}; raise the gate to force it")
+                f"gate of {SUBSET_GATE}; raise the gate to force it")
         if self._lattice is not None:
             return self._lattice
         classes = [_members(s, count) for s in range(1 << count)

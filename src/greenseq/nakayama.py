@@ -84,7 +84,6 @@ class NakayamaBackend:
                     ident=len(catalog),
                     descriptor=("U", top0 + 1, length),
                     dimvec=tuple(spaces),
-                    spaces=tuple(spaces),
                     matrices=tuple(mats),
                     display=self._display(top0, length),
                 ))

@@ -246,10 +246,10 @@ def source_order_simples(cat: ModuleCategory) -> list[int]:
     return order
 
 
-def check_extrema(cat: ModuleCategory, engine: GreenEngine,
-                  posets: dict[str, ClassPoset]) -> dict:
+def check_extrema(engine: GreenEngine, posets: dict[str, ClassPoset]) -> dict:
     """Unique maximum (projectives-and-shifts class) and unique minimum
     (all-bricks class) where the hypotheses apply."""
+    cat = engine.cat
     if cat.spec.is_nakayama and cat.spec.cyclic:
         return {"applicable": False,
                 "notice": "cyclic Nakayama algebra: not acyclic and not "

@@ -94,7 +94,6 @@ class TypeABackend:
                     ident=len(catalog),
                     descriptor=("I", a0 + 1, b0 + 1),
                     dimvec=spaces,
-                    spaces=spaces,
                     matrices=tuple(mats),
                     display=self._display(a0, b0),
                 ))

@@ -1,20 +1,25 @@
 """Executable property suites.
 
-Each suite returns a list of named checks with a pass flag and witnessing
-detail; the CLI maps any failure to a non-zero exit.  Suite names follow
-the command-line interface (theoremA, theoremB, theoremC, lemmas); the
-individual checks are named by the property they exercise.  The lemma
-battery reads the generated lattice's per-class and per-cover tables:
-one test per cover, pair of consecutive covers or square, and the
-per-sequence checks as masks folded once per class, on its normal form
-(`GreenEngine.path_failures`); it calls no per-sequence method.  Only a
-failing path check, and the sequence count where the subset oracle is
-admitted, walk the chains.  Theorems A, B and C read the classes, one
-lexicographic normal form each, and list no sequence.  Theorem B's order
-checks are row inclusions (`orders._outside`): the rows of one order
-against those of the other, against reverse brick containment and the
-classes with fewer bricks, or against those alone; only the pairs that
-violate one are listed.
+Each suite takes the `GreenEngine` alone, reads the category from
+`engine.cat`, and returns a list of named checks with a pass flag and
+witnessing detail; the CLI maps any failure to a non-zero exit.  Suite
+names follow the command-line interface (theoremA, theoremB, theoremC,
+lemmas); the individual checks are named by the property they exercise.
+The lemma battery reads the generated lattice's per-class and per-cover
+tables: one test per cover, pair of consecutive covers or square, and
+the per-sequence checks as masks folded once per class, on its normal
+form (`GreenEngine.path_failures`); it calls no per-sequence method.
+Only a failing path check, and the sequence count where the subset
+oracle is admitted, walk the chains.  Theorems A, B and C read the
+classes, one lexicographic normal form each, and list no sequence.
+Theorem B's order checks are row inclusions (`orders._outside`): the
+rows of one order against those of the other, against reverse brick
+containment and the classes with fewer bricks, or against those alone;
+only the pairs that violate one are listed.  The LATTICE_CHECKS compare
+the generated lattice with the subset oracle
+(`ModuleCategory.torsion_lattice`) up to its fixed gate,
+`modcat.SUBSET_GATE`; above it, each reads `skipped` with the gate's
+message.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from itertools import combinations
 from .cli import SUITES
 from .errors import GateError, TheoremViolation, UsageError
 from .green import PATH_CHECKS, GreenEngine
-from .modcat import DEFAULT_SUBSET_GATE, ModuleCategory
+from .modcat import ModuleCategory
 from . import orders as orders_mod
 from .orders import _bits, _containment_rows, _outside
 
@@ -61,12 +66,12 @@ def build_posets(engine: GreenEngine, include_brick: bool) -> dict[str, orders_m
 
 # -- theorem A ---------------------------------------------------------------
 
-def suite_theorem_a(cat: ModuleCategory, engine: GreenEngine) -> list[CheckResult]:
+def suite_theorem_a(engine: GreenEngine) -> list[CheckResult]:
     try:
         classes = engine.equivalence_classes()
         return [CheckResult(
             "equivalence-criteria-agree", True,
-            {"sequences": cat.generated_lattice().maximal_chain_count(),
+            {"sequences": engine.cat.generated_lattice().maximal_chain_count(),
              "classes": len(classes)})]
     except TheoremViolation as exc:
         return [CheckResult("equivalence-criteria-agree", False,
@@ -75,7 +80,7 @@ def suite_theorem_a(cat: ModuleCategory, engine: GreenEngine) -> list[CheckResul
 
 # -- theorem B ---------------------------------------------------------------
 
-def suite_theorem_b(cat: ModuleCategory, engine: GreenEngine,
+def suite_theorem_b(engine: GreenEngine,
                     posets: dict[str, orders_mod.ClassPoset]) -> list[CheckResult]:
     """Checks on the THEOREM_B_ORDERS, which `posets` holds in that order
     and nothing else: the extrema and polygon checks read every entry."""
@@ -122,13 +127,13 @@ def suite_theorem_b(cat: ModuleCategory, engine: GreenEngine,
                               persistence["passed"],
                               {"failures": persistence["failures"]}))
 
-    extrema = orders_mod.check_extrema(cat, engine, posets)
+    extrema = orders_mod.check_extrema(engine, posets)
     detail = ({"checks": extrema["checks"]} if extrema.get("applicable")
               else {"skipped": extrema["notice"]})
     checks.append(CheckResult("extrema-unique-max-and-min",
                               extrema.get("passed", True), detail))
 
-    if cat.n == 2:
+    if engine.cat.n == 2:
         # with two simples, the three orders coincide and agree with
         # reverse brick containment
         report = orders_mod.orders_equal_report(list(posets.values()))
@@ -140,7 +145,7 @@ def suite_theorem_b(cat: ModuleCategory, engine: GreenEngine,
 
 # -- theorem C ----------------------------------------------------------------
 
-def suite_theorem_c(cat: ModuleCategory, engine: GreenEngine,
+def suite_theorem_c(engine: GreenEngine,
                     posets: dict[str, orders_mod.ClassPoset]) -> list[CheckResult]:
     """Checks on all four orders, which `posets` holds; the brick order
     exists only over Nakayama algebras."""
@@ -162,9 +167,8 @@ def suite_theorem_c(cat: ModuleCategory, engine: GreenEngine,
 
 # -- lemma battery ---------------------------------------------------------------
 
-def suite_lemmas(cat: ModuleCategory, engine: GreenEngine,
-                 subset_gate: int = DEFAULT_SUBSET_GATE) -> list[CheckResult]:
-    checks: list[CheckResult] = []
+def suite_lemmas(engine: GreenEngine) -> list[CheckResult]:
+    cat, checks = engine.cat, []
     # first, so that the gates fire before any check runs
     failures = engine.path_failures()
     hom, modules = cat.hom_table, range(len(cat.catalog))
@@ -205,19 +209,19 @@ def suite_lemmas(cat: ModuleCategory, engine: GreenEngine,
     checks += [path_check(name) for name in PATH_CHECKS[:3]]
 
     try:
-        oracle = cat.torsion_lattice(subset_gate)
+        oracle = cat.torsion_lattice()
     except GateError as exc:
         checks += [CheckResult(name, True, {"skipped": str(exc)})
                    for name in LATTICE_CHECKS]
     else:
-        checks += _lattice_checks(cat, engine, oracle)
+        checks += _lattice_checks(engine, oracle)
 
     bad = [[cat.display(a), cat.display(b)] for a in modules for b in modules
            if cat.ext1_table[a][b] != cat.ext1_presentation(a, b)]
     checks.append(CheckResult("ext-formula-matches-presentation-oracle",
                               not bad, {"violations": bad}))
 
-    checks.append(_square_check(cat, engine))
+    checks.append(_square_check(engine))
 
     if cat.spec.is_nakayama:
         checks.append(_unique_filtration_check(cat))
@@ -233,10 +237,9 @@ def suite_lemmas(cat: ModuleCategory, engine: GreenEngine,
     return checks
 
 
-def _lattice_checks(cat: ModuleCategory, engine: GreenEngine,
-                    lattice) -> list[CheckResult]:
+def _lattice_checks(engine: GreenEngine, lattice) -> list[CheckResult]:
     """The LATTICE_CHECKS, in that order, against the subset oracle."""
-    checks: list[CheckResult] = []
+    cat, checks = engine.cat, []
     degree = Counter()
     for up, lo, _ in lattice.covers:
         degree[up] += 1
@@ -263,8 +266,9 @@ def _lattice_checks(cat: ModuleCategory, engine: GreenEngine,
     return checks
 
 
-def _square_check(cat: ModuleCategory, engine: GreenEngine) -> CheckResult:
+def _square_check(engine: GreenEngine) -> CheckResult:
     """The lattice squares whose sides differ (`GreenEngine.square_failures`)."""
+    cat = engine.cat
     classes = cat.generated_lattice().classes
     bad = [{"class": sorted(classes[top]), "swap": [cat.display(a), cat.display(b)]}
            for top, a, b, *_ in engine.square_failures()]
@@ -353,26 +357,26 @@ def _representation_directed_check(cat: ModuleCategory) -> CheckResult:
                        not has_cycle, {"cycle": cycle})
 
 
-def run_suite(name: str, cat: ModuleCategory, engine: GreenEngine,
-              subset_gate: int = DEFAULT_SUBSET_GATE) -> list[CheckResult]:
+def run_suite(name: str, engine: GreenEngine) -> list[CheckResult]:
+    nakayama = engine.cat.spec.is_nakayama
     if name == "theoremA":
-        return suite_theorem_a(cat, engine)
+        return suite_theorem_a(engine)
     if name == "theoremB":
-        return suite_theorem_b(cat, engine, build_posets(engine, include_brick=False))
+        return suite_theorem_b(engine, build_posets(engine, include_brick=False))
     if name == "theoremC":
-        if not cat.spec.is_nakayama:
+        if not nakayama:
             raise UsageError("theoremC applies to Nakayama algebras only")
-        return suite_theorem_c(cat, engine, build_posets(engine, include_brick=True))
+        return suite_theorem_c(engine, build_posets(engine, include_brick=True))
     if name == "lemmas":
-        return suite_lemmas(cat, engine, subset_gate)
+        return suite_lemmas(engine)
     if name == "all":
-        out = suite_theorem_a(cat, engine)
+        out = suite_theorem_a(engine)
         # one build of each order, shared by theoremB and theoremC
-        posets = build_posets(engine, include_brick=cat.spec.is_nakayama)
-        out += suite_theorem_b(cat, engine,
+        posets = build_posets(engine, include_brick=nakayama)
+        out += suite_theorem_b(engine,
                                {tag: posets[tag] for tag in THEOREM_B_ORDERS})
-        if cat.spec.is_nakayama:
-            out += suite_theorem_c(cat, engine, posets)
-        out += suite_lemmas(cat, engine, subset_gate)
+        if nakayama:
+            out += suite_theorem_c(engine, posets)
+        out += suite_lemmas(engine)
         return out
     raise UsageError(f"unknown suite {name!r}; pick one of {SUITES}")

@@ -125,8 +125,7 @@ def test_criterion_4_equivalence_agreement_battery():
     t0 = time.monotonic()
     ok = True
     for spec in full_battery():
-        cat, eng = category_for(spec), engine_for(spec)
-        checks = suite_theorem_a(cat, eng)
+        checks = suite_theorem_a(engine_for(spec))
         if not all(c.passed for c in checks):
             ok = False
             print(f"  disagreement on {spec.label()}")
@@ -170,8 +169,7 @@ def test_criterion_6_nakayama_order_equality():
 def test_criterion_7_lemma_suite_battery():
     ok = True
     for spec in full_battery():
-        cat, eng = category_for(spec), engine_for(spec)
-        for check in suite_lemmas(cat, eng):
+        for check in suite_lemmas(engine_for(spec)):
             if not check.passed:
                 ok = False
                 print(f"  {check.name} fails on {spec.label()}: {check.detail}")
@@ -183,10 +181,10 @@ def test_criterion_8_extrema_battery():
     for spec in full_battery():
         if spec.is_nakayama and spec.cyclic:
             continue
-        cat, eng = category_for(spec), engine_for(spec)
+        eng = engine_for(spec)
         posets = {tag: build_order(tag, eng)
                   for tag in ("pentagon", "summand", "hn")}
-        result = check_extrema(cat, eng, posets)
+        result = check_extrema(eng, posets)
         if not (result["applicable"] and result["passed"]):
             ok = False
             print(f"  extrema fail on {spec.label()}: {result}")

@@ -291,11 +291,10 @@ def refuse_sequence_walks(monkeypatch):
 
 
 def _orders_and_theorems(spec, eng):
-    cat = eng.cat
     tags = [tag for tag in ORDER_TAGS if tag != "brick" or spec.is_nakayama]
     suites = ["theoremA", "theoremB"] + (["theoremC"] if spec.is_nakayama else [])
     return ([build_order(tag, eng) for tag in tags],
-            [[c.to_dict() for c in run_suite(name, cat, eng)] for name in suites])
+            [[c.to_dict() for c in run_suite(name, eng)] for name in suites])
 
 
 @pytest.mark.parametrize("spec", full_battery() + EXTRA_SPECS,

@@ -181,6 +181,20 @@ def test_hn_sum_expression(capsys, a2_file):
     assert data["stable_factors"] == [["1", 1], ["2", 2]]
 
 
+def test_hn_computes_the_filtration_once(capsys, monkeypatch, example_file):
+    calls = []
+    real = GreenEngine.hn_filtration
+
+    def counting(self, module, g):
+        calls.append(g.bricks)
+        return real(self, module, g)
+
+    monkeypatch.setattr(GreenEngine, "hn_filtration", counting)
+    code, _, _ = run(capsys, "hn", example_file,
+                     "--mgs", "2,12,1,32,3", "--module", "132")
+    assert code == 0 and len(calls) == 1
+
+
 def test_hn_invalid_brick_list_explains(capsys, a2_file):
     code, _, err = run(capsys, "hn", a2_file, "--mgs", "2,1", "--module", "12")
     assert code == 2
@@ -256,12 +270,14 @@ def test_gate_error_is_usage_exit(capsys, monkeypatch, example_file):
 def test_brick_gate_flag_is_an_argparse_error(capsys, example_file):
     for argv, message in (
             (["--brick-gate=2", "mgs"], "unrecognized arguments: --brick-gate=2"),
-            (["--brick-gate", "2", "mgs"], "invalid choice: '2'")):
+            (["--brick-gate", "2", "mgs"], "invalid choice: '2'"),
+            (["--subset-gate=4", "verify", "--suite", "all"],
+             "unrecognized arguments: --subset-gate=4")):
         with pytest.raises(SystemExit) as exc:
             main([*argv, example_file])
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert err.startswith("usage: greenseq [-h] [--exact] [--subset-gate")
+        assert err.startswith("usage: greenseq [-h] [--exact]\n")
         assert message in err
 
 
@@ -363,6 +379,24 @@ def test_missing_file_is_usage_error(capsys):
     code, _, err = run(capsys, "catalog", "/nonexistent/algebra.json")
     assert code == 2
     assert "cannot read" in err
+
+
+def test_non_utf8_file_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b'\xff\xfe{"type": "typeA", "orientation": "<>"}\n')
+    code, out, err = run(capsys, "catalog", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot read {path}: ")
+    assert "can't decode byte 0xff" in err
+
+
+def test_unwritable_poset_output_is_usage_error(capsys, tmp_path, example_file):
+    target = tmp_path / "missing" / "poset.dot"
+    code, out, err = run(capsys, "poset", example_file, "--order", "summand",
+                         "-o", str(target))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert not target.parent.exists()
 
 
 def test_bad_module_expression(capsys, a2_file):

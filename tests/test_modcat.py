@@ -196,21 +196,21 @@ def _dense_system(cat, a, b):
     offs, total = [], 0
     for v in range(cat.n):
         offs.append(total)
-        total += M.spaces[v] * N.spaces[v]
+        total += M.dimvec[v] * N.dimvec[v]
     if not total:
         return 0, []
     rows = []
     for k, (s, d) in enumerate(cat.slots):
-        if not M.spaces[d] and not N.spaces[s]:
+        if not M.dimvec[d] and not N.dimvec[s]:
             continue  # every row of this slot is zero
         TM, TN = M.matrices[k], N.matrices[k]
-        for i in range(N.spaces[d]):
-            for j in range(M.spaces[s]):
+        for i in range(N.dimvec[d]):
+            for j in range(M.dimvec[s]):
                 row = [0] * total
-                for t in range(M.spaces[d]):
-                    row[offs[d] + i * M.spaces[d] + t] += TM[t][j]
-                for t in range(N.spaces[s]):
-                    row[offs[s] + t * M.spaces[s] + j] -= TN[i][t]
+                for t in range(M.dimvec[d]):
+                    row[offs[d] + i * M.dimvec[d] + t] += TM[t][j]
+                for t in range(N.dimvec[s]):
+                    row[offs[s] + t * M.dimvec[s] + j] -= TN[i][t]
                 if any(row):
                     rows.append(row)
     return total, rows
@@ -513,17 +513,20 @@ def test_lattice_example_golden(example_cat):
     assert got_covers == EXAMPLE_COVERS
 
 
-def test_lattice_gate():
+def test_lattice_gate(monkeypatch):
     cat = ModuleCategory(AlgebraSpec.type_a("<>"))
+    monkeypatch.setattr(modcat, "SUBSET_GATE", 4)
     with pytest.raises(GateError, match="gate"):
-        cat.torsion_lattice(size_gate=4)
+        cat.torsion_lattice()
 
 
-def test_lattice_gate_holds_after_the_lattice_is_cached():
+def test_lattice_gate_holds_after_the_lattice_is_cached(monkeypatch):
     cat = ModuleCategory(AlgebraSpec.type_a("<>"))
     lattice = cat.torsion_lattice()
+    monkeypatch.setattr(modcat, "SUBSET_GATE", 4)
     with pytest.raises(GateError, match="gate"):
-        cat.torsion_lattice(size_gate=4)
+        cat.torsion_lattice()
+    monkeypatch.undo()
     assert cat.torsion_lattice() is lattice
 
 

@@ -516,7 +516,7 @@ def _posets(engine):
 
 
 def test_example_extrema(example_cat, example_engine):
-    report = check_extrema(example_cat, example_engine, _posets(example_engine))
+    report = check_extrema(example_engine, _posets(example_engine))
     assert report["applicable"] and report["passed"], report
     classes = example_engine.equivalence_classes()
     mx = class_of_names(example_cat, example_engine, ["1", "3", "2"])
@@ -526,15 +526,14 @@ def test_example_extrema(example_cat, example_engine):
     assert len(classes[mn].key) == 9  # every summand
 
 
-def test_a2_extrema(a2_cat, a2_engine):
-    report = check_extrema(a2_cat, a2_engine, _posets(a2_engine))
+def test_a2_extrema(a2_engine):
+    report = check_extrema(a2_engine, _posets(a2_engine))
     assert report["applicable"] and report["passed"]
 
 
 def test_extrema_skipped_on_cyclic():
-    spec = AlgebraSpec.nakayama([2, 2], cyclic=True)
-    cat, eng = category_for(spec), engine_for(spec)
-    report = check_extrema(cat, eng, _posets(eng))
+    eng = engine_for(AlgebraSpec.nakayama([2, 2], cyclic=True))
+    report = check_extrema(eng, _posets(eng))
     assert report["applicable"] is False
     assert "skipped" in report["notice"]
 
@@ -559,7 +558,7 @@ def test_one_broken_row_fails_one_extrema_check(example_cat, example_engine,
     else:
         rows[mn] &= ~(1 << c)   # the minimum does not lie below c
     posets[tag] = replace(posets[tag], rows=tuple(rows))
-    report = check_extrema(example_cat, example_engine, posets)
+    report = check_extrema(example_engine, posets)
     assert not report["passed"]
     assert [e["check"] for e in report["checks"] if not e["passed"]] == [failing]
 
@@ -777,7 +776,7 @@ def test_comparable_unoriented_polygon_sides_listed_once_per_order():
         for tag, row in (("summand", summand), ("hn", hn)):
             posets[tag] = replace(posets[tag],
                                   rows=tuple(row(i) for i in range(size)))
-        [check] = [c for c in suite_theorem_b(category_for(spec), eng, posets)
+        [check] = [c for c in suite_theorem_b(eng, posets)
                    if c.name == "unoriented-polygon-sides-incomparable"]
         assert not check.passed
         assert check.detail == {
@@ -808,7 +807,7 @@ def test_theorem_b_lists_violations_in_lexicographic_order(spec):
         "deformation-strictly-shortens-length":
             [[lo, hi] for lo, hi in strict
              if len(bricks[lo]) <= len(bricks[hi])]}
-    checks = {c.name: c for c in suite_theorem_b(category_for(spec), eng, posets)}
+    checks = {c.name: c for c in suite_theorem_b(eng, posets)}
     for name, violations in expected.items():
         assert checks[name].detail == {"violations": violations}
         assert checks[name].passed == (not violations)
@@ -865,7 +864,7 @@ def test_theorem_b_matches_pair_walks_on_drawn_relations(spec, seed, densities):
             row ^ sum(1 << j for j in range(size) if rng.random() < density)
             for row in posets[tag].rows))
     expected, failures, coincide = _theorem_b_loops(eng, posets)
-    checks = {c.name: c for c in suite_theorem_b(category_for(spec), eng, posets)}
+    checks = {c.name: c for c in suite_theorem_b(eng, posets)}
     for name, violations in expected.items():
         assert repr(checks[name].detail) == repr({"violations": violations})
         assert checks[name].passed == (not violations)

@@ -12,10 +12,9 @@ from itertools import combinations
 import pytest
 
 from greenseq import AlgebraSpec, GreenEngine, ModuleCategory
-from greenseq import orders
+from greenseq import modcat, orders
 from greenseq.errors import GateError, InvariantViolation, UsageError
 from greenseq.green import MGS, PATH_CHECKS, ExchangePair, SiltingSummand
-from greenseq.modcat import DEFAULT_SUBSET_GATE
 from greenseq.nakayama import NakayamaBackend
 from greenseq.verify import (LATTICE_CHECKS, CheckResult, _filt_interval_check,
                              _orthogonal_brick_sets, _representation_directed_check,
@@ -41,7 +40,7 @@ def test_all_suite_builds_each_order_once(monkeypatch):
         return real(tag, engine)
 
     monkeypatch.setattr(orders, "build_order", counting)
-    run_suite("all", cat, eng)
+    run_suite("all", eng)
     assert sorted(built) == ["brick", "hn", "pentagon", "summand"]
 
 
@@ -56,8 +55,8 @@ def test_all_suite_is_its_parts_in_order(spec):
     if spec.is_nakayama:
         names.append("theoremC")
     names.append("lemmas")
-    parts = [c.to_dict() for name in names for c in run_suite(name, cat, eng)]
-    assert [c.to_dict() for c in run_suite("all", cat, eng)] == parts
+    parts = [c.to_dict() for name in names for c in run_suite(name, eng)]
+    assert [c.to_dict() for c in run_suite("all", eng)] == parts
 
 
 def test_filt_interval_check_runs_beyond_twenty_classes():
@@ -113,13 +112,13 @@ def test_failing_filt_interval_check_matches_per_chain_loop(spec, monkeypatch):
     assert check == _filt_interval_by_chains(cat, lattice)
 
 
-def test_gated_lemmas_report_each_lattice_check_as_skipped():
-    def lemmas(**gate):
-        cat = ModuleCategory(AlgebraSpec.type_a("<>"))
-        return run_suite("lemmas", cat, GreenEngine(cat), **gate)
+def test_gated_lemmas_report_each_lattice_check_as_skipped(monkeypatch):
+    def lemmas():
+        return run_suite("lemmas", GreenEngine(ModuleCategory(AlgebraSpec.type_a("<>"))))
 
-    gated = lemmas(subset_gate=4)
     full = lemmas()
+    monkeypatch.setattr(modcat, "SUBSET_GATE", 4)
+    gated = lemmas()
     assert [c.name for c in gated] == [c.name for c in full]
     for before, after in zip(full, gated):
         if after.name in LATTICE_CHECKS:
@@ -130,11 +129,12 @@ def test_gated_lemmas_report_each_lattice_check_as_skipped():
     assert sum(c.name in LATTICE_CHECKS for c in full) == len(LATTICE_CHECKS)
 
 
-def test_gated_lemmas_skip_after_an_ungated_lattice_call():
+def test_gated_lemmas_skip_after_an_ungated_lattice_call(monkeypatch):
     # the lattice cached by the first call must not slip past the gate
     cat = ModuleCategory(AlgebraSpec.type_a("<>"))
     cat.torsion_lattice()
-    checks = run_suite("lemmas", cat, GreenEngine(cat), subset_gate=4)
+    monkeypatch.setattr(modcat, "SUBSET_GATE", 4)
+    checks = run_suite("lemmas", GreenEngine(cat))
     skipped = [c.name for c in checks if "skipped" in c.detail]
     assert skipped == list(LATTICE_CHECKS)
     assert all("gate of 4" in c.detail["skipped"]
@@ -157,7 +157,7 @@ def verify_phi(cat, eng, g):
     return left == right
 
 
-def oracle_lemmas(cat, eng, subset_gate=DEFAULT_SUBSET_GATE):
+def oracle_lemmas(cat, eng):
     """The lemma battery as it ran sequence by sequence, through
     `torsion_chain`, `summand_set`, `exchange_pairs`,
     `stable_factor_function`, `square_swap` and `verify_phi`, less the HN
@@ -214,7 +214,7 @@ def oracle_lemmas(cat, eng, subset_gate=DEFAULT_SUBSET_GATE):
     add("summand-count-is-n-plus-length", bad)
 
     try:
-        lattice = cat.torsion_lattice(subset_gate)
+        lattice = cat.torsion_lattice()
     except GateError as exc:
         checks += [CheckResult(name, True, {"skipped": str(exc)})
                    for name in LATTICE_CHECKS]
@@ -284,7 +284,7 @@ def _lemma_dicts(suite_or_oracle, spec):
 @pytest.mark.parametrize("spec", full_battery() + LEMMA_EXTRA_SPECS,
                          ids=lambda s: s.label())
 def test_lemmas_match_per_sequence_oracle(spec):
-    new = _lemma_dicts(lambda cat, eng: run_suite("lemmas", cat, eng), spec)
+    new = _lemma_dicts(lambda cat, eng: run_suite("lemmas", eng), spec)
     assert new == _lemma_dicts(oracle_lemmas, spec)
     assert "hn-stable-factors-additive-over-sums" not in {
         c["check"] for c in new}
@@ -325,7 +325,7 @@ def test_lemmas_call_no_per_sequence_method(monkeypatch):
                  "stable_factor_function", "square_swap", "explain_invalid"):
         monkeypatch.setattr(GreenEngine, name, refuse)
     cat = ModuleCategory(AlgebraSpec.nakayama([3, 2, 1]))
-    checks = run_suite("lemmas", cat, GreenEngine(cat))
+    checks = run_suite("lemmas", GreenEngine(cat))
     assert checks and all(c.passed for c in checks)
 
 
@@ -341,7 +341,7 @@ def test_orders_read_one_invariant_row_per_class(monkeypatch):
         monkeypatch.setattr(GreenEngine, name, counting)
     cat = ModuleCategory(AlgebraSpec.type_a("<><"))
     eng = GreenEngine(cat)
-    assert all(c.passed for c in run_suite("all", cat, eng))
+    assert all(c.passed for c in run_suite("all", eng))
     reps = {c.representative.bricks for c in eng.equivalence_classes()}
     assert {g for _, g in calls} == reps
     assert max(calls.values()) == 1
@@ -365,7 +365,7 @@ def test_patched_ext_entry_fails_the_adjacent_check():
     table = [list(row) for row in cat.ext1_table]
     table[b][a] += 1
     cat.ext1_table = tuple(map(tuple, table))
-    checks = run_suite("lemmas", cat, eng)
+    checks = run_suite("lemmas", eng)
     pair = [cat.display(a), cat.display(b)]
     assert pair in _failed(checks, "adjacent-hom-vanishing-forces-ext-vanishing")
     assert pair[::-1] in _failed(checks, "ext-formula-matches-presentation-oracle")
@@ -384,7 +384,7 @@ def test_patched_projective_cover_fails_the_ext_oracle(monkeypatch):
         return (p0, tuple(sorted(omega + p0))) if i == one else (p0, omega)
 
     monkeypatch.setattr(NakayamaBackend, "projective_cover", padded)
-    checks = run_suite("lemmas", cat, GreenEngine(cat))
+    checks = run_suite("lemmas", GreenEngine(cat))
     assert _failed(checks, "ext-formula-matches-presentation-oracle") == [
         ["1", "1"], ["1", "12"], ["1", "123"]]
 
@@ -402,7 +402,7 @@ def test_patched_elimination_fails_the_interval_hom_check(monkeypatch):
         return 1 - real(a, b) if (a, b) == differs else real(a, b)
 
     monkeypatch.setattr(cat, "_hom_dim", patched)
-    checks = run_suite("lemmas", cat, GreenEngine(cat))
+    checks = run_suite("lemmas", GreenEngine(cat))
     assert _failed(checks, "interval-hom-dimensions-at-most-one") == [
         [cat.display(a), cat.display(b)] for a, b in (above, differs)]
 
@@ -412,13 +412,13 @@ def test_non_simple_end_label_fails_the_end_check(monkeypatch):
     one = cat.resolve_token("1")
     real = cat.is_simple
     monkeypatch.setattr(cat, "is_simple", lambda i: i != one and real(i))
-    checks = run_suite("lemmas", cat, GreenEngine(cat))
+    checks = run_suite("lemmas", GreenEngine(cat))
     # one cover below the top and one above the bottom carry the label 1
     assert _failed(checks, "first-and-last-brick-simple") == ["1", "1"]
 
 
 def _assert_fault_matches_oracle(spec, name):
-    new = _lemma_dicts(lambda cat, eng: run_suite("lemmas", cat, eng), spec)
+    new = _lemma_dicts(lambda cat, eng: run_suite("lemmas", eng), spec)
     old = _lemma_dicts(oracle_lemmas, spec)
     check, = [c for c in new if c["check"] == name]
     assert not check["passed"] and check["detail"]["violations"]
@@ -494,7 +494,7 @@ def test_mislabelled_oracle_cover_fails_the_cover_check():
     (up, lo, lab), *rest = oracle.covers
     other = next(b for b in cat.bricks if b != lab)
     cat._lattice = replace(oracle, covers=((up, lo, other), *rest))
-    checks = run_suite("lemmas", cat, GreenEngine(cat))
+    checks = run_suite("lemmas", GreenEngine(cat))
     assert _failed(checks, "chain-steps-are-labelled-lattice-covers") == [
         {"upper": sorted(oracle.classes[up]),
          "lower": sorted(oracle.classes[lo])}]
@@ -507,7 +507,7 @@ def test_count_check_counts_the_walked_chains(monkeypatch, edit, walked):
     # the check sums the group tails of the walk
     edit_walk(monkeypatch, edit)
     cat = ModuleCategory(EXAMPLE_QUIVER)
-    check = next(c for c in run_suite("lemmas", cat, GreenEngine(cat))
+    check = next(c for c in run_suite("lemmas", GreenEngine(cat))
                  if c.name == "mgs-count-matches-lattice-chains")
     assert check.to_dict() == {"check": "mgs-count-matches-lattice-chains",
                                "passed": False,
@@ -540,7 +540,7 @@ def test_patched_square_side_fails_the_square_check():
         return rows
 
     top = _patch_square_side(eng, patch)
-    check = _square_check(cat, eng)
+    check = _square_check(eng)
     assert not check.passed
     assert check.detail["violations"]
     assert all(v["class"] == sorted(cat.generated_lattice().classes[top])
@@ -590,7 +590,7 @@ def test_path_column_differing_on_a_square_falls_back_to_every_chain():
     expected = _path_failures_by_chain(eng)
     failing = {labels for found in expected.values() for labels in found}
     assert failing and not failing & forms
-    checks = run_suite("lemmas", cat, eng)
+    checks = run_suite("lemmas", eng)
     squares = _failed(checks, "square-swaps-preserve-class-invariants")
     assert all(v["class"] == sorted(cat.generated_lattice().classes[top])
                for v in squares)
@@ -604,7 +604,7 @@ def test_path_column_differing_on_a_square_falls_back_to_every_chain():
 @pytest.mark.parametrize("spec", full_battery(), ids=lambda s: s.label())
 def test_lemmas_list_no_sequence(spec, monkeypatch):
     def lemmas(cat, eng):
-        return run_suite("lemmas", cat, eng)
+        return run_suite("lemmas", eng)
 
     expected = _lemma_dicts(lemmas, spec)
 
@@ -629,7 +629,7 @@ def test_patched_square_side_fails_theorem_a():
         return rows
 
     top = _patch_square_side(eng, patch)
-    [check] = run_suite("theoremA", cat, eng)
+    [check] = run_suite("theoremA", eng)
     assert check.name == "equivalence-criteria-agree" and not check.passed
     match = re.fullmatch(
         r"equivalence by square-swap closure disagrees with stable-factor "
@@ -649,4 +649,4 @@ def test_removed_square_side_raises():
     eng = GreenEngine(cat)
     _patch_square_side(eng, lambda rows, k: rows[:k] + rows[k + 1:])
     with pytest.raises(InvariantViolation, match="square swap broke the sequence"):
-        _square_check(cat, eng)
+        _square_check(eng)
