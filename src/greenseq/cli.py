@@ -112,6 +112,8 @@ def load_algebra(path: str) -> AlgebraSpec:
         raise SpecError(
             f"{path}: parse error at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}") from None
+    except RecursionError:
+        raise SpecError(f"{path}: parse error: nested too deeply") from None
     return AlgebraSpec.from_dict(data)
 
 

@@ -5,8 +5,8 @@ forms; this elimination is its oracle.  `ModuleCategory(exact=True)`
 (the CLI's `--exact`) solves every catalog pair over the rationals, and
 the type-A verify check `interval-hom-dimensions-at-most-one` solves
 every pair in the category's field, F_p unless exact.  The category
-builds every pair's system but calls this once per distinct system
-(`ModuleCategory._hom_dim`).
+builds a system once per distinct restriction of a pair of modules and
+calls this once per distinct system (`ModuleCategory._hom_dim`).
 
 One fraction-free Gaussian elimination serves two fields: the prime field
 F_p with p = 1000003 by default, and the rationals for paranoia runs.  A

@@ -9,11 +9,14 @@ arrow matrices (`_hom_dim`) stays as its oracle: with `exact=True` (the
 CLI's `--exact`) every pair is solved over the rationals and the first
 that disagrees with the table raises `InvariantViolation`, and the
 type-A verify check `interval-hom-dimensions-at-most-one` solves every
-pair in the category's field, F_p unless exact.  Every pair's system is
-built, on the common support of the two modules, but the systems repeat
-(typeA <x16 has 15,657 pairs with a common support and 64 distinct
-systems), so each distinct one is eliminated once per category, its
-rank kept in a memo keyed by its rows.  The Ext^1 table is the
+pair in the category's field, F_p unless exact.  A pair's system reads
+only the part of the quiver on the common support of the two modules
+and at the slots that can give it rows, so each pair is keyed by the
+modules' restrictions to that part, one AND of per-module codes, and a
+system is built only for a key not seen before; the ranks are kept in a
+memo keyed by the rows, so each distinct system is eliminated once per
+category (typeA <x16 has 15,657 pairs with a common support, 545 keys
+and 64 distinct systems).  The Ext^1 table is the
 backend's closed form too, read off the Hom table on first use
 (`ext1_table`): the Euler form of the hereditary path algebra (type A),
 or the injective envelope of the second module (Nakayama).  The
@@ -218,6 +221,10 @@ class ModuleCategory:
         self._generated: TorsionLattice | None = None
         # the rows of each distinct Hom system solved -> its rank
         self._ranks: dict[tuple, int] = {}
+        # `_hom_dim`'s key of a pair -> dim Hom, and a selection of
+        # vertex and slot fields -> the mask of those fields in the codes
+        self._hom_dims: dict[tuple[int, int, int], int] = {}
+        self._field_masks: dict[int, int] = {}
         # hom_table[a][b] = dim Hom(a, b) for every pair of catalog ids
         self.hom_table: tuple[tuple[int, ...], ...] = self.backend.hom_table()
         if exact:
@@ -274,7 +281,63 @@ class ModuleCategory:
     def _rank(self, rows) -> int:
         return rank_exact(rows) if self.exact else rank_mod_p(rows)
 
+    @cached_property
+    def _hom_codes(self) -> tuple[list[int], ...]:
+        """Each catalog module encoded once, for the keys of `_hom_dim`:
+        its support as a vertex mask, the masks of the slots whose source
+        and whose target lie in it, and its code, one integer with a field
+        per vertex v, an interned id of dimvec[v], then a field per slot
+        k = (s, d), an interned id of (dimvec[s], dimvec[d], matrices[k]).
+        Last, the mask of each field, vertices first."""
+        vert_ids: dict[int, int] = {}
+        slot_ids: dict[tuple, int] = {}
+        fields = [[vert_ids.setdefault(x, len(vert_ids)) for x in M.dimvec]
+                  + [slot_ids.setdefault((M.dimvec[s], M.dimvec[d],
+                                          M.matrices[k]), len(slot_ids))
+                     for k, (s, d) in enumerate(self.slots)]
+                  for M in self.catalog]
+        width = max(len(vert_ids), len(slot_ids)).bit_length()
+        full = (1 << width) - 1
+        field_masks = [full << (f * width)
+                       for f in range(self.n + len(self.slots))]
+        supp, src, dst, code = [], [], [], []
+        for M, ids in zip(self.catalog, fields):
+            dims = M.dimvec
+            supp.append(_mask(v for v, x in enumerate(dims) if x))
+            src.append(_mask(k for k, (s, _) in enumerate(self.slots)
+                             if dims[s]))
+            dst.append(_mask(k for k, (_, d) in enumerate(self.slots)
+                             if dims[d]))
+            code.append(sum(i << (f * width) for f, i in enumerate(ids)))
+        return supp, src, dst, code, field_masks
+
     def _hom_dim(self, a: int, b: int) -> int:
+        """dim Hom(a, b) solved on the commuting squares (`_hom_system`),
+        read from a memo keyed by the pair's restriction to what its
+        system reads.  The rows read only the dimensions on the common
+        support C and, at each active slot (one whose rows can be
+        non-zero: source in a's support, target in b's, and target in a's
+        or source in b's), the dimensions at both ends and both structure
+        matrices.  So the key is the selection of C's vertex fields and
+        the active slots' fields, with both codes masked to it; a pair
+        whose key was seen before builds no rows."""
+        supp, src, dst, code, field_masks = self._hom_codes
+        common = supp[a] & supp[b]
+        if not common:
+            return 0
+        active = src[a] & dst[b] & (dst[a] | src[b])
+        selected = common | active << self.n
+        mask = self._field_masks.get(selected)
+        if mask is None:
+            mask = self._field_masks[selected] = sum(
+                m for f, m in enumerate(field_masks) if selected >> f & 1)
+        key = (selected, code[a] & mask, code[b] & mask)
+        dim = self._hom_dims.get(key)
+        if dim is None:
+            dim = self._hom_dims[key] = self._hom_system(a, b)
+        return dim
+
+    def _hom_system(self, a: int, b: int) -> int:
         """dim Hom(a, b) solved on the commuting squares: one unknown per
         entry of each map M_v -> N_v on the common support, one row per
         entry of the square of each slot (s, d) that can give a non-zero

@@ -37,7 +37,7 @@ from operator import mul
 
 from .algebra import AlgebraSpec
 from .errors import InvariantViolation, UsageError
-from .modcat import Indec, ModuleSum, SesRecord
+from .modcat import Indec, ModuleSum, SesRecord, _mask
 
 
 class TypeABackend:
@@ -51,6 +51,7 @@ class TypeABackend:
         for k, sym in enumerate(spec.orientation):
             slots.append((k + 1, k) if sym == ">" else (k, k + 1))
         self.slots = tuple(slots)
+        self._maps = frozenset(slots)
         self.catalog = self._build_catalog()
         self._by_interval = {(m.descriptor[1] - 1, m.descriptor[2] - 1): m.ident
                              for m in self.catalog}
@@ -66,18 +67,22 @@ class TypeABackend:
 
     def _display(self, a0: int, b0: int) -> str:
         # Radical layering: layer of w = longest structure-map path into w
-        # within the support; rows are printed top to bottom.
-        supp = range(a0, b0 + 1)
-        inner = [(s, d) for s, d in self.slots if a0 <= s <= b0 and a0 <= d <= b0]
-        layer = {w: 0 for w in supp}
-        for _ in supp:
-            for s, d in inner:
-                layer[d] = max(layer[d], layer[s] + 1)
-        rows = []
-        for lvl in range(max(layer.values(), default=0) + 1):
-            row = sorted(w for w in supp if layer[w] == lvl)
-            rows.append("".join(str(w + 1) for w in row))
-        return "".join(rows) if self.n <= 9 else "|".join(rows)
+        # within the support, the longer of the run of arrows pointing
+        # right that ends at w and the run pointing left; rows are printed
+        # top to bottom.
+        maps = self._maps
+        layer = [0] * (b0 - a0 + 1)
+        for w in range(a0 + 1, b0 + 1):
+            if (w - 1, w) in maps:
+                layer[w - a0] = layer[w - 1 - a0] + 1
+        run = 0
+        for w in range(b0 - 1, a0 - 1, -1):
+            run = run + 1 if (w + 1, w) in maps else 0
+            layer[w - a0] = max(layer[w - a0], run)
+        rows = [[] for _ in range(max(layer) + 1)]
+        for w, lvl in enumerate(layer, a0 + 1):
+            rows[lvl].append(str(w))
+        return ("" if self.n <= 9 else "|").join(map("".join, rows))
 
     def _build_catalog(self) -> list[Indec]:
         catalog = []
@@ -104,22 +109,37 @@ class TypeABackend:
     def hom_table(self) -> tuple[tuple[int, ...], ...]:
         """table[a][b] = dim Hom(a, b) for every pair of catalog ids, from
         the interval ends and the structure maps at the ends of their
-        intersection."""
-        maps = set(self.slots)
+        intersection: one row per bitmask over the catalog, an AND of
+        masks of intervals by their ends."""
+        maps = self._maps
         ends = [(m.descriptor[1] - 1, m.descriptor[2] - 1) for m in self.catalog]
+        # starts_le[x]: the intervals that start at or before vertex x;
+        # ends_ge[x]: those that end at or after x
+        starts_le = [_mask(j for j, (a1, _) in enumerate(ends) if a1 <= x)
+                     for x in range(self.n)]
+        ends_ge = [_mask(j for j, (_, b1) in enumerate(ends) if b1 >= x)
+                   for x in range(self.n)]
+        # the intervals with a structure map into their start, and into their end
+        into_start = _mask(j for j, (a1, _) in enumerate(ends)
+                           if (a1 - 1, a1) in maps)
+        into_end = _mask(j for j, (_, b1) in enumerate(ends)
+                         if (b1 + 1, b1) in maps)
+        size = len(ends)
         table = []
         for a0, b0 in ends:
-            row = []
-            for a1, b1 in ends:
-                lo, hi = max(a0, a1), min(b0, b1)
-                row.append(int(
-                    lo <= hi
-                    # no map from I \ K into K, none from K into J \ K
-                    and not (a0 < lo and (lo - 1, lo) in maps)
-                    and not (b0 > hi and (hi + 1, hi) in maps)
-                    and not (a1 < lo and (lo, lo - 1) in maps)
-                    and not (b1 > hi and (hi, hi + 1) in maps)))
-            table.append(tuple(row))
+            # K = I ∩ J is non-empty
+            row = starts_le[b0] & ends_ge[a0]
+            # no map from I \ K into K: none into the start of a J that
+            # starts after a0, none into the end of a J that ends before b0
+            row &= ~(into_start & ~starts_le[a0]) & ~(into_end & ~ends_ge[b0])
+            # none from K into J \ K: a map out of I's start bars every J
+            # that starts before a0, one out of its end every J that ends
+            # after b0
+            if (a0, a0 - 1) in maps:
+                row &= ~starts_le[a0 - 1]
+            if (b0, b0 + 1) in maps:
+                row &= ~ends_ge[b0 + 1]
+            table.append(tuple(map(int, format(row, f"0{size}b")[::-1])))
         return tuple(table)
 
     def ext1_table(self, hom) -> tuple[tuple[int, ...], ...]:

@@ -390,6 +390,14 @@ def test_non_utf8_file_is_usage_error(capsys, tmp_path):
     assert "can't decode byte 0xff" in err
 
 
+def test_deeply_nested_file_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run(capsys, "catalog", str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: {path}: parse error: nested too deeply\n"
+
+
 def test_unwritable_poset_output_is_usage_error(capsys, tmp_path, example_file):
     target = tmp_path / "missing" / "poset.dot"
     code, out, err = run(capsys, "poset", example_file, "--order", "summand",

@@ -122,10 +122,14 @@ def _assert_hom_table_matches_elimination(spec):
 
 
 # every type-A word on at most 7 vertices, every admissible linear Kupisch
-# series on at most 5, the cyclic battery and two long type-A quivers
+# series on at most 5, the cyclic battery, two long type-A quivers, and
+# cyclic series whose modules wrap the cycle, with dimension 2 or 3 at a
+# vertex
 HOM_SWEEP = list(dict.fromkeys(
     full_battery() + type_a_battery(7) + linear_nakayama_battery(5)
-    + [AlgebraSpec.type_a("<" * 16), AlgebraSpec.type_a("<>" * 8)]))
+    + [AlgebraSpec.type_a("<" * 16), AlgebraSpec.type_a("<>" * 8)]
+    + [AlgebraSpec.nakayama(c, cyclic=True)
+       for c in ([5, 5], [7, 7, 7], [7, 7, 7, 7])]))
 
 
 @pytest.mark.parametrize("spec", HOM_SWEEP, ids=lambda s: s.label())
@@ -269,6 +273,31 @@ def test_exact_build_eliminates_each_distinct_system_once(monkeypatch, spec,
                 systems.add(tuple(map(tuple, rows)))
     assert len(calls) == len(set(calls)) == len(systems) == count
     assert set(calls) == systems
+
+
+# the pairs' restrictions repeat: 545 distinct keys among the 15,657
+# pairs of <x16 with a common support, and as many on <>x8
+@pytest.mark.parametrize("spec, builds, systems", [
+    (AlgebraSpec.type_a("<" * 16), 545, 64),
+    (AlgebraSpec.type_a("<>" * 8), 545, 121),
+], ids=["typeA-<x16", "typeA-<>x8"])
+def test_exact_build_builds_each_restricted_system_once(monkeypatch, spec,
+                                                        builds, systems):
+    calls = _counting_rank_exact(monkeypatch)
+    real = ModuleCategory._hom_system
+    built = []
+
+    def counted(self, a, b):
+        built.append((a, b))
+        return real(self, a, b)
+
+    monkeypatch.setattr(ModuleCategory, "_hom_system", counted)
+    cat = ModuleCategory(spec, exact=True)
+    assert len(built) == len(set(built)) == builds
+    assert len(calls) == len(set(calls)) == systems
+    # a second pass over every pair builds nothing more
+    cat._check_hom_table()
+    assert len(built) == builds and len(calls) == systems
 
 
 def test_flipped_hom_entry_read_from_the_memo_fails_the_exact_build(

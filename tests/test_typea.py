@@ -22,6 +22,34 @@ def test_example_quiver_catalog(example_cat):
         "1", "12", "132", "2", "3", "32"]
 
 
+def _relaxed_display(backend, a0, b0):
+    """The radical layering of the interval by relaxing every in-interval
+    arrow once per vertex: the oracle of `TypeABackend._display`."""
+    supp = range(a0, b0 + 1)
+    inner = [(s, d) for s, d in backend.slots if s in supp and d in supp]
+    layer = {w: 0 for w in supp}
+    for _ in supp:
+        for s, d in inner:
+            layer[d] = max(layer[d], layer[s] + 1)
+    rows = ["".join(str(w + 1) for w in supp if layer[w] == lvl)
+            for lvl in range(max(layer.values()) + 1)]
+    return ("" if backend.n <= 9 else "|").join(rows)
+
+
+def test_displays_match_layer_relaxation():
+    # every word on at most 7 vertices, and long words, which join the
+    # layers with "|"
+    specs = type_a_battery(7) + [
+        AlgebraSpec.type_a(w) for w in ("<" * 16, "<>" * 8, "<<><<>><<><<>><<",
+                                        "<<<>>>" * 2)]
+    for spec in specs:
+        backend = TypeABackend(spec)
+        for m in backend.catalog:
+            _, a1, b1 = m.descriptor
+            assert m.display == _relaxed_display(backend, a1 - 1, b1 - 1), (
+                spec.label(), m.descriptor)
+
+
 @pytest.mark.parametrize("word", ["<<<", "<><", ">>>", "><>"])
 def test_interval_count_n4(word):
     cat = category_for(AlgebraSpec.type_a(word))

@@ -18,8 +18,9 @@ every order that applies, as DOT and with `--format json`, and `verify
 `catalog` and `bricks`, each with and without `--exact`, on the long
 type-A quivers <x16, <>x8 and <<><<>><<><<>><< (17 vertices each);
 `catalog` and `bricks` with `--exact` on Nakayama 3,3,3,2,1 and the six
-cyclic series, whose runs without it are among the commands above, so
-that both Hom closed forms meet exact elimination;
+cyclic series, whose runs without it are among the commands above, and
+on cyclic 5,5 and 7,7,7,7, whose modules wrap the cycle, so that both Hom
+closed forms meet exact elimination;
 `verify --suite all` with `--exact` on typeA <<<< and <><>, Nakayama
 3,3,3,2,1 and cyclic 3,3,3, where the exact build and the verify checks
 share one memo of eliminated Hom systems;
@@ -40,7 +41,7 @@ Then, on each of the algebras with every command, `hn` along the first
 and the last sequence of the `mgs` output (the first tree's, or the
 second's when only that one lists them), given as a brick list, once
 with `--module` the sum of every catalog module (#0+#1+...) and once for
-each single module, and given as its `mgs` index with that sum: 1267
+each single module, and given as its `mgs` index with that sum: 1271
 calls in all.  A call that both trees reject with a usage error (exit 2)
 is reported too: the battery should make none.  A call that the first
 tree rejects with exit 2 and the second answers with exit 0 is reported
@@ -102,6 +103,7 @@ def battery() -> list[tuple[dict, str]]:
     # --exact checks the Nakayama closed-form Hom table against elimination
     exact = [spec for spec in specs if spec["type"] == "nakayama"
              and (spec["cyclic"] or spec["kupisch"] == [3, 3, 3, 2, 1])]
+    exact += [nakayama([5, 5], cyclic=True), nakayama([7] * 4, cyclic=True)]
     five = [type_a("".join(w)) for w in itertools.product("<>", repeat=4)]
     # <<<<< has every order as DOT among its "six" commands
     six_dot = [type_a("".join(w)) for w in itertools.product("<>", repeat=5)
