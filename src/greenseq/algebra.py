@@ -14,16 +14,117 @@ from left modules: M(i, l) has radical layers S_i, S_{i+1}, ...
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import SpecError
 
 NAKAYAMA = "nakayama"
 TYPE_A = "typeA"
 
 
-@dataclass(frozen=True)
-class AlgebraSpec:
+class Record:
+    """An immutable value record, declared as a dataclass is: the class
+    annotations name the fields, in order (`_fields`), and class
+    attributes of the same names give defaults (`_field_defaults`); the
+    fields are compared and hashed as one tuple.
+
+    It replaces `dataclass(frozen=True)` for every record of the package,
+    because importing `dataclasses` loads `inspect`, `ast`, `dis` and
+    `tokenize`, and each decorated class execs its generated methods at
+    import: 15-25 ms of the start-up of `verify`, with or without cached
+    bytecode, for at most a few thousand instances a call.  `__init__`
+    takes the fields by position or keyword, runs `__post_init__`, then
+    stores their tuple once, so `==` and `hash` never rebuild it; `hash` is
+    that of the tuple, as the dataclass computes it, so sets iterate in the
+    same order.  `repr` is the dataclass's, assigning a field raises
+    `AttributeError`, `_replace` builds a new record through `__init__`,
+    like a namedtuple's, and each instance keeps a `__dict__` for
+    `functools.cached_property`.
+    """
+
+    _fields = ()
+    _field_defaults = {}
+    # a subclass may validate or normalise its fields in a __post_init__
+    __post_init__ = None
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if cls.__annotations__:
+            cls._fields = tuple(cls.__annotations__)
+            cls._field_defaults = {name: vars(cls)[name]
+                                   for name in cls._fields if name in vars(cls)}
+
+    def __init__(self, *args, **kwargs):
+        names = self._fields
+        if kwargs or len(args) != len(names):
+            args = self._arguments(args, kwargs)
+        fields = self.__dict__
+        fields.update(zip(names, args))
+        if self.__post_init__ is not None:
+            self.__post_init__()
+            args = tuple(map(fields.__getitem__, names))
+        fields["_values"] = args
+
+    @classmethod
+    def _arguments(cls, args: tuple, kwargs: dict) -> tuple:
+        names = cls._fields
+        given = dict(zip(names, args))
+        bad = [name for name in kwargs if name not in names or name in given]
+        if len(args) > len(names) or bad:
+            raise TypeError(f"{cls.__name__}() takes the fields {names}, "
+                            f"got {len(args)} positional and {sorted(kwargs)}")
+        values = {**cls._field_defaults, **given, **kwargs}
+        missing = [name for name in names if name not in values]
+        if missing:
+            raise TypeError(f"{cls.__name__}() is missing the fields {missing}")
+        return tuple(values[name] for name in names)
+
+    def _replace(self, **changes):
+        return type(self)(**{**dict(zip(self._fields, self._values)), **changes})
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values == other._values
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}"
+                           for name, value in zip(self._fields, self._values))
+        return f"{type(self).__qualname__}({fields})"
+
+
+class OrderedRecord(Record):
+    """A `Record` ordered by its field tuple, as `dataclass(order=True)`."""
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values < other._values
+        return NotImplemented
+
+    def __le__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values <= other._values
+        return NotImplemented
+
+    def __gt__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values > other._values
+        return NotImplemented
+
+    def __ge__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values >= other._values
+        return NotImplemented
+
+
+class AlgebraSpec(Record):
     kind: str
     kupisch: tuple[int, ...] | None = None
     cyclic: bool = False

@@ -43,9 +43,9 @@ as oracles.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from operator import or_
 
+from .algebra import OrderedRecord, Record
 from .errors import GateError, InvariantViolation, TheoremViolation, UsageError
 from .modcat import ModuleCategory, ModuleSum, TorsionClass
 
@@ -74,24 +74,21 @@ PATH_CHECKS = (
 )
 
 
-@dataclass(frozen=True)
-class MGS:
+class MGS(Record):
     bricks: tuple[int, ...]
 
     def __len__(self) -> int:
         return len(self.bricks)
 
 
-@dataclass(frozen=True, order=True)
-class SiltingSummand:
+class SiltingSummand(OrderedRecord):
     """Module(indec id) when shifted is False, else ShiftedProjective(vertex)."""
 
     shifted: bool
     value: int
 
 
-@dataclass(frozen=True)
-class ExchangePair:
+class ExchangePair(Record):
     out: SiltingSummand
     in_: SiltingSummand
 
@@ -100,21 +97,18 @@ class ExchangePair:
             raise InvariantViolation("exchange pair with equal components")
 
 
-@dataclass(frozen=True)
-class HNLayer:
+class HNLayer(Record):
     position: int  # 1-based index into the green sequence
     brick: int
     factor: ModuleSum
     multiplicity: int
 
 
-@dataclass(frozen=True)
-class HNResult:
+class HNResult(Record):
     layers: tuple[HNLayer, ...]
 
 
-@dataclass(frozen=True)
-class EquivClass:
+class EquivClass(Record):
     key: tuple[SiltingSummand, ...]
     representative: MGS
 

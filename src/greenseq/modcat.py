@@ -47,12 +47,11 @@ refuses it above 16 modules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property, reduce
 from operator import gt, or_
-from typing import NamedTuple
 
-from .algebra import AlgebraSpec
+from .algebra import AlgebraSpec, Record
 from .errors import GateError, InvariantViolation, UsageError
 from .linalg import rank_exact, rank_mod_p
 
@@ -69,8 +68,7 @@ SUBSET_GATE = 1 << 16
 LATTICE_GATE = 2_000
 
 
-@dataclass(frozen=True)
-class Indec:
+class Indec(Record):
     """An isomorphism class of indecomposable modules.
 
     matrices[k] is the structure map of arrow slot k as a row-major
@@ -88,8 +86,7 @@ class Indec:
         return sum(self.dimvec)
 
 
-@dataclass(frozen=True)
-class ModuleSum:
+class ModuleSum(Record):
     """Finite multiset of indecomposable summands; () is the zero module."""
 
     ids: tuple[int, ...]
@@ -105,8 +102,7 @@ class ModuleSum:
 ZERO = ModuleSum(())
 
 
-@dataclass(frozen=True)
-class SesRecord:
+class SesRecord(Record):
     """A short exact sequence 0 -> sub -> middle -> quot -> 0 with middle
     indecomposable and sub, quot both non-zero."""
 
@@ -115,24 +111,21 @@ class SesRecord:
     quot: ModuleSum
 
 
-class SubRecord(NamedTuple):
+class SubRecord(namedtuple(
+        "SubRecord", "sub_mask quot_mask dim dimvec pair clashes")):
     """One candidate for the torsion submodule of a module x: the zero
     submodule, x itself, or the sub of one SES record of x, with the
-    bitmasks of the summands of the sub and of the quotient."""
+    bitmasks of the summands of the sub and of the quotient, its dimension
+    and dimension vector, and the pair (sub, quotient) of `ModuleSum`s.
+    clashes holds the sub masks of the candidates of x that break the
+    torsion-submodule checks when this one is the largest that fits: a
+    different sub of the same dimension, or a sub whose dimension vector
+    this one's misses."""
 
-    sub_mask: int
-    quot_mask: int
-    dim: int
-    dimvec: tuple[int, ...]
-    pair: tuple[ModuleSum, ModuleSum]  # (sub, quotient)
-    # the sub masks of the candidates of x that break the torsion-submodule
-    # checks when this one is the largest that fits: a different sub of the
-    # same dimension, or a sub whose dimension vector this one's misses
-    clashes: tuple[int, ...]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class TorsionClass:
+class TorsionClass(Record):
     members: frozenset[int]
 
     @cached_property
@@ -147,8 +140,7 @@ class TorsionClass:
         return self.members <= other.members
 
 
-@dataclass(frozen=True)
-class TorsionLattice:
+class TorsionLattice(Record):
     """All torsion classes with labelled covering relations.
 
     covers are (upper, lower, label) index triples into `classes`, which

@@ -25,7 +25,6 @@ message.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from itertools import combinations
 
 from .cli import SUITES
@@ -36,14 +35,25 @@ from . import orders as orders_mod
 from .orders import _bits, _containment_rows, _outside
 
 
-@dataclass
 class CheckResult:
-    name: str
-    passed: bool
-    detail: dict = field(default_factory=dict)
+    """A named check: its pass flag and witnessing detail."""
+
+    def __init__(self, name: str, passed: bool, detail: dict | None = None):
+        self.name = name
+        self.passed = passed
+        self.detail = {} if detail is None else detail
 
     def to_dict(self) -> dict:
         return {"check": self.name, "passed": self.passed, "detail": self.detail}
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.to_dict() == other.to_dict()
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return (f"CheckResult(name={self.name!r}, passed={self.passed!r}, "
+                f"detail={self.detail!r})")
 
 
 # the orders theoremB compares, in the order its checks read them

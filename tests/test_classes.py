@@ -18,7 +18,6 @@ before.
 import ast
 import re
 
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -348,7 +347,7 @@ def test_first_member_not_the_representative_raises():
     eng = _fresh(EXAMPLE_QUIVER)
     eng.equivalence_classes()
     first, second = eng._classes[:2]
-    eng._classes[0] = replace(first, representative=second.representative)
+    eng._classes[0] = first._replace(representative=second.representative)
     with pytest.raises(InvariantViolation,
                        match="first members of the classes are not the normal forms"):
         eng.class_members()

@@ -465,6 +465,34 @@ def test_command_imports_only_the_layers_it_runs(example_file, argv, absent):
     assert [m for m in (*absent, "fractions") if m in loaded] == []
 
 
+# each command on type A <>, run in turn by one interpreter
+_COMMANDS = [["catalog"], ["bricks"], ["mgs"], ["classes"],
+             ["poset", "--order", "pentagon"], ["hn", "--mgs", "0", "--module", "#0"],
+             ["verify", "--suite", "all"]]
+
+
+def test_no_command_imports_dataclasses_inspect_or_typing(example_file):
+    """Importing these costs a cold start more than most commands compute;
+    `-S` keeps the site `.pth` imports out, so only greenseq can load them."""
+    src = str(Path(greenseq.__file__).resolve().parents[1])
+    script = ("import contextlib, io, json, sys\n"
+              "sys.path.insert(0, sys.argv[1])\n"
+              "watched = ('dataclasses', 'inspect', 'typing')\n"
+              "before = {m for m in watched if m in sys.modules}\n"
+              "from greenseq import cli\n"
+              "loaded = {}\n"
+              "for command, *options in json.loads(sys.argv[2]):\n"
+              "    with contextlib.redirect_stdout(io.StringIO()):\n"
+              "        code = cli.main([command, sys.argv[3], *options])\n"
+              "    loaded[command] = [code, [m for m in watched\n"
+              "                             if m in sys.modules and m not in before]]\n"
+              "print(json.dumps(loaded))")
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script, src, json.dumps(_COMMANDS), example_file],
+        capture_output=True, text=True, check=True)
+    assert json.loads(proc.stdout) == {argv[0]: [0, []] for argv in _COMMANDS}
+
+
 def test_star_import_binds_every_exported_name():
     script = ("import json, sys\n"
               "import greenseq\n"

@@ -3,7 +3,6 @@
 import itertools
 import random
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -557,7 +556,7 @@ def test_one_broken_row_fails_one_extrema_check(example_cat, example_engine,
         rows[c] &= ~(1 << mx)   # c does not lie below the maximum
     else:
         rows[mn] &= ~(1 << c)   # the minimum does not lie below c
-    posets[tag] = replace(posets[tag], rows=tuple(rows))
+    posets[tag] = posets[tag]._replace(rows=tuple(rows))
     report = check_extrema(example_engine, posets)
     assert not report["passed"]
     assert [e["check"] for e in report["checks"] if not e["passed"]] == [failing]
@@ -774,8 +773,8 @@ def test_comparable_unoriented_polygon_sides_listed_once_per_order():
                         (lambda i: full >> i << i, lambda i: full & (2 << i) - 1)):
         posets = build_posets(eng, include_brick=False)
         for tag, row in (("summand", summand), ("hn", hn)):
-            posets[tag] = replace(posets[tag],
-                                  rows=tuple(row(i) for i in range(size)))
+            posets[tag] = posets[tag]._replace(
+                rows=tuple(row(i) for i in range(size)))
         [check] = [c for c in suite_theorem_b(eng, posets)
                    if c.name == "unoriented-polygon-sides-incomparable"]
         assert not check.passed
@@ -860,7 +859,7 @@ def test_theorem_b_matches_pair_walks_on_drawn_relations(spec, seed, densities):
     posets, rng = dict(_BUILT_POSETS[spec]), random.Random(seed)
     size = posets["pentagon"].size
     for tag, density in zip(("pentagon", "summand", "hn"), densities):
-        posets[tag] = replace(posets[tag], rows=tuple(
+        posets[tag] = posets[tag]._replace(rows=tuple(
             row ^ sum(1 << j for j in range(size) if rng.random() < density)
             for row in posets[tag].rows))
     expected, failures, coincide = _theorem_b_loops(eng, posets)
@@ -892,7 +891,7 @@ def test_orders_equal_report_lists_differences_by_order_pair_then_cell():
             {"orders": ["q", "r"], "pair": [1, 2], "q": True, "r": False},
             {"orders": ["q", "r"], "pair": [2, 0], "q": False, "r": True},
         ]}
-    assert orders_equal_report([p, replace(p, tag="s")]) == {
+    assert orders_equal_report([p, p._replace(tag="s")]) == {
         "orders": ["p", "s"], "equal": True, "differences": []}
 
 

@@ -6,7 +6,6 @@ it replaces."""
 import ast
 import re
 from collections import Counter
-from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -493,7 +492,7 @@ def test_mislabelled_oracle_cover_fails_the_cover_check():
     oracle = cat.torsion_lattice()
     (up, lo, lab), *rest = oracle.covers
     other = next(b for b in cat.bricks if b != lab)
-    cat._lattice = replace(oracle, covers=((up, lo, other), *rest))
+    cat._lattice = oracle._replace(covers=((up, lo, other), *rest))
     checks = run_suite("lemmas", GreenEngine(cat))
     assert _failed(checks, "chain-steps-are-labelled-lattice-covers") == [
         {"upper": sorted(oracle.classes[up]),
