@@ -7,8 +7,11 @@ sequence of bricks: hom(B_j, B_i) = 0 whenever i < j, and no brick can
 be inserted anywhere.  These are the cover labels of the maximal chains
 of the torsion lattice, so the sequences are read off the lattice that
 `ModuleCategory.generated_lattice` builds from its covers, one at a time
-(`sequence_walk`); the validity of a given brick list is decided by
-bitmask Hom tests.
+(`sequence_walk`).  The validity of a given brick list is decided by
+ANDing the category's left and right Hom-perpendicular masks
+(`ModuleCategory.perp_masks`, `right_perp_masks`); like every bitmask
+of modules here they are over catalog ids, so the engine keeps no index
+of its own and building it reads no Hom entry.
 
 The torsion chain of a sequence is read from one bitmask per brick:
 T_0 is the whole catalog and T_i = T_{i-1} & perp[B_i], the cover of
@@ -18,8 +21,9 @@ class U, label) is tabled and shared by every sequence through it.  The
 Harder-Narasimhan layer t_U(x)/t_L(x) of a module x at a cover U > L is
 read off the torsion rows of U and L (`ModuleCategory.torsion_row`, one
 per class): its quotient is the OR of the quotient masks of t_L(y) over
-the summands y of t_U(x); HN filtrations and stable-factor functions are
-assembled from those layers.
+the summands y of t_U(x), and it must lie in Filt(B)
+(`ModuleCategory.filt_mask`); HN filtrations and stable-factor functions
+are assembled from those layers.
 
 Equivalence classes are certified locally against theorem A, on the
 lattice's squares and one lexicographic normal form per class, which is
@@ -47,7 +51,7 @@ from operator import or_
 
 from .algebra import OrderedRecord, Record
 from .errors import GateError, InvariantViolation, TheoremViolation, UsageError
-from .modcat import ModuleCategory, ModuleSum, TorsionClass
+from .modcat import ModuleCategory, ModuleSum, TorsionClass, _mask, _members
 
 # `sequence_groups` (so `sequence_walk`) and `class_members`, which alone
 # list sequences, refuse more than this before the walk starts.  typeA
@@ -116,31 +120,10 @@ class EquivClass(Record):
 class GreenEngine:
     def __init__(self, cat: ModuleCategory):
         self.cat = cat
-        self.bricks = cat.bricks
-        self._bpos = {b: k for k, b in enumerate(self.bricks)}
-        nb = len(self.bricks)
-        self._full = (1 << nb) - 1
-        # after_ok[b]: bricks y that may sit after b (hom(y, b) = 0);
-        # before_ok[b]: bricks y that may sit before b (hom(b, y) = 0).
-        self._after_ok = {}
-        self._before_ok = {}
-        hom = cat.hom_table
-        for b in self.bricks:
-            after = before = 0
-            for k, y in enumerate(self.bricks):
-                if hom[y][b] == 0:
-                    after |= 1 << k
-                if hom[b][y] == 0:
-                    before |= 1 << k
-            self._after_ok[b] = after
-            self._before_ok[b] = before
         self._classes_by_mask: dict[int, TorsionClass] = {}
         self._silting_cache: dict[frozenset, frozenset] = {}
         # per cover, keyed by (upper class members, label)
         self._cover_exchange_cache: dict[tuple[frozenset, int], ExchangePair] = {}
-        # brick b -> the bitmask of Filt(b), which every layer at a cover
-        # labelled b must lie in
-        self._filt_masks: dict[int, int] = {}
         self._cover_table: tuple | None = None
         self._polygons: list | None = None
         self._classes: list[EquivClass] | None = None
@@ -149,19 +132,22 @@ class GreenEngine:
     # -- enumeration ---------------------------------------------------------
 
     def _insertion_maximal(self, seq: tuple[int, ...]) -> int | None:
-        """None when maximal, else the bitmask of insertable bricks at the
-        first open slot."""
+        """None when maximal, else the bitmask of the bricks insertable at
+        the first open slot: those y with hom(y, B_i) = 0 for the bricks
+        before it and hom(B_i, y) = 0 for those after it."""
+        left, right = self.cat.perp_masks, self.cat.right_perp_masks
+        bricks = self.cat.brick_mask
         r = len(seq)
-        suffix = [self._full] * (r + 1)
+        suffix = [bricks] * (r + 1)
         for p in range(r - 1, -1, -1):
-            suffix[p] = suffix[p + 1] & self._before_ok[seq[p]]
-        prefix = self._full
+            suffix[p] = suffix[p + 1] & right[seq[p]]
+        prefix = bricks
         for p in range(r + 1):
             open_mask = prefix & suffix[p]
             if open_mask:
                 return open_mask
             if p < r:
-                prefix &= self._after_ok[seq[p]]
+                prefix &= left[seq[p]]
         return None
 
     def enumerate_mgs(self) -> list[MGS]:
@@ -258,28 +244,28 @@ class GreenEngine:
     # -- validity --------------------------------------------------------------
 
     def explain_invalid(self, seq) -> str | None:
-        seq = tuple(seq)
+        cat, seq = self.cat, tuple(seq)
+        perp = cat.perp_masks
         for b in seq:
-            if not (0 <= b < len(self.cat.catalog)):
+            if not (0 <= b < len(cat.catalog)):
                 return f"id {b} is outside the catalog"
-            if b not in self._bpos:
-                return f"{self.cat.display(b)} is not a brick"
+            if b not in perp:
+                return f"{cat.display(b)} is not a brick"
         if len(set(seq)) != len(seq):
             return "sequence repeats a brick"
-        # allowed: bricks y with hom(y, B_i) = 0 for every earlier B_i
-        allowed = self._full
+        # allowed: modules y with hom(y, B_i) = 0 for every earlier B_i
+        allowed = -1
         for j, b in enumerate(seq):
-            if not allowed >> self._bpos[b] & 1:
-                hom = self.cat.hom_table[b]
+            if not allowed >> b & 1:
+                hom = cat.hom_table[b]
                 i = next(i for i in range(j) if hom[seq[i]] != 0)
-                return (f"hom({self.cat.display(b)}, "
-                        f"{self.cat.display(seq[i])}) != 0 for positions "
-                        f"{i + 1} < {j + 1}")
-            allowed &= self._after_ok[b]
+                return (f"hom({cat.display(b)}, {cat.display(seq[i])}) != 0 "
+                        f"for positions {i + 1} < {j + 1}")
+            allowed &= perp[b]
         open_mask = self._insertion_maximal(seq)
         if open_mask is not None:
-            b = self.bricks[(open_mask & -open_mask).bit_length() - 1]
-            return f"not maximal: brick {self.cat.display(b)} can be inserted"
+            b = (open_mask & -open_mask).bit_length() - 1
+            return f"not maximal: brick {cat.display(b)} can be inserted"
         return None
 
     def is_valid_mgs(self, seq) -> bool:
@@ -315,8 +301,7 @@ class GreenEngine:
         closed on first use."""
         tors = self._classes_by_mask.get(mask)
         if tors is None:
-            members = frozenset(x for x in range(len(self.cat.catalog))
-                                if mask >> x & 1)
+            members = _members(mask, len(self.cat.catalog))
             if not self.cat.is_torsion_class(members):
                 raise InvariantViolation(
                     f"chain step {sorted(members)} is not a torsion class")
@@ -330,11 +315,11 @@ class GreenEngine:
             return cached
         mods = {SiltingSummand(False, x)
                 for x in self.cat.relative_projectives(tors)}
-        shifts = set()
-        for v in range(self.cat.n):
-            pv = self.cat.projectives[v]
-            if all(self.cat.hom_table[pv][t] == 0 for t in tors.members):
-                shifts.add(SiltingSummand(True, v))
+        # P_v[1] when hom(P_v, T) = 0
+        perp = self.cat.right_perp_masks
+        shifts = {SiltingSummand(True, v)
+                  for v, pv in enumerate(self.cat.projectives)
+                  if not tors.mask & ~perp[pv]}
         result = frozenset(mods | shifts)
         if len(result) != self.cat.n:
             raise InvariantViolation(
@@ -463,10 +448,7 @@ class GreenEngine:
         be a multiple of dim b."""
         cat = self.cat
         upper, lower = cat.torsion_row(up.mask), cat.torsion_row(lo.mask)
-        filt = self._filt_masks.get(b)
-        if filt is None:
-            filt = self._filt_masks[b] = sum(
-                1 << y for y in cat.filt_indecs(frozenset((b,))))
+        filt = cat.filt_mask(1 << b)
         bdim, below = cat.catalog[b].dim, ~lo.mask
         for x in modules:
             sub = upper[x]
@@ -668,13 +650,13 @@ class GreenEngine:
         when t_L(t_U(x)) = t_L(x), and must give dim x at the bottom."""
         cat = self.cat
         catalog = cat.catalog
-        tors = [self._torsion_class(sum(1 << x for x in members))
+        tors = [self._torsion_class(_mask(members))
                 for members in lattice.classes]
         silting = [self.silting_summands(t) for t in tors]
         summands = sorted(set().union(*silting))
         bit = {s: 1 << i for i, s in enumerate(summands)}
         summ = [sum(bit[s] for s in found) for found in silting]
-        simples = [sum(1 << x for x in cat.relative_simples(t)) for t in tors]
+        simples = [_mask(cat.relative_simples(t)) for t in tors]
         socle, nonproj = {}, [0] * len(tors)
         if cat.spec.is_nakayama:
             socle = {b: 1 << cat.backend.socle_quotient(b)

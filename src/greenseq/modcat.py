@@ -28,16 +28,26 @@ every pair, on both backends.
 
 Torsion classes are membership sets over the catalog, closed under
 indecomposable quotients and under extensions with indecomposable middle
-term.  The short exact sequences of each module are encoded once, on
-first use, as bitmasks of their sub and quotient summands
-(`sub_records`), so every per-class test is a mask test: the torsion
-predicates (`is_torsion_class`, `relative_simples`, `filt_indecs`, the
-subset oracle) and the torsion submodules t_T(x), tabled once per class
-as one row holding t_T(x) for every module x (`torsion_row`).  The
-torsion lattice is generated from its brick-labelled covers
-on first use (`generated_lattice`): the cover labelled B below T is T
-intersected with the bitmask of B's left Hom-perpendicular
-(`perp_masks`), which the torsion chains of green sequences read too.
+term.  Every bitmask of modules in greenseq is over catalog ids, and the
+routines that test Hom-vanishing or SES records against a set of modules
+read the tables below.  The short exact sequences of each module are
+encoded once, on first use, as bitmasks of their sub and quotient
+summands (`sub_records`, `_quotient_masks`, `_ses_masks`), so every
+per-class test is a mask test: the torsion predicates
+(`is_torsion_class`, `relative_simples`, the subset oracle's cover
+labels), the torsion closure (a fixed point on the same masks), Filt of
+a set of bricks (`filt_mask`, one closure per brick mask) and the
+torsion submodules t_T(x), tabled once per class as one row holding
+t_T(x) for every module x (`torsion_row`).  The Hom table is read as two
+perpendicular tables, each built on first use: the left one, brick B ->
+the mask of x with hom(x, B) = 0 (`perp_masks`), and the right one,
+module x -> the mask of m with hom(x, m) = 0 (`right_perp_masks`).  An
+interval [T, U] is U ANDed with the right perpendiculars of the members
+of T (`interval_members`), and a brick list is checked by ANDing the two
+tables along it (`GreenEngine.explain_invalid`).  The torsion lattice is
+generated from its brick-labelled covers on first use
+(`generated_lattice`): the cover labelled B below T is T &
+perp_masks[B], which the torsion chains of green sequences read too.
 Its maximal chains are counted on the lattice, never listed; the orders
 walk its polygons.  A brute-force enumeration over all subsets of the
 catalog (`torsion_lattice`) stays as the independent oracle that the
@@ -49,7 +59,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import cached_property, reduce
-from operator import gt, or_
+from operator import and_, gt, or_
 
 from .algebra import AlgebraSpec, Record
 from .errors import GateError, InvariantViolation, UsageError
@@ -207,7 +217,8 @@ class ModuleCategory:
         self._by_descriptor = {m.descriptor: m.ident for m in self.catalog}
         self._by_display = {m.display: m.ident for m in self.catalog}
         self._closure_cache: dict[frozenset, TorsionClass] = {}
-        self._filt_cache: dict[frozenset, frozenset] = {}
+        # a brick mask -> the mask of its Filt (`filt_mask`)
+        self._filt_cache: dict[int, int] = {}
         self._torsion_rows: dict[int, list[SubRecord]] = {}
         self._lattice: TorsionLattice | None = None
         self._generated: TorsionLattice | None = None
@@ -450,6 +461,11 @@ class ModuleCategory:
     def bricks(self) -> tuple[int, ...]:
         return tuple(i for i in range(len(self.catalog)) if self.is_brick(i))
 
+    @cached_property
+    def brick_mask(self) -> int:
+        """The bricks as a bitmask over catalog ids; built on first use."""
+        return _mask(self.bricks)
+
     # -- submodule structure ----------------------------------------------
 
     def sub_quotient_pairs(self, i: int) -> tuple[SesRecord, ...]:
@@ -513,33 +529,27 @@ class ModuleCategory:
         return True
 
     def torsion_closure(self, seed) -> TorsionClass:
+        """The least torsion class holding seed: the fixed point of adding
+        the quotients of each member and each module with an SES record
+        whose summands are members, the rule `_is_torsion_mask` tests."""
         key = frozenset(seed)
         cached = self._closure_cache.get(key)
         if cached is not None:
             return cached
-        members = set(key)
-        changed = True
-        while changed:
-            changed = False
-            for i in list(members):
-                for q in self.indec_quotients(i):
-                    for x in q.ids:
-                        if x not in members:
-                            members.add(x)
-                            changed = True
-            for i in range(len(self.catalog)):
-                if i in members:
-                    continue
-                for rec in self.backend.records(i):
-                    if (set(rec.sub.ids) <= members
-                            and set(rec.quot.ids) <= members):
-                        members.add(i)
-                        changed = True
-                        break
-        result = TorsionClass(frozenset(members))
+        members, grown = None, _mask(key)
+        while grown != members:
+            members = grown
+            for i, (quots, ses) in enumerate(zip(self._quotient_masks,
+                                                 self._ses_masks)):
+                if grown >> i & 1:
+                    grown |= quots
+                elif any(not (sub | quot) & ~grown for sub, quot in ses):
+                    grown |= 1 << i
+        result = TorsionClass(_members(members, len(self.catalog)))
         if not self.is_torsion_class(result.members):
             raise InvariantViolation(
-                f"torsion closure of {sorted(key)} is not closed: {sorted(members)}")
+                f"torsion closure of {sorted(key)} is not closed: "
+                f"{sorted(result.members)}")
         self._closure_cache[key] = result
         return result
 
@@ -601,26 +611,28 @@ class ModuleCategory:
 
     def filt_indecs(self, brick_ids) -> frozenset[int]:
         """Catalog members admitting a filtration with factors in add of
-        the given bricks."""
-        key = frozenset(brick_ids)
-        cached = self._filt_cache.get(key)
-        if cached is not None:
-            return cached
-        bricks = members = _mask(key)
-        changed = True
-        while changed:
-            changed = False
-            for i, ses in enumerate(self._ses_masks):
-                if members >> i & 1:
-                    continue
-                for sub, quot in ses:
-                    if not quot & ~bricks and not sub & ~members:
-                        members |= 1 << i
-                        changed = True
-                        break
-        result = _members(members, len(self.catalog))
-        self._filt_cache[key] = result
-        return result
+        the given bricks (`filt_mask`)."""
+        return _members(self.filt_mask(_mask(brick_ids)), len(self.catalog))
+
+    def filt_mask(self, bricks: int) -> int:
+        """The bitmask of Filt of the bricks in the bitmask: the bricks, then
+        each module with an SES record whose quotient summands are among
+        the bricks and whose sub summands are already in.  Built once per
+        brick mask."""
+        members = self._filt_cache.get(bricks)
+        if members is None:
+            members, grown = None, bricks
+            while grown != members:
+                members = grown
+                for i, ses in enumerate(self._ses_masks):
+                    if grown >> i & 1:
+                        continue
+                    for sub, quot in ses:
+                        if not quot & ~bricks and not sub & ~grown:
+                            grown |= 1 << i
+                            break
+            self._filt_cache[bricks] = members
+        return members
 
     # -- the brute-force lattice oracle -------------------------------------
 
@@ -648,13 +660,20 @@ class ModuleCategory:
 
     @cached_property
     def perp_masks(self) -> dict[int, int]:
-        """brick -> bitmask of the catalog members x with hom(x, brick) = 0.
-        The cover labelled B below a torsion class T is T intersected with
-        this mask; built on first use."""
+        """brick -> bitmask of the catalog members x with hom(x, brick) = 0,
+        its left Hom-perpendicular.  The cover labelled B below a torsion
+        class T is T intersected with this mask; built on first use."""
         size = len(self.catalog)
         hom = self.hom_table
         return {b: sum(1 << x for x in range(size) if hom[x][b] == 0)
                 for b in self.bricks}
+
+    @cached_property
+    def right_perp_masks(self) -> tuple[int, ...]:
+        """x -> bitmask of the catalog members m with hom(x, m) = 0, the
+        right Hom-perpendicular of x; built on first use."""
+        return tuple(_mask(m for m, h in enumerate(row) if not h)
+                     for row in self.hom_table)
 
     def generated_lattice(self) -> TorsionLattice:
         """The torsion lattice, generated from its covers by a search down
@@ -700,19 +719,17 @@ class ModuleCategory:
 
     def interval_members(self, upper: frozenset[int], lower: frozenset[int]
                          ) -> frozenset[int]:
-        """[T, U] = T intersected with the right-hom-perpendicular of U."""
-        return frozenset(
-            m for m in upper
-            if all(self.hom_table[u][m] == 0 for u in lower))
+        """[T, U] = U intersected with the right Hom-perpendicular of T."""
+        perp = self.right_perp_masks
+        return _members(reduce(and_, (perp[t] for t in lower), _mask(upper)),
+                        len(self.catalog))
 
     def _cover_label(self, upper: frozenset[int], lower: frozenset[int]) -> int:
+        """The one member of the interval with no SES record inside it."""
         interval = self.interval_members(upper, lower)
-        labels = [
-            b for b in interval
-            if not any(set(rec.sub.ids) <= interval
-                       and set(rec.quot.ids) <= interval
-                       for rec in self.backend.records(b))
-        ]
+        out, ses = ~_mask(interval), self._ses_masks
+        labels = [b for b in interval
+                  if all((sub | quot) & out for sub, quot in ses[b])]
         if len(labels) != 1:
             raise InvariantViolation(
                 f"cover {sorted(upper)} > {sorted(lower)} has "

@@ -25,12 +25,14 @@ message.
 from __future__ import annotations
 
 from collections import Counter
+from functools import reduce
 from itertools import combinations
+from operator import and_
 
 from .cli import SUITES
 from .errors import GateError, TheoremViolation, UsageError
 from .green import PATH_CHECKS, GreenEngine
-from .modcat import ModuleCategory
+from .modcat import ModuleCategory, _mask
 from . import orders as orders_mod
 from .orders import _bits, _containment_rows, _outside
 
@@ -289,24 +291,26 @@ def _square_check(engine: GreenEngine) -> CheckResult:
 def _filt_interval_check(cat: ModuleCategory, lattice) -> CheckResult:
     # Filtration category of the labels along any maximal chain between two
     # comparable classes equals the hom-perpendicular interval.  The chains
-    # down to each lower class are counted per label set, walking up the
+    # down to each lower class are counted per label mask, walking up the
     # classes in order of size; a pair is reported once per failing chain.
     classes, below = lattice.classes, lattice.lower_covers
-    failing = []
+    perp, failing = cat.right_perp_masks, []
     for li, lower in enumerate(classes):
-        # upper class -> label set -> number of maximal chains down to li
-        chains = {li: Counter({frozenset(): 1})}
+        # the interval [lower, U] is U & lower_perp
+        lower_perp = reduce(and_, (perp[t] for t in lower), -1)
+        # upper class -> label mask -> number of maximal chains down to li
+        chains = {li: Counter({0: 1})}
         for ui in range(li + 1, len(classes)):
             counts: Counter = Counter()
             for lo, lab in below.get(ui, ()):
                 for labels, k in chains.get(lo, {}).items():
-                    counts[labels | {lab}] += k
+                    counts[labels | 1 << lab] += k
             if counts:
                 chains[ui] = counts
-                expected = cat.interval_members(classes[ui], lower)
+                expected = _mask(classes[ui]) & lower_perp
                 failing += [(ui, li)] * sum(
                     k for labels, k in counts.items()
-                    if cat.filt_indecs(labels) != expected)
+                    if cat.filt_mask(labels) != expected)
     bad = [{"upper": sorted(classes[ui]), "lower": sorted(classes[li])}
            for ui, li in sorted(failing)]
     return CheckResult("interval-equals-filtration-of-chain-labels",
@@ -317,10 +321,9 @@ def _orthogonal_brick_sets(cat: ModuleCategory):
     """The non-empty sets of pairwise Hom-orthogonal bricks in the order of
     `combinations(cat.bricks, r)`, r = 1, 2, ..., each grown from a smaller
     one by a larger brick orthogonal to all of its members."""
-    hom = cat.hom_table
+    left, right, bricks = cat.perp_masks, cat.right_perp_masks, cat.brick_mask
     # later[b]: the bricks after b that are Hom-orthogonal to it
-    later = {b: sum(1 << c for c in cat.bricks
-                    if c > b and not hom[b][c] | hom[c][b]) for b in cat.bricks}
+    later = {b: left[b] & right[b] & (bricks >> b + 1 << b + 1) for b in left}
     level = [((b,), later[b]) for b in cat.bricks]
     while level:
         yield from (combo for combo, _ in level)

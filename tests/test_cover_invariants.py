@@ -145,8 +145,8 @@ def test_chain_label_outside_its_class_raises():
 
 def test_layer_outside_the_filtration_category_raises(monkeypatch):
     cat, eng = _fresh()
-    monkeypatch.setattr(ModuleCategory, "filt_indecs",
-                        lambda self, brick_ids: frozenset())
+    monkeypatch.setattr(ModuleCategory, "filt_mask",
+                        lambda self, bricks: 0)
     with pytest.raises(InvariantViolation, match="filtration category"):
         eng.stable_factor_function(MGS(ids_of(cat, ["1", "3", "2"])))
 

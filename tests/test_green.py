@@ -1,5 +1,7 @@
 """Green-sequence engine: enumeration, summands, swaps, HN filtrations."""
 
+from collections.abc import Sequence
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -117,7 +119,11 @@ def _insertion_dfs(eng):
     """Oracle: every backward Hom-orthogonal brick sequence, built brick
     by brick in increasing id order and kept when no brick can be
     inserted anywhere."""
-    out = []
+    cat, out = eng.cat, []
+    hom = cat.hom_table
+    # after[b]: the bricks y that may sit after b, hom(y, b) = 0
+    after = {b: sum(1 << y for y in cat.bricks if hom[y][b] == 0)
+             for b in cat.bricks}
 
     def dfs(prefix, cand):
         if cand == 0:
@@ -128,13 +134,13 @@ def _insertion_dfs(eng):
         while m:
             low = m & -m
             m ^= low
-            b = eng.bricks[low.bit_length() - 1]
+            b = low.bit_length() - 1
             prefix.append(b)
-            dfs(prefix, cand & eng._after_ok[b])
+            dfs(prefix, cand & after[b])
             prefix.pop()
 
-    for b in eng.bricks:
-        dfs([b], eng._full & eng._after_ok[b])
+    for b in cat.bricks:
+        dfs([b], after[b])
     return out
 
 
@@ -204,25 +210,33 @@ def test_non_brick_rejected():
 
 
 def _explain_invalid_pairwise(eng, seq):
-    """Oracle: explain_invalid with the O(r^2) pairwise hom scan."""
+    """Oracle: explain_invalid by pairwise Hom scans of the table.  A brick
+    y fits after every B_i with hom(B_i, y) != 0 and before every B_i with
+    hom(y, B_i) != 0; the least brick with the earliest such slot is the
+    one reported as insertable."""
     cat = eng.cat
+    hom = cat.hom_table
     for b in seq:
         if not (0 <= b < len(cat.catalog)):
             return f"id {b} is outside the catalog"
-        if b not in eng.bricks:
+        if not cat.is_brick(b):
             return f"{cat.display(b)} is not a brick"
     if len(set(seq)) != len(seq):
         return "sequence repeats a brick"
     for j in range(len(seq)):
         for i in range(j):
-            if cat.hom(seq[j], seq[i]) != 0:
+            if hom[seq[j]][seq[i]] != 0:
                 return (f"hom({cat.display(seq[j])}, "
                         f"{cat.display(seq[i])}) != 0 for positions "
                         f"{i + 1} < {j + 1}")
-    open_mask = eng._insertion_maximal(seq)
-    if open_mask is not None:
-        b = eng.bricks[(open_mask & -open_mask).bit_length() - 1]
-        return f"not maximal: brick {cat.display(b)} can be inserted"
+    slots = []
+    for y in cat.bricks:
+        first = max((i + 1 for i, b in enumerate(seq) if hom[b][y]), default=0)
+        last = min((i for i, b in enumerate(seq) if hom[y][b]), default=len(seq))
+        if first <= last:
+            slots.append((first, y))
+    if slots:
+        return f"not maximal: brick {cat.display(min(slots)[1])} can be inserted"
     return None
 
 
@@ -237,6 +251,86 @@ def test_explain_invalid_matches_pairwise_scan(spec):
         candidates += [seq[:i] + seq[i + 1:] for i in range(len(seq))]
         for cand in candidates:
             assert eng.explain_invalid(cand) == _explain_invalid_pairwise(eng, cand)
+
+
+# the catalogs of the drawn validity checks: the first three hold only
+# bricks; cyclic 3,3 and 4,4,4 have non-bricks, so brick positions differ
+# from catalog ids; typeA <x16 (153 bricks) is too long to list its
+# sequences, so its base sequence is its simples in catalog order
+VALIDITY_SPECS = [AlgebraSpec.nakayama([3, 3, 3, 2, 1]),
+                  AlgebraSpec.nakayama([3, 3, 3], cyclic=True),
+                  AlgebraSpec.nakayama([4, 4, 4, 4], cyclic=True),
+                  AlgebraSpec.nakayama([3, 3], cyclic=True),
+                  AlgebraSpec.nakayama([4, 4, 4], cyclic=True),
+                  AlgebraSpec.type_a("<" * 16)]
+
+
+@st.composite
+def _perturbed_sequence(draw):
+    """An algebra and a maximal green sequence of it, then up to three
+    edits: a brick dropped, two bricks swapped, an entry repeated, or an
+    entry set to a catalog id, an id outside the catalog or a non-brick."""
+    spec = draw(st.sampled_from(VALIDITY_SPECS))
+    eng = engine_for(spec)
+    cat = eng.cat
+    if spec.is_nakayama:
+        count = cat.generated_lattice().maximal_chain_count()
+        seq = list(eng.sequence_at(draw(st.integers(0, count - 1))).bricks)
+    else:
+        seq = list(cat.simples)
+    size = len(cat.catalog)
+    ids = {"set": st.integers(0, size - 1),
+           "outside": st.sampled_from([-1, size, size + 7])}
+    non_bricks = [x for x in range(size) if not cat.is_brick(x)]
+    if non_bricks:
+        ids["non-brick"] = st.sampled_from(non_bricks)
+    for _ in range(draw(st.integers(0, 3))):
+        if not seq:
+            break
+        edit = draw(st.sampled_from(["drop", "swap", "repeat", *ids]))
+        i, j = (draw(st.integers(0, len(seq) - 1)) for _ in range(2))
+        if edit == "drop":
+            del seq[i]
+        elif edit == "swap":
+            seq[i], seq[j] = seq[j], seq[i]
+        elif edit == "repeat":
+            seq.insert(j, seq[i])
+        else:
+            seq[i] = draw(ids[edit])
+    return eng, tuple(seq)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_perturbed_sequence())
+def test_explain_invalid_matches_pairwise_scan_on_drawn_lists(case):
+    eng, seq = case
+    assert eng.explain_invalid(seq) == _explain_invalid_pairwise(eng, seq)
+
+
+class _CountingRow(Sequence):
+    """A Hom-table row that counts its reads."""
+
+    def __init__(self, row, reads):
+        self.row, self.reads = row, reads
+
+    def __getitem__(self, i):
+        self.reads[0] += 1
+        return self.row[i]
+
+    def __len__(self):
+        return len(self.row)
+
+
+def test_engine_build_reads_no_hom_entry():
+    cat = ModuleCategory(AlgebraSpec.type_a("<" * 16))
+    reads = [0]
+    cat.hom_table = tuple(_CountingRow(row, reads) for row in cat.hom_table)
+    eng = GreenEngine(cat)
+    assert reads == [0]
+    tables = ("perp_masks", "right_perp_masks")
+    assert not any(name in cat.__dict__ for name in tables)
+    assert eng.explain_invalid(cat.simples) is None
+    assert reads[0] > 0 and all(name in cat.__dict__ for name in tables)
 
 
 # -- torsion chains ---------------------------------------------------------------

@@ -98,10 +98,10 @@ def test_filt_interval_check_matches_per_chain_loop(spec):
                          ids=lambda s: s.label())
 def test_failing_filt_interval_check_matches_per_chain_loop(spec, monkeypatch):
     cat = ModuleCategory(spec)
-    real = cat.filt_indecs
+    real = cat.filt_mask
     # label sets of three or more bricks filter nothing
-    monkeypatch.setattr(cat, "filt_indecs", lambda labels: (
-        frozenset() if len(labels) > 2 else real(labels)))
+    monkeypatch.setattr(cat, "filt_mask", lambda labels: (
+        0 if labels.bit_count() > 2 else real(labels)))
     lattice = cat.torsion_lattice()
     check = _filt_interval_check(cat, lattice)
     violations = check.detail["violations"]

@@ -2,7 +2,8 @@
 
 Runs the same CLI calls, each in a fresh process, once with each tree's
 `src/` on PYTHONPATH, and reports every call whose stdout bytes or exit
-code differ.  Standard library only.
+code differ, or for the expected-error calls whose stderr or exit code
+differ.  Standard library only.
 
     python3 tools/cli_diff.py OLD/src NEW/src
 
@@ -41,13 +42,19 @@ Then, on each of the algebras with every command, `hn` along the first
 and the last sequence of the `mgs` output (the first tree's, or the
 second's when only that one lists them), given as a brick list, once
 with `--module` the sum of every catalog module (#0+#1+...) and once for
-each single module, and given as its `mgs` index with that sum: 1271
-calls in all.  A call that both trees reject with a usage error (exit 2)
-is reported too: the battery should make none.  A call that the first
-tree rejects with exit 2 and the second answers with exit 0 is reported
-as admitted: a gate that was lifted on purpose.
-Exit code 0 when every call matches or is admitted, 1 when some call
-differs otherwise, times out or is rejected.
+each single module, and given as its `mgs` index with that sum.  Last,
+on Nakayama 3,3,3,2,1, cyclic 3,3,3 and cyclic 3,3, `hn --mgs` with
+brick lists that the validity check refuses (`error_commands`): a
+repeated brick, a Hom-violating order, a list that is not maximal and,
+on cyclic 3,3, a non-brick.  1281 calls in all.  These last calls are
+compared by exit code and stderr, and match when both trees exit 2 with
+the same message: they are counted as refused.  Any other call that
+both trees reject with a usage error (exit 2) is reported as rejected:
+the battery should make none.  A call that the first tree rejects with
+exit 2 and the second answers with exit 0 is reported as admitted: a
+gate that was lifted on purpose.
+Exit code 0 when every call matches, is refused as expected or is
+admitted, 1 when some call differs otherwise, times out or is rejected.
 """
 
 from __future__ import annotations
@@ -69,6 +76,10 @@ CALL_TIMEOUT_S = 3600
 DIGESTED = {("six", ("mgs",))}
 # CLI processes at once: the two trees' runs of one call go side by side
 JOBS = 2
+# the algebras of the `error_commands` calls; only cyclic 3,3 has a
+# non-brick among them
+ERROR_ALGEBRAS = ("nakayama linear 3,3,3,2,1", "nakayama cyclic 3,3,3",
+                  "nakayama cyclic 3,3")
 
 
 def type_a(word: str) -> dict:
@@ -182,22 +193,39 @@ def hn_commands(catalog_out: bytes, mgs_out: bytes) -> list[list[str]]:
                for seq in (seqs[0], seqs[-1])])
 
 
+def error_commands(catalog_out: bytes, mgs_out: bytes) -> list[list[str]]:
+    """`hn --mgs` calls whose brick list the validity check refuses, read
+    from the `catalog` and `mgs` outputs of one algebra: the first sequence
+    with its first brick repeated, the longest sequence reversed (a
+    non-zero Hom from an earlier brick to a later one), the first sequence
+    without its second brick (not maximal), and the first non-brick of the
+    catalog, where it has one."""
+    seqs = [seq["ids"] for seq in json.loads(mgs_out)["sequences"]]
+    first, longest = seqs[0], max(seqs, key=len)
+    lists = [first + first[:1], longest[::-1], first[:1] + first[2:]]
+    lists += [[m["id"]] for m in json.loads(catalog_out)["modules"]
+              if not m["brick"]][:1]
+    return [["hn", "--mgs", ",".join(f"#{i}" for i in ids), "--module", "#0"]
+            for ids in lists]
+
+
 def run(src: Path, command: list[str], path: Path, cwd: Path,
-        digest: bool = False):
-    """(exit code, stdout bytes) of one fresh CLI process; exit code None
-    on timeout.  With digest, the stdout is read in pieces and stands as
-    its SHA-256 and length."""
+        mode: str = "stdout"):
+    """(exit code, output) of one fresh CLI process; exit code None on
+    timeout.  The output is its stdout, or its stderr with mode "stderr";
+    with mode "digest", the stdout is read in pieces and stands as its
+    SHA-256 and length."""
     env = dict(os.environ, PYTHONPATH=str(src))
     flags = list(itertools.takewhile(lambda arg: arg.startswith("--"), command))
     name, *options = command[len(flags):]
     argv = [sys.executable, "-m", "greenseq", *flags, name, str(path), *options]
-    if not digest:
+    if mode != "digest":
         try:
             proc = subprocess.run(argv, cwd=cwd, env=env, capture_output=True,
                                   timeout=CALL_TIMEOUT_S)
         except subprocess.TimeoutExpired:
             return None, b""
-        return proc.returncode, proc.stdout
+        return proc.returncode, proc.stdout if mode == "stdout" else proc.stderr
     sha, length, expired = hashlib.sha256(), 0, threading.Event()
     with subprocess.Popen(argv, cwd=cwd, env=env, stdout=subprocess.PIPE,
                           stderr=subprocess.DEVNULL) as proc:
@@ -238,15 +266,16 @@ def main(argv=None) -> int:
         tmp = Path(tmp)
 
         def run_both(batch):
-            futures = [[pool.submit(run, src, cmd, path, tmp, digest)
-                        for src in srcs] for _, cmd, path, digest in batch]
+            futures = [[pool.submit(run, src, cmd, path, tmp, mode)
+                        for src in srcs] for _, cmd, path, mode in batch]
             return [[f.result() for f in pair] for pair in futures]
 
         calls, paths = [], []
         for k, (spec, kind) in enumerate(battery()):
             path = tmp / f"algebra{k}.json"
             path.write_text(json.dumps(spec), encoding="utf-8")
-            calls += [(label(spec), cmd, path, (kind, tuple(cmd)) in DIGESTED)
+            calls += [(label(spec), cmd, path,
+                       "digest" if (kind, tuple(cmd)) in DIGESTED else "stdout")
                       for cmd in commands(spec, kind)]
             if kind == "all":
                 paths.append((label(spec), path))
@@ -256,18 +285,29 @@ def main(argv=None) -> int:
         first_out = {(name, cmd[0]): next((out for code, out in res if code == 0),
                                           res[0][1])
                      for (name, cmd, *_), res in zip(calls, results)}
-        hn_calls = [(name, cmd, path, False) for name, path in paths
+        hn_calls = [(name, cmd, path, "stdout") for name, path in paths
                     for cmd in hn_commands(first_out[name, "catalog"],
                                            first_out[name, "mgs"])]
+        hn_calls += [(name, cmd, path, "stderr") for name, path in paths
+                     if name in ERROR_ALGEBRAS
+                     for cmd in error_commands(first_out[name, "catalog"],
+                                               first_out[name, "mgs"])]
         calls += hn_calls
         results += run_both(hn_calls)
 
-    differing = rejected = admitted = 0
-    for (name, cmd, *_), ((old_code, old_out), (new_code, new_out)) in zip(
+    differing = rejected = admitted = refused = 0
+    for (name, cmd, _, mode), ((old_code, old_out), (new_code, new_out)) in zip(
             calls, results):
-        if (None not in (old_code, new_code) and old_code == new_code
-                and old_out == new_out):
-            if old_code == 2:
+        same = (None not in (old_code, new_code) and old_code == new_code
+                and old_out == new_out)
+        if same:
+            if mode == "stderr" and old_code == 2:
+                refused += 1
+            elif mode == "stderr":
+                differing += 1
+                print(f"UNREFUSED {name}: {' '.join(cmd)}: exit {old_code} "
+                      f"in both trees, where exit 2 is expected")
+            elif old_code == 2:
                 rejected += 1
                 print(f"REJECTED {name}: {' '.join(cmd)}: exit 2 in both trees")
             continue
@@ -279,7 +319,7 @@ def main(argv=None) -> int:
         print(f"DIFF {name}: {' '.join(cmd)}: exit {old_code} -> {new_code}; "
               f"{first_difference(old_out, new_out)}")
     print(f"{len(calls)} calls, {differing} differ, {rejected} rejected, "
-          f"{admitted} admitted")
+          f"{admitted} admitted, {refused} refused as expected")
     return 1 if differing or rejected else 0
 
 
