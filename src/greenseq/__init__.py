@@ -13,8 +13,7 @@ from importlib import import_module
 from .algebra import AlgebraSpec
 from .errors import (GateError, InvariantViolation, SpecError,
                      TheoremViolation, UsageError)
-from .modcat import (Indec, ModuleCategory, ModuleSum, SesRecord,
-                     TorsionClass, TorsionLattice)
+from .modcat import Indec, ModuleCategory, ModuleSum, SesRecord, TorsionLattice
 
 # name -> the module that defines it, imported on first access
 _LAZY = {
@@ -38,7 +37,7 @@ __all__ = [
     "AlgebraSpec", "ClassPoset", "EquivClass", "ExchangePair", "GateError",
     "GreenEngine", "HNLayer", "HNResult", "Indec", "InvariantViolation",
     "MGS", "ModuleCategory", "ModuleSum", "SesRecord", "SiltingSummand",
-    "SpecError", "TheoremViolation", "TorsionClass", "TorsionLattice",
+    "SpecError", "TheoremViolation", "TorsionLattice",
     "UsageError", "build_order", "check_extrema", "hasse_dot",
     "iepd_cover_pairs", "orders_equal_report",
 ]

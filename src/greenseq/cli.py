@@ -8,8 +8,9 @@ standard library's pure-Python indenting encoder (see there); `mgs`
 writes its sequence records itself during the walk, from the text of
 each walk prefix and of each tabled tail, each encoded once (`cmd_mgs`).
 Exit codes: 0 success, 1 a verification check failed or an invariant
-broke, 2 usage, parse, file or gate errors; each gate is a fixed
-constant that bounds the object that costs (see the README).
+broke, 2 usage, parse, file or gate errors, or a reader that closed
+stdout early; each gate is a fixed constant that bounds the object that
+costs (see the README).
 
 Each command imports and builds only the layers it runs: `catalog` and
 `bricks` read the `ModuleCategory` alone; `mgs`, `classes` and `hn` add
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from itertools import islice
 from json.encoder import encode_basestring_ascii
@@ -356,7 +358,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed reader is met here, not at exit
+        return code
+    except BrokenPipeError as exc:
+        # the reader of stdout closed it (`greenseq mgs A.json | head`):
+        # what is still buffered goes to the null device at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write to stdout: {exc}", file=sys.stderr)
+        return 2
     except (SpecError, UsageError, GateError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -13,11 +13,13 @@ ANDing the category's left and right Hom-perpendicular masks
 of modules here they are over catalog ids, so the engine keeps no index
 of its own and building it reads no Hom entry.
 
-The torsion chain of a sequence is read from one bitmask per brick:
-T_0 is the whole catalog and T_i = T_{i-1} & perp[B_i], the cover of
-T_{i-1} labelled B_i (`ModuleCategory.perp_masks`); each distinct class
-is built and checked once.  The exchange pair of each cover (upper
-class U, label) is tabled and shared by every sequence through it.  The
+A torsion class is the bitmask of its members over catalog ids, as in
+the lattice.  The torsion chain of a sequence is one such mask per
+brick: T_0 is the whole catalog and T_i = T_{i-1} & perp[B_i], the
+cover of T_{i-1} labelled B_i (`ModuleCategory.perp_masks`); each
+distinct class is checked once, and its silting summands are tabled by
+its mask.  The exchange pair of each cover (upper class mask U, label)
+is tabled and shared by every sequence through it.  The
 Harder-Narasimhan layer t_U(x)/t_L(x) of a module x at a cover U > L is
 read off the torsion rows of U and L (`ModuleCategory.torsion_row`, one
 per class): its quotient is the OR of the quotient masks of t_L(y) over
@@ -51,7 +53,7 @@ from operator import or_
 
 from .algebra import OrderedRecord, Record
 from .errors import GateError, InvariantViolation, TheoremViolation, UsageError
-from .modcat import ModuleCategory, ModuleSum, TorsionClass, _mask, _members
+from .modcat import ModuleCategory, ModuleSum, _bits
 
 # `sequence_groups` (so `sequence_walk`) and `class_members`, which alone
 # list sequences, refuse more than this before the walk starts.  typeA
@@ -120,10 +122,11 @@ class EquivClass(Record):
 class GreenEngine:
     def __init__(self, cat: ModuleCategory):
         self.cat = cat
-        self._classes_by_mask: dict[int, TorsionClass] = {}
-        self._silting_cache: dict[frozenset, frozenset] = {}
-        # per cover, keyed by (upper class members, label)
-        self._cover_exchange_cache: dict[tuple[frozenset, int], ExchangePair] = {}
+        # the member bitmasks checked to be torsion classes
+        self._checked: set[int] = set()
+        self._silting_cache: dict[int, frozenset] = {}
+        # per cover, keyed by (upper class mask, label)
+        self._cover_exchange_cache: dict[tuple[int, int], ExchangePair] = {}
         self._cover_table: tuple | None = None
         self._polygons: list | None = None
         self._classes: list[EquivClass] | None = None
@@ -273,59 +276,51 @@ class GreenEngine:
 
     # -- torsion chain and silting summands --------------------------------------
 
-    def torsion_chain(self, g: MGS) -> list[TorsionClass]:
-        """T_0 = the whole catalog and T_i = T_{i-1} & perp[B_i]: each step
-        is the cover of T_{i-1} labelled B_i."""
+    def torsion_chain(self, g: MGS) -> list[int]:
+        """The member bitmasks T_0 = the whole catalog and T_i = T_{i-1} &
+        perp[B_i]: each step is the cover of T_{i-1} labelled B_i."""
         perp = self.cat.perp_masks
-        mask = (1 << len(self.cat.catalog)) - 1
-        chain = [self._torsion_class(mask)]
+        full = (1 << len(self.cat.catalog)) - 1
+        chain = [self._checked_class(full)]
         for b in g.bricks:
-            if not mask >> b & 1:
+            if not chain[-1] >> b & 1:
                 raise InvariantViolation(
                     f"brick {self.cat.display(b)} lies outside the torsion "
                     f"class it should label a cover of")
-            mask &= perp[b]
-            chain.append(self._torsion_class(mask))
-        if chain[0].members != frozenset(range(len(self.cat.catalog))):
-            raise InvariantViolation(
-                "green sequence does not generate the whole module category")
-        if chain[-1].members:
+            chain.append(self._checked_class(chain[-1] & perp[b]))
+        if chain[-1]:
             raise InvariantViolation("green sequence chain does not reach zero")
-        for up, lo in zip(chain, chain[1:]):
-            if not lo.members < up.members:
-                raise InvariantViolation("green sequence chain is not strictly decreasing")
+        if any(lo == up for up, lo in zip(chain, chain[1:])):
+            raise InvariantViolation("green sequence chain is not strictly decreasing")
         return chain
 
-    def _torsion_class(self, mask: int) -> TorsionClass:
-        """The one shared TorsionClass of a member bitmask, checked to be
-        closed on first use."""
-        tors = self._classes_by_mask.get(mask)
-        if tors is None:
-            members = _members(mask, len(self.cat.catalog))
-            if not self.cat.is_torsion_class(members):
+    def _checked_class(self, t: int) -> int:
+        """The member bitmask t, checked to be a torsion class on first use."""
+        if t not in self._checked:
+            if not self.cat.is_torsion_class(t):
                 raise InvariantViolation(
-                    f"chain step {sorted(members)} is not a torsion class")
-            tors = self._classes_by_mask[mask] = TorsionClass(members)
-        return tors
+                    f"chain step {list(_bits(t))} is not a torsion class")
+            self._checked.add(t)
+        return t
 
-    def silting_summands(self, tors: TorsionClass) -> frozenset[SiltingSummand]:
-        key = tors.members
-        cached = self._silting_cache.get(key)
+    def silting_summands(self, t: int) -> frozenset[SiltingSummand]:
+        """The silting summands of the class with member bitmask t."""
+        cached = self._silting_cache.get(t)
         if cached is not None:
             return cached
         mods = {SiltingSummand(False, x)
-                for x in self.cat.relative_projectives(tors)}
+                for x in _bits(self.cat.relative_projectives(t))}
         # P_v[1] when hom(P_v, T) = 0
         perp = self.cat.right_perp_masks
         shifts = {SiltingSummand(True, v)
                   for v, pv in enumerate(self.cat.projectives)
-                  if not tors.mask & ~perp[pv]}
+                  if not t & ~perp[pv]}
         result = frozenset(mods | shifts)
         if len(result) != self.cat.n:
             raise InvariantViolation(
-                f"silting summand set of {sorted(key)} has size {len(result)}, "
+                f"silting summand set of {list(_bits(t))} has size {len(result)}, "
                 f"expected {self.cat.n}")
-        self._silting_cache[key] = result
+        self._silting_cache[t] = result
         return result
 
     def summand_set(self, g: MGS) -> frozenset[SiltingSummand]:
@@ -344,10 +339,9 @@ class GreenEngine:
         return tuple(self._cover_exchange(up, lo, b)
                      for up, lo, b in zip(chain, chain[1:], g.bricks))
 
-    def _cover_exchange(self, up: TorsionClass, lo: TorsionClass,
-                        b: int) -> ExchangePair:
+    def _cover_exchange(self, up: int, lo: int, b: int) -> ExchangePair:
         """The exchange pair of the cover of `up` labelled b."""
-        key = (up.members, b)
+        key = (up, b)
         pair = self._cover_exchange_cache.get(key)
         if pair is None:
             su, sl = self.silting_summands(up), self.silting_summands(lo)
@@ -399,12 +393,11 @@ class GreenEngine:
             raise InvariantViolation("layer dimension vectors do not sum up")
         return HNResult(layers=tuple(layers))
 
-    def _layer_factor(self, x: int, up: TorsionClass, lo: TorsionClass
-                      ) -> tuple[int, ...]:
+    def _layer_factor(self, x: int, up: int, lo: int) -> tuple[int, ...]:
         """The summands of t_up(x)/t_lo(x): the quotients t_lo(y) of the
         summands y of t_up(x)."""
-        sub, _ = self.cat.torsion_row(up.mask)[x].pair
-        lower = self.cat.torsion_row(lo.mask)
+        sub, _ = self.cat.torsion_row(up)[x].pair
+        lower = self.cat.torsion_row(lo)
         return tuple(sorted(i for y in sub.ids for i in lower[y].pair[1].ids))
 
     def stable_factors(self, module, g: MGS) -> Counter:
@@ -432,13 +425,13 @@ class GreenEngine:
                     f"not {catalog[x].dim}")
         return {x: tuple(sorted(row)) for x, row in rows.items()}
 
-    def _cover_multiplicities(self, up: TorsionClass, lo: TorsionClass,
-                              b: int) -> tuple[tuple[int, int], ...]:
+    def _cover_multiplicities(self, up: int, lo: int, b: int
+                              ) -> tuple[tuple[int, int], ...]:
         """(x, multiplicity of b) for every catalog module x with a
         non-zero layer at the cover of `up` labelled b."""
         return tuple(self._layers(up, lo, b, range(len(self.cat.catalog))))
 
-    def _layers(self, up: TorsionClass, lo: TorsionClass, b: int, modules):
+    def _layers(self, up: int, lo: int, b: int, modules):
         """(x, multiplicity of b) for each x of modules whose layer
         t_up(x)/t_lo(x) at the cover of `up` labelled b is non-zero, read
         off the torsion rows of both classes.  The layer holds the
@@ -447,9 +440,9 @@ class GreenEngine:
         sum of dim t_lo(y); it must lie in Filt(b) and its dimension must
         be a multiple of dim b."""
         cat = self.cat
-        upper, lower = cat.torsion_row(up.mask), cat.torsion_row(lo.mask)
+        upper, lower = cat.torsion_row(up), cat.torsion_row(lo)
         filt = cat.filt_mask(1 << b)
-        bdim, below = cat.catalog[b].dim, ~lo.mask
+        bdim, below = cat.catalog[b].dim, ~lo
         for x in modules:
             sub = upper[x]
             if not sub.sub_mask & below:
@@ -543,7 +536,7 @@ class GreenEngine:
             row = next((row for row in steps[c] if row[0] == b), None)
             if row is None:
                 raise UsageError(f"{self.cat.display(b)} labels no cover "
-                                 f"below {sorted(lattice.classes[c])}")
+                                 f"below {list(_bits(lattice.classes[c]))}")
             c, folded = row[1], list(map(or_, folded, row[2:]))
         return folded
 
@@ -650,13 +643,12 @@ class GreenEngine:
         when t_L(t_U(x)) = t_L(x), and must give dim x at the bottom."""
         cat = self.cat
         catalog = cat.catalog
-        tors = [self._torsion_class(_mask(members))
-                for members in lattice.classes]
+        tors = [self._checked_class(t) for t in lattice.classes]
         silting = [self.silting_summands(t) for t in tors]
         summands = sorted(set().union(*silting))
         bit = {s: 1 << i for i, s in enumerate(summands)}
         summ = [sum(bit[s] for s in found) for found in silting]
-        simples = [_mask(cat.relative_simples(t)) for t in tors]
+        simples = [cat.relative_simples(t) for t in tors]
         socle, nonproj = {}, [0] * len(tors)
         if cat.spec.is_nakayama:
             socle = {b: 1 << cat.backend.socle_quotient(b)
@@ -676,14 +668,14 @@ class GreenEngine:
             for lo, b in sorted(lattice.lower_covers.get(up, ()),
                                 key=lambda step: step[1]):
                 upper, lower = tors[up], tors[lo]
-                if b not in upper.members:
+                if not upper >> b & 1:
                     raise InvariantViolation(
                         f"brick {cat.display(b)} lies outside the torsion "
                         f"class it should label a cover of")
-                if not lower.members < upper.members:
+                if lower == upper or lower & ~upper:
                     raise InvariantViolation(
-                        f"cover {sorted(upper.members)} > "
-                        f"{sorted(lower.members)} is not strictly decreasing")
+                        f"cover {list(_bits(upper))} > "
+                        f"{list(_bits(lower))} is not strictly decreasing")
                 pair = self._cover_exchange(upper, lower, b)
                 exch = exch_bits.setdefault(pair, 1 << len(exch_bits))
                 comp = 0
@@ -700,7 +692,7 @@ class GreenEngine:
                     x = next(x for x in range(len(catalog)) if known[x] != dim[x])
                     raise InvariantViolation(
                         f"layer dimensions of {cat.display(x)} down to "
-                        f"{sorted(lower.members)} depend on the chain: "
+                        f"{list(_bits(lower))} depend on the chain: "
                         f"{known[x]} and {dim[x]}")
                 row.append((b, lo, summ[lo], exch, sff, simples[up] | simples[lo],
                             comp, socle.get(b, 0), nonproj[up] | nonproj[lo]))
@@ -735,7 +727,7 @@ class GreenEngine:
                     if not other or other[1] != bottom or not self._commute(b, a):
                         raise InvariantViolation(
                             f"square swap broke the sequence: below "
-                            f"{sorted(lattice.classes[top])}, {self.cat.display(b)} "
+                            f"{list(_bits(lattice.classes[top]))}, {self.cat.display(b)} "
                             f"then {self.cat.display(a)} are not commuting "
                             f"lattice covers")
                     sides = zip((summ[top] | s1 | s2, *map(or_, one, two)),
@@ -752,10 +744,10 @@ class GreenEngine:
         still contains end."""
         classes = self.cat.generated_lattice().classes
         steps = self.cover_table()[2]
-        labels = []
+        labels, low = [], classes[end]
         while start != end:
             b, start, *_ = next(row for row in steps[start]
-                                if classes[row[1]] >= classes[end])
+                                if not low & ~classes[row[1]])
             labels.append(b)
         return labels
 

@@ -26,14 +26,16 @@ each module's cover is computed once per category), and the verify
 check `ext-formula-matches-presentation-oracle` compares the two on
 every pair, on both backends.
 
-Torsion classes are membership sets over the catalog, closed under
-indecomposable quotients and under extensions with indecomposable middle
-term.  Every bitmask of modules in greenseq is over catalog ids, and the
-routines that test Hom-vanishing or SES records against a set of modules
-read the tables below.  The short exact sequences of each module are
-encoded once, on first use, as bitmasks of their sub and quotient
-summands (`sub_records`, `_quotient_masks`, `_ses_masks`), so every
-per-class test is a mask test: the torsion predicates
+A torsion class is the bitmask of its members over catalog ids, closed
+under indecomposable quotients and under extensions with indecomposable
+middle term.  The lattices, the engine and the checks hold a class in
+that one format, and every message prints it as its sorted id list
+(`_bits`).  Every other bitmask of modules in greenseq is over catalog
+ids too, and the routines that test Hom-vanishing or SES records against
+a set of modules read the tables below.  The short exact sequences of
+each module are encoded once, on first use, as bitmasks of their sub
+and quotient summands (`sub_records`, `_quotient_masks`, `_ses_masks`),
+so every per-class test is a mask test: the torsion predicates
 (`is_torsion_class`, `relative_simples`, the subset oracle's cover
 labels), the torsion closure (a fixed point on the same masks), Filt of
 a set of bricks (`filt_mask`, one closure per brick mask) and the
@@ -51,8 +53,9 @@ perp_masks[B], which the torsion chains of green sequences read too.
 Its maximal chains are counted on the lattice, never listed; the orders
 walk its polygons.  A brute-force enumeration over all subsets of the
 catalog (`torsion_lattice`) stays as the independent oracle that the
-verification suites and tests compare against; the fixed `SUBSET_GATE`
-refuses it above 16 modules.
+verification suites and tests compare against: it lists each class's
+proper sub-classes once and takes as covers those inside no other, and
+the fixed `SUBSET_GATE` refuses it above 16 modules.
 """
 
 from __future__ import annotations
@@ -135,36 +138,22 @@ class SubRecord(namedtuple(
     __slots__ = ()
 
 
-class TorsionClass(Record):
-    members: frozenset[int]
-
-    @cached_property
-    def mask(self) -> int:
-        """The members as a bitmask over catalog ids."""
-        return _mask(self.members)
-
-    def __contains__(self, i: int) -> bool:
-        return i in self.members
-
-    def __le__(self, other: "TorsionClass") -> bool:
-        return self.members <= other.members
-
-
 class TorsionLattice(Record):
     """All torsion classes with labelled covering relations.
 
-    covers are (upper, lower, label) index triples into `classes`, which
-    are in order of size (`_sorted_lattice` builds every lattice), so
-    each class comes after its lower covers.
+    classes are the member bitmasks over catalog ids, in order of size
+    (`_sorted_lattice` builds every lattice), so each class comes after
+    its lower covers; covers are (upper, lower, label) index triples into
+    `classes`.
     """
 
-    classes: tuple[frozenset[int], ...]
+    classes: tuple[int, ...]
     covers: tuple[tuple[int, int, int], ...]
     top: int
     bottom: int
 
     @cached_property
-    def _positions(self) -> dict[frozenset[int], int]:
+    def _positions(self) -> dict[int, int]:
         return {c: k for k, c in enumerate(self.classes)}
 
     @cached_property
@@ -175,12 +164,12 @@ class TorsionLattice(Record):
             below.setdefault(up, []).append((lo, lab))
         return below
 
-    def index_of(self, members: frozenset[int]) -> int:
+    def index_of(self, t: int) -> int:
         try:
-            return self._positions[members]
+            return self._positions[t]
         except KeyError:
             raise ValueError(
-                f"{sorted(members)} is not a class of the lattice") from None
+                f"{list(_bits(t))} is not a class of the lattice") from None
 
     @cached_property
     def chain_counts(self) -> dict[int, int]:
@@ -216,7 +205,8 @@ class ModuleCategory:
         self.catalog: list[Indec] = self.backend.catalog
         self._by_descriptor = {m.descriptor: m.ident for m in self.catalog}
         self._by_display = {m.display: m.ident for m in self.catalog}
-        self._closure_cache: dict[frozenset, TorsionClass] = {}
+        # a seed mask -> the mask of its torsion closure
+        self._closure_cache: dict[int, int] = {}
         # a brick mask -> the mask of its Filt (`filt_mask`)
         self._filt_cache: dict[int, int] = {}
         self._torsion_rows: dict[int, list[SubRecord]] = {}
@@ -510,12 +500,9 @@ class ModuleCategory:
         return tuple(tuple((c.sub_mask, c.quot_mask) for c in cands[2:])
                      for cands in self.sub_records)
 
-    def is_torsion_class(self, members: frozenset[int]) -> bool:
-        return self._is_torsion_mask(_mask(members))
-
-    def _is_torsion_mask(self, t: int) -> bool:
-        """Closed under quotients and under extensions with indecomposable
-        middle term."""
+    def is_torsion_class(self, t: int) -> bool:
+        """Is the member bitmask t closed under quotients and under
+        extensions with indecomposable middle term?"""
         out = ~t
         for i, (quots, ses) in enumerate(zip(self._quotient_masks,
                                              self._ses_masks)):
@@ -528,15 +515,15 @@ class ModuleCategory:
                         return False
         return True
 
-    def torsion_closure(self, seed) -> TorsionClass:
-        """The least torsion class holding seed: the fixed point of adding
-        the quotients of each member and each module with an SES record
-        whose summands are members, the rule `_is_torsion_mask` tests."""
-        key = frozenset(seed)
-        cached = self._closure_cache.get(key)
+    def torsion_closure(self, seed: int) -> int:
+        """The least torsion class holding the modules of the bitmask seed:
+        the fixed point of adding the quotients of each member and each
+        module with an SES record whose summands are members, the rule
+        `is_torsion_class` tests."""
+        cached = self._closure_cache.get(seed)
         if cached is not None:
             return cached
-        members, grown = None, _mask(key)
+        members, grown = None, seed
         while grown != members:
             members = grown
             for i, (quots, ses) in enumerate(zip(self._quotient_masks,
@@ -545,18 +532,18 @@ class ModuleCategory:
                     grown |= quots
                 elif any(not (sub | quot) & ~grown for sub, quot in ses):
                     grown |= 1 << i
-        result = TorsionClass(_members(members, len(self.catalog)))
-        if not self.is_torsion_class(result.members):
+        if not self.is_torsion_class(members):
             raise InvariantViolation(
-                f"torsion closure of {sorted(key)} is not closed: "
-                f"{sorted(result.members)}")
-        self._closure_cache[key] = result
-        return result
+                f"torsion closure of {list(_bits(seed))} is not closed: "
+                f"{list(_bits(members))}")
+        self._closure_cache[seed] = members
+        return members
 
-    def torsion_sub_with_quotient(self, i: int, tors: TorsionClass
+    def torsion_sub_with_quotient(self, i: int, t: int
                                   ) -> tuple[ModuleSum, ModuleSum]:
-        """Torsion submodule of an indecomposable and the matching quotient."""
-        return self.torsion_row(tors.mask)[i].pair
+        """Torsion submodule of an indecomposable in the class with member
+        bitmask t, and the matching quotient."""
+        return self.torsion_row(t)[i].pair
 
     def torsion_row(self, t: int) -> list[SubRecord]:
         """The torsion submodules of the class with member bitmask t: entry
@@ -598,21 +585,17 @@ class ModuleCategory:
         return tuple(_mask(m for m, e in enumerate(row) if e)
                      for row in self.ext1_table)
 
-    def relative_projectives(self, tors: TorsionClass) -> frozenset[int]:
-        ext, t = self._ext1_masks, tors.mask
-        return frozenset(x for x in tors.members if not ext[x] & t)
+    def relative_projectives(self, t: int) -> int:
+        """The bitmask of the members x of the class t with Ext^1(x, t) = 0."""
+        ext = self._ext1_masks
+        return _mask(x for x in _bits(t) if not ext[x] & t)
 
-    def relative_simples(self, tors: TorsionClass) -> frozenset[int]:
-        # A member is relatively simple iff no proper non-zero submodule
-        # (from the enumerated sequences) lies entirely in the class.
-        out, ses = ~tors.mask, self._ses_masks
-        return frozenset(b for b in tors.members
-                         if all(sub & out for sub, _ in ses[b]))
-
-    def filt_indecs(self, brick_ids) -> frozenset[int]:
-        """Catalog members admitting a filtration with factors in add of
-        the given bricks (`filt_mask`)."""
-        return _members(self.filt_mask(_mask(brick_ids)), len(self.catalog))
+    def relative_simples(self, t: int) -> int:
+        """The bitmask of the members of the class t that are relatively
+        simple: no proper non-zero submodule (the sub of an SES record)
+        lies entirely in the class."""
+        out, ses = ~t, self._ses_masks
+        return _mask(b for b in _bits(t) if all(sub & out for sub, _ in ses[b]))
 
     def filt_mask(self, bricks: int) -> int:
         """The bitmask of Filt of the bricks in the bitmask: the bricks, then
@@ -646,12 +629,13 @@ class ModuleCategory:
                 f"gate of {SUBSET_GATE}; raise the gate to force it")
         if self._lattice is not None:
             return self._lattice
-        classes = [_members(s, count) for s in range(1 << count)
-                   if self._is_torsion_mask(s)]
+        classes = [s for s in range(1 << count) if self.is_torsion_class(s)]
         covers = []
         for ci in classes:
-            for cj in classes:
-                if cj < ci and not any(cj < ck < ci for ck in classes):
+            # its covers are the proper sub-classes inside no other one
+            subs = [cj for cj in classes if cj != ci and not cj & ~ci]
+            for cj in subs:
+                if all(cj == ck or cj & ~ck for ck in subs):
                     covers.append((ci, cj, self._cover_label(ci, cj)))
         self._lattice = _sorted_lattice(count, classes, covers)
         return self._lattice
@@ -703,7 +687,7 @@ class ModuleCategory:
                     continue
                 if len(labels) != 1:
                     raise InvariantViolation(
-                        f"cover below {_members(upper, size)} has "
+                        f"cover below {list(_bits(upper))} has "
                         f"{len(labels)} brick labels: {labels}")
                 covers.append((upper, lower, labels[0]))
                 if lower not in seen:
@@ -712,28 +696,24 @@ class ModuleCategory:
                         raise GateError(f"the torsion lattice has more than "
                                         f"{LATTICE_GATE} classes, the lattice gate")
                     todo.append(lower)
-        self._generated = _sorted_lattice(
-            size, [_members(m, size) for m in seen],
-            [(_members(u, size), _members(lo, size), b) for u, lo, b in covers])
+        self._generated = _sorted_lattice(size, seen, covers)
         return self._generated
 
-    def interval_members(self, upper: frozenset[int], lower: frozenset[int]
-                         ) -> frozenset[int]:
+    def interval_members(self, upper: int, lower: int) -> int:
         """[T, U] = U intersected with the right Hom-perpendicular of T."""
         perp = self.right_perp_masks
-        return _members(reduce(and_, (perp[t] for t in lower), _mask(upper)),
-                        len(self.catalog))
+        return reduce(and_, (perp[t] for t in _bits(lower)), upper)
 
-    def _cover_label(self, upper: frozenset[int], lower: frozenset[int]) -> int:
+    def _cover_label(self, upper: int, lower: int) -> int:
         """The one member of the interval with no SES record inside it."""
         interval = self.interval_members(upper, lower)
-        out, ses = ~_mask(interval), self._ses_masks
-        labels = [b for b in interval
+        out, ses = ~interval, self._ses_masks
+        labels = [b for b in _bits(interval)
                   if all((sub | quot) & out for sub, quot in ses[b])]
         if len(labels) != 1:
             raise InvariantViolation(
-                f"cover {sorted(upper)} > {sorted(lower)} has "
-                f"{len(labels)} label candidates: {sorted(labels)}")
+                f"cover {list(_bits(upper))} > {list(_bits(lower))} has "
+                f"{len(labels)} label candidates: {labels}")
         return labels[0]
 
     # -- name resolution -----------------------------------------------------
@@ -769,24 +749,31 @@ class ModuleCategory:
         return ModuleSum(tuple(ids))
 
 
-def _members(mask: int, size: int) -> frozenset[int]:
-    return frozenset(i for i in range(size) if mask >> i & 1)
-
-
 def _mask(ids) -> int:
     return reduce(or_, (1 << i for i in ids), 0)
 
 
+def _bits(mask: int):
+    """The positions of the set bits of mask, in increasing order, found
+    by one scan of its binary digits, low bit first: O(n) for a row of n
+    bits, where clearing the low bit costs O(n/64) words per set bit."""
+    digits = bin(mask)[:1:-1]
+    i = digits.find("1")
+    while i >= 0:
+        yield i
+        i = digits.find("1", i + 1)
+
+
 def _sorted_lattice(size: int, classes, covers) -> TorsionLattice:
     """The lattice with classes sorted by (size, ids) and (upper, lower,
-    label) cover triples, given as member sets, sorted by index."""
-    ordered = tuple(sorted(classes, key=lambda c: (len(c), tuple(sorted(c)))))
+    label) cover triples, given as member bitmasks, sorted by index."""
+    ordered = tuple(sorted(classes, key=lambda c: (c.bit_count(), tuple(_bits(c)))))
     idx = {c: k for k, c in enumerate(ordered)}
     return TorsionLattice(
         classes=ordered,
         covers=tuple(sorted((idx[up], idx[lo], lab) for up, lo, lab in covers)),
-        top=idx[frozenset(range(size))],
-        bottom=idx[frozenset()],
+        top=idx[(1 << size) - 1],
+        bottom=idx[0],
     )
 
 

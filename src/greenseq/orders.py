@@ -34,7 +34,7 @@ from .algebra import Record
 from .cli import ORDER_TAGS
 from .errors import GateError, InvariantViolation, UsageError
 from .green import GreenEngine, SiltingSummand
-from .modcat import ModuleCategory
+from .modcat import ModuleCategory, _bits
 
 # no order is built on more classes than this.  It admits every 6-vertex
 # type-A orientation (972-1,085 classes; at 1,085 the hn order takes 0.2 s
@@ -147,17 +147,6 @@ def _containment_rows(sets: list[frozenset]) -> list[int]:
     full = (1 << len(sets)) - 1
     return [full & ~reduce(or_, (m for x, m in has.items() if x not in s), 0)
             for s in sets]
-
-
-def _bits(mask: int):
-    """The positions of the set bits of mask, in increasing order, found
-    by one scan of its binary digits, low bit first: O(n) for a row of n
-    bits, where clearing the low bit costs O(n/64) words per set bit."""
-    digits = bin(mask)[:1:-1]
-    i = digits.find("1")
-    while i >= 0:
-        yield i
-        i = digits.find("1", i + 1)
 
 
 def _outside(rows, allowed) -> list[tuple[int, int]]:
@@ -342,7 +331,7 @@ def polygon_deformation_pairs(engine: GreenEngine) -> list[Polygon]:
     for top in range(len(classes)):
         for (t1, _), (t2, _) in combinations(below.get(top, ()), 2):
             bottom = lattice.index_of(classes[t1] & classes[t2])
-            name = f"[{sorted(classes[bottom])}, {sorted(classes[top])}]"
+            name = f"[{list(_bits(classes[bottom]))}, {list(_bits(classes[top]))}]"
             sides = sorted(_interval_chains(lattice, summ, top, bottom),
                            reverse=True)
             if len(sides) != 2:
@@ -380,7 +369,7 @@ def _interval_chains(lattice, summ: list[int], top: int, bottom: int
         return [(0, 0)]
     return [(length + 1, summ[lo] | mask)
             for lo, _ in lattice.lower_covers[top]
-            if lattice.classes[bottom] <= lattice.classes[lo]
+            if not lattice.classes[bottom] & ~lattice.classes[lo]
             for length, mask in _interval_chains(lattice, summ, lo, bottom)]
 
 

@@ -32,9 +32,9 @@ from operator import and_
 from .cli import SUITES
 from .errors import GateError, TheoremViolation, UsageError
 from .green import PATH_CHECKS, GreenEngine
-from .modcat import ModuleCategory, _mask
+from .modcat import ModuleCategory, _bits
 from . import orders as orders_mod
-from .orders import _bits, _containment_rows, _outside
+from .orders import _containment_rows, _outside
 
 
 class CheckResult:
@@ -269,7 +269,7 @@ def _lattice_checks(engine: GreenEngine, lattice) -> list[CheckResult]:
     labels = {(lattice.classes[up], lattice.classes[lo]): lab
               for up, lo, lab in lattice.covers}
     classes = cat.generated_lattice().classes
-    bad = [{"upper": sorted(classes[up]), "lower": sorted(classes[lo])}
+    bad = [{"upper": list(_bits(classes[up])), "lower": list(_bits(classes[lo]))}
            for up, lo, lab in cat.generated_lattice().covers
            if labels.get((classes[up], classes[lo])) != lab]
     checks.append(CheckResult("chain-steps-are-labelled-lattice-covers",
@@ -282,7 +282,7 @@ def _square_check(engine: GreenEngine) -> CheckResult:
     """The lattice squares whose sides differ (`GreenEngine.square_failures`)."""
     cat = engine.cat
     classes = cat.generated_lattice().classes
-    bad = [{"class": sorted(classes[top]), "swap": [cat.display(a), cat.display(b)]}
+    bad = [{"class": list(_bits(classes[top])), "swap": [cat.display(a), cat.display(b)]}
            for top, a, b, *_ in engine.square_failures()]
     return CheckResult("square-swaps-preserve-class-invariants",
                        not bad, {"violations": bad})
@@ -297,7 +297,7 @@ def _filt_interval_check(cat: ModuleCategory, lattice) -> CheckResult:
     perp, failing = cat.right_perp_masks, []
     for li, lower in enumerate(classes):
         # the interval [lower, U] is U & lower_perp
-        lower_perp = reduce(and_, (perp[t] for t in lower), -1)
+        lower_perp = reduce(and_, (perp[t] for t in _bits(lower)), -1)
         # upper class -> label mask -> number of maximal chains down to li
         chains = {li: Counter({0: 1})}
         for ui in range(li + 1, len(classes)):
@@ -307,11 +307,11 @@ def _filt_interval_check(cat: ModuleCategory, lattice) -> CheckResult:
                     counts[labels | 1 << lab] += k
             if counts:
                 chains[ui] = counts
-                expected = _mask(classes[ui]) & lower_perp
+                expected = classes[ui] & lower_perp
                 failing += [(ui, li)] * sum(
                     k for labels, k in counts.items()
                     if cat.filt_mask(labels) != expected)
-    bad = [{"upper": sorted(classes[ui]), "lower": sorted(classes[li])}
+    bad = [{"upper": list(_bits(classes[ui])), "lower": list(_bits(classes[li]))}
            for ui, li in sorted(failing)]
     return CheckResult("interval-equals-filtration-of-chain-labels",
                        not bad, {"violations": bad})

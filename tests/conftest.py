@@ -94,6 +94,16 @@ def a2_engine():
     return engine_for(A2)
 
 
+def members(mask: int) -> frozenset[int]:
+    """The catalog ids of a bitmask, as the frozenset the oracles read."""
+    return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def mask_of(ids) -> int:
+    """The bitmask of a collection of distinct catalog ids."""
+    return sum(1 << i for i in frozenset(ids))
+
+
 def ids_of(cat, names):
     return tuple(cat.resolve_token(name) for name in names)
 

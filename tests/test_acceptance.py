@@ -12,7 +12,7 @@ from greenseq.orders import build_order, check_extrema, orders_equal_report
 from greenseq.verify import suite_lemmas, suite_theorem_a
 
 from conftest import (CYCLIC_BATTERY, category_for, engine_for, full_battery,
-                      ids_of, linear_nakayama_battery)
+                      ids_of, linear_nakayama_battery, members)
 from test_modcat import EXAMPLE_COVERS, EXAMPLE_LATTICE
 
 EXAMPLE = AlgebraSpec.type_a("<>")
@@ -56,8 +56,8 @@ def test_criterion_1_example_golden_run():
     named = {frozenset(v): k for k, v in EXAMPLE_LATTICE.items()}
     got_covers = set()
     for up, lo, label in lattice.covers:
-        upper = frozenset(cat.display(i) for i in lattice.classes[up])
-        lower = frozenset(cat.display(i) for i in lattice.classes[lo])
+        upper = frozenset(cat.display(i) for i in members(lattice.classes[up]))
+        lower = frozenset(cat.display(i) for i in members(lattice.classes[lo]))
         got_covers.add((named[upper], named[lower], cat.display(label)))
     ok = ok and got_covers == EXAMPLE_COVERS
 

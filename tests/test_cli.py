@@ -407,6 +407,36 @@ def test_unwritable_poset_output_is_usage_error(capsys, tmp_path, example_file):
     assert not target.parent.exists()
 
 
+@pytest.mark.parametrize("command, unbuffered, taken", [
+    ("mgs", False, 10), ("classes", False, 10), ("mgs", True, 10), ("catalog", False, 0)],
+    ids=["mgs", "classes", "mgs-unbuffered", "catalog-closed-first"])
+def test_reader_that_closes_stdout_early_is_a_file_error(tmp_path, command, unbuffered,
+                                                         taken):
+    """`greenseq mgs A.json | head -c 10`: the reader takes 10 bytes of an
+    output larger than a pipe holds (64 KiB) and closes its end, so a write
+    fails.  `mgs` writes while it walks, `classes` writes one string.  With
+    Python's unbuffered stdout, a single write cut short is reported as
+    complete, so only the streamed `mgs` is run that way.  `catalog`'s
+    reader closes before any output, which stays in the stream's buffer
+    until the flush at the end of the command fails; the flush at exit
+    must then find nothing to write."""
+    path = _write_spec(tmp_path, AlgebraSpec.type_a("<<<<"))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(greenseq.__file__).resolve().parents[1])
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen([sys.executable, "-m", "greenseq", command, path],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=env, bufsize=0)
+    assert proc.stdout.read(taken) == b'{\n  "algeb'[:taken]
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == 2, err
+    # one line, no traceback, no "Exception ignored" from the flush at exit
+    assert err.startswith("error: cannot write to stdout: ") and err.count("\n") == 1
+
+
 def test_bad_module_expression(capsys, a2_file):
     code, _, err = run(capsys, "hn", a2_file, "--mgs", "0", "--module", "U(9,9)")
     assert code == 2

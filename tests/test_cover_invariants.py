@@ -7,6 +7,7 @@ closure of the remaining bricks, and each HN filtration by peeling one
 torsion submodule at a time.
 """
 
+import re
 from collections import Counter
 
 import pytest
@@ -17,7 +18,7 @@ from greenseq.errors import InvariantViolation
 from greenseq.green import MGS, ExchangePair, HNLayer, HNResult
 from greenseq.typea import TypeABackend
 
-from conftest import category_for, engine_for, full_battery, ids_of
+from conftest import category_for, engine_for, full_battery, ids_of, mask_of, members
 
 FIVE_VERTICES = AlgebraSpec.type_a("<<<<")
 PAIR_SUM_SPECS = [AlgebraSpec.type_a("<><"), AlgebraSpec.nakayama([3, 3, 2, 1])]
@@ -25,7 +26,7 @@ PAIR_SUM_SPECS = [AlgebraSpec.type_a("<><"), AlgebraSpec.nakayama([3, 3, 2, 1])]
 
 def closure_chain(cat, g):
     """Oracle: T_i is the torsion closure of B_{i+1}, ..., B_r."""
-    return [cat.torsion_closure(frozenset(g.bricks[i:]))
+    return [cat.torsion_closure(mask_of(g.bricks[i:]))
             for i in range(len(g.bricks) + 1)]
 
 
@@ -37,7 +38,7 @@ def peel_hn(cat, module, g, chain):
     steps: dict[int, list[int]] = {}
 
     def peel(x):
-        j = max(k for k, tors in enumerate(chain) if x in tors)
+        j = max(k for k, tors in enumerate(chain) if tors >> x & 1)
         sub, quot = cat.torsion_sub_with_quotient(x, chain[j + 1])
         steps.setdefault(j + 1, []).extend(quot.ids)
         for y in sub.ids:
@@ -49,7 +50,7 @@ def peel_hn(cat, module, g, chain):
     for pos in sorted(steps):
         factor = ModuleSum(tuple(steps[pos]))
         brick = g.bricks[pos - 1]
-        assert set(factor.ids) <= cat.filt_indecs(frozenset((brick,)))
+        assert set(factor.ids) <= members(cat.filt_mask(1 << brick))
         fdim, bdim = cat.dim_sum(factor), cat.indec(brick).dim
         assert fdim % bdim == 0
         layers.append(HNLayer(position=pos, brick=brick, factor=factor,
@@ -113,12 +114,17 @@ def test_five_vertex_chains_and_stable_factors_match_oracles():
             cat, g, chain)
 
 
-def test_chain_classes_are_shared():
-    eng = engine_for(AlgebraSpec.type_a("<>"))
-    seen = {}
-    for g in eng.enumerate_mgs():
-        for tors in eng.torsion_chain(g):
-            assert seen.setdefault(tors.members, tors) is tors
+def test_chain_classes_are_shared(monkeypatch):
+    """Each distinct class of the chains is checked once, whatever number
+    of chains pass through it."""
+    cat, eng = _fresh()
+    checked = []
+    real = ModuleCategory.is_torsion_class
+    monkeypatch.setattr(ModuleCategory, "is_torsion_class",
+                        lambda self, t: checked.append(t) or real(self, t))
+    chains = [eng.torsion_chain(g) for g in eng.enumerate_mgs()]
+    assert sorted(checked) == sorted({t for chain in chains for t in chain})
+    assert sum(map(len, chains)) > len(checked)
 
 
 # -- the checks still fire ---------------------------------------------------
@@ -131,8 +137,10 @@ def _fresh(spec=AlgebraSpec.type_a("<>")):
 def test_chain_step_that_is_not_a_torsion_class_raises(monkeypatch):
     cat, eng = _fresh()
     monkeypatch.setattr(ModuleCategory, "is_torsion_class",
-                        lambda self, members: False)
-    with pytest.raises(InvariantViolation, match="not a torsion class"):
+                        lambda self, t: False)
+    # the first class checked is the whole category, ids 0 to 5
+    with pytest.raises(InvariantViolation, match=re.escape(
+            "chain step [0, 1, 2, 3, 4, 5] is not a torsion class")):
         eng.torsion_chain(MGS(ids_of(cat, ["1", "3", "2"])))
 
 

@@ -7,14 +7,14 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from greenseq import AlgebraSpec, ModuleCategory, ModuleSum, TorsionClass, cli, modcat
+from greenseq import AlgebraSpec, ModuleCategory, ModuleSum, cli, modcat
 from greenseq.errors import GateError, InvariantViolation, UsageError
 from greenseq.linalg import rank_exact, rank_mod_p
 from greenseq.nakayama import NakayamaBackend
 from greenseq.typea import TypeABackend
 
-from conftest import (category_for, full_battery, ids_of,
-                      linear_nakayama_battery, type_a_battery)
+from conftest import (category_for, full_battery, ids_of, linear_nakayama_battery,
+                      mask_of, members, type_a_battery)
 
 # Torsion lattice of the quiver 1<-2->3 with brick labels on the covers.
 EXAMPLE_LATTICE = {
@@ -408,50 +408,50 @@ def test_indec_quotients_wide(example_cat):
 
 
 def test_closure_empty_and_simples(example_cat):
-    assert example_cat.torsion_closure(frozenset()).members == frozenset()
-    full = example_cat.torsion_closure(frozenset(example_cat.simples))
-    assert full.members == frozenset(range(6))
+    assert example_cat.torsion_closure(0) == 0
+    full = example_cat.torsion_closure(mask_of(example_cat.simples))
+    assert full == (1 << 6) - 1
 
 
 def test_closure_golden(example_cat):
-    seed = frozenset(ids_of(example_cat, ["32", "3"]))
+    seed = mask_of(ids_of(example_cat, ["32", "3"]))
     closed = example_cat.torsion_closure(seed)
-    assert {example_cat.display(i) for i in closed.members} == {"32", "3"}
+    assert {example_cat.display(i) for i in members(closed)} == {"32", "3"}
 
 
 def test_closure_forces_extension(a2_cat):
-    seed = frozenset(ids_of(a2_cat, ["1", "2"]))
+    seed = mask_of(ids_of(a2_cat, ["1", "2"]))
     closed = a2_cat.torsion_closure(seed)
-    assert {a2_cat.display(i) for i in closed.members} == {"1", "2", "12"}
+    assert {a2_cat.display(i) for i in members(closed)} == {"1", "2", "12"}
 
 
 # -- torsion submodules ----------------------------------------------------------
 
 def test_torsion_submodule_member_is_itself(example_cat):
     m = example_cat.resolve_token("132")
-    tors = example_cat.torsion_closure(frozenset([m]))
+    tors = example_cat.torsion_closure(1 << m)
     assert example_cat.torsion_sub_with_quotient(m, tors)[0].ids == (m,)
 
 
 def test_torsion_submodule_zero_class(example_cat):
     m = example_cat.resolve_token("132")
-    sub, _ = example_cat.torsion_sub_with_quotient(m, TorsionClass(frozenset()))
+    sub, _ = example_cat.torsion_sub_with_quotient(m, 0)
     assert sub.is_zero
 
 
 def test_torsion_submodule_picks_maximal(example_cat):
     m132 = example_cat.resolve_token("132")
-    t = example_cat.torsion_closure(frozenset(ids_of(example_cat, ["32", "3"])))
+    t = example_cat.torsion_closure(mask_of(ids_of(example_cat, ["32", "3"])))
     sub, _ = example_cat.torsion_sub_with_quotient(m132, t)
     assert example_cat.display_sum(sub) == "32"
     # only the zero submodule of 132 lies in the closure of the simple 3
-    t3 = example_cat.torsion_closure(frozenset(ids_of(example_cat, ["3"])))
+    t3 = example_cat.torsion_closure(mask_of(ids_of(example_cat, ["3"])))
     assert example_cat.torsion_sub_with_quotient(m132, t3)[0].is_zero
 
 
 def test_torsion_submodule_componentwise(a2_cat):
     one, two, m = ids_of(a2_cat, ["1", "2", "12"])
-    t = a2_cat.torsion_closure(frozenset([two]))
+    t = a2_cat.torsion_closure(1 << two)
     # the torsion submodule of a sum is the sum of those of its summands
     sub = ModuleSum(tuple(i for x in (m, two)
                           for i in a2_cat.torsion_sub_with_quotient(x, t)[0].ids))
@@ -461,19 +461,18 @@ def test_torsion_submodule_componentwise(a2_cat):
 # -- relative projectives and simples ----------------------------------------------
 
 def test_relative_projectives_whole_category(example_cat):
-    full = example_cat.torsion_closure(frozenset(example_cat.simples))
-    assert example_cat.relative_projectives(full) == frozenset(example_cat.projectives)
+    full = example_cat.torsion_closure(mask_of(example_cat.simples))
+    assert example_cat.relative_projectives(full) == mask_of(example_cat.projectives)
 
 
 def test_relative_projectives_empty(example_cat):
-    assert example_cat.relative_projectives(TorsionClass(frozenset())) == frozenset()
+    assert example_cat.relative_projectives(0) == 0
 
 
 def test_relative_projectives_golden(example_cat):
-    members = frozenset(ids_of(example_cat, ["12", "132", "32", "1", "3"]))
-    tors = TorsionClass(members)
+    tors = mask_of(ids_of(example_cat, ["12", "132", "32", "1", "3"]))
     rp = example_cat.relative_projectives(tors)
-    assert {example_cat.display(x) for x in rp} == {"12", "132", "32"}
+    assert {example_cat.display(x) for x in members(rp)} == {"12", "132", "32"}
 
 
 @pytest.mark.parametrize("spec", full_battery() + [AlgebraSpec.type_a("<<<<")],
@@ -482,33 +481,33 @@ def test_relative_projectives_match_pairwise_ext_scan(spec):
     # the oracle scans Ext^1(x, m) over every pair of members
     cat = category_for(spec)
     ext = cat.ext1_table
-    for members in cat.generated_lattice().classes:
-        assert cat.relative_projectives(TorsionClass(members)) == frozenset(
-            x for x in members if not any(ext[x][m] for m in members))
+    for tors in cat.generated_lattice().classes:
+        inside = members(tors)
+        assert members(cat.relative_projectives(tors)) == frozenset(
+            x for x in inside if not any(ext[x][m] for m in inside))
 
 
 def test_relative_simples_whole_category(example_cat):
-    full = example_cat.torsion_closure(frozenset(example_cat.simples))
-    assert example_cat.relative_simples(full) == frozenset(example_cat.simples)
+    full = example_cat.torsion_closure(mask_of(example_cat.simples))
+    assert example_cat.relative_simples(full) == mask_of(example_cat.simples)
 
 
 def test_relative_simples_four_not_three(example_cat):
-    members = frozenset(ids_of(example_cat, ["12", "132", "32", "1", "3"]))
-    rs = example_cat.relative_simples(TorsionClass(members))
-    assert {example_cat.display(x) for x in rs} == {"12", "32", "1", "3"}
+    tors = mask_of(ids_of(example_cat, ["12", "132", "32", "1", "3"]))
+    rs = example_cat.relative_simples(tors)
+    assert {example_cat.display(x) for x in members(rs)} == {"12", "32", "1", "3"}
 
 
 def test_relative_simples_single_brick(example_cat):
     # add of one brick without self-extensions: here the simple 2, whose
     # singleton really is quotient- and extension-closed
     b = example_cat.resolve_token("2")
-    tors = example_cat.torsion_closure(frozenset([b]))
-    assert tors.members == frozenset([b])
-    assert example_cat.relative_simples(tors) == frozenset([b])
+    tors = example_cat.torsion_closure(1 << b)
+    assert tors == 1 << b
+    assert example_cat.relative_simples(tors) == 1 << b
     # closing a non-simple brick drags its quotients along
-    tors32 = example_cat.torsion_closure(
-        frozenset([example_cat.resolve_token("32")]))
-    assert example_cat.relative_simples(tors32) == tors32.members
+    tors32 = example_cat.torsion_closure(1 << example_cat.resolve_token("32"))
+    assert example_cat.relative_simples(tors32) == tors32
 
 
 # -- the lattice oracle --------------------------------------------------------------
@@ -523,7 +522,7 @@ def test_lattice_one_simple():
 
 def test_lattice_a2_five_classes(a2_cat):
     lat = a2_cat.torsion_lattice()
-    sets = [{a2_cat.display(i) for i in c} for c in lat.classes]
+    sets = [{a2_cat.display(i) for i in members(c)} for c in lat.classes]
     assert len(lat.classes) == 5
     assert {frozenset(s) for s in sets} == {
         frozenset(), frozenset({"1"}), frozenset({"2"}),
@@ -536,8 +535,8 @@ def test_lattice_example_golden(example_cat):
     named = {frozenset(v): k for k, v in EXAMPLE_LATTICE.items()}
     got_covers = set()
     for up, lo, label in lat.covers:
-        upper = frozenset(example_cat.display(i) for i in lat.classes[up])
-        lower = frozenset(example_cat.display(i) for i in lat.classes[lo])
+        upper = frozenset(example_cat.display(i) for i in members(lat.classes[up]))
+        lower = frozenset(example_cat.display(i) for i in members(lat.classes[lo]))
         got_covers.add((named[upper], named[lower], example_cat.display(label)))
     assert got_covers == EXAMPLE_COVERS
 
@@ -617,6 +616,30 @@ def test_generated_lattice_equals_subset_oracle(spec):
     assert cat.generated_lattice() == cat.torsion_lattice()
 
 
+FIVE_VERTEX_WORDS = ["".join(w) for w in itertools.product("<>", repeat=4)]
+
+
+@pytest.mark.parametrize("spec", full_battery() + [AlgebraSpec.type_a(w) for w in
+                                                   FIVE_VERTEX_WORDS],
+                         ids=lambda s: s.label())
+def test_lattice_classes_are_the_oracle_sets_in_size_then_id_order(spec):
+    """The member sets of the classes, class by class, are the subset
+    oracle's, in the order of the sort by (size, sorted ids) that the
+    lattice used when it held frozensets."""
+    cat = ModuleCategory(spec)
+    generated = [members(c) for c in cat.generated_lattice().classes]
+    assert generated == [members(c) for c in cat.torsion_lattice().classes]
+    assert generated == sorted(generated, key=lambda c: (len(c), tuple(sorted(c))))
+    assert len(set(generated)) == len(generated)
+
+
+def test_bits_lists_the_set_bits_in_increasing_order():
+    assert list(modcat._bits(0)) == []
+    assert list(modcat._bits(1)) == [0]
+    assert list(modcat._bits(1 << 300)) == [300]
+    assert list(modcat._bits(0b1011 | 1 << 64 | 1 << 300)) == [0, 1, 3, 64, 300]
+
+
 def _maximal_chains_by_recursion(lat, start, end):
     """Oracle: every cover path from start, kept when it ends at end."""
     below = {}
@@ -658,12 +681,12 @@ def test_filt_interval_decomposition(label):
     lat = cat.torsion_lattice()
     for ui, upper in enumerate(lat.classes):
         for li, lower in enumerate(lat.classes):
-            if ui == li or not lower < upper:
+            if ui == li or lower & ~upper:
                 continue
             expected = cat.interval_members(upper, lower)
             for chain in _maximal_chains_by_recursion(lat, ui, li):
-                labels = frozenset(lab for _, lab in chain)
-                assert cat.filt_indecs(labels) == expected
+                labels = mask_of(lab for _, lab in chain)
+                assert cat.filt_mask(labels) == expected
 
 
 # -- additivity properties ---------------------------------------------------------------
@@ -699,8 +722,8 @@ def test_ext_additive_in_second_argument(data):
 @given(_sum_pair())
 def test_torsion_closure_output_is_torsion_class(data):
     cat, a, b = data
-    closed = cat.torsion_closure(frozenset(a.ids) | frozenset(b.ids))
-    assert cat.is_torsion_class(closed.members)
+    closed = cat.torsion_closure(mask_of(a.ids) | mask_of(b.ids))
+    assert cat.is_torsion_class(closed)
 
 
 # -- argument validation -----------------------------------------------------------------
@@ -740,13 +763,12 @@ def test_closure_is_meet_of_enumerated_classes(spec):
     cat = category_for(spec)
     lattice = cat.torsion_lattice()
     size = len(cat.catalog)
-    for mask in range(1 << size):
-        seed = frozenset(i for i in range(size) if mask >> i & 1)
+    for seed in range(1 << size):
         expected = frozenset(range(size))
-        for members in lattice.classes:
-            if seed <= members:
-                expected &= members
-        assert cat.torsion_closure(seed).members == expected
+        for tors in map(members, lattice.classes):
+            if members(seed) <= tors:
+                expected &= tors
+        assert members(cat.torsion_closure(seed)) == expected
 
 
 @pytest.mark.parametrize("spec", [

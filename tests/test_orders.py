@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 from greenseq import AlgebraSpec, GreenEngine, ModuleCategory, orders
 from greenseq.errors import GateError, InvariantViolation, UsageError
 from greenseq.green import MGS
-from greenseq.modcat import TorsionLattice
-from greenseq.orders import (ClassPoset, _bits, _check_partial_order,
+from greenseq.modcat import TorsionLattice, _bits
+from greenseq.orders import (ClassPoset, _check_partial_order,
                              _checked_covers, _containment_rows,
                              _transitive_reflexive_closure, build_order,
                              check_extrema, exchange_persistence, hasse_dot,
@@ -19,7 +19,7 @@ from greenseq.orders import (ClassPoset, _bits, _check_partial_order,
                              polygon_deformation_pairs)
 from greenseq.verify import build_posets, suite_theorem_b
 
-from conftest import category_for, engine_for, full_battery, ids_of
+from conftest import category_for, engine_for, full_battery, ids_of, members
 from test_classes import refuse_sequence_walks
 from test_green import _small_algebra
 from test_verify import verify_phi
@@ -627,7 +627,7 @@ def _all_pairs_polygons(engine):
     all_mgs = engine.enumerate_mgs()
     chains = [engine.torsion_chain(g) for g in all_mgs]
     order = sorted({t for chain in chains for t in chain},
-                   key=lambda t: (-len(t.members), sorted(t.members)))
+                   key=lambda t: (-t.bit_count(), sorted(members(t))))
     number = {t: i for i, t in enumerate(order)}
     masks = [sum(1 << number[t] for t in chain) for chain in chains]
     polygon = {}
@@ -728,7 +728,7 @@ def _classes_ready(spec):
 def test_polygon_interval_without_two_sides_is_a_violation(monkeypatch):
     eng = _classes_ready(AlgebraSpec.type_a("<>"))
     # every meet read as zero: the interval below the top is the lattice
-    monkeypatch.setattr(TorsionLattice, "index_of", lambda self, members: self.bottom)
+    monkeypatch.setattr(TorsionLattice, "index_of", lambda self, t: self.bottom)
     with pytest.raises(InvariantViolation, match="has 3 sides, not two"):
         polygon_deformation_pairs(eng)
 

@@ -17,7 +17,7 @@ from greenseq import AlgebraSpec, GreenEngine, ModuleCategory, SpecError, orders
 from greenseq.algebra import Record
 from greenseq.errors import InvariantViolation
 from greenseq.green import MGS, ExchangePair, SiltingSummand
-from greenseq.modcat import ModuleSum, TorsionClass
+from greenseq.modcat import ModuleSum
 from greenseq.verify import CheckResult
 
 
@@ -51,11 +51,6 @@ class SesRecordTwin:
     middle: object
     sub: object
     quot: object
-
-
-@dataclass(frozen=True)
-class TorsionClassTwin:
-    members: object
 
 
 @dataclass(frozen=True)
@@ -127,7 +122,7 @@ class CheckResultTwin:
 # each twin's repr must read as its record's, so it takes the record's name
 _TWINS = {}
 for _twin in (AlgebraSpecTwin, IndecTwin, ModuleSumTwin, SesRecordTwin,
-              TorsionClassTwin, TorsionLatticeTwin, MGSTwin, SiltingSummandTwin,
+              TorsionLatticeTwin, MGSTwin, SiltingSummandTwin,
               ExchangePairTwin, HNLayerTwin, HNResultTwin, EquivClassTwin,
               ClassPosetTwin, PolygonTwin, CheckResultTwin):
     _twin.__name__ = _twin.__qualname__ = _twin.__name__.removesuffix("Twin")
@@ -161,8 +156,7 @@ def _samples() -> dict[str, list]:
                 found += [rec, rec.sub, rec.quot]
         found += [cat.generated_lattice(), cat.torsion_lattice()]
         for g in seqs:
-            found += [g, *eng.torsion_chain(g), *eng.summand_set(g),
-                      *eng.exchange_pairs(g)]
+            found += [g, *eng.summand_set(g), *eng.exchange_pairs(g)]
             for x in range(len(cat.catalog)):
                 hn = eng.hn_filtration(x, g)
                 found += [hn, *hn.layers]
@@ -299,15 +293,15 @@ def test_constructor_arguments_as_the_dataclass(args, kwargs):
         assert repr(got) == expected and hash(got) == hash(AlgebraSpecTwin(*args, **kwargs))
 
 
-def test_cached_property_on_a_torsion_class():
-    tors = SAMPLES["TorsionClass"][-1]
-    fresh = TorsionClass(tors.members)
-    assert "mask" not in vars(fresh)
-    assert fresh.mask == sum(1 << i for i in tors.members)
-    assert vars(fresh)["mask"] is fresh.mask
+def test_cached_property_on_a_torsion_lattice():
+    lattice = SAMPLES["TorsionLattice"][-1]
+    fresh = lattice._replace()
+    assert "chain_counts" not in vars(fresh)
+    assert fresh.chain_counts == lattice.chain_counts
+    assert vars(fresh)["chain_counts"] is fresh.chain_counts
     # the cached value is not a field
-    assert fresh == TorsionClass(tors.members)
-    assert hash(fresh) == hash(TorsionClass(tors.members))
+    assert fresh == lattice._replace()
+    assert hash(fresh) == hash(lattice._replace())
     assert repr(fresh) == repr(twin(fresh))
 
 

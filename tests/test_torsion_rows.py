@@ -4,7 +4,8 @@ per-class torsion rows, against the frozenset scans they replace.
 
 The oracles below are the per-(module, class) candidate scan for t_T(x),
 the per-cover layer built from it, and the frozenset versions of
-`is_torsion_class`, `relative_simples` and `filt_indecs`.
+`is_torsion_class`, `relative_simples` and `filt_mask`.  They take each
+class as the frozenset of its members, read off its bitmask.
 """
 
 import pytest
@@ -12,9 +13,9 @@ import pytest
 from greenseq import AlgebraSpec, ModuleCategory, ModuleSum
 from greenseq.errors import InvariantViolation
 from greenseq.green import HNLayer, HNResult
-from greenseq.modcat import ZERO, SesRecord, TorsionClass
+from greenseq.modcat import ZERO, SesRecord
 
-from conftest import category_for, engine_for, full_battery, ids_of
+from conftest import category_for, engine_for, full_battery, ids_of, mask_of, members
 
 FIVE_VERTICES = AlgebraSpec.type_a("<<<<")
 ROW_SPECS = full_battery() + [FIVE_VERTICES, AlgebraSpec.type_a("<><>")]
@@ -27,7 +28,7 @@ def oracle_torsion_sub(cat, i, tors):
     if i in tors:
         candidates.append((ModuleSum((i,)), ZERO))
     for rec in cat.backend.records(i):
-        if set(rec.sub.ids) <= tors.members:
+        if set(rec.sub.ids) <= tors:
             candidates.append((rec.sub, rec.quot))
     best = max(candidates, key=lambda sq: cat.dim_sum(sq[0]))
     top = [sq for sq in candidates if cat.dim_sum(sq[0]) == cat.dim_sum(best[0])]
@@ -45,7 +46,7 @@ def oracle_cover_layer(cat, x, up, lo, b):
                        for i in oracle_torsion_sub(cat, y, lo)[1].ids))
     if not ids:
         return None
-    assert set(ids) <= oracle_filt_indecs(cat, (b,))
+    assert set(ids) <= oracle_filt(cat, (b,))
     fdim, bdim = cat.dim_sum(ModuleSum(ids)), cat.indec(b).dim
     assert fdim % bdim == 0
     return ids, fdim // bdim
@@ -54,7 +55,7 @@ def oracle_cover_layer(cat, x, up, lo, b):
 def oracle_hn(cat, module, g):
     """The HN filtration from the oracle layers along the closure chain."""
     msum = module if isinstance(module, ModuleSum) else ModuleSum((module,))
-    chain = [cat.torsion_closure(frozenset(g.bricks[i:]))
+    chain = [members(cat.torsion_closure(mask_of(g.bricks[i:])))
              for i in range(len(g.bricks) + 1)]
     layers = []
     for pos, (up, lo, b) in enumerate(zip(chain, chain[1:], g.bricks), 1):
@@ -83,12 +84,12 @@ def oracle_is_torsion_class(cat, members):
 
 
 def oracle_relative_simples(cat, tors):
-    return frozenset(b for b in tors.members
-                     if not any(set(rec.sub.ids) <= tors.members
+    return frozenset(b for b in tors
+                     if not any(set(rec.sub.ids) <= tors
                                 for rec in cat.backend.records(b)))
 
 
-def oracle_filt_indecs(cat, brick_ids):
+def oracle_filt(cat, brick_ids):
     key = frozenset(brick_ids)
     members = set(key)
     changed = True
@@ -105,7 +106,7 @@ def oracle_filt_indecs(cat, brick_ids):
 
 def _classes(spec):
     cat = category_for(spec)
-    return cat, [TorsionClass(c) for c in cat.generated_lattice().classes]
+    return cat, cat.generated_lattice().classes
 
 
 # -- differential tests ----------------------------------------------------------
@@ -116,16 +117,16 @@ def test_torsion_rows_match_the_candidate_scan(spec):
     for tors in classes:
         for x in range(len(cat.catalog)):
             assert (cat.torsion_sub_with_quotient(x, tors)
-                    == oracle_torsion_sub(cat, x, tors))
+                    == oracle_torsion_sub(cat, x, members(tors)))
 
 
 @pytest.mark.parametrize("spec", ROW_SPECS, ids=lambda s: s.label())
 def test_cover_layers_match_the_per_cover_oracle(spec):
     cat, eng = category_for(spec), engine_for(spec)
     lattice = cat.generated_lattice()
-    tors = [TorsionClass(c) for c in lattice.classes]
+    tors = lattice.classes
     for up, lo, b in lattice.covers:
-        layers = [oracle_cover_layer(cat, x, tors[up], tors[lo], b)
+        layers = [oracle_cover_layer(cat, x, members(tors[up]), members(tors[lo]), b)
                   for x in range(len(cat.catalog))]
         assert eng._cover_multiplicities(tors[up], tors[lo], b) == tuple(
             (x, layer[1]) for x, layer in enumerate(layers) if layer)
@@ -152,22 +153,21 @@ def test_torsion_predicates_match_frozenset_oracles(spec):
     lattice = cat.generated_lattice()
     for k, tors in enumerate(classes):
         # the class, and each set one member away from it
-        for members in (tors.members, *(tors.members ^ {x} for x in range(size))):
-            assert (cat.is_torsion_class(members)
-                    == oracle_is_torsion_class(cat, members))
-        simples = cat.relative_simples(tors)
-        assert simples == oracle_relative_simples(cat, tors)
+        for t in (tors, *(tors ^ 1 << x for x in range(size))):
+            assert cat.is_torsion_class(t) == oracle_is_torsion_class(cat, members(t))
+        simples = members(cat.relative_simples(tors))
+        assert simples == oracle_relative_simples(cat, members(tors))
         labels = frozenset(b for _, b in lattice.lower_covers.get(k, ()))
-        inside = frozenset(b for b in cat.bricks if b in tors)
+        inside = frozenset(b for b in cat.bricks if tors >> b & 1)
         for bricks in (simples, labels, inside):
-            assert cat.filt_indecs(bricks) == oracle_filt_indecs(cat, bricks)
+            assert members(cat.filt_mask(mask_of(bricks))) == oracle_filt(cat, bricks)
 
 
 def test_rows_are_one_per_class_and_share_the_records():
     cat, classes = _classes(AlgebraSpec.type_a("<>"))
     for tors in classes:
-        row = cat.torsion_row(tors.mask)
-        assert cat.torsion_row(tors.mask) is row
+        row = cat.torsion_row(tors)
+        assert cat.torsion_row(tors) is row
         for x, entry in enumerate(row):
             assert any(entry is c for c in cat.sub_records[x])
             assert cat.torsion_sub_with_quotient(x, tors) is entry.pair
@@ -190,7 +190,7 @@ def _inject(monkeypatch, spec, middle, sub, quot):
 def test_second_sub_of_maximal_dimension_raises(monkeypatch):
     cat = _inject(monkeypatch, AlgebraSpec.type_a("<"), "12", "1", "2")
     # 2 and the injected 1 both lie in {1, 2} and have dimension 1
-    tors = TorsionClass(frozenset(ids_of(cat, ["1", "2"])))
+    tors = mask_of(ids_of(cat, ["1", "2"]))
     with pytest.raises(InvariantViolation,
                        match=r"torsion submodule of 12 is not unique: \['2', '1'\]"):
         cat.torsion_sub_with_quotient(cat.resolve_token("12"), tors)
@@ -200,7 +200,7 @@ def test_sub_outside_the_torsion_submodule_raises(monkeypatch):
     cat = _inject(monkeypatch, AlgebraSpec.type_a("<>"), "132", "1", "32")
     # 32 is the largest sub of 132 in the class, and the injected 1 lies
     # in the class but not in 32
-    tors = TorsionClass(frozenset(ids_of(cat, ["32", "3", "1"])))
+    tors = mask_of(ids_of(cat, ["32", "3", "1"]))
     with pytest.raises(InvariantViolation,
                        match="torsion submodule of 132 fails to dominate 1"):
         cat.torsion_sub_with_quotient(cat.resolve_token("132"), tors)
