@@ -104,6 +104,22 @@ def _emit(obj, pad: str, out: list[str], path: set[int]) -> None:
     path.discard(id(obj))
 
 
+def _write(text: str) -> None:
+    """Write text to stdout in full, the one path of every command's
+    output.  An unbuffered stdout (PYTHONUNBUFFERED, `python -u`) hands
+    each write to the system once, and its text layer takes a short write
+    to a pipe whose reader closed as complete; the binary layer is written
+    until every byte is taken or the write fails."""
+    out = getattr(sys.stdout, "buffer", None)
+    if out is None:  # a text stream with no binary layer, such as io.StringIO
+        sys.stdout.write(text)
+        return
+    sys.stdout.flush()
+    data = memoryview(text.encode(sys.stdout.encoding, sys.stdout.errors))
+    while data:
+        data = data[out.write(data):]
+
+
 def load_algebra(path: str) -> AlgebraSpec:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -147,8 +163,7 @@ def cmd_catalog(args) -> int:
         "projective": cat.is_projective(m.ident),
         "simple": cat.is_simple(m.ident),
     } for m in cat.indecomposables()]
-    print(canonical_json({"algebra": cat.spec.to_dict(), "modules": modules}),
-          end="")
+    _write(canonical_json({"algebra": cat.spec.to_dict(), "modules": modules}))
     return 0
 
 
@@ -156,8 +171,8 @@ def cmd_bricks(args) -> int:
     cat = _category(args)
     bricks = [{"id": b, "descriptor": cat.descriptor_str(b),
                "display": cat.display(b)} for b in cat.bricks]
-    print(canonical_json({"algebra": cat.spec.to_dict(), "bricks": bricks,
-                          "count": len(bricks)}), end="")
+    _write(canonical_json({"algebra": cat.spec.to_dict(), "bricks": bricks,
+                           "count": len(bricks)}))
     return 0
 
 
@@ -204,13 +219,12 @@ def cmd_mgs(args) -> int:
                        f'\n      "index": {k},\n      "length": {n + length}\n    }}')
                 k += 1
 
-    write = sys.stdout.write
-    write(head[:-len("[]\n}\n")])
+    _write(head[:-len("[]\n}\n")])
     sep, written, chunks = "[\n    ", 0, records()
     while chunk := list(islice(chunks, _RECORDS_PER_WRITE)):
-        write(sep + ",\n    ".join(chunk))
+        _write(sep + ",\n    ".join(chunk))
         sep, written = ",\n    ", written + len(chunk)
-    write("\n  ]\n}\n" if written else "[]\n}\n")
+    _write("\n  ]\n}\n" if written else "[]\n}\n")
     if written != count:
         raise InvariantViolation(
             f"the lattice walk listed {written} sequences where the lattice "
@@ -230,8 +244,8 @@ def cmd_classes(args) -> int:
             "summand_key": [_summand_token(cat, s) for s in c.key],
             "summand_count": len(c.key)}
            for i, c in enumerate(classes)]
-    print(canonical_json({"algebra": cat.spec.to_dict(), "count": len(out),
-                          "classes": out}), end="")
+    _write(canonical_json({"algebra": cat.spec.to_dict(), "count": len(out),
+                           "classes": out}))
     return 0
 
 
@@ -259,7 +273,7 @@ def cmd_poset(args) -> int:
         except OSError as exc:
             raise UsageError(f"cannot write {args.output}: {exc}") from None
     else:
-        print(text, end="")
+        _write(text)
     return 0
 
 
@@ -285,7 +299,7 @@ def cmd_hn(args) -> int:
     result = engine.hn_filtration(module, g)
     # the bricks of a sequence are distinct, so each layer has its own
     stable = {layer.brick: layer.multiplicity for layer in result.layers}
-    print(canonical_json({
+    _write(canonical_json({
         "algebra": cat.spec.to_dict(),
         "mgs": [cat.display(b) for b in g.bricks],
         "module": cat.display_sum(module),
@@ -296,7 +310,7 @@ def cmd_hn(args) -> int:
             "multiplicity": layer.multiplicity,
         } for layer in result.layers],
         "stable_factors": [[cat.display(b), m] for b, m in sorted(stable.items())],
-    }), end="")
+    }))
     return 0
 
 
@@ -306,12 +320,12 @@ def cmd_verify(args) -> int:
     cat = engine.cat
     checks = verify.run_suite(args.suite, engine)
     passed = all(c.passed for c in checks)
-    print(canonical_json({
+    _write(canonical_json({
         "algebra": cat.spec.to_dict(),
         "suite": args.suite,
         "checks": [c.to_dict() for c in checks],
         "passed": passed,
-    }), end="")
+    }))
     return 0 if passed else 1
 
 

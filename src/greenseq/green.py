@@ -17,23 +17,28 @@ A torsion class is the bitmask of its members over catalog ids, as in
 the lattice.  The torsion chain of a sequence is one such mask per
 brick: T_0 is the whole catalog and T_i = T_{i-1} & perp[B_i], the
 cover of T_{i-1} labelled B_i (`ModuleCategory.perp_masks`); each
-distinct class is checked once, and its silting summands are tabled by
-its mask.  The exchange pair of each cover (upper class mask U, label)
-is tabled and shared by every sequence through it.  The
-Harder-Narasimhan layer t_U(x)/t_L(x) of a module x at a cover U > L is
-read off the torsion rows of U and L (`ModuleCategory.torsion_row`, one
-per class): its quotient is the OR of the quotient masks of t_L(y) over
-the summands y of t_U(x), and it must lie in Filt(B)
-(`ModuleCategory.filt_mask`); HN filtrations and stable-factor functions
-are assembled from those layers.
+distinct class is checked once.  Its silting summands are a bitmask
+over one fixed index space, tabled by the class's mask: bit x for the
+catalog module x and bit len(catalog) + v for the shifted projective
+P_v[1], so ascending bits follow the order of `SiltingSummand`.  The
+exchange pair of each cover (upper class mask U, label), its outgoing
+and incoming summand bits, is tabled and shared by every sequence
+through it.  The Harder-Narasimhan layer t_U(x)/t_L(x) of a module x at
+a cover U > L is read off the torsion rows of U and L
+(`ModuleCategory.torsion_row`, one per class): its quotient is the OR
+of the quotient masks of t_L(y) over the summands y of t_U(x), and it
+must lie in Filt(B) (`ModuleCategory.filt_mask`); HN filtrations and
+stable-factor functions are assembled from those layers.
 
 Equivalence classes are certified locally against theorem A, on the
 lattice's squares and one lexicographic normal form per class, which is
 the class (`equivalence_classes`).  Each key is the OR of bitmasks along
-a chain: every silting summand, exchange pair and (module, brick,
-multiplicity) HN entry is numbered, and each class and cover contributes
-a bitmask, as to the per-sequence lemma checks (PATH_CHECKS), which are
-checked once per class (`path_failures`).  One walk visits every maximal
+a chain: every exchange pair and (module, brick, multiplicity) HN entry
+is numbered, and each class and cover contributes a bitmask, as to the
+per-sequence lemma checks (PATH_CHECKS), which are checked once per
+class (`path_failures`).  Each class keeps its summand, exchange,
+stable-factor and brick masks (`class_masks`), the one table the orders
+and theorems B and C read.  One walk visits every maximal
 chain (`_walk`) and yields the chains grouped by shared prefix: a head
 of labels down to a class with at most `_TAIL_LIMIT` chains below it,
 and that class's list of tails, listed once and shared by every head
@@ -42,13 +47,14 @@ flattened by `sequence_walk`) and finds the members of the classes
 (`class_members`), the two listings that `SEQUENCE_GATE` bounds.  The
 uncached per-sequence methods (`torsion_chain`, `summand_set`,
 `exchange_pairs`, `stable_factor_function`, `square_swap`) serve the
-`hn` command, the orders' one representative per class, and the tests
-as oracles.
+`hn` command and the tests as oracles; the records `SiltingSummand`
+and `ExchangePair` are made only there and in each class's key.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from functools import reduce
 from operator import or_
 
 from .algebra import OrderedRecord, Record
@@ -124,12 +130,18 @@ class GreenEngine:
         self.cat = cat
         # the member bitmasks checked to be torsion classes
         self._checked: set[int] = set()
-        self._silting_cache: dict[int, frozenset] = {}
-        # per cover, keyed by (upper class mask, label)
-        self._cover_exchange_cache: dict[tuple[int, int], ExchangePair] = {}
+        self._silting_cache: dict[int, int] = {}
+        # what each summand bit stands for
+        self._summands = ([SiltingSummand(False, x) for x in range(len(cat.catalog))]
+                          + [SiltingSummand(True, v) for v in range(cat.n)])
+        # what bit i of an exchange and of a stable-factor mask stands for:
+        # (outgoing, incoming) summand bits and (module, brick, multiplicity)
+        self.exchanges: list[tuple[int, int]] = []
+        self.factors: list[tuple[int, int, int]] = []
         self._cover_table: tuple | None = None
         self._polygons: list | None = None
         self._classes: list[EquivClass] | None = None
+        self._masks: list[tuple[int, int, int, int]] = []
         self._by_key: dict[int, int] = {}
 
     # -- enumeration ---------------------------------------------------------
@@ -303,55 +315,45 @@ class GreenEngine:
             self._checked.add(t)
         return t
 
-    def silting_summands(self, t: int) -> frozenset[SiltingSummand]:
-        """The silting summands of the class with member bitmask t."""
-        cached = self._silting_cache.get(t)
-        if cached is not None:
-            return cached
-        mods = {SiltingSummand(False, x)
-                for x in _bits(self.cat.relative_projectives(t))}
-        # P_v[1] when hom(P_v, T) = 0
-        perp = self.cat.right_perp_masks
-        shifts = {SiltingSummand(True, v)
-                  for v, pv in enumerate(self.cat.projectives)
-                  if not t & ~perp[pv]}
-        result = frozenset(mods | shifts)
-        if len(result) != self.cat.n:
-            raise InvariantViolation(
-                f"silting summand set of {list(_bits(t))} has size {len(result)}, "
-                f"expected {self.cat.n}")
-        self._silting_cache[t] = result
-        return result
+    def silting_summands(self, t: int) -> int:
+        """The summand mask of the class with member bitmask t: its
+        relative projectives, and bit len(catalog) + v for each P_v[1]
+        with hom(P_v, T) = 0."""
+        found = self._silting_cache.get(t)
+        if found is None:
+            perp, shift = self.cat.right_perp_masks, len(self.cat.catalog)
+            found = self.cat.relative_projectives(t) | sum(
+                1 << shift + v for v, pv in enumerate(self.cat.projectives)
+                if not t & ~perp[pv])
+            if found.bit_count() != self.cat.n:
+                raise InvariantViolation(
+                    f"silting summand set of {list(_bits(t))} has size "
+                    f"{found.bit_count()}, expected {self.cat.n}")
+            self._silting_cache[t] = found
+        return found
 
     def summand_set(self, g: MGS) -> frozenset[SiltingSummand]:
-        out: set[SiltingSummand] = set()
-        for tors in self.torsion_chain(g):
-            out |= self.silting_summands(tors)
-        result = frozenset(out)
-        if len(result) != self.cat.n + len(g.bricks):
+        mask = reduce(or_, map(self.silting_summands, self.torsion_chain(g)))
+        if mask.bit_count() != self.cat.n + len(g.bricks):
             raise InvariantViolation(
-                f"summand set has size {len(result)}, expected "
+                f"summand set has size {mask.bit_count()}, expected "
                 f"{self.cat.n}+{len(g.bricks)}")
-        return result
+        return frozenset(self._summands[i] for i in _bits(mask))
 
     def exchange_pairs(self, g: MGS) -> tuple[ExchangePair, ...]:
-        chain = self.torsion_chain(g)
-        return tuple(self._cover_exchange(up, lo, b)
-                     for up, lo, b in zip(chain, chain[1:], g.bricks))
+        chain, summands = self.torsion_chain(g), self._summands
+        return tuple(ExchangePair(summands[out], summands[in_])
+                     for out, in_ in map(self._cover_exchange, chain, chain[1:]))
 
-    def _cover_exchange(self, up: int, lo: int, b: int) -> ExchangePair:
-        """The exchange pair of the cover of `up` labelled b."""
-        key = (up, b)
-        pair = self._cover_exchange_cache.get(key)
-        if pair is None:
-            su, sl = self.silting_summands(up), self.silting_summands(lo)
-            gone, came = su - sl, sl - su
-            if len(gone) != 1 or len(came) != 1:
-                raise InvariantViolation(
-                    f"mutation step changes {len(gone)}+{len(came)} summands")
-            pair = self._cover_exchange_cache[key] = ExchangePair(
-                next(iter(gone)), next(iter(came)))
-        return pair
+    def _cover_exchange(self, up: int, lo: int) -> tuple[int, int]:
+        """The outgoing and incoming summand bits of the cover up > lo,
+        from the tabled summand masks of both classes."""
+        su, sl = self.silting_summands(up), self.silting_summands(lo)
+        gone, came = su & ~sl, sl & ~su
+        if gone.bit_count() != 1 or came.bit_count() != 1:
+            raise InvariantViolation(f"mutation step changes {gone.bit_count()}"
+                                     f"+{came.bit_count()} summands")
+        return gone.bit_length() - 1, came.bit_length() - 1
 
     # -- square deformations -------------------------------------------------------
 
@@ -511,33 +513,49 @@ class GreenEngine:
                 raise InvariantViolation(
                     f"summand set has size {mask.bit_count()}, expected "
                     f"{self.cat.n}+{len(form)}")
-        summands = self.cover_table()[0]
         self._by_key = {mask: ci for ci, (_, mask, *_) in enumerate(forms)}
+        self._masks = [(*masks, sum(1 << b for b in form)) for form, *masks in forms]
         self._classes = [EquivClass(
-            key=tuple(s for i, s in enumerate(summands) if mask >> i & 1),
+            key=tuple(map(self._summands.__getitem__, _bits(mask))),
             representative=MGS(form)) for form, mask, *_ in forms]
         return list(self._classes)
+
+    def class_masks(self) -> list[tuple[int, int, int, int]]:
+        """The one table of class invariants: each class's summand,
+        exchange, stable-factor and brick masks, in class order, as the
+        normal-form walk ORs them (`_normal_forms`).  Bit i of a summand
+        mask is the i-th of `cover_table`'s summands, of an exchange mask
+        the pair `exchanges[i]` and of a stable-factor mask the entry
+        `factors[i]`; a brick mask is over catalog ids."""
+        self.equivalence_classes()
+        return self._masks
 
     def class_of(self, bricks) -> int:
         """The class of the sequence with these cover labels: the OR of the
         summand masks of the classes along its chain, looked up in
         `classes_by_key` (a KeyError for a chain that stops above zero)."""
-        by_key = self.classes_by_key()
-        return by_key[self._fold(bricks)[0]]
+        return self.classes_by_key()[self._fold(bricks)[0]]
 
-    def _fold(self, bricks) -> list[int]:
-        """The `cover_table` rows along the chain with these labels, ORed
-        column by column from the summand mask on, the top's summand mask
-        included; a UsageError for a label that names no cover."""
+    def chain_rows(self, bricks):
+        """The `cover_table` rows of the covers along the chain with these
+        labels, top down; a UsageError for a label that names no cover."""
         lattice = self.cat.generated_lattice()
-        _, summ, steps = self.cover_table()
-        c, folded = lattice.top, [summ[lattice.top], 0, 0, 0, 0, 0, 0]
+        steps, c = self.cover_table()[2], lattice.top
         for b in bricks:
             row = next((row for row in steps[c] if row[0] == b), None)
             if row is None:
                 raise UsageError(f"{self.cat.display(b)} labels no cover "
                                  f"below {list(_bits(lattice.classes[c]))}")
-            c, folded = row[1], list(map(or_, folded, row[2:]))
+            yield row
+            c = row[1]
+
+    def _fold(self, bricks) -> list[int]:
+        """The `chain_rows` ORed column by column from the summand mask on,
+        the top's summand mask included."""
+        top = self.cover_table()[1][self.cat.generated_lattice().top]
+        folded = [top, 0, 0, 0, 0, 0, 0]
+        for row in self.chain_rows(bricks):
+            folded = list(map(or_, folded, row[2:]))
         return folded
 
     def classes_by_key(self) -> dict[int, int]:
@@ -589,8 +607,7 @@ class GreenEngine:
         check runs on the normal forms; only a square that differs or a
         normal form that fails makes it fold every chain of `sequence_walk`."""
         classes = self.equivalence_classes()
-        summands = self.cover_table()[0]
-        modules = sum(1 << i for i, s in enumerate(summands) if not s.shifted)
+        modules = (1 << len(self.cat.catalog)) - 1
 
         def failed(bricks) -> list[str]:
             s, _, _, r, x, q, m = self._fold(bricks)
@@ -625,39 +642,34 @@ class GreenEngine:
         """The bit-numbered contributions of the generated lattice's
         classes and covers to the three keys and the PATH_CHECKS.
 
-        Returns the silting summands in sorted order (bit i is the i-th),
-        the summand mask of each class, and for each class its lower covers
-        in label order as (label, lower class, summand mask of the lower
-        class, exchange-pair bit, stable-factor mask, then four PATH_CHECKS
-        masks: the relative simples of both classes; a bit each for the
-        exchange pair's outgoing and incoming summand, so a path of length
-        r sets 2r of these exactly when none repeats; and, over a Nakayama
-        algebra, the socle quotient of a non-simple label and the
-        non-projective module summands of both classes).  Each distinct
-        exchange pair and each (module, brick, multiplicity) triple of an
-        HN layer has a bit of its own.  Every class and cover is checked
-        once.  The layers at a cover U > L are read off the torsion rows of
-        U and L (`_cover_multiplicities`), each module's through the
-        summands y of t_U(x), so the layer dimensions of each module summed
-        down to a class must not depend on the chain taken, which holds
-        when t_L(t_U(x)) = t_L(x), and must give dim x at the bottom."""
+        Returns the fixed list of silting summands (bit i of a summand mask
+        is the i-th), the summand mask of each class, and for each class its
+        lower covers in label order as (label, lower class, summand mask of
+        the lower class, exchange-pair bit, stable-factor mask, then four
+        PATH_CHECKS masks: the relative simples of both classes; the
+        outgoing summand's bit and the incoming one's, past the summands,
+        so a path of length r sets 2r of these exactly when none repeats;
+        and, over a Nakayama algebra, the socle quotient of a non-simple
+        label and the non-projective module summands of both classes).
+        Each distinct exchange pair and each (module, brick, multiplicity)
+        triple of an HN layer has a bit of its own, in `exchanges` and
+        `factors`.  Every class and cover is checked once.  The layers at a
+        cover U > L are read off the torsion rows of U and L
+        (`_cover_multiplicities`), each module's through the summands y of
+        t_U(x), so the layer dimensions of each module summed down to a
+        class must not depend on the chain taken, which holds when
+        t_L(t_U(x)) = t_L(x), and must give dim x at the bottom."""
         cat = self.cat
         catalog = cat.catalog
         tors = [self._checked_class(t) for t in lattice.classes]
-        silting = [self.silting_summands(t) for t in tors]
-        summands = sorted(set().union(*silting))
-        bit = {s: 1 << i for i, s in enumerate(summands)}
-        summ = [sum(bit[s] for s in found) for found in silting]
+        summ = [self.silting_summands(t) for t in tors]
         simples = [cat.relative_simples(t) for t in tors]
-        socle, nonproj = {}, [0] * len(tors)
+        socle, nonproj = {}, 0
         if cat.spec.is_nakayama:
             socle = {b: 1 << cat.backend.socle_quotient(b)
                      for b in set(cat.bricks) - set(cat.simples)}
-            nonproj = [sum(1 << s.value for s in found
-                           if not s.shifted and s.value not in cat.projectives)
-                       for found in silting]
-        exch_bits: dict[ExchangePair, int] = {}
-        components: dict[tuple[bool, SiltingSummand], int] = {}
+            nonproj = (1 << len(catalog)) - 1 & ~sum(1 << p for p in cat.projectives)
+        exch_bits: dict[tuple[int, int], int] = {}
         sff_bits: dict[tuple[int, int, int], int] = {}
         dims = {lattice.top: [0] * len(catalog)}
         steps: dict[int, list[tuple[int, ...]]] = {}
@@ -676,11 +688,8 @@ class GreenEngine:
                     raise InvariantViolation(
                         f"cover {list(_bits(upper))} > "
                         f"{list(_bits(lower))} is not strictly decreasing")
-                pair = self._cover_exchange(upper, lower, b)
+                out, in_ = pair = self._cover_exchange(upper, lower)
                 exch = exch_bits.setdefault(pair, 1 << len(exch_bits))
-                comp = 0
-                for key in ((False, pair.out), (True, pair.in_)):
-                    comp |= components.setdefault(key, 1 << len(components))
                 sff = 0
                 dim = list(dims[up])
                 bdim = catalog[b].dim
@@ -695,13 +704,15 @@ class GreenEngine:
                         f"{list(_bits(lower))} depend on the chain: "
                         f"{known[x]} and {dim[x]}")
                 row.append((b, lo, summ[lo], exch, sff, simples[up] | simples[lo],
-                            comp, socle.get(b, 0), nonproj[up] | nonproj[lo]))
+                            1 << out | 1 << len(self._summands) + in_,
+                            socle.get(b, 0), (summ[up] | summ[lo]) & nonproj))
         for x, dim in enumerate(dims[lattice.bottom]):
             if dim != catalog[x].dim:
                 raise InvariantViolation(
                     f"layer dimensions of {cat.display(x)} sum to {dim}, "
                     f"not {catalog[x].dim}")
-        return summands, summ, steps
+        self.exchanges, self.factors = list(exch_bits), list(sff_bits)
+        return self._summands, summ, steps
 
     def square_failures(self) -> list[tuple[int, int, int, int, int]]:
         """(top class, a, b, bottom class, key) for each square of the

@@ -12,38 +12,44 @@ generated torsion lattice's polygons, walked once per engine
 summand-mask lookup, never by listing sequences; the all-pairs polygon
 search and the per-sequence deformation scan stay in the tests as
 oracles.  The pentagon closure ORs each row with its generators' rows,
-pass after pass, until no row changes.  The hn order reads one
-stable-factor table per class, indexed as the mask of the classes with
-each value at each module; for each module x and value v there, it
-evaluates once per cell of the classes that agree on the stable-factor
-function at x and at the bricks of v (partition refinement), never once
-per pair of classes.  Exchange persistence is a row inclusion: the
-deformation rows against reverse containment of the classes' sets of
-outgoing summands, so only the pairs that fail are expanded.  Every
-order is built, checked and read as int rows (`ClassPoset`); only
-`poset --format json` expands one to a boolean matrix.
+pass after pass, until no row changes.  The other orders, exchange
+persistence and the extrema read the one table of class masks
+(`GreenEngine.class_masks`) and never a representative's chain: the
+summand and brick orders are reverse containment of the summand and
+brick masks.  The hn order reads, for each module, the mask of the
+classes with each stable-factor value there, decoded once per distinct
+value from the stable-factor bits (`_stable_factor_cells`); for each
+module x and value v, it evaluates once per cell of the classes that
+agree on the stable-factor function at x and at the bricks of v
+(partition refinement), never once per pair of classes.  Exchange
+persistence is a row inclusion: the deformation rows against reverse
+containment of the classes' masks of outgoing summands, so only the
+pairs that fail are expanded.  Every order is built, checked and read
+as int rows (`ClassPoset`); only `poset --format json` expands one to a
+boolean matrix.
 """
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import cache, reduce
 from itertools import combinations
 from operator import or_
 
 from .algebra import Record
 from .cli import ORDER_TAGS
 from .errors import GateError, InvariantViolation, UsageError
-from .green import GreenEngine, SiltingSummand
+from .green import GreenEngine
 from .modcat import ModuleCategory, _bits
 
 # no order is built on more classes than this.  It admits every 6-vertex
 # type-A orientation (972-1,085 classes; at 1,085 the hn order takes 0.2 s
 # and the `poset --format json` matrix 0.4 s and 15 MB) and refuses
 # Nakayama 2,4,5,4,3,2,1 (1,150) and 7-vertex type A (8,477-10,929).  At
-# 8,477 classes the hn order takes 2.4-4.4 s, of which the stable-factor
-# tables are 1.1-1.8 s and `_checked_covers` 1-2 s (as in each order),
+# 8,477 classes (typeA <<<<<<, the gate raised in the measuring process
+# only) the hn order takes 0.61-0.73 s, of which the stable-factor cells
+# are 0.06-0.07 s and `_checked_covers` 0.44-0.49 s (as in each order),
 # and the JSON matrix would be about 1 GB, so raising it needs a bound on
-# that matrix (in-process, a few runs each, 2 shared vCPUs)
+# that matrix (in-process, two runs, 2 shared vCPUs)
 CLASS_GATE = 1_100
 
 BRICK_ORDER_REFUSAL = (
@@ -138,15 +144,15 @@ def _checked_covers(tag: str, rows: list[int]) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(covers))
 
 
-def _containment_rows(sets: list[frozenset]) -> list[int]:
-    """Reverse inclusion: class i lies below class j when its set
-    contains the set of j, so j holds no element x outside set i."""
-    has: dict = {}  # x -> the mask of the classes whose set holds x
-    for i, s in enumerate(sets):
-        has.update((x, has.get(x, 0) | 1 << i) for x in s)
-    full = (1 << len(sets)) - 1
-    return [full & ~reduce(or_, (m for x, m in has.items() if x not in s), 0)
-            for s in sets]
+def _containment_rows(masks: list[int]) -> list[int]:
+    """Reverse inclusion: class i lies below class j when its mask
+    contains the mask of j, so j holds no bit x outside mask i."""
+    has: dict[int, int] = {}  # x -> the mask of the classes whose mask holds x
+    for i, mask in enumerate(masks):
+        has.update((x, has.get(x, 0) | 1 << i) for x in _bits(mask))
+    full = (1 << len(masks)) - 1
+    return [full & ~reduce(or_, (m for x, m in has.items() if not mask >> x & 1), 0)
+            for mask in masks]
 
 
 def _outside(rows, allowed) -> list[tuple[int, int]]:
@@ -166,25 +172,39 @@ def _hn_refines(value: tuple, key: tuple) -> bool:
     return tuple(sorted(expected.items())) == key[0]
 
 
+def _stable_factor_cells(engine: GreenEngine) -> list[dict]:
+    """having[y][w], the mask of the classes whose stable-factor function
+    takes the value w at module y: w is the sorted tuple of (brick,
+    multiplicity) of the stable-factor bits of y in a class's mask, one
+    tuple per distinct set of them."""
+    masks, factors = engine.class_masks(), engine.factors
+    having = []
+    for y in range(len(engine.cat.catalog)):
+        bits = sum(1 << k for k, (x, _, _) in enumerate(factors) if x == y)
+        cells: dict[int, int] = {}
+        for i, (_, _, f, _) in enumerate(masks):
+            cells[f & bits] = cells.get(f & bits, 0) | 1 << i
+        having.append({tuple(sorted(factors[k][1:] for k in _bits(key))): cell
+                       for key, cell in cells.items()})
+    return having
+
+
 def build_order(tag: str, engine: GreenEngine) -> ClassPoset:
-    classes = engine.equivalence_classes()
-    size = len(classes)
+    masks = engine.class_masks()
+    size = len(masks)
     if size > CLASS_GATE:
         raise GateError(f"{size} classes exceed the class gate of {CLASS_GATE}; "
                         f"no order is built on them")
     if tag == "pentagon":
         rows = _transitive_reflexive_closure(size, iepd_cover_pairs(engine))
     elif tag == "summand":
-        rows = _containment_rows([frozenset(c.key) for c in classes])
+        rows = _containment_rows([summands for summands, *_ in masks])
     elif tag == "hn":
         # lo lies below hi when every f_lo(x) refines at hi.  That reads lo
         # only through v = f_lo(x), and hi only through f_hi at x and at the
         # bricks of v, so it is tested once per cell of classes hi that
         # agree there: having[y][w] is the mask of the classes with f(y) = w
-        having: list[dict] = [{} for _ in engine.cat.catalog]
-        for i, c in enumerate(classes):
-            for y, w in engine.stable_factor_function(c.representative).items():
-                having[y][w] = having[y].get(w, 0) | 1 << i
+        having = _stable_factor_cells(engine)
         rows = [(1 << size) - 1] * size
         for x, values in enumerate(having):
             for v, lower in values.items():
@@ -199,8 +219,7 @@ def build_order(tag: str, engine: GreenEngine) -> ClassPoset:
     elif tag == "brick":
         if not engine.cat.spec.is_nakayama:
             raise UsageError(BRICK_ORDER_REFUSAL)
-        rows = _containment_rows([frozenset(c.representative.bricks)
-                                  for c in classes])
+        rows = _containment_rows([bricks for *_, bricks in masks])
     else:
         raise UsageError(f"unknown order tag {tag!r}; pick one of {ORDER_TAGS}")
     return ClassPoset(tag=tag, size=size, rows=tuple(rows),
@@ -244,26 +263,23 @@ def check_extrema(engine: GreenEngine, posets: dict[str, ClassPoset]) -> dict:
         return {"applicable": False,
                 "notice": "cyclic Nakayama algebra: not acyclic and not "
                           "representation-directed, extrema checks skipped"}
-    classes = engine.equivalence_classes()
+    masks = engine.class_masks()
     report: dict = {"applicable": True, "checks": []}
 
     def add(name, passed, detail=None):
         report["checks"].append({"check": name, "passed": bool(passed),
                                  **({"detail": detail} if detail is not None else {})})
 
-    max_key = tuple(sorted(
-        {SiltingSummand(False, p) for p in cat.projectives}
-        | {SiltingSummand(True, v) for v in range(cat.n)}))
-    max_classes = [i for i, c in enumerate(classes) if c.key == max_key]
+    # the projectives and every shifted projective
+    top = sum(1 << p for p in cat.projectives) | (1 << cat.n) - 1 << len(cat.catalog)
+    max_classes = [i for i, (summands, *_) in enumerate(masks) if summands == top]
     add("projectives-and-shifts-class-exists", len(max_classes) == 1,
         {"count": len(max_classes)})
-    order = source_order_simples(cat)
-    gmax_seq = tuple(cat.simples[v] for v in order)
+    gmax_seq = tuple(cat.simples[v] for v in source_order_simples(cat))
     add("source-order-simples-sequence-is-maximal-green",
         engine.is_valid_mgs(gmax_seq),
         {"sequence": [cat.display(b) for b in gmax_seq]})
-    results_ok = bool(max_classes) and engine.is_valid_mgs(gmax_seq)
-    if results_ok:
+    if max_classes and engine.is_valid_mgs(gmax_seq):
         mx = max_classes[0]
         add("source-order-class-is-projectives-and-shifts",
             engine.class_of(gmax_seq) == mx)
@@ -272,13 +288,12 @@ def check_extrema(engine: GreenEngine, posets: dict[str, ClassPoset]) -> dict:
                 all(row >> mx & 1 for row in posets[tag].rows))
         add("pentagon-order-maximal-at-source-class",
             posets["pentagon"].rows[mx] == 1 << mx)
-    all_bricks = frozenset(cat.bricks)
-    min_classes = [i for i, c in enumerate(classes)
-                   if frozenset(c.representative.bricks) == all_bricks]
+    min_classes = [i for i, (*_, bricks) in enumerate(masks)
+                   if bricks == cat.brick_mask]
     add("all-bricks-class-exists-uniquely", len(min_classes) == 1,
         {"count": len(min_classes)})
     if len(min_classes) == 1:
-        mn, full = min_classes[0], (1 << len(classes)) - 1
+        mn, full = min_classes[0], (1 << len(masks)) - 1
         for tag, poset in posets.items():
             add(f"{tag}-order-has-unique-minimum", poset.rows[mn] == full)
     report["passed"] = all(c["passed"] for c in report["checks"])
@@ -288,13 +303,21 @@ def check_extrema(engine: GreenEngine, posets: dict[str, ClassPoset]) -> dict:
 def exchange_persistence(engine: GreenEngine, pentagon: ClassPoset) -> dict:
     """Below a class in the deformation order, every exchange pair keeps a
     partner with the same outgoing summand."""
-    pairs = [engine.exchange_pairs(c.representative)
-             for c in engine.equivalence_classes()]
-    outs = [{p.out for p in found} for found in pairs]
+    masks, classes = engine.class_masks(), engine.equivalence_classes()
+    exchanges, summands = engine.exchanges, engine.cover_table()[0]
+    outs = [reduce(or_, (1 << exchanges[k][0] for k in _bits(e)), 0)
+            for _, e, _, _ in masks]
+
+    @cache
+    def chain_outs(i: int) -> list[int]:
+        """The outgoing summand bits along class i's representative."""
+        return [exchanges[row[3].bit_length() - 1][0]
+                for row in engine.chain_rows(classes[i].representative.bricks)]
+
     # a pair fails where the outgoing summands of hi are not all in lo's
-    failures = [{"lower": lo, "upper": hi, "missing_out": repr(pair.out)}
+    failures = [{"lower": lo, "upper": hi, "missing_out": repr(summands[out])}
                 for lo, hi in _outside(pentagon.rows, _containment_rows(outs))
-                for pair in pairs[hi] if pair.out not in outs[lo]]
+                for out in chain_outs(hi) if not outs[lo] >> out & 1]
     return {"passed": not failures, "failures": failures}
 
 

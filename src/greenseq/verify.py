@@ -11,7 +11,9 @@ the per-sequence checks as masks folded once per class, on its normal
 form (`GreenEngine.path_failures`); it calls no per-sequence method.
 Only a failing path check, and the sequence count where the subset
 oracle is admitted, walk the chains.  Theorems A, B and C read the
-classes, one lexicographic normal form each, and list no sequence.
+classes, one lexicographic normal form each, and list no sequence;
+theorems B and C read each class's brick mask from the one table of
+class masks (`GreenEngine.class_masks`), not its representative.
 Theorem B's order checks are row inclusions (`orders._outside`): the
 rows of one order against those of the other, against reverse brick
 containment and the classes with fewer bricks, or against those alone;
@@ -97,8 +99,7 @@ def suite_theorem_b(engine: GreenEngine,
     """Checks on the THEOREM_B_ORDERS, which `posets` holds in that order
     and nothing else: the extrema and polygon checks read every entry."""
     checks: list[CheckResult] = []
-    bricks = [frozenset(c.representative.bricks)
-              for c in engine.equivalence_classes()]
+    bricks = [mask for *_, mask in engine.class_masks()]
     pent = posets["pentagon"].rows
     for tag in ("summand", "hn"):
         extra = _outside(pent, posets[tag].rows)
@@ -110,8 +111,8 @@ def suite_theorem_b(engine: GreenEngine,
     # length; a contained brick set with fewer bricks is strictly contained
     by_length: dict[int, int] = {}
     for i, b in enumerate(bricks):
-        by_length[len(b)] = by_length.get(len(b), 0) | 1 << i
-    fewer = [1 << i | sum(m for n, m in by_length.items() if n < len(b))
+        by_length[b.bit_count()] = by_length.get(b.bit_count(), 0) | 1 << i
+    fewer = [1 << i | sum(m for n, m in by_length.items() if n < b.bit_count())
              for i, b in enumerate(bricks)]
     contained = _containment_rows(bricks)
     bad = _outside(posets["hn"].rows, [c & f for c, f in zip(contained, fewer)])
@@ -165,15 +166,15 @@ def suite_theorem_c(engine: GreenEngine,
     report = orders_mod.orders_equal_report(list(posets.values()))
     checks.append(CheckResult("four-order-relations-equal", report["equal"],
                               {"differences": report["differences"]}))
-    classes = engine.equivalence_classes()
+    masks = engine.class_masks()
     # a square swap keeps the brick set, so it is one per class
-    by_brickset: dict[frozenset, set[int]] = {}
-    for ci, c in enumerate(classes):
-        by_brickset.setdefault(frozenset(c.representative.bricks), set()).add(ci)
-    bad = [sorted(v) for v in by_brickset.values() if len(v) != 1]
+    by_brickset: dict[int, list[int]] = {}
+    for ci, (*_, bricks) in enumerate(masks):
+        by_brickset.setdefault(bricks, []).append(ci)
+    bad = [found for found in by_brickset.values() if len(found) != 1]
     checks.append(CheckResult("equal-brick-sets-imply-equivalence", not bad,
                               {"violations": bad, "brick_sets": len(by_brickset),
-                               "classes": len(classes)}))
+                               "classes": len(masks)}))
     return checks
 
 

@@ -24,7 +24,7 @@ from hypothesis import given, settings
 
 from greenseq import AlgebraSpec, GreenEngine, ModuleCategory
 from greenseq.errors import InvariantViolation, TheoremViolation, UsageError
-from greenseq.green import PATH_CHECKS, EquivClass, ExchangePair, SiltingSummand
+from greenseq.green import PATH_CHECKS, EquivClass
 from greenseq.orders import ORDER_TAGS, build_order
 from greenseq.verify import run_suite
 
@@ -221,16 +221,20 @@ def test_patched_cover_contribution_breaks_agreement(monkeypatch, field, name):
     assert {first[-1], second[-1]} == {"1", "3"}
 
 
+# an exchange pair no cover has: P_0[1] out and the catalog module 0 in,
+# as (outgoing, incoming) summand bits of the example, which has 6 modules
+_FAKE_EXCHANGE = (6, 0)
+
+
 def test_disagreement_witness_matches_oracle(monkeypatch):
     # a fake exchange pair on the cover from {1} down to zero splits the
     # same sequences in the walk and in the per-sequence oracle
     real = GreenEngine._cover_exchange
-    fake = ExchangePair(SiltingSummand(False, 99), SiltingSummand(True, 99))
 
-    def patched(self, up, lo, b):
+    def patched(self, up, lo):
         if up == 1 << self.cat.resolve_token("1"):
-            return fake
-        return real(self, up, lo, b)
+            return _FAKE_EXCHANGE
+        return real(self, up, lo)
 
     monkeypatch.setattr(GreenEngine, "_cover_exchange", patched)
     messages = []
@@ -245,9 +249,8 @@ def test_disagreement_witness_matches_oracle(monkeypatch):
 def test_equal_keys_of_two_normal_forms_break_agreement(monkeypatch):
     # one exchange pair on every cover: every square agrees, but every
     # class has the same exchange key
-    fake = ExchangePair(SiltingSummand(False, 99), SiltingSummand(True, 99))
     monkeypatch.setattr(GreenEngine, "_cover_exchange",
-                        lambda self, up, lo, b: fake)
+                        lambda self, up, lo: _FAKE_EXCHANGE)
     eng = _fresh(EXAMPLE_QUIVER)
     with pytest.raises(TheoremViolation) as exc:
         eng.equivalence_classes()

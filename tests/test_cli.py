@@ -408,18 +408,19 @@ def test_unwritable_poset_output_is_usage_error(capsys, tmp_path, example_file):
 
 
 @pytest.mark.parametrize("command, unbuffered, taken", [
-    ("mgs", False, 10), ("classes", False, 10), ("mgs", True, 10), ("catalog", False, 0)],
-    ids=["mgs", "classes", "mgs-unbuffered", "catalog-closed-first"])
+    ("mgs", False, 10), ("classes", False, 10), ("mgs", True, 10), ("classes", True, 10),
+    ("catalog", False, 0)],
+    ids=["mgs", "classes", "mgs-unbuffered", "classes-unbuffered", "catalog-closed-first"])
 def test_reader_that_closes_stdout_early_is_a_file_error(tmp_path, command, unbuffered,
                                                          taken):
     """`greenseq mgs A.json | head -c 10`: the reader takes 10 bytes of an
     output larger than a pipe holds (64 KiB) and closes its end, so a write
-    fails.  `mgs` writes while it walks, `classes` writes one string.  With
-    Python's unbuffered stdout, a single write cut short is reported as
-    complete, so only the streamed `mgs` is run that way.  `catalog`'s
-    reader closes before any output, which stays in the stream's buffer
-    until the flush at the end of the command fails; the flush at exit
-    must then find nothing to write."""
+    fails.  `mgs` writes while it walks, `classes` writes one string; each
+    runs with Python's buffered and unbuffered stdout, whose single write
+    to the pipe may be cut short.  `catalog`'s reader closes before any
+    output, which stays in the stream's buffer until the flush at the end
+    of the command fails; the flush at exit must then find nothing to
+    write."""
     path = _write_spec(tmp_path, AlgebraSpec.type_a("<<<<"))
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = str(Path(greenseq.__file__).resolve().parents[1])

@@ -16,6 +16,7 @@ from greenseq import AlgebraSpec, GreenEngine, ModuleCategory, ModuleSum
 from greenseq.cli import main
 from greenseq.errors import InvariantViolation
 from greenseq.green import MGS, ExchangePair, HNLayer, HNResult
+from greenseq.modcat import _bits
 from greenseq.typea import TypeABackend
 
 from conftest import category_for, engine_for, full_battery, ids_of, mask_of, members
@@ -70,11 +71,11 @@ def peel_stable_factor_function(cat, g, chain):
 
 def step_exchange_pairs(eng, chain):
     """Oracle: the summand that leaves and the one that enters at each step."""
-    pairs = []
+    pairs, summands = [], eng.cover_table()[0]
     for up, lo in zip(chain, chain[1:]):
         su, sl = eng.silting_summands(up), eng.silting_summands(lo)
-        (gone,), (came,) = su - sl, sl - su
-        pairs.append(ExchangePair(gone, came))
+        (gone,), (came,) = _bits(su & ~sl), _bits(sl & ~su)
+        pairs.append(ExchangePair(summands[gone], summands[came]))
     return tuple(pairs)
 
 

@@ -9,17 +9,17 @@ from hypothesis import given, settings, strategies as st
 
 from greenseq import AlgebraSpec, GreenEngine, ModuleCategory, orders
 from greenseq.errors import GateError, InvariantViolation, UsageError
-from greenseq.green import MGS
+from greenseq.green import MGS, ExchangePair
 from greenseq.modcat import TorsionLattice, _bits
 from greenseq.orders import (ClassPoset, _check_partial_order,
-                             _checked_covers, _containment_rows,
+                             _checked_covers, _containment_rows, _stable_factor_cells,
                              _transitive_reflexive_closure, build_order,
                              check_extrema, exchange_persistence, hasse_dot,
                              iepd_cover_pairs, orders_equal_report,
                              polygon_deformation_pairs)
 from greenseq.verify import build_posets, suite_theorem_b
 
-from conftest import category_for, engine_for, full_battery, ids_of, members
+from conftest import category_for, engine_for, full_battery, ids_of, mask_of, members
 from test_classes import refuse_sequence_walks
 from test_green import _small_algebra
 from test_verify import verify_phi
@@ -154,9 +154,8 @@ def test_class_gate_fires_before_any_row(monkeypatch, example_engine, tag):
 
     monkeypatch.setattr(orders, "CLASS_GATE", 5)
     for name in ("iepd_cover_pairs", "_transitive_reflexive_closure",
-                 "_containment_rows", "_hn_refines"):
+                 "_containment_rows", "_stable_factor_cells", "_hn_refines"):
         monkeypatch.setattr(orders, name, refuse)
-    monkeypatch.setattr(GreenEngine, "stable_factor_function", refuse)
     with pytest.raises(GateError) as exc:
         build_order(tag, example_engine)
     assert str(exc.value) == ("6 classes exceed the class gate of 5; no order "
@@ -234,16 +233,19 @@ def _containment_by_pairs(sets):
 
 @pytest.mark.parametrize("spec", ROW_SPECS, ids=lambda s: s.label())
 def test_containment_rows_match_all_pairs(spec):
-    classes = engine_for(spec).equivalence_classes()
-    for sets in ([frozenset(c.key) for c in classes],
-                 [frozenset(c.representative.bricks) for c in classes]):
-        assert _containment_rows(sets) == _containment_by_pairs(sets)
+    # the summand and brick masks against the sets of the classes' records
+    eng = engine_for(spec)
+    classes, masks = eng.equivalence_classes(), eng.class_masks()
+    for column, sets in ((0, [frozenset(c.key) for c in classes]),
+                         (3, [frozenset(c.representative.bricks) for c in classes])):
+        rows = _containment_rows([row[column] for row in masks])
+        assert rows == _containment_by_pairs(sets)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(st.lists(st.frozensets(st.integers(0, 5)), max_size=8))
 def test_containment_rows_match_all_pairs_on_drawn_sets(sets):
-    assert _containment_rows(sets) == _containment_by_pairs(sets)
+    assert _containment_rows(list(map(mask_of, sets))) == _containment_by_pairs(sets)
 
 
 def test_hn_implies_brick_containment(example_engine):
@@ -399,6 +401,44 @@ def _hn_rows_by_values(eng):
 def test_hn_cells_match_the_per_value_oracle(spec):
     eng = engine_for(spec)
     assert build_order("hn", eng).rows == _hn_rows_by_values(eng)
+
+
+# -- the class table against the per-representative oracles ----------------------
+
+def _assert_class_table_matches_oracles(eng):
+    """Each class's masks, decoded, against the per-sequence method on its
+    representative: the summand mask and key against `summand_set`, the
+    exchange mask against `exchange_pairs`, the stable-factor cells of the
+    hn order against `stable_factor_function` and the brick mask against
+    the representative's bricks."""
+    classes, masks = eng.equivalence_classes(), eng.class_masks()
+    summands, having = eng.cover_table()[0], _stable_factor_cells(eng)
+    assert len(masks) == len(classes)
+    for i, (c, (s, e, f, b)) in enumerate(zip(classes, masks)):
+        g = c.representative
+        assert list(c.key) == [summands[k] for k in _bits(s)] == sorted(eng.summand_set(g))
+        assert {ExchangePair(summands[out], summands[in_])
+                for out, in_ in map(eng.exchanges.__getitem__, _bits(e))
+                } == set(eng.exchange_pairs(g))
+        table = {}
+        for x, cells in enumerate(having):
+            [table[x]] = [w for w, cell in cells.items() if cell >> i & 1]
+        assert table == eng.stable_factor_function(g)
+        assert f == sum(1 << eng.factors.index((x, brick, mult))
+                        for x, row in table.items() for brick, mult in row)
+        assert b == mask_of(g.bricks)
+
+
+@pytest.mark.parametrize("spec", full_battery() + FIVE_VERTEX_WORDS,
+                         ids=lambda s: s.label())
+def test_class_table_matches_per_representative_oracles(spec):
+    _assert_class_table_matches_oracles(engine_for(spec))
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(_small_algebra())
+def test_class_table_matches_oracles_on_drawn_algebras(spec):
+    _assert_class_table_matches_oracles(GreenEngine(ModuleCategory(spec)))
 
 
 def test_pentagon_generator_cycle_raises_antisymmetry(monkeypatch, example_engine):
@@ -593,6 +633,15 @@ def test_exchange_persistence_lists_failures_pair_by_pair(spec):
     assert report == {"passed": not expected, "failures": expected}
 
 
+def test_exchange_persistence_builds_the_class_table_it_reads():
+    # on a fresh engine the call itself builds the masks and the bit lists
+    spec = AlgebraSpec.type_a("<>")
+    size = len(engine_for(spec).equivalence_classes())
+    fresh = exchange_persistence(GreenEngine(ModuleCategory(spec)), _total(size))
+    assert fresh == exchange_persistence(engine_for(spec), _total(size))
+    assert fresh["failures"]
+
+
 # -- unoriented polygons ----------------------------------------------------------------
 
 def test_cyclic_2_2_is_an_unoriented_polygon():
@@ -643,7 +692,7 @@ def _all_pairs_polygons(engine):
             if ends not in polygon:
                 shared = (engine.silting_summands(order[ends[0]])
                           & engine.silting_summands(order[ends[1]]))
-                polygon[ends] = len(shared) == engine.cat.n - 2
+                polygon[ends] = shared.bit_count() == engine.cat.n - 2
             if polygon[ends]:
                 a, b = above.bit_count(), below.bit_count()
                 found.append({"first": k, "second": l,
@@ -836,7 +885,7 @@ def _theorem_b_loops(eng, posets):
     failures = [{"lower": lo, "upper": hi, "missing_out": repr(pair.out)}
                 for lo, row in enumerate(pent) for hi in _bits(row & ~(1 << lo))
                 for pair in pairs[hi] if pair.out not in outs[lo]]
-    return expected, failures, list(pent) == _containment_rows(bricks)
+    return expected, failures, list(pent) == _containment_rows(list(map(mask_of, bricks)))
 
 
 THEOREM_B_SPECS = [AlgebraSpec.type_a("<"), AlgebraSpec.type_a("<>"),

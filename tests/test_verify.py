@@ -13,14 +13,15 @@ import pytest
 from greenseq import AlgebraSpec, GreenEngine, ModuleCategory
 from greenseq import modcat, orders
 from greenseq.errors import GateError, InvariantViolation, UsageError
-from greenseq.green import MGS, PATH_CHECKS, ExchangePair, SiltingSummand
+from greenseq.green import MGS, PATH_CHECKS, SiltingSummand
 from greenseq.nakayama import NakayamaBackend
 from greenseq.verify import (LATTICE_CHECKS, CheckResult, _filt_interval_check,
                              _orthogonal_brick_sets, _representation_directed_check,
                              _square_check, _unique_filtration_check, run_suite)
 
 from conftest import (EXAMPLE_QUIVER, category_for, drop_last_chain, edit_walk,
-                      full_battery, ids_of, mask_of, members, repeat_last_chain)
+                      engine_for, full_battery, ids_of, linear_nakayama_battery,
+                      mask_of, members, repeat_last_chain, type_a_battery)
 from test_modcat import _maximal_chains_by_recursion
 
 LEMMA_EXTRA_SPECS = [AlgebraSpec.type_a("<<<<"),
@@ -329,22 +330,31 @@ def test_lemmas_call_no_per_sequence_method(monkeypatch):
     assert checks and all(c.passed for c in checks)
 
 
-def test_orders_read_one_invariant_row_per_class(monkeypatch):
-    calls = Counter()
-    for name in ("stable_factor_function", "exchange_pairs"):
-        real = getattr(GreenEngine, name)
+@pytest.mark.parametrize("spec", [AlgebraSpec.type_a("<><"),
+                                  AlgebraSpec.nakayama([3, 3, 3, 2, 1])],
+                         ids=lambda s: s.label())
+def test_suites_call_no_per_sequence_method(monkeypatch, spec):
+    # the orders and theorems read the class masks, never a representative
+    def refuse(*args):
+        raise AssertionError("a per-sequence method was called")
 
-        def counting(self, g, name=name, real=real):
-            calls[name, g.bricks] += 1
-            return real(self, g)
+    for name in ("torsion_chain", "summand_set", "exchange_pairs",
+                 "stable_factor_function", "square_swap"):
+        monkeypatch.setattr(GreenEngine, name, refuse)
+    checks = run_suite("all", GreenEngine(ModuleCategory(spec)))
+    assert checks and all(c.passed for c in checks)
 
-        monkeypatch.setattr(GreenEngine, name, counting)
-    cat = ModuleCategory(AlgebraSpec.type_a("<><"))
-    eng = GreenEngine(cat)
-    assert all(c.passed for c in run_suite("all", eng))
-    reps = {c.representative.bricks for c in eng.equivalence_classes()}
-    assert {g for _, g in calls} == reps
-    assert max(calls.values()) == 1
+
+# the 16 type-A orientations and the 14 linear Kupisch series on five vertices
+FIVE_VERTEX_SPECS = [s for s in type_a_battery(5) + linear_nakayama_battery(5)
+                     if s.n == 5]
+
+
+@pytest.mark.parametrize("spec", FIVE_VERTEX_SPECS, ids=lambda s: s.label())
+def test_all_suites_pass_at_five_vertices(spec):
+    checks = run_suite("all", engine_for(spec))
+    assert checks and all(c.passed for c in checks)
+    assert not [c.name for c in checks if "skipped" in c.detail]
 
 
 # -- fault injection: each rewritten check reports a planted fault ---------------
@@ -450,11 +460,12 @@ def test_merged_exchange_components_fail_like_the_oracle(monkeypatch):
         (p.out, q.out) for g in eng.enumerate_mgs()
         for p, q in combinations(eng.exchange_pairs(g), 2)
         if ins(p.out).isdisjoint(ins(q.out)) and p.out not in ins(q.out))
+    keep, merged = map(eng.cover_table()[0].index, (keep, merged))
     real = GreenEngine._cover_exchange
 
-    def patched(self, up, lo, b):
-        pair = real(self, up, lo, b)
-        return ExchangePair(keep, pair.in_) if pair.out == merged else pair
+    def patched(self, up, lo):
+        out, in_ = real(self, up, lo)
+        return (keep, in_) if out == merged else (out, in_)
 
     monkeypatch.setattr(GreenEngine, "_cover_exchange", patched)
     _assert_fault_matches_oracle(EXAMPLE_QUIVER,
@@ -462,15 +473,21 @@ def test_merged_exchange_components_fail_like_the_oracle(monkeypatch):
 
 
 def test_shifted_projective_summand_fails_like_the_oracle(monkeypatch):
-    # a projective module summand renamed as a shifted one: the summand
-    # sets keep their sizes and the classes do not change
-    real = GreenEngine.silting_summands
+    # a projective module summand renamed as a shifted one, a bit past
+    # the summands that decodes to P_99[1]: the summand sets keep their
+    # sizes and the classes do not change
+    real_init, real = GreenEngine.__init__, GreenEngine.silting_summands
+
+    def init(self, cat):
+        real_init(self, cat)
+        self._summands.append(SiltingSummand(True, 99))
 
     def patched(self, tors):
-        proj = SiltingSummand(False, self.cat.projectives[0])
-        return frozenset(SiltingSummand(True, 99) if s == proj else s
-                         for s in real(self, tors))
+        proj, fake = 1 << self.cat.projectives[0], 1 << len(self._summands) - 1
+        found = real(self, tors)
+        return found & ~proj | fake if found & proj else found
 
+    monkeypatch.setattr(GreenEngine, "__init__", init)
     monkeypatch.setattr(GreenEngine, "silting_summands", patched)
     _assert_fault_matches_oracle(EXAMPLE_QUIVER,
                                  "summand-count-is-n-plus-length")
