@@ -100,30 +100,6 @@ class Record:
         return f"{type(self).__qualname__}({fields})"
 
 
-class OrderedRecord(Record):
-    """A `Record` ordered by its field tuple, as `dataclass(order=True)`."""
-
-    def __lt__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values < other._values
-        return NotImplemented
-
-    def __le__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values <= other._values
-        return NotImplemented
-
-    def __gt__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values > other._values
-        return NotImplemented
-
-    def __ge__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values >= other._values
-        return NotImplemented
-
-
 class AlgebraSpec(Record):
     kind: str
     kupisch: tuple[int, ...] | None = None

@@ -162,7 +162,7 @@ def cmd_catalog(args) -> int:
         "brick": cat.is_brick(m.ident),
         "projective": cat.is_projective(m.ident),
         "simple": cat.is_simple(m.ident),
-    } for m in cat.indecomposables()]
+    } for m in cat.catalog]
     _write(canonical_json({"algebra": cat.spec.to_dict(), "modules": modules}))
     return 0
 

@@ -36,13 +36,20 @@ the class (`equivalence_classes`).  Each key is the OR of bitmasks along
 a chain: every exchange pair and (module, brick, multiplicity) HN entry
 is numbered, and each class and cover contributes a bitmask, as to the
 per-sequence lemma checks (PATH_CHECKS), which are checked once per
-class (`path_failures`).  Each class keeps its summand, exchange,
-stable-factor and brick masks (`class_masks`), the one table the orders
-and theorems B and C read.  One walk visits every maximal
-chain (`_walk`) and yields the chains grouped by shared prefix: a head
-of labels down to a class with at most `_TAIL_LIMIT` chains below it,
-and that class's list of tails, listed once and shared by every head
-that reaches it.  The walk lists the sequences (`sequence_groups`,
+class (`path_failures`).  The squares are compared once per engine
+(`square_failures`), for theorem A and the lemma battery alike.  Each
+table is one value, built once and read by name.  The cover table
+(`CoverTable`) holds each cover's contributions and the numberings of
+their bits: its `summands`, `exchanges` and `factors` say what bit i of
+a summand, exchange and stable-factor mask stands for.  The class table
+(`ClassTable`) holds the classes, their `summand_masks`,
+`exchange_masks`, `factor_masks` and `brick_masks` columns and the
+`by_key` index of classes by summand mask; it is the one table that the
+orders and theorems B and C read.  One walk visits every maximal chain
+(`_walk`) and yields the chains grouped by shared prefix: a head of
+labels down to a class with at most `_TAIL_LIMIT` chains below it, and
+that class's list of tails, listed once and shared by every head that
+reaches it.  The walk lists the sequences (`sequence_groups`,
 flattened by `sequence_walk`) and finds the members of the classes
 (`class_members`), the two listings that `SEQUENCE_GATE` bounds.  The
 uncached per-sequence methods (`torsion_chain`, `summand_set`,
@@ -54,10 +61,10 @@ and `ExchangePair` are made only there and in each class's key.
 from __future__ import annotations
 
 from collections import Counter
-from functools import reduce
+from functools import reduce, total_ordering
 from operator import or_
 
-from .algebra import OrderedRecord, Record
+from .algebra import Record
 from .errors import GateError, InvariantViolation, TheoremViolation, UsageError
 from .modcat import ModuleCategory, ModuleSum, _bits
 
@@ -93,11 +100,18 @@ class MGS(Record):
         return len(self.bricks)
 
 
-class SiltingSummand(OrderedRecord):
-    """Module(indec id) when shifted is False, else ShiftedProjective(vertex)."""
+@total_ordering
+class SiltingSummand(Record):
+    """Module(indec id) when shifted is False, else ShiftedProjective(vertex),
+    ordered by its field tuple."""
 
     shifted: bool
     value: int
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values < other._values
+        return NotImplemented
 
 
 class ExchangePair(Record):
@@ -125,6 +139,38 @@ class EquivClass(Record):
     representative: MGS
 
 
+class CoverTable(Record):
+    """The contributions of the generated lattice's classes and covers
+    (`GreenEngine._cover_steps`).  summands, exchanges and factors say what
+    bit i of a summand, exchange and stable-factor mask stands for: a
+    `SiltingSummand`, an (outgoing, incoming) pair of summand bits and a
+    (module, brick, multiplicity) entry.  summand_masks holds each lattice
+    class's summand mask, and steps each class's lower covers in label
+    order, one row each: (label, lower class, summand mask of the lower
+    class, exchange bit, stable-factor mask, the four PATH_CHECKS masks)."""
+
+    summands: list[SiltingSummand]
+    summand_masks: list[int]
+    steps: dict[int, list[tuple[int, ...]]]
+    exchanges: list[tuple[int, int]]
+    factors: list[tuple[int, int, int]]
+
+
+class ClassTable(Record):
+    """The classes in order (`GreenEngine.equivalence_classes`) and one
+    column per invariant, each ORed along the class's normal form: summand
+    masks and exchange and stable-factor masks, whose bits `CoverTable`
+    numbers, and brick masks over catalog ids; by_key gives each class's
+    index by its summand mask."""
+
+    classes: tuple[EquivClass, ...]
+    summand_masks: tuple[int, ...]
+    exchange_masks: tuple[int, ...]
+    factor_masks: tuple[int, ...]
+    brick_masks: tuple[int, ...]
+    by_key: dict[int, int]
+
+
 class GreenEngine:
     def __init__(self, cat: ModuleCategory):
         self.cat = cat
@@ -134,15 +180,10 @@ class GreenEngine:
         # what each summand bit stands for
         self._summands = ([SiltingSummand(False, x) for x in range(len(cat.catalog))]
                           + [SiltingSummand(True, v) for v in range(cat.n)])
-        # what bit i of an exchange and of a stable-factor mask stands for:
-        # (outgoing, incoming) summand bits and (module, brick, multiplicity)
-        self.exchanges: list[tuple[int, int]] = []
-        self.factors: list[tuple[int, int, int]] = []
-        self._cover_table: tuple | None = None
+        self._cover_table: CoverTable | None = None
+        self._class_table: ClassTable | None = None
+        self._squares: list | None = None
         self._polygons: list | None = None
-        self._classes: list[EquivClass] | None = None
-        self._masks: list[tuple[int, int, int, int]] = []
-        self._by_key: dict[int, int] = {}
 
     # -- enumeration ---------------------------------------------------------
 
@@ -184,7 +225,7 @@ class GreenEngine:
         head + t for the labels t of tails, a list shared by every group
         that reaches one class; the gates fire on this call."""
         lattice = self._listed_lattice()
-        rows = {up: sorted((lab, lo, 0) for lo, lab in downs)
+        rows = {up: [(lab, lo, 0) for lo, lab in downs]
                 for up, downs in lattice.lower_covers.items()}
         return self._walk(lattice, rows)
 
@@ -198,7 +239,7 @@ class GreenEngine:
             raise UsageError(
                 f"green sequence index {k} out of range 0..{counts[c] - 1}")
         while c != lattice.bottom:
-            for lo, lab in sorted(lattice.lower_covers[c], key=lambda step: step[1]):
+            for lo, lab in lattice.lower_covers[c]:
                 if k < counts[lo]:
                     break
                 k -= counts[lo]
@@ -478,9 +519,10 @@ class GreenEngine:
         of every square (`square_failures`), and the keys of the normal
         forms, one per swap class (`_normal_forms`), are pairwise distinct.
         A failure raises with two sequences that the swap closure and a key
-        group differently.  No sequence is listed."""
-        if self._classes is not None:
-            return list(self._classes)
+        group differently.  No sequence is listed.  Builds the class table
+        (`class_table`) on the first call."""
+        if self._class_table is not None:
+            return list(self._class_table.classes)
         lattice = self.cat.generated_lattice()
         names = ("summand sets", "exchange pairs", "stable-factor functions")
 
@@ -513,34 +555,35 @@ class GreenEngine:
                 raise InvariantViolation(
                     f"summand set has size {mask.bit_count()}, expected "
                     f"{self.cat.n}+{len(form)}")
-        self._by_key = {mask: ci for ci, (_, mask, *_) in enumerate(forms)}
-        self._masks = [(*masks, sum(1 << b for b in form)) for form, *masks in forms]
-        self._classes = [EquivClass(
-            key=tuple(map(self._summands.__getitem__, _bits(mask))),
-            representative=MGS(form)) for form, mask, *_ in forms]
-        return list(self._classes)
+        reps, summ, exch, sff = zip(*forms)
+        self._class_table = ClassTable(
+            classes=tuple(EquivClass(
+                key=tuple(map(self._summands.__getitem__, _bits(mask))),
+                representative=MGS(form)) for form, mask in zip(reps, summ)),
+            summand_masks=summ, exchange_masks=exch, factor_masks=sff,
+            brick_masks=tuple(sum(1 << b for b in form) for form in reps),
+            by_key={mask: ci for ci, mask in enumerate(summ)})
+        return list(self._class_table.classes)
 
-    def class_masks(self) -> list[tuple[int, int, int, int]]:
-        """The one table of class invariants: each class's summand,
-        exchange, stable-factor and brick masks, in class order, as the
-        normal-form walk ORs them (`_normal_forms`).  Bit i of a summand
-        mask is the i-th of `cover_table`'s summands, of an exchange mask
-        the pair `exchanges[i]` and of a stable-factor mask the entry
-        `factors[i]`; a brick mask is over catalog ids."""
-        self.equivalence_classes()
-        return self._masks
+    def class_table(self) -> ClassTable:
+        """The one table of class invariants, built by
+        `equivalence_classes` on first use."""
+        if self._class_table is None:
+            self.equivalence_classes()
+        return self._class_table
 
     def class_of(self, bricks) -> int:
         """The class of the sequence with these cover labels: the OR of the
-        summand masks of the classes along its chain, looked up in
-        `classes_by_key` (a KeyError for a chain that stops above zero)."""
-        return self.classes_by_key()[self._fold(bricks)[0]]
+        summand masks of the classes along its chain, looked up in the
+        class table's by_key (a KeyError for a chain that stops above
+        zero)."""
+        return self.class_table().by_key[self._fold(bricks)[0]]
 
     def chain_rows(self, bricks):
         """The `cover_table` rows of the covers along the chain with these
         labels, top down; a UsageError for a label that names no cover."""
         lattice = self.cat.generated_lattice()
-        steps, c = self.cover_table()[2], lattice.top
+        steps, c = self.cover_table().steps, lattice.top
         for b in bricks:
             row = next((row for row in steps[c] if row[0] == b), None)
             if row is None:
@@ -552,18 +595,11 @@ class GreenEngine:
     def _fold(self, bricks) -> list[int]:
         """The `chain_rows` ORed column by column from the summand mask on,
         the top's summand mask included."""
-        top = self.cover_table()[1][self.cat.generated_lattice().top]
+        top = self.cover_table().summand_masks[self.cat.generated_lattice().top]
         folded = [top, 0, 0, 0, 0, 0, 0]
         for row in self.chain_rows(bricks):
             folded = list(map(or_, folded, row[2:]))
         return folded
-
-    def classes_by_key(self) -> dict[int, int]:
-        """Class index by the summand mask of its key, bit i standing for the
-        i-th silting summand of `cover_table`."""
-        if self._classes is None:
-            self.equivalence_classes()
-        return self._by_key
 
     def class_members(self) -> list[tuple[int, ...]]:
         """Each class's indices in `sequence_walk`, from one walk (`_walk`)
@@ -572,15 +608,14 @@ class GreenEngine:
         first chain of each class must be its representative, and the
         lattice must count the chains walked."""
         lattice = self._listed_lattice()  # before the classes are found
-        classes = self.equivalence_classes()
-        by_key = self.classes_by_key()
-        _, summ, steps = self.cover_table()
-        rows = {up: [row[:3] for row in found] for up, found in steps.items()}
+        table, covers = self.class_table(), self.cover_table()
+        classes, by_key = table.classes, table.by_key
+        rows = {up: [row[:3] for row in found] for up, found in covers.steps.items()}
         members: list[list[int]] = [[] for _ in classes]
         first: dict[int, tuple[int, ...]] = {}
         k = 0
         for head, above, tails in self._walk(lattice, rows):
-            above |= summ[lattice.top]
+            above |= covers.summand_masks[lattice.top]
             for j, (t, mask) in enumerate(tails, k):
                 ci = by_key.get(above | mask)
                 if ci is None:
@@ -606,7 +641,7 @@ class GreenEngine:
         (`square_failures`) makes each path mask a class invariant, so each
         check runs on the normal forms; only a square that differs or a
         normal form that fails makes it fold every chain of `sequence_walk`."""
-        classes = self.equivalence_classes()
+        classes = self.class_table().classes
         modules = (1 << len(self.cat.catalog)) - 1
 
         def failed(bricks) -> list[str]:
@@ -624,7 +659,7 @@ class GreenEngine:
                     failures[name].append(labels)
         return failures
 
-    def cover_table(self) -> tuple[list[SiltingSummand], list[int], dict]:
+    def cover_table(self) -> CoverTable:
         """`_cover_steps` of the generated lattice, built on first use."""
         if self._cover_table is None:
             self._cover_table = self._cover_steps(self.cat.generated_lattice())
@@ -638,22 +673,23 @@ class GreenEngine:
             self._polygons = orders.polygon_deformation_pairs(self)
         return self._polygons
 
-    def _cover_steps(self, lattice) -> tuple[list[SiltingSummand], list[int], dict]:
+    def _cover_steps(self, lattice) -> CoverTable:
         """The bit-numbered contributions of the generated lattice's
         classes and covers to the three keys and the PATH_CHECKS.
 
-        Returns the fixed list of silting summands (bit i of a summand mask
-        is the i-th), the summand mask of each class, and for each class its
-        lower covers in label order as (label, lower class, summand mask of
-        the lower class, exchange-pair bit, stable-factor mask, then four
-        PATH_CHECKS masks: the relative simples of both classes; the
-        outgoing summand's bit and the incoming one's, past the summands,
-        so a path of length r sets 2r of these exactly when none repeats;
-        and, over a Nakayama algebra, the socle quotient of a non-simple
-        label and the non-projective module summands of both classes).
-        Each distinct exchange pair and each (module, brick, multiplicity)
-        triple of an HN layer has a bit of its own, in `exchanges` and
-        `factors`.  Every class and cover is checked once.  The layers at a
+        Returns the `CoverTable`: the fixed list of silting summands (bit i
+        of a summand mask is the i-th), the summand mask of each class, and
+        for each class its lower covers in label order as (label, lower
+        class, summand mask of the lower class, exchange-pair bit,
+        stable-factor mask, then four PATH_CHECKS masks: the relative
+        simples of both classes; the outgoing summand's bit and the
+        incoming one's, past the summands, so a path of length r sets 2r of
+        these exactly when none repeats; and, over a Nakayama algebra, the
+        socle quotient of a non-simple label and the non-projective module
+        summands of both classes).  Each distinct exchange pair and each
+        (module, brick, multiplicity) triple of an HN layer has a bit of
+        its own, numbered in the table's exchanges and factors.  Every
+        class and cover is checked once.  The layers at a
         cover U > L are read off the torsion rows of U and L
         (`_cover_multiplicities`), each module's through the summands y of
         t_U(x), so the layer dimensions of each module summed down to a
@@ -677,8 +713,7 @@ class GreenEngine:
         # comes later and has its dimensions by the time the class is read
         for up in range(len(tors) - 1, -1, -1):
             row = steps[up] = []
-            for lo, b in sorted(lattice.lower_covers.get(up, ()),
-                                key=lambda step: step[1]):
+            for lo, b in lattice.lower_covers.get(up, ()):
                 upper, lower = tors[up], tors[lo]
                 if not upper >> b & 1:
                     raise InvariantViolation(
@@ -711,8 +746,8 @@ class GreenEngine:
                 raise InvariantViolation(
                     f"layer dimensions of {cat.display(x)} sum to {dim}, "
                     f"not {catalog[x].dim}")
-        self.exchanges, self.factors = list(exch_bits), list(sff_bits)
-        return self._summands, summ, steps
+        return CoverTable(summands=self._summands, summand_masks=summ, steps=steps,
+                          exchanges=list(exch_bits), factors=list(sff_bits))
 
     def square_failures(self) -> list[tuple[int, int, int, int, int]]:
         """(top class, a, b, bottom class, key) for each square of the
@@ -723,9 +758,12 @@ class GreenEngine:
         column.  The side b then a must exist and commute too.  A
         sequence's keys and path masks OR its covers' contributions, so
         with no failure the sequences that differ by a swap have equal
-        ones."""
+        ones.  The squares are walked on the first call only."""
+        if self._squares is not None:
+            return self._squares
         lattice = self.cat.generated_lattice()
-        _, summ, steps = self.cover_table()
+        table = self.cover_table()
+        summ, steps = table.summand_masks, table.steps
         below = {up: {row[0]: row for row in rows} for up, rows in steps.items()}
         failed = []
         for top, rows in steps.items():
@@ -747,6 +785,7 @@ class GreenEngine:
                     differ = [key for key, (x, y) in enumerate(sides) if x != y]
                     if differ:
                         failed.append((top, a, b, bottom, differ[0]))
+        self._squares = failed
         return failed
 
     def _least_chain(self, start: int, end: int) -> list[int]:
@@ -754,7 +793,7 @@ class GreenEngine:
         down to class end: the least label, at each class, whose lower class
         still contains end."""
         classes = self.cat.generated_lattice().classes
-        steps = self.cover_table()[2]
+        steps = self.cover_table().steps
         labels, low = [], classes[end]
         while start != end:
             b, start, *_ = next(row for row in steps[start]
@@ -775,14 +814,14 @@ class GreenEngine:
         extends a prefix by c only when, scanning it backwards, a label
         that does not commute with c comes before a larger one that does."""
         lattice = self.cat.generated_lattice()
-        _, summ, steps = self.cover_table()
+        table = self.cover_table()
         forms: list[tuple[tuple[int, ...], int, int, int]] = []
         path: list[int] = []
 
         def walk(c: int, s: int, e: int, f: int) -> None:
             if c == lattice.bottom:
                 forms.append((tuple(path), s, e, f))
-            for b, lo, ls, le, lf, *_ in steps[c]:
+            for b, lo, ls, le, lf, *_ in table.steps[c]:
                 # the last earlier label that is larger than b or blocks it
                 d = next((d for d in reversed(path)
                           if d > b or not self._commute(d, b)), None)
@@ -791,5 +830,5 @@ class GreenEngine:
                     walk(lo, s | ls, e | le, f | lf)
                     path.pop()
 
-        walk(lattice.top, summ[lattice.top], 0, 0)
+        walk(lattice.top, table.summand_masks[lattice.top], 0, 0)
         return forms

@@ -158,9 +158,9 @@ class TorsionLattice(Record):
 
     @cached_property
     def lower_covers(self) -> dict[int, list[tuple[int, int]]]:
-        """upper index -> its (lower, label) pairs in increasing order."""
+        """upper index -> its (lower, label) pairs in label order."""
         below: dict[int, list[tuple[int, int]]] = {}
-        for up, lo, lab in sorted(self.covers):
+        for up, lab, lo in sorted((up, lab, lo) for up, lo, lab in self.covers):
             below.setdefault(up, []).append((lo, lab))
         return below
 
@@ -205,8 +205,6 @@ class ModuleCategory:
         self.catalog: list[Indec] = self.backend.catalog
         self._by_descriptor = {m.descriptor: m.ident for m in self.catalog}
         self._by_display = {m.display: m.ident for m in self.catalog}
-        # a seed mask -> the mask of its torsion closure
-        self._closure_cache: dict[int, int] = {}
         # a brick mask -> the mask of its Filt (`filt_mask`)
         self._filt_cache: dict[int, int] = {}
         self._torsion_rows: dict[int, list[SubRecord]] = {}
@@ -224,12 +222,6 @@ class ModuleCategory:
             self._check_hom_table()
 
     # -- catalog ----------------------------------------------------------
-
-    def indecomposables(self) -> list[Indec]:
-        return list(self.catalog)
-
-    def indec(self, i: int) -> Indec:
-        return self.catalog[i]
 
     @property
     def simples(self) -> tuple[int, ...]:
@@ -520,9 +512,6 @@ class ModuleCategory:
         the fixed point of adding the quotients of each member and each
         module with an SES record whose summands are members, the rule
         `is_torsion_class` tests."""
-        cached = self._closure_cache.get(seed)
-        if cached is not None:
-            return cached
         members, grown = None, seed
         while grown != members:
             members = grown
@@ -536,14 +525,7 @@ class ModuleCategory:
             raise InvariantViolation(
                 f"torsion closure of {list(_bits(seed))} is not closed: "
                 f"{list(_bits(members))}")
-        self._closure_cache[seed] = members
         return members
-
-    def torsion_sub_with_quotient(self, i: int, t: int
-                                  ) -> tuple[ModuleSum, ModuleSum]:
-        """Torsion submodule of an indecomposable in the class with member
-        bitmask t, and the matching quotient."""
-        return self.torsion_row(t)[i].pair
 
     def torsion_row(self, t: int) -> list[SubRecord]:
         """The torsion submodules of the class with member bitmask t: entry

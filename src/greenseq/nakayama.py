@@ -156,10 +156,6 @@ class NakayamaBackend:
             else top0 + length
         return p0, (self.uniserial(omega_top, c - length),)
 
-    def syzygy(self, i: int) -> int | None:
-        _, omega = self.projective_cover(i)
-        return omega[0] if omega else None
-
     def socle_quotient(self, i: int) -> int | None:
         """B -> B/soc B; None for simples."""
         _, top1, length = self.catalog[i].descriptor

@@ -13,20 +13,22 @@ summand-mask lookup, never by listing sequences; the all-pairs polygon
 search and the per-sequence deformation scan stay in the tests as
 oracles.  The pentagon closure ORs each row with its generators' rows,
 pass after pass, until no row changes.  The other orders, exchange
-persistence and the extrema read the one table of class masks
-(`GreenEngine.class_masks`) and never a representative's chain: the
-summand and brick orders are reverse containment of the summand and
-brick masks.  The hn order reads, for each module, the mask of the
-classes with each stable-factor value there, decoded once per distinct
-value from the stable-factor bits (`_stable_factor_cells`); for each
+persistence and the extrema read the columns of the class table
+(`GreenEngine.class_table`) by name and never a representative's chain:
+the summand and brick orders are reverse containment of its
+summand_masks and brick_masks.  The hn order reads, for each module, the
+mask of the classes with each stable-factor value there, decoded once
+per distinct value from the factor_masks through the cover table's
+numbering (`CoverTable.factors`, `_stable_factor_cells`); for each
 module x and value v, it evaluates once per cell of the classes that
 agree on the stable-factor function at x and at the bricks of v
 (partition refinement), never once per pair of classes.  Exchange
 persistence is a row inclusion: the deformation rows against reverse
-containment of the classes' masks of outgoing summands, so only the
-pairs that fail are expanded.  Every order is built, checked and read
-as int rows (`ClassPoset`); only `poset --format json` expands one to a
-boolean matrix.
+containment of the classes' masks of outgoing summands, decoded from
+the exchange_masks through `CoverTable.exchanges`, so only the pairs
+that fail are expanded.  Every order is built, checked and read as int
+rows (`ClassPoset`); only `poset --format json` expands one to a boolean
+matrix.
 """
 
 from __future__ import annotations
@@ -177,12 +179,12 @@ def _stable_factor_cells(engine: GreenEngine) -> list[dict]:
     takes the value w at module y: w is the sorted tuple of (brick,
     multiplicity) of the stable-factor bits of y in a class's mask, one
     tuple per distinct set of them."""
-    masks, factors = engine.class_masks(), engine.factors
+    masks, factors = engine.class_table().factor_masks, engine.cover_table().factors
     having = []
     for y in range(len(engine.cat.catalog)):
         bits = sum(1 << k for k, (x, _, _) in enumerate(factors) if x == y)
         cells: dict[int, int] = {}
-        for i, (_, _, f, _) in enumerate(masks):
+        for i, f in enumerate(masks):
             cells[f & bits] = cells.get(f & bits, 0) | 1 << i
         having.append({tuple(sorted(factors[k][1:] for k in _bits(key))): cell
                        for key, cell in cells.items()})
@@ -190,15 +192,15 @@ def _stable_factor_cells(engine: GreenEngine) -> list[dict]:
 
 
 def build_order(tag: str, engine: GreenEngine) -> ClassPoset:
-    masks = engine.class_masks()
-    size = len(masks)
+    table = engine.class_table()
+    size = len(table.classes)
     if size > CLASS_GATE:
         raise GateError(f"{size} classes exceed the class gate of {CLASS_GATE}; "
                         f"no order is built on them")
     if tag == "pentagon":
         rows = _transitive_reflexive_closure(size, iepd_cover_pairs(engine))
     elif tag == "summand":
-        rows = _containment_rows([summands for summands, *_ in masks])
+        rows = _containment_rows(table.summand_masks)
     elif tag == "hn":
         # lo lies below hi when every f_lo(x) refines at hi.  That reads lo
         # only through v = f_lo(x), and hi only through f_hi at x and at the
@@ -219,7 +221,7 @@ def build_order(tag: str, engine: GreenEngine) -> ClassPoset:
     elif tag == "brick":
         if not engine.cat.spec.is_nakayama:
             raise UsageError(BRICK_ORDER_REFUSAL)
-        rows = _containment_rows([bricks for *_, bricks in masks])
+        rows = _containment_rows(table.brick_masks)
     else:
         raise UsageError(f"unknown order tag {tag!r}; pick one of {ORDER_TAGS}")
     return ClassPoset(tag=tag, size=size, rows=tuple(rows),
@@ -263,7 +265,7 @@ def check_extrema(engine: GreenEngine, posets: dict[str, ClassPoset]) -> dict:
         return {"applicable": False,
                 "notice": "cyclic Nakayama algebra: not acyclic and not "
                           "representation-directed, extrema checks skipped"}
-    masks = engine.class_masks()
+    table = engine.class_table()
     report: dict = {"applicable": True, "checks": []}
 
     def add(name, passed, detail=None):
@@ -272,7 +274,7 @@ def check_extrema(engine: GreenEngine, posets: dict[str, ClassPoset]) -> dict:
 
     # the projectives and every shifted projective
     top = sum(1 << p for p in cat.projectives) | (1 << cat.n) - 1 << len(cat.catalog)
-    max_classes = [i for i, (summands, *_) in enumerate(masks) if summands == top]
+    max_classes = [i for i, mask in enumerate(table.summand_masks) if mask == top]
     add("projectives-and-shifts-class-exists", len(max_classes) == 1,
         {"count": len(max_classes)})
     gmax_seq = tuple(cat.simples[v] for v in source_order_simples(cat))
@@ -288,12 +290,12 @@ def check_extrema(engine: GreenEngine, posets: dict[str, ClassPoset]) -> dict:
                 all(row >> mx & 1 for row in posets[tag].rows))
         add("pentagon-order-maximal-at-source-class",
             posets["pentagon"].rows[mx] == 1 << mx)
-    min_classes = [i for i, (*_, bricks) in enumerate(masks)
-                   if bricks == cat.brick_mask]
+    min_classes = [i for i, mask in enumerate(table.brick_masks)
+                   if mask == cat.brick_mask]
     add("all-bricks-class-exists-uniquely", len(min_classes) == 1,
         {"count": len(min_classes)})
     if len(min_classes) == 1:
-        mn, full = min_classes[0], (1 << len(masks)) - 1
+        mn, full = min_classes[0], (1 << len(table.classes)) - 1
         for tag, poset in posets.items():
             add(f"{tag}-order-has-unique-minimum", poset.rows[mn] == full)
     report["passed"] = all(c["passed"] for c in report["checks"])
@@ -303,19 +305,19 @@ def check_extrema(engine: GreenEngine, posets: dict[str, ClassPoset]) -> dict:
 def exchange_persistence(engine: GreenEngine, pentagon: ClassPoset) -> dict:
     """Below a class in the deformation order, every exchange pair keeps a
     partner with the same outgoing summand."""
-    masks, classes = engine.class_masks(), engine.equivalence_classes()
-    exchanges, summands = engine.exchanges, engine.cover_table()[0]
+    table, covers = engine.class_table(), engine.cover_table()
+    exchanges = covers.exchanges
     outs = [reduce(or_, (1 << exchanges[k][0] for k in _bits(e)), 0)
-            for _, e, _, _ in masks]
+            for e in table.exchange_masks]
 
     @cache
     def chain_outs(i: int) -> list[int]:
         """The outgoing summand bits along class i's representative."""
         return [exchanges[row[3].bit_length() - 1][0]
-                for row in engine.chain_rows(classes[i].representative.bricks)]
+                for row in engine.chain_rows(table.classes[i].representative.bricks)]
 
     # a pair fails where the outgoing summands of hi are not all in lo's
-    failures = [{"lower": lo, "upper": hi, "missing_out": repr(summands[out])}
+    failures = [{"lower": lo, "upper": hi, "missing_out": repr(covers.summands[out])}
                 for lo, hi in _outside(pentagon.rows, _containment_rows(outs))
                 for out in chain_outs(hi) if not outs[lo] >> out & 1]
     return {"passed": not failures, "failures": failures}
@@ -334,9 +336,9 @@ def polygon_deformation_pairs(engine: GreenEngine) -> list[Polygon]:
     its class key is the OR of its classes' summand masks (`cover_table`),
     so each distinct mask of the chains above and below meets each side
     once."""
-    by_key = engine.classes_by_key()
+    by_key = engine.class_table().by_key
     lattice = engine.cat.generated_lattice()
-    _, summ, _ = engine.cover_table()
+    summ = engine.cover_table().summand_masks
     classes, below, n = lattice.classes, lattice.lower_covers, engine.cat.n
     # the summand masks of the chains from the top down to each class and
     # from each class down to zero, and the number of the former; classes

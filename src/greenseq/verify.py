@@ -12,8 +12,10 @@ form (`GreenEngine.path_failures`); it calls no per-sequence method.
 Only a failing path check, and the sequence count where the subset
 oracle is admitted, walk the chains.  Theorems A, B and C read the
 classes, one lexicographic normal form each, and list no sequence;
-theorems B and C read each class's brick mask from the one table of
-class masks (`GreenEngine.class_masks`), not its representative.
+theorems B and C read each class's brick mask from the brick_masks
+column of the class table (`GreenEngine.class_table`), not its
+representative.  The lemma battery and theorem A share one comparison
+of the squares (`GreenEngine.square_failures`).
 Theorem B's order checks are row inclusions (`orders._outside`): the
 rows of one order against those of the other, against reverse brick
 containment and the classes with fewer bricks, or against those alone;
@@ -31,6 +33,7 @@ from functools import reduce
 from itertools import combinations
 from operator import and_
 
+from .algebra import Record
 from .cli import SUITES
 from .errors import GateError, TheoremViolation, UsageError
 from .green import PATH_CHECKS, GreenEngine
@@ -39,25 +42,20 @@ from . import orders as orders_mod
 from .orders import _containment_rows, _outside
 
 
-class CheckResult:
-    """A named check: its pass flag and witnessing detail."""
+class CheckResult(Record):
+    """A named check: its pass flag and witnessing detail, a fresh dict
+    when none is given."""
 
-    def __init__(self, name: str, passed: bool, detail: dict | None = None):
-        self.name = name
-        self.passed = passed
-        self.detail = {} if detail is None else detail
+    name: str
+    passed: bool
+    detail: dict | None = None
+
+    def __post_init__(self):
+        if self.detail is None:
+            object.__setattr__(self, "detail", {})
 
     def to_dict(self) -> dict:
         return {"check": self.name, "passed": self.passed, "detail": self.detail}
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.to_dict() == other.to_dict()
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return (f"CheckResult(name={self.name!r}, passed={self.passed!r}, "
-                f"detail={self.detail!r})")
 
 
 # the orders theoremB compares, in the order its checks read them
@@ -99,7 +97,7 @@ def suite_theorem_b(engine: GreenEngine,
     """Checks on the THEOREM_B_ORDERS, which `posets` holds in that order
     and nothing else: the extrema and polygon checks read every entry."""
     checks: list[CheckResult] = []
-    bricks = [mask for *_, mask in engine.class_masks()]
+    bricks = engine.class_table().brick_masks
     pent = posets["pentagon"].rows
     for tag in ("summand", "hn"):
         extra = _outside(pent, posets[tag].rows)
@@ -166,15 +164,15 @@ def suite_theorem_c(engine: GreenEngine,
     report = orders_mod.orders_equal_report(list(posets.values()))
     checks.append(CheckResult("four-order-relations-equal", report["equal"],
                               {"differences": report["differences"]}))
-    masks = engine.class_masks()
+    brick_masks = engine.class_table().brick_masks
     # a square swap keeps the brick set, so it is one per class
     by_brickset: dict[int, list[int]] = {}
-    for ci, (*_, bricks) in enumerate(masks):
+    for ci, bricks in enumerate(brick_masks):
         by_brickset.setdefault(bricks, []).append(ci)
     bad = [found for found in by_brickset.values() if len(found) != 1]
     checks.append(CheckResult("equal-brick-sets-imply-equivalence", not bad,
                               {"violations": bad, "brick_sets": len(by_brickset),
-                               "classes": len(masks)}))
+                               "classes": len(brick_masks)}))
     return checks
 
 
@@ -197,7 +195,7 @@ def suite_lemmas(engine: GreenEngine) -> list[CheckResult]:
     # every cover, pair of consecutive covers and square lies on a maximal
     # chain, so the checks below examine what the sequences would
     lattice = cat.generated_lattice()
-    steps = engine.cover_table()[2]
+    steps = engine.cover_table().steps
 
     # Hom-vanishing forward forces Ext-vanishing backward on adjacent bricks.
     bad = [[cat.display(a), cat.display(b)]

@@ -181,20 +181,19 @@ def _patch_last_cover(monkeypatch, field):
     real = GreenEngine._cover_steps
 
     def patched(self, lattice):
-        summands, summ, steps = real(self, lattice)
+        table = real(self, lattice)
         one = self.cat.resolve_token("1")
         up = lattice.index_of(1 << one)
-        (b, lo, s, e, f, *rest), = steps[up]
+        (b, lo, s, e, f, *rest), = table.steps[up]
         fresh = 1 << 200
         if field == "summand":
-            entering = s & ~summ[up]
+            entering = s & ~table.summand_masks[up]
             s = s & ~entering | fresh
         elif field == "exchange":
             e = fresh
         else:
             f |= fresh
-        steps[up] = [(b, lo, s, e, f, *rest)]
-        return summands, summ, steps
+        return table._replace(steps={**table.steps, up: [(b, lo, s, e, f, *rest)]})
 
     monkeypatch.setattr(GreenEngine, "_cover_steps", patched)
 
@@ -340,7 +339,7 @@ def test_path_checks_walk_no_chain(spec, monkeypatch):
 
 def test_walked_mask_not_a_class_key_raises():
     eng = _fresh(EXAMPLE_QUIVER)
-    by_key = eng.classes_by_key()
+    by_key = eng.class_table().by_key
     del by_key[next(iter(by_key))]
     with pytest.raises(InvariantViolation, match="not the key of a class"):
         eng.class_members()
@@ -348,9 +347,10 @@ def test_walked_mask_not_a_class_key_raises():
 
 def test_first_member_not_the_representative_raises():
     eng = _fresh(EXAMPLE_QUIVER)
-    eng.equivalence_classes()
-    first, second = eng._classes[:2]
-    eng._classes[0] = first._replace(representative=second.representative)
+    table = eng.class_table()
+    first, second, *rest = table.classes
+    eng._class_table = table._replace(
+        classes=(first._replace(representative=second.representative), second, *rest))
     with pytest.raises(InvariantViolation,
                        match="first members of the classes are not the normal forms"):
         eng.class_members()
@@ -406,11 +406,11 @@ def test_summand_path_of_the_wrong_size_raises(monkeypatch):
     real = GreenEngine._cover_steps
 
     def patched(self, lattice):
-        summands, summ, steps = real(self, lattice)
-        extra = 1 << len(summands)
-        steps = {up: [(b, lo, s | extra, *rest) for b, lo, s, *rest in row]
-                 for up, row in steps.items()}
-        return summands, summ, steps
+        table = real(self, lattice)
+        extra = 1 << len(table.summands)
+        return table._replace(steps={
+            up: [(b, lo, s | extra, *rest) for b, lo, s, *rest in row]
+            for up, row in table.steps.items()})
 
     monkeypatch.setattr(GreenEngine, "_cover_steps", patched)
     with pytest.raises(InvariantViolation, match="summand set has size"):

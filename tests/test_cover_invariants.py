@@ -40,7 +40,7 @@ def peel_hn(cat, module, g, chain):
 
     def peel(x):
         j = max(k for k, tors in enumerate(chain) if tors >> x & 1)
-        sub, quot = cat.torsion_sub_with_quotient(x, chain[j + 1])
+        sub, quot = cat.torsion_row(chain[j + 1])[x].pair
         steps.setdefault(j + 1, []).extend(quot.ids)
         for y in sub.ids:
             peel(y)
@@ -52,7 +52,7 @@ def peel_hn(cat, module, g, chain):
         factor = ModuleSum(tuple(steps[pos]))
         brick = g.bricks[pos - 1]
         assert set(factor.ids) <= members(cat.filt_mask(1 << brick))
-        fdim, bdim = cat.dim_sum(factor), cat.indec(brick).dim
+        fdim, bdim = cat.dim_sum(factor), cat.catalog[brick].dim
         assert fdim % bdim == 0
         layers.append(HNLayer(position=pos, brick=brick, factor=factor,
                               multiplicity=fdim // bdim))
@@ -71,7 +71,7 @@ def peel_stable_factor_function(cat, g, chain):
 
 def step_exchange_pairs(eng, chain):
     """Oracle: the summand that leaves and the one that enters at each step."""
-    pairs, summands = [], eng.cover_table()[0]
+    pairs, summands = [], eng.cover_table().summands
     for up, lo in zip(chain, chain[1:]):
         su, sl = eng.silting_summands(up), eng.silting_summands(lo)
         (gone,), (came,) = _bits(su & ~sl), _bits(sl & ~su)

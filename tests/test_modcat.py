@@ -430,23 +430,23 @@ def test_closure_forces_extension(a2_cat):
 def test_torsion_submodule_member_is_itself(example_cat):
     m = example_cat.resolve_token("132")
     tors = example_cat.torsion_closure(1 << m)
-    assert example_cat.torsion_sub_with_quotient(m, tors)[0].ids == (m,)
+    assert example_cat.torsion_row(tors)[m].pair[0].ids == (m,)
 
 
 def test_torsion_submodule_zero_class(example_cat):
     m = example_cat.resolve_token("132")
-    sub, _ = example_cat.torsion_sub_with_quotient(m, 0)
+    sub, _ = example_cat.torsion_row(0)[m].pair
     assert sub.is_zero
 
 
 def test_torsion_submodule_picks_maximal(example_cat):
     m132 = example_cat.resolve_token("132")
     t = example_cat.torsion_closure(mask_of(ids_of(example_cat, ["32", "3"])))
-    sub, _ = example_cat.torsion_sub_with_quotient(m132, t)
+    sub, _ = example_cat.torsion_row(t)[m132].pair
     assert example_cat.display_sum(sub) == "32"
     # only the zero submodule of 132 lies in the closure of the simple 3
     t3 = example_cat.torsion_closure(mask_of(ids_of(example_cat, ["3"])))
-    assert example_cat.torsion_sub_with_quotient(m132, t3)[0].is_zero
+    assert example_cat.torsion_row(t3)[m132].pair[0].is_zero
 
 
 def test_torsion_submodule_componentwise(a2_cat):
@@ -454,7 +454,7 @@ def test_torsion_submodule_componentwise(a2_cat):
     t = a2_cat.torsion_closure(1 << two)
     # the torsion submodule of a sum is the sum of those of its summands
     sub = ModuleSum(tuple(i for x in (m, two)
-                          for i in a2_cat.torsion_sub_with_quotient(x, t)[0].ids))
+                          for i in a2_cat.torsion_row(t)[x].pair[0].ids))
     assert sub.ids == tuple(sorted((two, two)))
 
 
@@ -633,6 +633,22 @@ def test_lattice_classes_are_the_oracle_sets_in_size_then_id_order(spec):
     assert len(set(generated)) == len(generated)
 
 
+@pytest.mark.parametrize("spec", full_battery() + [AlgebraSpec.type_a(w) for w in
+                                                   FIVE_VERTEX_WORDS],
+                         ids=lambda s: s.label())
+def test_lower_covers_come_in_label_order(spec):
+    # the generated lattice and the subset oracle list each class's lower
+    # covers by increasing label, and every cover once
+    cat = category_for(spec)
+    for lattice in (cat.generated_lattice(), cat.torsion_lattice()):
+        below = lattice.lower_covers
+        assert sorted((up, lo, lab) for up, downs in below.items()
+                      for lo, lab in downs) == list(lattice.covers)
+        for downs in below.values():
+            labels = [lab for _, lab in downs]
+            assert labels == sorted(set(labels))
+
+
 def test_bits_lists_the_set_bits_in_increasing_order():
     assert list(modcat._bits(0)) == []
     assert list(modcat._bits(1)) == [0]
@@ -729,13 +745,13 @@ def test_torsion_closure_output_is_torsion_class(data):
 # -- argument validation -----------------------------------------------------------------
 
 def test_hom_accepts_indec_objects(example_cat):
-    a = example_cat.indec(example_cat.resolve_token("2"))
-    b = example_cat.indec(example_cat.resolve_token("12"))
+    a = example_cat.catalog[example_cat.resolve_token("2")]
+    b = example_cat.catalog[example_cat.resolve_token("12")]
     assert example_cat.hom(a, b) == 1
 
 
 def test_hom_rejects_foreign_module(example_cat, a2_cat):
-    foreign = a2_cat.indec(a2_cat.resolve_token("12"))
+    foreign = a2_cat.catalog[a2_cat.resolve_token("12")]
     with pytest.raises(UsageError, match="different algebra"):
         example_cat.hom(foreign, example_cat.resolve_token("2"))
 

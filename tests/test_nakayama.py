@@ -15,8 +15,8 @@ def cat_for(kupisch, cyclic=False):
 
 def test_a2_catalog():
     cat = cat_for([2, 1])
-    assert [m.display for m in cat.indecomposables()] == ["1", "12", "2"]
-    assert [m.dimvec for m in cat.indecomposables()] == [(1, 0), (1, 1), (0, 1)]
+    assert [m.display for m in cat.catalog] == ["1", "12", "2"]
+    assert [m.dimvec for m in cat.catalog] == [(1, 0), (1, 1), (0, 1)]
 
 
 def test_linear_a3_catalog_size():
@@ -26,7 +26,7 @@ def test_linear_a3_catalog_size():
 
 def test_cyclic_2_2_catalog():
     cat = cat_for([2, 2], cyclic=True)
-    assert [m.descriptor for m in cat.indecomposables()] == [
+    assert [m.descriptor for m in cat.catalog] == [
         ("U", 1, 1), ("U", 1, 2), ("U", 2, 1), ("U", 2, 2)]
 
 
@@ -34,8 +34,8 @@ def test_cyclic_3_3_catalog_size_and_layers():
     cat = cat_for([3, 3], cyclic=True)
     assert len(cat.catalog) == 6
     m13 = cat.resolve_token("U(1,3)")
-    assert cat.indec(m13).display == "121"
-    assert cat.indec(m13).dimvec == (2, 1)
+    assert cat.catalog[m13].display == "121"
+    assert cat.catalog[m13].dimvec == (2, 1)
 
 
 @pytest.mark.parametrize("spec", linear_nakayama_battery() + CYCLIC_BATTERY,
@@ -72,15 +72,15 @@ def test_simple_has_no_records():
 def test_syzygy_linear():
     cat = cat_for([2, 1])
     backend = cat.backend
-    assert backend.syzygy(cat.resolve_token("1")) == cat.resolve_token("2")
-    assert backend.syzygy(cat.resolve_token("12")) is None
+    assert backend.projective_cover(cat.resolve_token("1"))[1] == (cat.resolve_token("2"),)
+    assert backend.projective_cover(cat.resolve_token("12"))[1] == ()
 
 
 def test_syzygy_cyclic():
     cat = cat_for([2, 2], cyclic=True)
     backend = cat.backend
-    assert backend.syzygy(cat.resolve_token("1")) == cat.resolve_token("2")
-    assert backend.syzygy(cat.resolve_token("2")) == cat.resolve_token("1")
+    assert backend.projective_cover(cat.resolve_token("1"))[1] == (cat.resolve_token("2"),)
+    assert backend.projective_cover(cat.resolve_token("2"))[1] == (cat.resolve_token("1"),)
 
 
 def test_socle_quotient():

@@ -235,10 +235,12 @@ def _containment_by_pairs(sets):
 def test_containment_rows_match_all_pairs(spec):
     # the summand and brick masks against the sets of the classes' records
     eng = engine_for(spec)
-    classes, masks = eng.equivalence_classes(), eng.class_masks()
-    for column, sets in ((0, [frozenset(c.key) for c in classes]),
-                         (3, [frozenset(c.representative.bricks) for c in classes])):
-        rows = _containment_rows([row[column] for row in masks])
+    table = eng.class_table()
+    classes = table.classes
+    for column, sets in ((table.summand_masks, [frozenset(c.key) for c in classes]),
+                         (table.brick_masks,
+                          [frozenset(c.representative.bricks) for c in classes])):
+        rows = _containment_rows(column)
         assert rows == _containment_by_pairs(sets)
 
 
@@ -411,21 +413,23 @@ def _assert_class_table_matches_oracles(eng):
     exchange mask against `exchange_pairs`, the stable-factor cells of the
     hn order against `stable_factor_function` and the brick mask against
     the representative's bricks."""
-    classes, masks = eng.equivalence_classes(), eng.class_masks()
-    summands, having = eng.cover_table()[0], _stable_factor_cells(eng)
-    assert len(masks) == len(classes)
-    for i, (c, (s, e, f, b)) in enumerate(zip(classes, masks)):
+    table, covers = eng.class_table(), eng.cover_table()
+    summands, having = covers.summands, _stable_factor_cells(eng)
+    columns = (table.summand_masks, table.exchange_masks, table.factor_masks,
+               table.brick_masks)
+    assert all(len(column) == len(table.classes) for column in columns)
+    for i, (c, s, e, f, b) in enumerate(zip(table.classes, *columns)):
         g = c.representative
         assert list(c.key) == [summands[k] for k in _bits(s)] == sorted(eng.summand_set(g))
         assert {ExchangePair(summands[out], summands[in_])
-                for out, in_ in map(eng.exchanges.__getitem__, _bits(e))
+                for out, in_ in map(covers.exchanges.__getitem__, _bits(e))
                 } == set(eng.exchange_pairs(g))
-        table = {}
+        sff = {}
         for x, cells in enumerate(having):
-            [table[x]] = [w for w, cell in cells.items() if cell >> i & 1]
-        assert table == eng.stable_factor_function(g)
-        assert f == sum(1 << eng.factors.index((x, brick, mult))
-                        for x, row in table.items() for brick, mult in row)
+            [sff[x]] = [w for w, cell in cells.items() if cell >> i & 1]
+        assert sff == eng.stable_factor_function(g)
+        assert f == sum(1 << covers.factors.index((x, brick, mult))
+                        for x, row in sff.items() for brick, mult in row)
         assert b == mask_of(g.bricks)
 
 
@@ -642,6 +646,26 @@ def test_exchange_persistence_builds_the_class_table_it_reads():
     assert fresh["failures"]
 
 
+@pytest.mark.parametrize("spec", [AlgebraSpec.type_a("<>"),
+                                  AlgebraSpec.nakayama([3, 3, 3], cyclic=True)],
+                         ids=lambda s: s.label())
+def test_decode_lists_do_not_wait_for_the_class_table(spec):
+    # the cover table's numberings are whole when it is built: read before
+    # the class table on one fresh engine and after it on another, they
+    # decode to the same exchange failures and stable-factor cells
+    size = len(engine_for(spec).equivalence_classes())
+    before, after = GreenEngine(ModuleCategory(spec)), GreenEngine(ModuleCategory(spec))
+    covers = before.cover_table()
+    decoded = (list(covers.exchanges), list(covers.factors))
+    assert before._class_table is None and all(decoded)
+    after.class_table()
+    assert (after.cover_table().exchanges, after.cover_table().factors) == decoded
+    assert (exchange_persistence(before, _total(size))
+            == exchange_persistence(after, _total(size)))
+    assert _stable_factor_cells(before) == _stable_factor_cells(after)
+    assert (covers.exchanges, covers.factors) == decoded
+
+
 # -- unoriented polygons ----------------------------------------------------------------
 
 def test_cyclic_2_2_is_an_unoriented_polygon():
@@ -784,16 +808,16 @@ def test_polygon_interval_without_two_sides_is_a_violation(monkeypatch):
 
 def test_polygon_without_shared_summands_is_a_violation(monkeypatch):
     eng = _classes_ready(AlgebraSpec.type_a("<>"))
-    summands, summ, steps = eng.cover_table()
-    monkeypatch.setattr(eng, "cover_table",
-                        lambda: (summands, [0] * len(summ), steps))
+    table = eng.cover_table()
+    monkeypatch.setattr(eng, "cover_table", lambda: table._replace(
+        summand_masks=[0] * len(table.summand_masks)))
     with pytest.raises(InvariantViolation, match="shares 0 silting summands"):
         polygon_deformation_pairs(eng)
 
 
 def test_polygon_chain_mask_not_a_class_key_is_a_violation():
     eng = _classes_ready(AlgebraSpec.type_a("<"))
-    by_key = eng.classes_by_key()
+    by_key = eng.class_table().by_key
     del by_key[next(iter(by_key))]
     with pytest.raises(InvariantViolation, match="not the key of a class"):
         polygon_deformation_pairs(eng)
@@ -801,7 +825,7 @@ def test_polygon_chain_mask_not_a_class_key_is_a_violation():
 
 def test_deformation_keeping_the_class_is_a_violation():
     eng = _classes_ready(AlgebraSpec.type_a("<"))
-    by_key = eng.classes_by_key()
+    by_key = eng.class_table().by_key
     by_key.update(dict.fromkeys(by_key, 0))
     with pytest.raises(InvariantViolation, match="did not change the class"):
         polygon_deformation_pairs(eng)

@@ -150,7 +150,7 @@ def _samples() -> dict[str, list]:
         eng = GreenEngine(cat)
         seqs = eng.enumerate_mgs()
         found += [spec, AlgebraSpec.from_dict(spec.to_dict())]
-        found += cat.indecomposables()
+        found += cat.catalog
         for i in range(len(cat.catalog)):
             for rec in cat.sub_quotient_pairs(i):
                 found += [rec, rec.sub, rec.quot]

@@ -47,7 +47,7 @@ def oracle_cover_layer(cat, x, up, lo, b):
     if not ids:
         return None
     assert set(ids) <= oracle_filt(cat, (b,))
-    fdim, bdim = cat.dim_sum(ModuleSum(ids)), cat.indec(b).dim
+    fdim, bdim = cat.dim_sum(ModuleSum(ids)), cat.catalog[b].dim
     assert fdim % bdim == 0
     return ids, fdim // bdim
 
@@ -116,7 +116,7 @@ def test_torsion_rows_match_the_candidate_scan(spec):
     cat, classes = _classes(spec)
     for tors in classes:
         for x in range(len(cat.catalog)):
-            assert (cat.torsion_sub_with_quotient(x, tors)
+            assert (cat.torsion_row(tors)[x].pair
                     == oracle_torsion_sub(cat, x, members(tors)))
 
 
@@ -170,7 +170,6 @@ def test_rows_are_one_per_class_and_share_the_records():
         assert cat.torsion_row(tors) is row
         for x, entry in enumerate(row):
             assert any(entry is c for c in cat.sub_records[x])
-            assert cat.torsion_sub_with_quotient(x, tors) is entry.pair
 
 
 # -- the checks still fire ---------------------------------------------------------
@@ -193,7 +192,7 @@ def test_second_sub_of_maximal_dimension_raises(monkeypatch):
     tors = mask_of(ids_of(cat, ["1", "2"]))
     with pytest.raises(InvariantViolation,
                        match=r"torsion submodule of 12 is not unique: \['2', '1'\]"):
-        cat.torsion_sub_with_quotient(cat.resolve_token("12"), tors)
+        cat.torsion_row(tors)[cat.resolve_token("12")].pair
 
 
 def test_sub_outside_the_torsion_submodule_raises(monkeypatch):
@@ -203,4 +202,4 @@ def test_sub_outside_the_torsion_submodule_raises(monkeypatch):
     tors = mask_of(ids_of(cat, ["32", "3", "1"]))
     with pytest.raises(InvariantViolation,
                        match="torsion submodule of 132 fails to dominate 1"):
-        cat.torsion_sub_with_quotient(cat.resolve_token("132"), tors)
+        cat.torsion_row(tors)[cat.resolve_token("132")].pair

@@ -18,7 +18,7 @@ def test_one_vertex():
 
 def test_example_quiver_catalog(example_cat):
     assert len(example_cat.catalog) == 6
-    assert sorted(m.display for m in example_cat.indecomposables()) == [
+    assert sorted(m.display for m in example_cat.catalog) == [
         "1", "12", "132", "2", "3", "32"]
 
 

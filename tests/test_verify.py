@@ -357,6 +357,37 @@ def test_all_suites_pass_at_five_vertices(spec):
     assert not [c.name for c in checks if "skipped" in c.detail]
 
 
+@pytest.mark.parametrize("spec", [AlgebraSpec.nakayama([3, 3, 3, 2, 1]),
+                                  AlgebraSpec.type_a("<><")],
+                         ids=lambda s: s.label())
+def test_all_suites_walk_the_squares_once(spec, monkeypatch):
+    # theorem A, the path checks and the square check read one comparison
+    # of the squares: `run_suite("all")` makes as many commutation tests
+    # inside `square_failures` as one call on a fresh engine does
+    inside, tests = [], Counter()
+    real_squares, real_commute = GreenEngine.square_failures, GreenEngine._commute
+
+    def squares(self):
+        inside.append(self)
+        try:
+            return real_squares(self)
+        finally:
+            inside.pop()
+
+    def commute(self, a, b):
+        if inside:
+            tests[self] += 1
+        return real_commute(self, a, b)
+
+    monkeypatch.setattr(GreenEngine, "square_failures", squares)
+    monkeypatch.setattr(GreenEngine, "_commute", commute)
+    alone, suites = GreenEngine(category_for(spec)), GreenEngine(category_for(spec))
+    alone.square_failures()
+    checks = run_suite("all", suites)
+    assert all(c.passed for c in checks)
+    assert tests[alone] > 0 and tests[suites] == tests[alone]
+
+
 # -- fault injection: each rewritten check reports a planted fault ---------------
 
 def _failed(checks, name):
@@ -460,7 +491,7 @@ def test_merged_exchange_components_fail_like_the_oracle(monkeypatch):
         (p.out, q.out) for g in eng.enumerate_mgs()
         for p, q in combinations(eng.exchange_pairs(g), 2)
         if ins(p.out).isdisjoint(ins(q.out)) and p.out not in ins(q.out))
-    keep, merged = map(eng.cover_table()[0].index, (keep, merged))
+    keep, merged = map(eng.cover_table().summands.index, (keep, merged))
     real = GreenEngine._cover_exchange
 
     def patched(self, up, lo):
@@ -535,14 +566,15 @@ def _patch_square_side(eng, patch):
     """Replace, in the cover table, the row list of the first class below
     which two covers a then b commute by patch(rows, k), k the position of
     the row of the other side's first cover, labelled b; return the class."""
-    summands, summ, steps = eng.cover_table()
+    table = eng.cover_table()
+    steps = table.steps
     for top, rows in steps.items():
         for a, mid, *_ in rows:
             for b, *_ in steps[mid]:
                 if eng._commute(a, b):
                     k = next(j for j, row in enumerate(rows) if row[0] == b)
-                    eng._cover_table = (summands, summ,
-                                        {**steps, top: patch(list(rows), k)})
+                    eng._cover_table = table._replace(
+                        steps={**steps, top: patch(list(rows), k)})
                     return top
     raise AssertionError("no square")
 
@@ -568,7 +600,8 @@ def _path_failures_by_chain(eng):
     """Oracle: for each of the PATH_CHECKS, the sequences whose own
     `cover_table` rows, ORed down the chain, fail it, in lexicographic
     order."""
-    summands, summ, steps = eng.cover_table()
+    table = eng.cover_table()
+    summands, summ, steps = table.summands, table.summand_masks, table.steps
     lattice = eng.cat.generated_lattice()
     modules = {i for i, s in enumerate(summands) if not s.shifted}
     failures = {name: [] for name in PATH_CHECKS}
