@@ -1,12 +1,13 @@
 """Exact rank computation for the morphism constraint systems.
 
 The Hom table that every command reads comes from the backends' closed
-forms; this elimination is its oracle.  `ModuleCategory(exact=True)`
-(the CLI's `--exact`) solves every catalog pair over the rationals, and
-the type-A verify check `interval-hom-dimensions-at-most-one` solves
-every pair in the category's field, F_p unless exact.  The category
-builds a system once per distinct restriction of a pair of modules and
-calls this once per distinct system (`ModuleCategory._hom_dim`).
+forms; this elimination is its oracle.  The category solves every
+catalog pair once, in its field, F_p unless exact
+(`ModuleCategory.solved_hom_table`): `ModuleCategory(exact=True)` (the
+CLI's `--exact`) solves it over the rationals and compares it with the
+table, and the type-A verify check `interval-hom-dimensions-at-most-one`
+reads it.  The category builds a system once per distinct restriction
+of a pair of modules and calls this once per distinct system.
 
 One fraction-free Gaussian elimination serves two fields: the prime field
 F_p with p = 1000003 by default, and the rationals for paranoia runs.  A

@@ -5,18 +5,19 @@ produced by a backend (Nakayama or type A).  The Hom table, dim Hom for
 every catalog pair, which every later Hom query reads, is the backend's
 closed form on the module descriptors (`hom_table`), with no linear
 algebra.  Solving the commuting-square constraint system on the explicit
-arrow matrices (`_hom_dim`) stays as its oracle: with `exact=True` (the
-CLI's `--exact`) every pair is solved over the rationals and the first
-that disagrees with the table raises `InvariantViolation`, and the
-type-A verify check `interval-hom-dimensions-at-most-one` solves every
-pair in the category's field, F_p unless exact.  A pair's system reads
-only the part of the quiver on the common support of the two modules
-and at the slots that can give it rows, so each pair is keyed by the
-modules' restrictions to that part, one AND of per-module codes, and a
-system is built only for a key not seen before; the ranks are kept in a
-memo keyed by the rows, so each distinct system is eliminated once per
-category (typeA <x16 has 15,657 pairs with a common support, 545 keys
-and 64 distinct systems).  The Ext^1 table is the
+arrow matrices stays as its oracle, the solved table of every pair in
+the category's field, F_p unless exact (`solved_hom_table`), built once
+per category on first use: with `exact=True` (the CLI's `--exact`) it
+is solved over the rationals and compared with the table row by row,
+and the first pair that differs raises `InvariantViolation`, and the
+type-A verify check `interval-hom-dimensions-at-most-one` reads it.  A
+pair's system reads only the part of the quiver on the common support
+of the two modules and at the slots that can give it rows, so each pair
+is keyed by the modules' restrictions to that part, one AND of
+per-module codes, and a system is built only for a key not seen before;
+the ranks are kept in a memo keyed by the rows, so each distinct system
+is eliminated once per category (typeA <x16 has 15,657 pairs with a
+common support, 545 keys and 64 distinct systems).  The Ext^1 table is the
 backend's closed form too, read off the Hom table on first use
 (`ext1_table`): the Euler form of the hereditary path algebra (type A),
 or the injective envelope of the second module (Nakayama).  The
@@ -212,10 +213,6 @@ class ModuleCategory:
         self._generated: TorsionLattice | None = None
         # the rows of each distinct Hom system solved -> its rank
         self._ranks: dict[tuple, int] = {}
-        # `_hom_dim`'s key of a pair -> dim Hom, and a selection of
-        # vertex and slot fields -> the mask of those fields in the codes
-        self._hom_dims: dict[tuple[int, int, int], int] = {}
-        self._field_masks: dict[int, int] = {}
         # hom_table[a][b] = dim Hom(a, b) for every pair of catalog ids
         self.hom_table: tuple[tuple[int, ...], ...] = self.backend.hom_table()
         if exact:
@@ -268,7 +265,8 @@ class ModuleCategory:
 
     @cached_property
     def _hom_codes(self) -> tuple[list[int], ...]:
-        """Each catalog module encoded once, for the keys of `_hom_dim`:
+        """Each catalog module encoded once, for the pair keys of
+        `solved_hom_table`:
         its support as a vertex mask, the masks of the slots whose source
         and whose target lie in it, and its code, one integer with a field
         per vertex v, an interned id of dimvec[v], then a field per slot
@@ -296,31 +294,45 @@ class ModuleCategory:
             code.append(sum(i << (f * width) for f, i in enumerate(ids)))
         return supp, src, dst, code, field_masks
 
-    def _hom_dim(self, a: int, b: int) -> int:
-        """dim Hom(a, b) solved on the commuting squares (`_hom_system`),
-        read from a memo keyed by the pair's restriction to what its
-        system reads.  The rows read only the dimensions on the common
-        support C and, at each active slot (one whose rows can be
-        non-zero: source in a's support, target in b's, and target in a's
-        or source in b's), the dimensions at both ends and both structure
-        matrices.  So the key is the selection of C's vertex fields and
-        the active slots' fields, with both codes masked to it; a pair
-        whose key was seen before builds no rows."""
+    @cached_property
+    def solved_hom_table(self) -> tuple[tuple[int, ...], ...]:
+        """solved_hom_table[a][b] = dim Hom(a, b) solved on the commuting
+        squares (`_hom_system`) for every pair of catalog ids, built on
+        first use in one pass over the pairs.  A pair's rows read only the
+        dimensions on the common support C and, at each active slot (one
+        whose rows can be non-zero: source in a's support, target in b's,
+        and target in a's or source in b's), the dimensions at both ends
+        and both structure matrices.  So a pair is keyed by the selection
+        of C's vertex fields and the active slots' fields, with both codes
+        masked to it, and a system is built only for a key not seen
+        before."""
         supp, src, dst, code, field_masks = self._hom_codes
-        common = supp[a] & supp[b]
-        if not common:
-            return 0
-        active = src[a] & dst[b] & (dst[a] | src[b])
-        selected = common | active << self.n
-        mask = self._field_masks.get(selected)
-        if mask is None:
-            mask = self._field_masks[selected] = sum(
-                m for f, m in enumerate(field_masks) if selected >> f & 1)
-        key = (selected, code[a] & mask, code[b] & mask)
-        dim = self._hom_dims.get(key)
-        if dim is None:
-            dim = self._hom_dims[key] = self._hom_system(a, b)
-        return dim
+        n, size = self.n, len(self.catalog)
+        # a selection of vertex and slot fields -> the mask of those fields
+        # in the codes, and a pair's key -> dim Hom
+        masks: dict[int, int] = {}
+        dims: dict[tuple[int, int, int], int] = {}
+        table = []
+        for a in range(size):
+            supp_a, src_a, dst_a, code_a = supp[a], src[a], dst[a], code[a]
+            row = []
+            for b in range(size):
+                common = supp_a & supp[b]
+                if not common:
+                    row.append(0)
+                    continue
+                selected = common | (src_a & dst[b] & (dst_a | src[b])) << n
+                mask = masks.get(selected)
+                if mask is None:
+                    mask = masks[selected] = sum(
+                        m for f, m in enumerate(field_masks) if selected >> f & 1)
+                key = (selected, code_a & mask, code[b] & mask)
+                dim = dims.get(key)
+                if dim is None:
+                    dim = dims[key] = self._hom_system(a, b)
+                row.append(dim)
+            table.append(tuple(row))
+        return tuple(table)
 
     def _hom_system(self, a: int, b: int) -> int:
         """dim Hom(a, b) solved on the commuting squares: one unknown per
@@ -359,17 +371,16 @@ class ModuleCategory:
         return total - rank
 
     def _check_hom_table(self) -> None:
-        """Raise on the first catalog pair whose table entry differs from
-        dim Hom solved by elimination."""
-        size = len(self.catalog)
-        for a in range(size):
-            for b in range(size):
-                solved = self._hom_dim(a, b)
-                if solved != self.hom_table[a][b]:
-                    raise InvariantViolation(
-                        f"dim Hom({self.display(a)}, {self.display(b)}) is "
-                        f"{self.hom_table[a][b]} in the Hom table but "
-                        f"{solved} by elimination")
+        """Raise on the first catalog pair, in (a, b) order, whose table
+        entry differs from dim Hom solved by elimination."""
+        for a, (row, solved) in enumerate(zip(self.hom_table,
+                                              self.solved_hom_table)):
+            if row != solved:
+                b = next(b for b, pair in enumerate(zip(row, solved))
+                         if pair[0] != pair[1])
+                raise InvariantViolation(
+                    f"dim Hom({self.display(a)}, {self.display(b)}) is "
+                    f"{row[b]} in the Hom table but {solved[b]} by elimination")
 
     def _as_sum(self, m) -> ModuleSum:
         if isinstance(m, ModuleSum):
@@ -433,7 +444,8 @@ class ModuleCategory:
         val = self.hom(omega, sb) - self.hom(p0, sb) + self.hom(a, sb)
         if val < 0:
             raise InvariantViolation(
-                f"presentation gave negative Ext dimension for ({a}, {b})")
+                f"presentation gave negative Ext dimension for "
+                f"({self.display(a)}, {self.display_sum(sb)})")
         return val
 
     def is_brick(self, i: int) -> bool:

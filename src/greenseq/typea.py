@@ -3,7 +3,14 @@
 The catalog consists of the n(n+1)/2 interval modules.  Following the
 top-down composition-series reading (the module "12" has top 1 and socle
 2), we work with right modules: the structure map of an arrow x -> y
-sends the fibre at y to the fibre at x.  A subset of an interval's
+sends the fibre at y to the fibre at x.  Every fibre of an interval
+module is 0 or 1-dimensional, so its structure map at a slot is one of
+three matrices, shared by the whole catalog: the 1x1 identity when both
+ends of the slot lie in the interval, a 1x0 matrix when only the target
+does, and the empty matrix otherwise; an interval's maps are a run of
+empty ones, the map at the slot before its start, identities, the map at
+the slot after its end and empty ones again, joined from tuples built
+once per backend.  A subset of an interval's
 support carries a submodule iff it is closed under taking arrow sources,
 i.e. y in S and an in-interval arrow x -> y force x in S.  The supports
 are built vertex by vertex, keeping a partial support only while the
@@ -33,11 +40,20 @@ counts the structure-map paths from v to w.
 
 from __future__ import annotations
 
-from operator import mul
+from functools import reduce
+from itertools import accumulate
+from operator import mul, or_
 
 from .algebra import AlgebraSpec
 from .errors import InvariantViolation, UsageError
-from .modcat import Indec, ModuleSum, SesRecord, _mask
+from .modcat import Indec, ModuleSum, SesRecord
+
+# the structure map at a slot (s, d) of an interval module, of shape
+# (dim at d, dim at s): the 1x1 identity when both ends lie in the
+# interval, one empty row when only the target does, and no rows otherwise
+_BOTH, _TARGET, _NEITHER = ((1,),), ((),), ()
+# the 256-entry byte table that sends the digits "0" and "1" to 0 and 1
+_DIGITS = bytes.maketrans(b"01", b"\0\1")
 
 
 class TypeABackend:
@@ -85,23 +101,25 @@ class TypeABackend:
         return ("" if self.n <= 9 else "|").join(map("".join, rows))
 
     def _build_catalog(self) -> list[Indec]:
+        n, maps = self.n, self._maps
+        zeros, ones = (0,) * n, (1,) * n
+        neither, both = (_NEITHER,) * n, (_BOTH,) * n
+        # an interval's maps at the slots before its start a0, and after
+        # its end b0: empty ones, but _TARGET at the slot next to the end
+        # when that slot's map runs into the interval
+        before = [()] + [neither[:a0 - 1] + ((_TARGET if (a0 - 1, a0) in maps
+                                              else _NEITHER),)
+                         for a0 in range(1, n)]
+        after = [((_TARGET if (b0 + 1, b0) in maps else _NEITHER),)
+                 + neither[b0 + 2:] for b0 in range(n - 1)] + [()]
         catalog = []
-        for a0 in range(self.n):
-            for b0 in range(a0, self.n):
-                spaces = tuple(1 if a0 <= v <= b0 else 0 for v in range(self.n))
-                mats = []
-                for s, d in self.slots:
-                    m = [[0] * spaces[s] for _ in range(spaces[d])]
-                    if spaces[s] and spaces[d]:
-                        m[0][0] = 1
-                    mats.append(tuple(tuple(r) for r in m))
+        for a0 in range(n):
+            for b0 in range(a0, n):
                 catalog.append(Indec(
-                    ident=len(catalog),
-                    descriptor=("I", a0 + 1, b0 + 1),
-                    dimvec=spaces,
-                    matrices=tuple(mats),
-                    display=self._display(a0, b0),
-                ))
+                    len(catalog), ("I", a0 + 1, b0 + 1),
+                    zeros[:a0] + ones[a0:b0 + 1] + zeros[b0 + 1:],
+                    before[a0] + both[:b0 - a0] + after[b0],
+                    self._display(a0, b0)))
         return catalog
 
     # -- hom -------------------------------------------------------------------
@@ -111,19 +129,22 @@ class TypeABackend:
         the interval ends and the structure maps at the ends of their
         intersection: one row per bitmask over the catalog, an AND of
         masks of intervals by their ends."""
-        maps = self._maps
+        maps, n = self._maps, self.n
         ends = [(m.descriptor[1] - 1, m.descriptor[2] - 1) for m in self.catalog]
+        # the intervals that start at vertex x, and those that end at x
+        start_at, end_at = [0] * n, [0] * n
+        for j, (a1, b1) in enumerate(ends):
+            start_at[a1] |= 1 << j
+            end_at[b1] |= 1 << j
         # starts_le[x]: the intervals that start at or before vertex x;
         # ends_ge[x]: those that end at or after x
-        starts_le = [_mask(j for j, (a1, _) in enumerate(ends) if a1 <= x)
-                     for x in range(self.n)]
-        ends_ge = [_mask(j for j, (_, b1) in enumerate(ends) if b1 >= x)
-                   for x in range(self.n)]
+        starts_le = list(accumulate(start_at, or_))
+        ends_ge = list(accumulate(end_at[::-1], or_))[::-1]
         # the intervals with a structure map into their start, and into their end
-        into_start = _mask(j for j, (a1, _) in enumerate(ends)
-                           if (a1 - 1, a1) in maps)
-        into_end = _mask(j for j, (_, b1) in enumerate(ends)
-                         if (b1 + 1, b1) in maps)
+        into_start = reduce(or_, (start_at[x] for x in range(1, n)
+                                  if (x - 1, x) in maps), 0)
+        into_end = reduce(or_, (end_at[x] for x in range(n - 1)
+                                if (x + 1, x) in maps), 0)
         size = len(ends)
         table = []
         for a0, b0 in ends:
@@ -139,7 +160,9 @@ class TypeABackend:
                 row &= ~starts_le[a0 - 1]
             if (b0, b0 + 1) in maps:
                 row &= ~ends_ge[b0 + 1]
-            table.append(tuple(map(int, format(row, f"0{size}b")[::-1])))
+            # the binary digits, low bit first, as the bytes 0 and 1
+            table.append(tuple(
+                format(row, f"0{size}b")[::-1].encode().translate(_DIGITS)))
         return tuple(table)
 
     def ext1_table(self, hom) -> tuple[tuple[int, ...], ...]:

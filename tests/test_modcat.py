@@ -117,7 +117,7 @@ def _assert_hom_table_matches_elimination(spec):
     size = len(cat.catalog)
     for a in range(size):
         for b in range(size):
-            assert cat.hom_table[a][b] == cat._hom_dim(a, b), (
+            assert cat.hom_table[a][b] == cat.solved_hom_table[a][b], (
                 spec.label(), a, b)
 
 
@@ -192,9 +192,34 @@ def test_flipped_hom_entry_fails_the_exact_build(spec, backend, monkeypatch,
     assert str(err.value) in capsys.readouterr().err
 
 
+# two entries of the Hom table of <>< flipped, the first in (a, b) order
+# after the second in (b, a) order, or both in one row
+@pytest.mark.parametrize("first, second", [((2, 5), (4, 1)), ((3, 2), (3, 7))])
+def test_two_flipped_hom_entries_fail_the_exact_build_at_the_first(
+        monkeypatch, first, second):
+    spec = AlgebraSpec.type_a("<><")
+    cat = category_for(spec)
+    real = TypeABackend.hom_table
+
+    def flipped(self):
+        table = [list(row) for row in real(self)]
+        for a, b in (second, first):
+            table[a][b] = 1 - table[a][b]
+        return tuple(map(tuple, table))
+
+    monkeypatch.setattr(TypeABackend, "hom_table", flipped)
+    with pytest.raises(InvariantViolation) as err:
+        ModuleCategory(spec, exact=True)
+    a, b = first
+    good = cat.hom_table[a][b]
+    assert str(err.value) == (
+        f"dim Hom({cat.display(a)}, {cat.display(b)}) is {1 - good} in the "
+        f"Hom table but {good} by elimination")
+
+
 def _dense_system(cat, a, b):
     """(unknowns, rows) of the Hom system of (a, b) built densely, the
-    oracle of `_hom_dim`: unknowns numbered over every vertex, rows for
+    oracle of `solved_hom_table`: unknowns numbered over every vertex, rows for
     every slot with a non-zero end, zero rows dropped."""
     M, N = cat.catalog[a], cat.catalog[b]
     offs, total = [], 0
@@ -221,15 +246,17 @@ def _dense_system(cat, a, b):
 
 
 def _assert_hom_dims_match_dense_oracle(spec):
-    """`_hom_dim` against the dense, unmemoised elimination, pair by pair,
+    """`solved_hom_table` against the dense, unmemoised elimination, pair by pair,
     over F_p and over the rationals."""
     prime, exact = ModuleCategory(spec), ModuleCategory(spec, exact=True)
     size = len(prime.catalog)
     for a in range(size):
         for b in range(size):
             total, rows = _dense_system(prime, a, b)
-            assert prime._hom_dim(a, b) == total - rank_mod_p(rows), (a, b)
-            assert exact._hom_dim(a, b) == total - rank_exact(rows), (a, b)
+            assert prime.solved_hom_table[a][b] == total - rank_mod_p(rows), (
+                a, b)
+            assert exact.solved_hom_table[a][b] == total - rank_exact(rows), (
+                a, b)
 
 
 @pytest.mark.parametrize("spec", HOM_SWEEP, ids=lambda s: s.label())
@@ -295,7 +322,7 @@ def test_exact_build_builds_each_restricted_system_once(monkeypatch, spec,
     cat = ModuleCategory(spec, exact=True)
     assert len(built) == len(set(built)) == builds
     assert len(calls) == len(set(calls)) == systems
-    # a second pass over every pair builds nothing more
+    # a second read of the table builds nothing more
     cat._check_hom_table()
     assert len(built) == builds and len(calls) == systems
 
@@ -363,6 +390,30 @@ def test_negative_ext_table_entry_raises(monkeypatch):
     with pytest.raises(InvariantViolation, match=re.escape(
             f"negative Ext dimension for ({last}, {first}) in the Ext table")):
         cat.ext1(0, 0)
+
+
+def test_padded_projective_cover_fails_the_presentation(monkeypatch):
+    # P_0 of the simple 1 gains a second copy of its projective cover 123,
+    # so the presentation undercounts Ext^1(1, N) by hom(123, N), which is
+    # 1 for N = 1 and for N = 12
+    real = NakayamaBackend.projective_cover
+    cat = ModuleCategory(AlgebraSpec.nakayama([3, 2, 1]))
+    one, twelve = ids_of(cat, ["1", "12"])
+
+    def padded(self, i):
+        p0, omega = real(self, i)
+        return (tuple(sorted(p0 + p0)), omega) if i == one else (p0, omega)
+
+    monkeypatch.setattr(NakayamaBackend, "projective_cover", padded)
+    cat = ModuleCategory(AlgebraSpec.nakayama([3, 2, 1]))
+    assert cat.ext1_presentation(twelve, one) == cat.ext1(twelve, one)
+    with pytest.raises(InvariantViolation) as err:
+        cat.ext1_presentation(one, ModuleSum((one, twelve)))
+    assert str(err.value) == (
+        "presentation gave negative Ext dimension for (1, 1+12)")
+    with pytest.raises(InvariantViolation) as err:
+        cat.ext1_presentation(cat.catalog[one], one)
+    assert str(err.value) == "presentation gave negative Ext dimension for (1, 1)"
 
 
 def test_example_nonsplit_extension_of_wide_module(example_cat):

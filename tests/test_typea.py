@@ -5,6 +5,7 @@ import itertools
 import pytest
 
 from greenseq import AlgebraSpec, ModuleCategory
+from greenseq.modcat import Indec, _mask
 from greenseq.typea import TypeABackend
 
 from conftest import category_for, type_a_battery
@@ -48,6 +49,67 @@ def test_displays_match_layer_relaxation():
             _, a1, b1 = m.descriptor
             assert m.display == _relaxed_display(backend, a1 - 1, b1 - 1), (
                 spec.label(), m.descriptor)
+
+
+def _nested_list_catalog(backend):
+    """The interval catalog with every structure map built as a nested
+    list of zeros, its one entry set to 1 when both ends of the slot lie in
+    the interval, and every record built by keyword: the oracle of
+    `TypeABackend._build_catalog`."""
+    n, catalog = backend.n, []
+    for a0 in range(n):
+        for b0 in range(a0, n):
+            spaces = tuple(1 if a0 <= v <= b0 else 0 for v in range(n))
+            mats = []
+            for s, d in backend.slots:
+                m = [[0] * spaces[s] for _ in range(spaces[d])]
+                if spaces[s] and spaces[d]:
+                    m[0][0] = 1
+                mats.append(tuple(tuple(r) for r in m))
+            catalog.append(Indec(
+                ident=len(catalog), descriptor=("I", a0 + 1, b0 + 1),
+                dimvec=spaces, matrices=tuple(mats),
+                display=backend._display(a0, b0)))
+    return catalog
+
+
+def _scanned_hom_table(backend):
+    """The Hom table with each mask of intervals by their ends found by a
+    scan of every interval at each vertex, and each row expanded digit by
+    digit: the oracle of `TypeABackend.hom_table`."""
+    maps = set(backend.slots)
+    ends = [(m.descriptor[1] - 1, m.descriptor[2] - 1) for m in backend.catalog]
+    starts_le = [_mask(j for j, (a1, _) in enumerate(ends) if a1 <= x)
+                 for x in range(backend.n)]
+    ends_ge = [_mask(j for j, (_, b1) in enumerate(ends) if b1 >= x)
+               for x in range(backend.n)]
+    into_start = _mask(j for j, (a1, _) in enumerate(ends)
+                       if (a1 - 1, a1) in maps)
+    into_end = _mask(j for j, (_, b1) in enumerate(ends)
+                     if (b1 + 1, b1) in maps)
+    table = []
+    for a0, b0 in ends:
+        row = starts_le[b0] & ends_ge[a0]
+        row &= ~(into_start & ~starts_le[a0]) & ~(into_end & ~ends_ge[b0])
+        if (a0, a0 - 1) in maps:
+            row &= ~starts_le[a0 - 1]
+        if (b0, b0 + 1) in maps:
+            row &= ~ends_ge[b0 + 1]
+        table.append(tuple(map(int, format(row, f"0{len(ends)}b")[::-1])))
+    return tuple(table)
+
+
+# every word on at most 7 vertices, A1 among them, and the long words
+@pytest.mark.parametrize("spec", type_a_battery(7) + [
+    AlgebraSpec.type_a(w) for w in ("<" * 16, "<>" * 8, "<<><<>><<><<>><<")],
+    ids=lambda s: s.label())
+def test_catalog_and_hom_table_match_the_scans(spec):
+    backend = TypeABackend(spec)
+    oracle = _nested_list_catalog(backend)
+    assert len(backend.catalog) == len(oracle)
+    for m, o in zip(backend.catalog, oracle):
+        assert m == o and hash(m) == hash(o), (spec.label(), m.descriptor)
+    assert backend.hom_table() == _scanned_hom_table(backend)
 
 
 @pytest.mark.parametrize("word", ["<<<", "<><", ">>>", "><>"])
@@ -128,7 +190,7 @@ def test_hom_dims_zero_or_one(spec):
     size = len(cat.catalog)
     for a in range(size):
         for b in range(size):
-            assert cat._hom_dim(a, b) in (0, 1)
+            assert cat.solved_hom_table[a][b] in (0, 1)
 
 
 @pytest.mark.parametrize("spec", type_a_battery(6), ids=lambda s: s.label())

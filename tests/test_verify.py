@@ -431,18 +431,14 @@ def test_patched_projective_cover_fails_the_ext_oracle(monkeypatch):
 
 
 def test_patched_elimination_fails_the_interval_hom_check(monkeypatch):
-    # the check solves every pair by elimination: one solution above 1 and
-    # one that differs from the Hom table are both reported
+    # the check reads every pair's solution by elimination: one solution
+    # above 1 and one that differs from the Hom table are both reported
     cat = ModuleCategory(EXAMPLE_QUIVER)
-    real = cat._hom_dim
     above, differs = (0, 0), (0, 1)
-
-    def patched(a, b):
-        if (a, b) == above:
-            return 2
-        return 1 - real(a, b) if (a, b) == differs else real(a, b)
-
-    monkeypatch.setattr(cat, "_hom_dim", patched)
+    table = [list(row) for row in cat.solved_hom_table]
+    table[above[0]][above[1]] = 2
+    table[differs[0]][differs[1]] = 1 - table[differs[0]][differs[1]]
+    monkeypatch.setattr(cat, "solved_hom_table", tuple(map(tuple, table)))
     checks = run_suite("lemmas", GreenEngine(cat))
     assert _failed(checks, "interval-hom-dimensions-at-most-one") == [
         [cat.display(a), cat.display(b)] for a, b in (above, differs)]

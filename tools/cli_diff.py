@@ -23,8 +23,9 @@ cyclic series, whose runs without it are among the commands above, and
 on cyclic 5,5 and 7,7,7,7, whose modules wrap the cycle, so that both Hom
 closed forms meet exact elimination;
 `verify --suite all` with `--exact` on typeA <<<< and <><>, Nakayama
-3,3,3,2,1 and cyclic 3,3,3, where the exact build and the verify checks
-share one memo of eliminated Hom systems;
+3,3,3,2,1 and cyclic 3,3,3, and `verify --suite lemmas` with `--exact`
+on the six-vertex typeA <<<<< and <><>< (21 modules), where the exact
+build and the type-A verify check read one solved Hom table;
 `mgs` (340,549 sequences, 302 MB, compared by SHA-256 and length so
 that this tool's memory stays bounded), `classes`, `poset` for the
 pentagon, summand and hn orders, as DOT and with `--format json`, and
@@ -47,7 +48,7 @@ each single module, and given as its `mgs` index with that sum.  Last,
 on Nakayama 3,3,3,2,1, cyclic 3,3,3 and cyclic 3,3, `hn --mgs` with
 brick lists that the validity check refuses (`error_commands`): a
 repeated brick, a Hom-violating order, a list that is not maximal and,
-on cyclic 3,3, a non-brick.  1281 calls in all.  These last calls are
+on cyclic 3,3, a non-brick.  1283 calls in all.  These last calls are
 compared by exit code and stderr, and match when both trees exit 2 with
 the same message: they are counted as refused.  Any other call that
 both trees reject with a usage error (exit 2) is reported as rejected:
@@ -103,8 +104,9 @@ def linear_kupisch(max_n: int):
 
 
 def battery() -> list[tuple[dict, str]]:
-    """(algebra, which commands: "all", "exact", "exact-verify", "five",
-    "verify", "lemmas", "six", "six-dot", "zigzag" or "long")."""
+    """(algebra, which commands: "all", "exact", "exact-verify",
+    "exact-lemmas", "five", "verify", "lemmas", "six", "six-dot", "zigzag"
+    or "long")."""
     specs = [type_a("".join(w)) for n in range(1, 5)
              for w in itertools.product("<>", repeat=n - 1)]
     specs += [nakayama(s) for s in linear_kupisch(4)]
@@ -123,12 +125,14 @@ def battery() -> list[tuple[dict, str]]:
     long = [type_a("<" * 16), type_a("<>" * 8), type_a("<<><<>><<><<>><<")]
     exact_verify = [type_a("<<<<"), type_a("<><>"), nakayama([3, 3, 3, 2, 1]),
                     nakayama([3, 3, 3], cyclic=True)]
+    exact_lemmas = [type_a("<<<<<"), type_a("<><><")]
     kupisch5 = [nakayama(s) for s in linear_kupisch(5) if len(s) == 5]
     lemmas = [nakayama(s, cyclic=True) for s in
               ([3, 3, 3, 3], [4, 4, 4, 4], [2, 2, 2, 2, 2], [4, 3, 3, 3])]
     return ([(spec, "all") for spec in specs]
             + [(spec, "exact") for spec in exact]
             + [(spec, "exact-verify") for spec in exact_verify]
+            + [(spec, "exact-lemmas") for spec in exact_lemmas]
             + [(spec, "five") for spec in five]
             + [(spec, "verify") for spec in kupisch5]
             + [(spec, "lemmas") for spec in lemmas]
@@ -153,6 +157,8 @@ def commands(spec: dict, kind: str) -> list[list[str]]:
         return [["--exact", cmd] for cmd in ("catalog", "bricks")]
     if kind == "exact-verify":
         return [["--exact", "verify", "--suite", "all"]]
+    if kind == "exact-lemmas":
+        return [["--exact", "verify", "--suite", "lemmas"]]
     if kind == "verify":
         return [["verify", "--suite", "all"]]
     if kind == "lemmas":
